@@ -31,7 +31,7 @@ from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import bezout, euclid_data
 from .engine import IndependentData, JumpingSequence, residue, value
 from .fields import GroundField
-from .poly import BivarPoly, RatExpr, eval_rat, exact_divide
+from .poly import BivarPoly, RatExpr, eval_rat
 
 
 def is_admissible(p: int, q: int) -> bool:
@@ -105,8 +105,14 @@ def single_quadratic_transform(chart: Chart, js: Optional[JumpingSequence] = Non
     The residue constant at a chunk-closing (equal values) step is taken
     from ``c`` if supplied, otherwise computed through the engine; the
     engine is also used to re-derive the new second value at closings.
+    Raises :class:`InsufficientDepthError` when the second value is
+    unknown, i.e. after the last chunk the spec certifies.
     """
     vU, vV = chart.values
+    if vV is None:
+        raise InsufficientDepthError(
+            "step %d: the value of the second parameter lies beyond the spec depth"
+            % (chart.step_index + 1))
     fu, fv = chart.forward
     bu, bv = chart.backward
     fld = chart.field
@@ -324,8 +330,10 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
             }
 
         # residue cross-check lambda_{i_l} = c_l * t_l, with t_l computed
-        # from the unit constant terms at level l-1
-        c_l = chart.residues[l - 1]
+        # from the unit constant terms at level l-1; c_l is the residue of
+        # the closing at step kbar_l (chunks of q = 1 pairs close too, so
+        # residues holds more entries than levels)
+        c_l = chart.residues[-1]
         prev_chart = levels_charts[l - 1]
         consts = []
         for j in range(0, l):

@@ -216,6 +216,13 @@ def cmd_classify(args):
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(s: str) -> int:
+    n = int(s)
+    if n < 0:
+        raise argparse.ArgumentTypeError("%d is negative" % n)
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumpseq",
@@ -254,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", help="iterate single quadratic transforms")
     p.add_argument("spec")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_nonnegative_int, default=1)
     common(p)
     p.set_defaults(func=cmd_blowup)
 

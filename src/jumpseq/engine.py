@@ -13,7 +13,7 @@ data does not pin the answer down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple

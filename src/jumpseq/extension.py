@@ -9,7 +9,7 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
@@ -22,7 +22,7 @@ from .engine import (
     build_jumping_sequence,
     extract_independent,
 )
-from .errors import InvalidSpecError, ResourceLimitError
+from .errors import DivisibilityError, InvalidSpecError, ResourceLimitError
 from .fields import GroundField
 from .poly import BivarPoly, RatExpr, exact_divide
 
@@ -242,7 +242,7 @@ def _stable_unit(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> Opti
     den = quot.den.subs(fx, fy)
     try:
         return exact_divide(num, den)
-    except Exception:
+    except DivisibilityError:
         return None
 
 

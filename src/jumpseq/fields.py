@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 def _is_prime(n: int) -> bool:
@@ -128,7 +129,8 @@ class GroundField:
 
     ``characteristic`` is 0 for the rationals and the prime p otherwise.
     Calling the field coerces ints, Fractions, strings and existing
-    elements into field elements.
+    elements into field elements.  ``zero``, ``one`` and ``element_type``
+    (``Fraction`` or ``Fp``) are computed once per field object.
     """
 
     kind: str
@@ -164,13 +166,17 @@ class GroundField:
             return Fp(int(x), self.characteristic)
         raise TypeError("cannot coerce %r into F_%d" % (x, self.characteristic))
 
-    @property
+    @cached_property
     def zero(self):
         return self(0)
 
-    @property
+    @cached_property
     def one(self):
         return self(1)
+
+    @cached_property
+    def element_type(self) -> type:
+        return Fraction if self.kind == "rationals" else Fp
 
     def render(self, e) -> str:
         """Canonical decimal string: ``num/den`` over Q, ``0 <= c < p`` over F_p."""

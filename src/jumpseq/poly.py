@@ -5,6 +5,16 @@ field coefficients, together with a pair of variable labels.  Everything
 is immutable in spirit: operations return fresh polynomials and never
 mutate their inputs.
 
+The constructor is the only way a polynomial is made.  It coerces a
+coefficient through ``field(c)`` unless it already is an element of the
+field (a ``Fraction`` over Q, an ``Fp`` of the same p over F_p), so ints,
+strings and elements of another prime field are converted or rejected as
+before, while the results of the ring operations are stored as they are.
+Zero coefficients are dropped and :data:`TERM_LIMIT` is checked on every
+polynomial it stores, including each quotient and remainder; the rows
+that :func:`divmod_in_v` updates in place while it divides are plain
+dicts and are not checked.
+
 The two division routines carry the load for the rest of the library:
 
 * :func:`divmod_in_v` divides by a polynomial that is monic in the second
@@ -20,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisibilityError, ResourceLimitError
-from .fields import GroundField
+from .fields import Fp, GroundField
 
 #: Hard ceiling on the number of stored terms in any single polynomial.
 #: Substitution can blow degrees up; we fail loudly rather than thrash.
@@ -35,9 +45,12 @@ class BivarPoly:
         self.vars = tuple(vars)
         clean = {}
         if terms:
+            etype = field.element_type
+            p = field.characteristic
             for (a, b), c in terms.items():
-                c = field(c)
-                if c != field.zero:
+                if type(c) is not etype or (p and c.p != p):
+                    c = field(c)
+                if c:
                     clean[(int(a), int(b))] = c
         if len(clean) > TERM_LIMIT:
             raise ResourceLimitError(
@@ -74,7 +87,7 @@ class BivarPoly:
 
     def is_local_unit(self) -> bool:
         """True when the polynomial is a unit in the local ring at the origin."""
-        return self.constant_term() != self.field.zero
+        return (0, 0) in self.terms
 
     def deg_v(self) -> int:
         """Degree in the second variable; -1 for the zero polynomial."""
@@ -116,13 +129,17 @@ class BivarPoly:
             return NotImplemented
         self._check_compat(other)
         out = dict(self.terms)
-        z = self.field.zero
+        get = out.get
         for e, c in other.terms.items():
-            s = out.get(e, z) + c
-            if s == z:
-                out.pop(e, None)
-            else:
+            s = get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s = s + c
+            if s:
                 out[e] = s
+            else:
+                del out[e]
         return BivarPoly(self.field, out, self.vars)
 
     __radd__ = __add__
@@ -148,15 +165,20 @@ class BivarPoly:
             return NotImplemented
         self._check_compat(other)
         out = {}
-        z = self.field.zero
+        get = out.get
+        other_terms = other.terms.items()
         for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+            for (a2, b2), c2 in other_terms:
                 e = (a1 + a2, b1 + b2)
-                s = out.get(e, z) + c1 * c2
-                if s == z:
-                    out.pop(e, None)
-                else:
+                s = get(e)
+                if s is None:
+                    out[e] = c1 * c2
+                    continue
+                s = s + c1 * c2
+                if s:
                     out[e] = s
+                else:
+                    del out[e]
         return BivarPoly(self.field, out, self.vars)
 
     __rmul__ = __mul__
@@ -180,7 +202,7 @@ class BivarPoly:
     def _as_poly(self, x):
         if isinstance(x, BivarPoly):
             return x
-        if isinstance(x, (int, Fraction)) or type(x).__name__ == "Fp":
+        if isinstance(x, (int, Fraction, Fp)):
             return BivarPoly.const(self.field, x, self.vars)
         return NotImplemented
 
@@ -304,11 +326,12 @@ def _u_divmod(f: BivarPoly, g: BivarPoly):
         q[(dr - dg, 0)] = c
         for (a, _), gc in g.terms.items():
             e = (a + dr - dg, 0)
-            s = rem.get(e, field.zero) - c * gc
-            if s == field.zero:
-                rem.pop(e, None)
-            else:
+            s = rem.get(e)
+            s = -c * gc if s is None else s - c * gc
+            if s:
                 rem[e] = s
+            else:
+                del rem[e]
     return (
         BivarPoly(field, q, f.vars),
         BivarPoly(field, rem, f.vars),
@@ -329,24 +352,46 @@ def divmod_in_v(f: BivarPoly, g: BivarPoly):
     """Divide ``f`` by ``g`` where ``g`` is monic in the second variable.
 
     Returns ``(quotient, remainder)`` with ``deg_v(remainder) < deg_v(g)``
-    and ``f == quotient*g + remainder`` exactly.
+    and ``f == quotient*g + remainder`` exactly.  One downward pass over
+    the v-degree rows of ``f`` moves each row above ``deg_v(g)`` into the
+    quotient and subtracts it times ``g - v^deg_v(g)`` in place.
     """
+    f._check_compat(g)
     dg = g.deg_v()
     if dg < 0:
         raise ZeroDivisionError("division by zero polynomial")
     lead = g.v_coefficient(dg)
     if lead.terms != {(0, 0): g.field.one}:
         raise ValueError("divisor is not monic in %s" % g.vars[1])
-    field = f.field
-    q = BivarPoly.zero(field, f.vars)
-    r = f
-    while not r.is_zero() and r.deg_v() >= dg:
-        dr = r.deg_v()
-        c = r.v_coefficient(dr)  # in k[u]
-        shift = BivarPoly(field, {(a, dr - dg): cc for (a, _), cc in c.terms.items()}, f.vars)
-        q = q + shift
-        r = r - shift * g
-    return q, r
+    tail = {}  # rows of g - v^dg: {b: [(a, c)]}
+    for (a, b), c in g.terms.items():
+        if b != dg:
+            tail.setdefault(b, []).append((a, c))
+    rows = {}  # rows of the running remainder: {b: {a: c}}
+    for (a, b), c in f.terms.items():
+        rows.setdefault(b, {})[a] = c
+    q = {}
+    for b in range(f.deg_v(), dg - 1, -1):
+        row = rows.pop(b, None)
+        if not row:
+            continue
+        s = b - dg
+        for a, c in row.items():
+            q[(a, s)] = c
+        for gb, gcol in tail.items():
+            target = rows.setdefault(gb + s, {})
+            get = target.get
+            for a, c in row.items():
+                for ga, gc in gcol:
+                    e = a + ga
+                    t = get(e)
+                    t = -c * gc if t is None else t - c * gc
+                    if t:
+                        target[e] = t
+                    else:
+                        del target[e]
+    r = {(a, b): c for b, row in rows.items() for a, c in row.items()}
+    return BivarPoly(f.field, q, f.vars), BivarPoly(f.field, r, f.vars)
 
 
 def exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:

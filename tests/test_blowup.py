@@ -12,8 +12,9 @@ from jumpseq.blowup import (
     value_in_original,
 )
 from jumpseq.engine import build_jumping_sequence, extract_independent
+from jumpseq.errors import InsufficientDepthError
 from jumpseq.euclid import euclid_data
-from jumpseq.fields import QQ
+from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import BivarPoly
 
 from conftest import make_spec
@@ -93,6 +94,8 @@ def test_last_chunk_value_unknown(js_a):
         ch = single_quadratic_transform(ch, js=js_a)
     assert ch.values[0] == Fraction(1, 6)
     assert ch.values[1] is None and ch.chunk_pq is None
+    with pytest.raises(InsufficientDepthError):
+        single_quadratic_transform(ch, js=js_a)
 
 
 def test_strict_transform(js_a):
@@ -134,4 +137,17 @@ def test_monoidal_tower():
     js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
     ind = extract_independent(js)
     reports = monoidal_sequence(js, ind, 2)
+    assert all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize("fld", [QQ, prime_field(101)], ids=["QQ", "F101"])
+@pytest.mark.parametrize("pairs", [[(3, 2), (4, 1), (5, 3)], [(3, 2), (1, 1), (5, 3)]])
+def test_monoidal_residue_check_with_lambda(fld, pairs):
+    """Level 2 checks lambda against the closing at kbar_2, not against the
+    closing of the q = 1 chunk in between."""
+    lambdas = tuple(fld(c) for c in (2, 3, 2))
+    js = build_jumping_sequence(make_spec(fld, pairs, lambdas=lambdas))
+    ind = extract_independent(js)
+    reports = monoidal_sequence(js, ind, ind.levels)
+    assert [r["residue_check"]["pass"] for r in reports] == [True] * ind.levels
     assert all(r["pass"] for r in reports)

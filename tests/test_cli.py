@@ -125,6 +125,21 @@ def test_blowup(capsys):
     assert charts[3]["free"] is True and charts[3]["values"] == ["1/2", "5/6"]
 
 
+def test_blowup_beyond_depth_exit_3(capsys):
+    # spec-a certifies 7 steps (epsilon(3,2) + epsilon(5,3)); the 8th
+    # needs the value of the next second parameter
+    code, out, err = run(capsys, "blowup", SPEC_A, "--steps", "10")
+    assert code == 3 and err == ""
+    data = json.loads(out)
+    assert data["error"] == "insufficient-depth" and data["extra_depth"] == 1
+
+
+def test_blowup_negative_steps_exit_64(capsys):
+    code, out, err = run(capsys, "blowup", SPEC_A, "--steps", "-1")
+    assert code == 64 and out == ""
+    assert "--steps" in err
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "nosuchcommand")[0] == 64
     assert run(capsys, "genseq", str(tmp_path / "missing.json"))[0] == 64

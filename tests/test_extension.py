@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from jumpseq import extension
 from jumpseq.blowup import initial_chart
 from jumpseq.engine import build_jumping_sequence
-from jumpseq.errors import InvalidSpecError, ResourceLimitError
+from jumpseq.errors import DivisibilityError, InvalidSpecError, ResourceLimitError
 from jumpseq.extension import (
     MonomialExtension,
     build_dual_sequences,
@@ -191,6 +192,26 @@ def test_prepared_pair_initial(spec_a):
     assert out["prepared"]
     assert out["critical_locus"] == "assumed"
     assert out["delta_constant"] == "1"
+
+
+def test_prepared_pair_only_divisibility_means_no_unit(spec_a, monkeypatch):
+    """An inexact division reports "delta not a unit"; any other fault
+    in the kernel propagates."""
+    ext = mk_ext(spec_a, 5, one_plus_x())
+    duals = build_dual_sequences(ext)
+    chR, chS = _initial_charts(ext, duals)
+
+    def raising(exc):
+        def exact_divide(f, g):
+            raise exc
+        return exact_divide
+
+    monkeypatch.setattr(extension, "exact_divide", raising(DivisibilityError("inexact")))
+    out = prepared_pair_check(ext, chR, chS)
+    assert not out["prepared"] and "delta not a unit" in out["diagnostics"]
+    monkeypatch.setattr(extension, "exact_divide", raising(ResourceLimitError("too big")))
+    with pytest.raises(ResourceLimitError):
+        prepared_pair_check(ext, chR, chS)
 
 
 def test_prepared_pair_step_y(spec_a):

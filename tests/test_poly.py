@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumpseq.errors import DivisibilityError
-from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly, RatExpr, divmod_in_v, eval_rat, exact_divide
+from jumpseq.errors import DivisibilityError, ResourceLimitError
+from jumpseq.fields import QQ, Fp, prime_field
+from jumpseq.poly import TERM_LIMIT, BivarPoly, RatExpr, divmod_in_v, eval_rat, exact_divide
 
 F101 = prime_field(101)
 
@@ -73,6 +73,29 @@ def test_queries():
     assert not g.is_local_unit()
 
 
+def test_product_over_term_limit_raises():
+    f = P({(a, 0): 1 for a in range(101)})
+    g = P({(0, b): 1 for b in range(101)})
+    assert 101 * 101 > TERM_LIMIT
+    with pytest.raises(ResourceLimitError):
+        f * g
+
+
+def test_element_of_another_prime_field_is_rejected():
+    with pytest.raises(ValueError):
+        BivarPoly(F101, {(0, 0): Fp(3, 7)})
+    with pytest.raises(ValueError):
+        P({(0, 1): 1}, fld=F101) + Fp(3, 7)
+
+
+def test_constructor_coerces_plain_inputs():
+    f = BivarPoly(F101, {(0, 0): 205, (1, 0): "3", (2, 0): 101})
+    assert f.terms == {(0, 0): Fp(3, 101), (1, 0): Fp(3, 101)}
+    g = BivarPoly(QQ, {(0, 0): 2, (0, 1): "1/2", (1, 1): Fraction(0)})
+    assert g.terms == {(0, 0): Fraction(2), (0, 1): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in g.terms.values())
+
+
 # ---------------------------------------------------------------------------
 # substitution
 # ---------------------------------------------------------------------------
@@ -108,6 +131,13 @@ def test_divmod_in_v_euclidean_property():
     q, r = divmod_in_v(f, g)
     assert q * g + r == f
     assert r.deg_v() < g.deg_v()
+
+
+def test_divmod_in_v_requires_monic_divisor():
+    with pytest.raises(ValueError):
+        divmod_in_v(P({(0, 3): 1}), P({(0, 2): 2, (1, 0): 1}))
+    with pytest.raises(ValueError):
+        divmod_in_v(P({(0, 3): 1}), P({(1, 2): 1}))
 
 
 @settings(max_examples=40)

@@ -33,6 +33,7 @@ from jumpseq.engine import (
     verify_minimality,
 )
 from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLimitError
+from jumpseq.euclid import epsilon
 from jumpseq.extension import (
     MonomialExtension,
     build_dual_sequences,
@@ -45,16 +46,6 @@ from jumpseq.poly import BivarPoly
 
 SPECS_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 COPRIME = [(p, q) for p in range(1, 8) for q in range(1, 8) if gcd(p, q) == 1]
-
-
-def ladder_epsilon(p, q):
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    total = 0
-    while q:
-        total += p // q
-        p, q = q, p % q
-    return total
 
 
 def growth_estimate(pairs):
@@ -144,7 +135,8 @@ def spec_record(name, spec, rng, n_random_polys):
         M = first_gcd_failure(t, spec.pairs)
         # the per-step chain cost grows with the total chunk length
         # upstairs; skip combinations that would dominate the run
-        chain_len = sum(ladder_epsilon(t * p, q) for p, q in spec.pairs)
+        chain_len = sum(epsilon(r.numerator, r.denominator)
+                        for r in (Fraction(t * p, q) for p, q in spec.pairs))
         if M is None and chain_len > 24:
             rec["ladders"].append({"t": t, "outcome": "skipped",
                                    "note": "chain length %d over budget" % chain_len})

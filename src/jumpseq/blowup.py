@@ -18,6 +18,10 @@ Conventions for a single transform of parameters (U, V):
 
 Composing epsilon(p, q) such steps reproduces the closed-form chunk
 chart x = X^q (Y+c)^b, y = X^p (Y+c)^a exactly.
+
+A strict transform (g, m) of f satisfies f(forward) = X^m * g exactly,
+so the value of g is value(f) - m * value(X): both values are computed
+by the engine in the original ring, X's through its backward expression.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
-from .euclid import bezout, euclid_data
+from .euclid import bezout, epsilon, euclid_data
 from .engine import IndependentData, JumpingSequence, residue, value
 from .fields import GroundField
-from .poly import BivarPoly, RatExpr, eval_rat
+from .poly import BivarPoly, RatExpr
 
 
 def is_admissible(p: int, q: int) -> bool:
@@ -147,8 +151,10 @@ def single_quadratic_transform(chart: Chart, js: Optional[JumpingSequence] = Non
     shift = BivarPoly(fld, {(0, 0): fld(c), (0, 1): fld.one}, X.vars)  # Y + c
     new_forward = (fu.subs(X, X * shift), fv.subs(X, X * shift))
     new_backward = (bu, new_y)
-    assert pos == euclid_data(*chart.chunk_pq).epsilon, \
-        "chunk closed at step %d, expected epsilon%s" % (pos, chart.chunk_pq)
+    eps = epsilon(*chart.chunk_pq)
+    if pos != eps:
+        raise InvalidSpecError("chunk %s closed at step %d, expected epsilon = %d"
+                               % (chart.chunk_pq, pos, eps))
     vY = None
     if js is not None:
         # the new second value needs the next defining pair; at the last
@@ -173,7 +179,6 @@ class ChunkResult:
     a: int
     b: int
     c: object
-    per_step_trace: Tuple[Chart, ...]
 
 
 def chunk_transform(p: int, q: int, c, chart: Chart,
@@ -182,8 +187,7 @@ def chunk_transform(p: int, q: int, c, chart: Chart,
 
     From permissible parameters (x, y) with value ratio p/q the chunk
     ends in parameters (X, Y) with x = X^q (Y+c)^b, y = X^p (Y+c)^a
-    where a*q - b*p = 1, a <= p, b < q.  The per-step trace is produced
-    by the single-transform simulator with the same residue constant.
+    where a*q - b*p = 1, a <= p, b < q.
     """
     if gcd(p, q) != 1:
         raise ValueError("chunk_transform requires coprime (p, q)")
@@ -213,14 +217,9 @@ def chunk_transform(p: int, q: int, c, chart: Chart,
         r = Fraction(vY) / vU
         new_pq = (r.numerator, r.denominator)
     closed = Chart(fld, new_forward, new_backward, (vU, vY), True,
-                   chart.step_index + euclid_data(p, q).epsilon, 0, new_pq,
+                   chart.step_index + epsilon(p, q), 0, new_pq,
                    chart.residues + (fld(c),))
-    trace = []
-    cur = chart
-    for _ in range(euclid_data(p, q).epsilon):
-        cur = single_quadratic_transform(cur, js=js, c=fld(c) if cur.values[0] == cur.values[1] else None)
-        trace.append(cur)
-    return ChunkResult(closed, a, b, fld(c), tuple(trace))
+    return ChunkResult(closed, a, b, fld(c))
 
 
 def strict_transform(f: BivarPoly, chart: Chart) -> Tuple[BivarPoly, int]:
@@ -239,11 +238,15 @@ def strict_transform(f: BivarPoly, chart: Chart) -> Tuple[BivarPoly, int]:
     return g, m
 
 
-def value_in_original(g: BivarPoly, chart: Chart, js: JumpingSequence) -> Fraction:
-    """The value of a polynomial in current chart coordinates, computed
-    independently through the backward expressions and the engine."""
-    r = eval_rat(g, chart.backward[0], chart.backward[1])
-    return value(r.num, js) - value(r.den, js)
+def value_in_original(f: BivarPoly, m: int, chart: Chart, js: JumpingSequence) -> Fraction:
+    """The value of the strict transform g of f, where f(forward) = X^m * g.
+
+    ``f`` lies in the original ring, so value(g) = value(f) - m * value(X)
+    with value(X) taken through the engine from X's backward expression,
+    independently of the ``values`` the chart carries.
+    """
+    bu = chart.backward[0]
+    return value(f, js) - m * (value(bu.num, js) - value(bu.den, js))
 
 
 def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List[dict]:
@@ -254,8 +257,9 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
     exceptional parameter (expected 1/Qbar_l), the factorizations
     H_j = u_l^{Qbar_l betabar_j} * unit for j <= l (unit certified by a
     nonzero constant term after exact exponent stripping), the strict
-    transform of H_{l+1} with its independently computed value, and the
-    residue cross-check lambda_{i_l} = c_l * t_l.
+    transform of H_{l+1} with its value value(H_{l+1}) - m * value(u_l),
+    and the residue cross-check lambda_{i_l} = c_l * t_l, where t_l comes
+    from the unit constants of the factorizations at level l-1.
     """
     if L > ind.levels:
         raise ValueError("spec depth provides only %d independent levels" % ind.levels)
@@ -284,30 +288,30 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         return row[pos] if pos < len(row) else 0
 
     reports = []
-    prev_gamma_consts = None  # constant terms of gamma_{j, l-1}
-    levels_charts = {0: chart}
+    # unit constants of H_0, ..., H_{l-1} at level l-1; at level 0 the
+    # only one is H_0 = u, which pulls back to x
+    consts = [fld.one]
     for l in range(1, L + 1):
         while chart.step_index < ind.kbar[l]:
             chart = single_quadratic_transform(chart, js=js)
-        levels_charts[l] = chart
         rec = {"level": l, "step": chart.step_index}
         rec["u_value"] = chart.values[0]
         rec["u_value_ok"] = chart.values[0] == Fraction(1, ind.Qbar[l])
 
         # conclusion 3): H_j = u_l^{Qbar_l betabar_j} * unit
-        gammas = []
+        factorizations = []
+        level_consts = []
         factor_ok = True
         for j in range(0, l + 1):
             g, m = strict_transform(H[j], chart)
             expected = ind.Qbar[l] * ind.betabar[j]
             ok = (Fraction(m) == expected) and g.is_local_unit()
             factor_ok = factor_ok and ok
-            gammas.append({"j": j, "exponent": m, "expected": expected,
-                           "unit_constant": fld.render(g.constant_term()), "pass": ok,
-                           "_g": g})
-        rec["H_factorizations"] = [
-            {k: vv for k, vv in gg.items() if k != "_g"} for gg in gammas
-        ]
+            const = g.constant_term()
+            factorizations.append({"j": j, "exponent": m, "expected": expected,
+                                   "unit_constant": fld.render(const), "pass": ok})
+            level_consts.append(const)
+        rec["H_factorizations"] = factorizations
         rec["H_factorizations_ok"] = factor_ok
 
         # conclusion 2): the strict transform of H_{l+1} carries the value
@@ -317,7 +321,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
             g, m = strict_transform(H[l + 1], chart)
             expected_m = ind.Qbar[l] * ind.qbar[l - 1] * ind.betabar[l]
             mono_exp = sum(nbar(l, j) * ind.Qbar[l] * ind.betabar[j] for j in range(l))
-            vg = value_in_original(g, chart, js)
+            vg = value_in_original(H[l + 1], m, chart, js)
             expected_v = Fraction(ind.pbar[l], ind.qbar[l]) / ind.Qbar[l]
             rec["v_strict"] = {
                 "exceptional_exponent": m,
@@ -334,11 +338,6 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         # the closing at step kbar_l (chunks of q = 1 pairs close too, so
         # residues holds more entries than levels)
         c_l = chart.residues[-1]
-        prev_chart = levels_charts[l - 1]
-        consts = []
-        for j in range(0, l):
-            g, m = strict_transform(H[j], prev_chart)
-            consts.append(g.constant_term())
         tau = fld.one
         for j in range(0, l - 1):
             tau = tau * consts[j] ** nbar(l - 1, j)
@@ -359,4 +358,5 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
                        and rec.get("v_strict", {"pass": True})["pass"]
                        and rec["residue_check"]["pass"])
         reports.append(rec)
+        consts = level_consts
     return reports

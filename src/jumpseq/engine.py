@@ -558,5 +558,6 @@ def rewrite_in_independent(k: int, js: JumpingSequence, ind: IndependentData) ->
         acc = acc + mono
         terms.append({"lambda": fld.render(js.spec.lambdas[ip - 1]),
                       "exponents": exps})
-    assert acc == js.T[k], "H-monomial rewriting failed to reproduce T_k"
+    if acc != js.T[k]:
+        raise InvalidSpecError("H-monomial rewriting failed to reproduce T_%d" % k)
     return {"k": k, "level": l, "terms": terms, "identity_checked": True}

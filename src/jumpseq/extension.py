@@ -14,15 +14,23 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
-from .blowup import Chart, initial_chart, single_quadratic_transform, strict_transform
+from .blowup import (
+    Chart,
+    initial_chart,
+    single_quadratic_transform,
+    strict_transform,
+    value_in_original,
+)
 from .engine import (
     IndependentData,
     JumpingSequence,
     ValuationSpec,
     build_jumping_sequence,
     extract_independent,
+    residue,
 )
 from .errors import DivisibilityError, InvalidSpecError, ResourceLimitError
+from .euclid import bezout, epsilon
 from .fields import GroundField
 from .poly import BivarPoly, RatExpr, exact_divide
 
@@ -164,10 +172,10 @@ def chunk_descend(t: int, p_prime: int, q_prime: int, characteristic: int,
     t_tilde = t // g
     p = p_prime // g
     q = q_prime * t_tilde
-    from .euclid import bezout
-
     a, b = bezout(p, q)
-    assert q_prime * t * a - p_prime * b == g
+    if q_prime * t * a - p_prime * b != g:
+        raise ArithmeticError("Bezout identity q'*t*a - p'*b = g fails for (a, b) = (%d, %d)"
+                              % (a, b))
     n = 0
     t_rest = t_tilde
     if characteristic > 0:
@@ -231,17 +239,19 @@ def _to_upstairs(ext: MonomialExtension, r: RatExpr) -> RatExpr:
     return RatExpr(r.num.subs(sx, sy), r.den.subs(sx, sy))
 
 
+def _in_chart(r: RatExpr, chart: Chart) -> RatExpr:
+    """Pull a rational expression in the chart's original parameters back
+    to the chart coordinates."""
+    return RatExpr(r.num.subs(*chart.forward), r.den.subs(*chart.forward))
+
+
 def _stable_unit(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> Optional[BivarPoly]:
     """The unit Delta with u_i = x_i^t * Delta, as a polynomial in the
     S-chart coordinates; None when the exact division fails."""
     u_i = _to_upstairs(ext, chart_R.backward[0])
-    x_i = chart_S.backward[0]
-    quot = u_i / x_i ** ext.t
-    fx, fy = chart_S.forward
-    num = quot.num.subs(fx, fy)
-    den = quot.den.subs(fx, fy)
+    quot = _in_chart(u_i / chart_S.backward[0] ** ext.t, chart_S)
     try:
-        return exact_divide(num, den)
+        return exact_divide(quot.num, quot.den)
     except DivisibilityError:
         return None
 
@@ -255,13 +265,9 @@ def _second_param_certificate(ext: MonomialExtension, chart_R: Chart, chart_S: C
     restriction of num to the exceptional locus (first coordinate = 0)
     has order exactly 1 in the second coordinate.
     """
-    V = _to_upstairs(ext, chart_R.backward[1])
-    fx, fy = chart_S.forward
-    num = V.num.subs(fx, fy)
-    den = V.den.subs(fx, fy)
-    # strip the common exceptional monomial
-    r = RatExpr(num, den)
-    num, den = r.num, r.den
+    # RatExpr strips the common exceptional monomial
+    W = _in_chart(_to_upstairs(ext, chart_R.backward[1]), chart_S)
+    num, den = W.num, W.den
     den_unit = den.is_local_unit()
     vanishes = num.constant_term() == ext.field.zero
     restricted = {b for (a, b) in num.terms if a == 0}
@@ -316,11 +322,7 @@ def _dominates(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> bool:
     """True when the S-chart local ring contains the R-chart parameters
     with positive values (bounded computable domination test)."""
     for r in chart_R.backward:
-        up = _to_upstairs(ext, r)
-        fx, fy = chart_S.forward
-        num = up.num.subs(fx, fy)
-        den = up.den.subs(fx, fy)
-        rr = RatExpr(num, den)
+        rr = _in_chart(_to_upstairs(ext, r), chart_S)
         if not rr.den.is_local_unit():
             return False
         if rr.num.constant_term() != ext.field.zero:
@@ -349,8 +351,9 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
     Rung i (0-based) certifies the stable relation u_i = x_i^t * delta_i,
     the regular-parameter property of v_i = y_i on the S side, the
     residue compatibility c_i = c'_i, and the value ratio
-    p'_{i+1}/q'_{i+1}.  On the first index M with gcd(t, q_M) != 1 the
-    walk stops with the contradiction witness (M, l, g).
+    p'_{i+1}/q'_{i+1}.  The certificate is ok when every rung passes and
+    the dual sequences check out.  On the first index M with
+    gcd(t, q_M) != 1 the walk stops with the contradiction witness (M, l, g).
     """
     spec = ext.base_spec
     if depth is None:
@@ -374,7 +377,6 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
         return LadderCertificate((), outcome, False)
 
     duals = build_dual_sequences(ext, k=depth)
-    assert duals.ok and duals.up is not None
     up = duals.up
 
     fld = ext.field
@@ -394,9 +396,6 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                     r = r / RatExpr.from_poly(js_side.T[j]) ** e
         return r
 
-    from .engine import residue as engine_residue
-    from .blowup import value_in_original
-
     rungs = []
     for i in range(depth):
         prev_R, prev_S = chart_R, chart_S
@@ -404,10 +403,10 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
             # advance both chains through chunk i; the upstairs chain may
             # traverse it in several short permissible sub-chunks, but the
             # ring sequence (one blow-up per step) is intrinsic
-            target_R = chart_R.step_index + _eps(down.p(i), down.q(i))
+            target_R = chart_R.step_index + epsilon(down.p(i), down.q(i))
             while chart_R.step_index < target_R:
                 chart_R = single_quadratic_transform(chart_R, js=down)
-            target_S = chart_S.step_index + _eps(up.p(i), up.q(i))
+            target_S = chart_S.step_index + epsilon(up.p(i), up.q(i))
             while chart_S.step_index < target_S:
                 chart_S = single_quadratic_transform(chart_S, js=up)
         rec = {"i": i, "t": t,
@@ -427,17 +426,17 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
             # residues are taken on the admissible parameters entering the
             # chunk (the strict-transform second parameter)
             vr = strict_param_ratio(down, i - 1) ** down.q(i) / prev_R.backward[0] ** down.p(i)
-            c = engine_residue(vr.num, vr.den, down)
+            c = residue(vr.num, vr.den, down)
             vs = strict_param_ratio(up, i - 1) ** up.q(i) / prev_S.backward[0] ** up.p(i)
-            c_prime = engine_residue(vs.num, vs.den, up)
+            c_prime = residue(vs.num, vs.den, up)
             rec["residue_match"] = c == c_prime
             rec["c"] = fld.render(c)
         # the rung value ratio belongs to the admissible pair
         # (x_i, y_i = v_i): the exceptional chain parameter and the strict
         # transform of T'_{i+1}
-        g, m = strict_transform(up.T[i + 1], chart_S)
+        _, m = strict_transform(up.T[i + 1], chart_S)
         vx = chart_S.values[0]
-        vg = value_in_original(g, chart_S, up)
+        vg = value_in_original(up.T[i + 1], m, chart_S, up)
         ratio = Fraction(vg) / vx
         rec["x_value_ok"] = vx == Fraction(1, up.Q[i])
         rec["exceptional_exponent"] = m
@@ -447,14 +446,8 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                        and rec["residue_match"] and rec["ratio_ok"]
                        and rec["x_value_ok"])
         rungs.append(rec)
-    ok = all(r["pass"] for r in rungs)
+    ok = duals.ok and all(r["pass"] for r in rungs)
     return LadderCertificate(tuple(rungs), {"kind": "toroidal"}, ok)
-
-
-def _eps(p: int, q: int) -> int:
-    from .euclid import euclid_data
-
-    return euclid_data(p, q).epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +462,9 @@ def discrete_branch_report(ext: MonomialExtension) -> dict:
     1/t, with 1/t itself attained.
     """
     duals = build_dual_sequences(ext)
-    assert duals.up is not None
+    if duals.up is None:
+        raise InvalidSpecError("no upstairs sequence: gcd(%d, q_%d) != 1"
+                               % (ext.t, duals.failing_index))
     t = ext.t
     values = [Fraction(1, t)] + [b / t for b in duals.up.beta[1:]]
     multiples = all((v * t).denominator == 1 for v in values)

@@ -121,3 +121,12 @@ def random_bivar(rng: random.Random, field, max_deg: int = 12,
             c = field(rng.randint(0, field.characteristic - 1))
         terms[(a, b)] = c
     return BivarPoly(field, terms, vars)
+
+
+def charts_inverse(chart) -> bool:
+    """Whether the backward parameters pull back through the forward map
+    to the chart coordinates: b.num(forward) == C * b.den(forward) for
+    each backward parameter b and coordinate C."""
+    coords = BivarPoly.gens(chart.field, chart.forward[0].vars)
+    return all(b.num.subs(*chart.forward) == C * b.den.subs(*chart.forward)
+               for b, C in zip(chart.backward, coords))

@@ -24,7 +24,7 @@ from jumpseq.extension import MonomialExtension, build_dual_sequences, \
 from jumpseq.fields import QQ
 from jumpseq.poly import BivarPoly
 
-from conftest import make_spec, random_bivar
+from conftest import charts_inverse, make_spec, random_bivar
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -170,6 +170,7 @@ def test_criterion_4_chunk_equivalence(p, q):
     for _ in range(ed.epsilon):
         stepped = single_quadratic_transform(stepped, js=js)
         flags.append(stepped.free)
+    assert charts_inverse(res.chart) and charts_inverse(stepped)
     assert res.chart.forward == stepped.forward
     assert res.chart.values == stepped.values
     assert res.chart.step_index == stepped.step_index == ed.epsilon

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,14 @@ from jumpseq.blowup import (
     strict_transform,
     value_in_original,
 )
-from jumpseq.engine import build_jumping_sequence, extract_independent
-from jumpseq.errors import InsufficientDepthError
+from jumpseq.engine import build_jumping_sequence, extract_independent, value
+from jumpseq.errors import InsufficientDepthError, InvalidSpecError
 from jumpseq.euclid import euclid_data
+from jumpseq.extension import MonomialExtension, build_dual_sequences
 from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly
+from jumpseq.poly import BivarPoly, RatExpr, eval_rat
 
-from conftest import make_spec
+from conftest import charts_inverse, load_spec, make_spec
 
 
 def test_admissibility():
@@ -54,6 +56,7 @@ def test_chunk_closed_form_matches_steps(js_a):
     for _ in range(euclid_data(3, 2).epsilon):
         stepped = single_quadratic_transform(stepped, js=js_a)
     closed = res.chart
+    assert charts_inverse(closed) and charts_inverse(stepped)
     assert closed.forward == stepped.forward
     assert closed.values == stepped.values
     assert closed.step_index == stepped.step_index
@@ -66,6 +69,14 @@ def test_chunk_closed_form_matches_steps(js_a):
     assert (res.a, res.b) == (2, 1)
     # value of the exceptional parameter drops by the factor q
     assert closed.values[0] == Fraction(1, 2)
+
+
+def test_closing_off_epsilon_raises():
+    """A chunk that closes before epsilon is rejected explicitly, also
+    under python -O."""
+    ch = replace(initial_chart(QQ, (Fraction(1), Fraction(1))), chunk_pq=(3, 2))
+    with pytest.raises(InvalidSpecError):
+        single_quadratic_transform(ch, c=QQ(1))
 
 
 def test_chunk_validates_ratio(js_a):
@@ -105,7 +116,7 @@ def test_strict_transform(js_a):
     # T_2 = v^2 - u^3 pulls back to X^6 ((Y+1)^4 - (Y+1)^3)
     assert m == 6
     assert not g.is_local_unit()
-    assert value_in_original(g, ch, js_a) == Fraction(23, 6) - 6 * Fraction(1, 2)
+    assert value_in_original(js_a.T[2], m, ch, js_a) == Fraction(23, 6) - 6 * Fraction(1, 2)
 
 
 def test_monoidal_spec_a(js_a, ind_a):
@@ -151,3 +162,60 @@ def test_monoidal_residue_check_with_lambda(fld, pairs):
     reports = monoidal_sequence(js, ind, ind.levels)
     assert [r["residue_check"]["pass"] for r in reports] == [True] * ind.levels
     assert all(r["pass"] for r in reports)
+
+
+def _chain(name):
+    """A jumping sequence and the start of one of the chains the
+    certifiers walk: spec-a downstairs (the ladder's R chain), the tower
+    (3,2),(4,1),(5,3) (the plain chain) and spec-a's t=5 upstairs
+    sequence (the ladder's S chain)."""
+    if name == "spec-a-R":
+        js = build_jumping_sequence(load_spec("spec-a.json"))
+        return js, initial_chart(QQ, (Fraction(1), js.beta[1]),
+                                 forward=BivarPoly.gens(QQ, ("U", "V")))
+    if name == "tower":
+        js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
+        return js, initial_chart(QQ, (Fraction(1), js.beta[1]))
+    one = BivarPoly.const(QQ, 1, ("x", "y"))
+    js = build_dual_sequences(MonomialExtension(5, one, load_spec("spec-a.json"))).up
+    x, y = BivarPoly.gens(QQ, ("x", "y"))
+    return js, initial_chart(QQ, (Fraction(1), js.beta[1]),
+                             forward=BivarPoly.gens(QQ, ("X", "Y")),
+                             backward=(RatExpr.from_poly(x), RatExpr.from_poly(y)))
+
+
+# spec-a's R chain is walked to its end; the tower and the S chain stop
+# before their last closing, whose pull-back passes TERM_LIMIT.  Evaluating
+# a strict transform at the backward expressions passes TERM_LIMIT at
+# earlier steps, so values are compared up to step ``compared``.
+@pytest.mark.parametrize("name, steps, compared",
+                         [("spec-a-R", 7, 6), ("tower", 10, 8), ("spec-a-S-t5", 19, 17)])
+def test_chain_charts_inverse_and_values(name, steps, compared):
+    """Along each chain the forward and backward maps are inverse, and the
+    value of a strict transform from its original polynomial agrees with
+    evaluating the strict transform at the backward expressions."""
+    js, chart = _chain(name)
+    for _ in range(steps):
+        chart = single_quadratic_transform(chart, js=js)
+        assert charts_inverse(chart), "step %d" % chart.step_index
+        if chart.step_index > compared:
+            continue
+        for f in js.T[1:js.depth + 1]:
+            g, m = strict_transform(f, chart)
+            r = eval_rat(g, *chart.backward)
+            assert value_in_original(f, m, chart, js) == \
+                value(r.num, js) - value(r.den, js), "step %d" % chart.step_index
+
+
+def test_charts_inverse_detects_mutated_closing(js_a):
+    """A closing whose backward parameter uses a residue other than the
+    one in the forward map fails the inverse check."""
+    ch = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
+    for _ in range(2):
+        ch = single_quadratic_transform(ch, js=js_a)
+    closed = single_quadratic_transform(ch, js=js_a)
+    c = closed.residues[-1]
+    ratio = ch.backward[1] / ch.backward[0]
+    mutated = replace(closed, backward=(closed.backward[0], ratio.sub_scalar(c + 1)))
+    assert charts_inverse(closed)
+    assert not charts_inverse(mutated)

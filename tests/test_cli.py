@@ -1,10 +1,14 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from jumpseq.cli import main
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SPEC_A = str(SPECS / "spec-a.json")
 SPEC_B = str(SPECS / "spec-b.json")
@@ -159,3 +163,15 @@ def test_out_file(capsys, tmp_path):
     code, out, _ = run(capsys, "euclid", "3", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["epsilon"] == 3
+
+
+def test_optimized_interpreter_same_stdout(capsys, tmp_path):
+    """Every certificate check survives python -O: the CLI prints the same
+    bytes with assert statements stripped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv in (["monoidal", SPEC_A], ["ladder", write_ext(tmp_path, 5, SPEC_A)]):
+        code, out, _ = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-O", "-m", "jumpseq.cli", *argv],
+                              capture_output=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout) == (code, out.encode()), argv

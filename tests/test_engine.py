@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,15 @@ def test_rewrite_with_intermediate_index():
     out = rewrite_in_independent(2, js, ind)
     assert out["identity_checked"]
     assert len(out["terms"]) == 1
+
+
+def test_rewrite_rejects_tampered_sequence():
+    js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
+    ind = extract_independent(js)
+    T = list(js.T)
+    T[2] = T[2] + BivarPoly.const(QQ, 1)
+    with pytest.raises(InvalidSpecError):
+        rewrite_in_independent(2, replace(js, T=tuple(T)), ind)
 
 
 def test_rewrite_discrete_insufficient(js_b):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,12 @@ def test_chunk_descend_bezout_identity():
         assert qq * t * out["a"] - pp * out["b"] == out["g"]
 
 
+def test_chunk_descend_rejects_wrong_bezout_pair(monkeypatch):
+    monkeypatch.setattr(extension, "bezout", lambda p, q: (1, 1))
+    with pytest.raises(ArithmeticError):
+        chunk_descend(5, 15, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # the ladder
 # ---------------------------------------------------------------------------
@@ -165,6 +172,17 @@ def test_ladder_t1_trivial(spec_a):
 def test_ladder_depth_check(spec_a):
     with pytest.raises(InvalidSpecError):
         ladder(mk_ext(spec_a, 5), depth=3)
+
+
+def test_ladder_fails_with_dual_sequences(spec_a, monkeypatch):
+    """A dual-sequence table that does not check out fails the ladder even
+    when every rung passes."""
+    build = extension.build_dual_sequences
+    monkeypatch.setattr(extension, "build_dual_sequences",
+                        lambda ext, k=None: replace(build(ext, k), ok=False))
+    cert = ladder(mk_ext(spec_a, 5), depth=1)
+    assert all(r["pass"] for r in cert.rungs)
+    assert cert.outcome == {"kind": "toroidal"} and not cert.ok
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +263,12 @@ def test_discrete_branch(spec_b):
     out = discrete_branch_report(mk_ext(spec_b, 3, one_plus_x()))
     assert out["pass"]
     assert out["values"] == ["1/3", "2", "5"]
+
+
+def test_discrete_branch_requires_upstairs_sequence(spec_a):
+    # gcd(2, q_1) = 2 leaves no upstairs sequence to read values from
+    with pytest.raises(InvalidSpecError):
+        discrete_branch_report(mk_ext(spec_a, 2))
 
 
 def test_classify_declarative_cases():

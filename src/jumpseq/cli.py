@@ -42,6 +42,10 @@ EXIT_DEPTH = 3
 EXIT_USAGE = 64
 
 
+class UsageError(JumpseqError):
+    """A request that names data the command cannot work on (exit 64)."""
+
+
 def _jsonable(obj):
     """Recursively convert library objects into plain JSON data."""
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -131,8 +135,11 @@ def cmd_expand(args):
 
 
 def cmd_euclid(args):
-    ed = euclid_data(args.p, args.q)
-    a, b = bezout(args.p, args.q)
+    try:
+        ed = euclid_data(args.p, args.q)
+        a, b = bezout(args.p, args.q)
+    except ValueError as e:  # p, q not positive or not coprime
+        raise UsageError(str(e)) from None
     _emit({"N": ed.N, "f": ed.f, "epsilon": ed.epsilon, "bezout": [a, b]}, args)
     return EXIT_OK
 
@@ -153,7 +160,12 @@ def cmd_monoidal(args):
     spec = _load_spec(args.spec)
     js = build_jumping_sequence(spec)
     ind = extract_independent(js)
+    if ind.levels == 0:
+        raise UsageError("monoidal needs an independent index (some q_i > 1); the spec has none")
     depth = args.depth if args.depth is not None else ind.levels
+    if not 1 <= depth <= ind.levels:
+        raise UsageError("--depth %d: the spec provides independent levels 1 to %d"
+                         % (depth, ind.levels))
     report = monoidal_sequence(js, ind, depth)
     _emit({"levels": report, "pass": all(r["pass"] for r in report)}, args)
     return EXIT_OK
@@ -178,8 +190,7 @@ def cmd_ladder(args):
 def cmd_verify(args):
     spec = _load_spec(args.spec)
     js = build_jumping_sequence(spec)
-    gamma_max = Fraction(args.gamma_max)
-    report = verify_generating_sequence(js, gamma_max, args.deg_bound,
+    report = verify_generating_sequence(js, args.gamma_max, args.deg_bound,
                                         samples=args.samples, seed=args.seed)
     ind = extract_independent(js)
     minimality = []
@@ -221,6 +232,13 @@ def _nonnegative_int(s: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError("%d is negative" % n)
     return n
+
+
+def _fraction(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("%r is not a rational number" % s) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="generating-sequence verification battery")
     p.add_argument("spec")
-    p.add_argument("--gamma-max", default="5")
+    p.add_argument("--gamma-max", type=_fraction, default="5")
     p.add_argument("--deg-bound", type=int, default=8)
     p.add_argument("--samples", type=int, default=0)
     common(p)

@@ -242,9 +242,14 @@ def extract_independent(js: JumpingSequence) -> IndependentData:
     for i in range(1, d + 1):
         k.append(k[-1] + euclid_data(js.p(i), js.q(i)).epsilon)
     kbar = [0] + [k[il] for il in indices]
-    # sanity: the chunk-length recursion agrees with the prefix sums
+    # the chunk-length recursion must agree with the prefix sums
     for l in range(1, len(indices) + 1):
-        assert kbar[l] == kbar[l - 1] + euclid_data(pbar[l - 1], qbar[l - 1]).epsilon
+        eps = euclid_data(pbar[l - 1], qbar[l - 1]).epsilon
+        if kbar[l] != kbar[l - 1] + eps:
+            raise InvalidSpecError(
+                "chunk %d: kbar_%d - kbar_%d = %d, but epsilon(%d, %d) = %d"
+                % (l, l, l - 1, kbar[l] - kbar[l - 1], pbar[l - 1], qbar[l - 1], eps)
+            )
     return IndependentData(indices, tuple(pbar), tuple(qbar), tuple(Qbar), tuple(betabar), tuple(k), tuple(kbar))
 
 
@@ -323,7 +328,8 @@ def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
         if level == 0:
             # g lies in k[u]; split into u-monomials
             for (a, b), c in sorted(g.terms.items()):
-                assert b == 0
+                if b != 0:
+                    raise ArithmeticError("level-0 digit %s is not in k[u]" % g)
                 terms.append((c, (a,) + suffix))
             return
         for k, digit in enumerate(_v_digits(g, js.T[level])):
@@ -357,7 +363,8 @@ def _min_pure_term(exp: TExpansion):
             "every expansion term involves T_%d, whose value is beyond spec depth" % exp.M
         )
     vals = [v for v, _, _ in pure]
-    assert len(set(vals)) == len(vals), "pure expansion terms must have distinct values"
+    if len(set(vals)) != len(vals):
+        raise ArithmeticError("pure expansion terms must have distinct values")
     sigma, coeff, exps = min(pure, key=lambda t: t[0])
     for c, e in exp.terms:
         if e[exp.M] and exp.term_lower_bound(e) < sigma:
@@ -382,7 +389,8 @@ def residue(f: BivarPoly, g: BivarPoly, js: JumpingSequence):
         raise ValueError("residue requires equal values, got %s and %s" % (sf, sg))
     # equal values force equal standard monomials (no nontrivial bounded
     # relation among the beta_j exists)
-    assert mf == mg, "same-value minimal terms with different standard monomials"
+    if mf != mg:
+        raise ArithmeticError("same-value minimal terms with different standard monomials")
     return cf / cg
 
 
@@ -548,7 +556,9 @@ def rewrite_in_independent(k: int, js: JumpingSequence, ind: IndependentData) ->
     acc = H[l]
     for ip in range(target - 1, k - 1, -1):
         # q_{ip} = 1 for these indices, so T_{ip+1} = T_{ip} - lambda*delta*prod
-        assert js.q(ip) == 1
+        if js.q(ip) != 1:
+            raise InvalidSpecError("index %d lies between independent indices but q_%d = %d"
+                                   % (ip, ip, js.q(ip)))
         row = js.n[ip]
         exps = [row[0]] + [row[il] if il < len(row) else 0 for il in ind.indices]
         mono = BivarPoly.const(fld, js.spec.lambdas[ip - 1], js.T[0].vars) * js.spec.units[ip - 1]

@@ -55,5 +55,7 @@ def bezout(p: int, q: int):
         return (1, q - 1)
     a = pow(q, -1, p)
     b = (a * q - 1) // p
-    assert a * q - b * p == 1 and 0 < a <= p and 0 <= b < q
+    if not (a * q - b * p == 1 and 0 < a <= p and 0 <= b < q):
+        raise ArithmeticError("Bezout pair (%d, %d) fails a*q - b*p = 1 for (p, q) = (%d, %d)"
+                              % (a, b, p, q))
     return (a, b)

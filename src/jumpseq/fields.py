@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .errors import InvalidSpecError
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -129,7 +131,8 @@ class GroundField:
 
     ``characteristic`` is 0 for the rationals and the prime p otherwise.
     Calling the field coerces ints, Fractions, strings and existing
-    elements into field elements.  ``zero``, ``one`` and ``element_type``
+    elements into field elements; over F_p a string may be a fraction
+    ``"a/b"``, read as a * b^-1.  ``zero``, ``one`` and ``element_type``
     (``Fraction`` or ``Fp``) are computed once per field object.
     """
 
@@ -163,8 +166,17 @@ class GroundField:
         if isinstance(x, int):
             return Fp(x, self.characteristic)
         if isinstance(x, str):
-            return Fp(int(x), self.characteristic)
+            return self._parse_prime(x)
         raise TypeError("cannot coerce %r into F_%d" % (x, self.characteristic))
+
+    def _parse_prime(self, s: str) -> Fp:
+        """``"a"`` or ``"a/b"`` as a * b^-1 in F_p; b must not be 0 mod p."""
+        p = self.characteristic
+        num, slash, den = s.partition("/")
+        b = int(den) if slash else 1
+        if b % p == 0:
+            raise InvalidSpecError("%r has a denominator divisible by %d" % (s, p))
+        return Fp(int(num), p) / Fp(b, p)
 
     @cached_property
     def zero(self):

@@ -15,6 +15,15 @@ polynomial it stores, including each quotient and remainder; the rows
 that :func:`divmod_in_v` updates in place while it divides are plain
 dicts and are not checked.
 
+Products with many term pairs and every substitution run their inner
+loops on plain ints: residues mod p over F_p, numerators over one common
+denominator over Q.  Each operand is converted once on entry and the
+result once on exit, through the constructor, so stored coefficients
+stay ``Fraction``/``Fp``.  :meth:`BivarPoly.subs` keeps its powers and
+Horner steps in that integer form, and each of those intermediates is
+checked against :data:`TERM_LIMIT` after dropping zeros, at the same
+points and with the same message as a stored polynomial.
+
 The two division routines carry the load for the rest of the library:
 
 * :func:`divmod_in_v` divides by a polynomial that is monic in the second
@@ -28,6 +37,7 @@ The two division routines carry the load for the rest of the library:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DivisibilityError, ResourceLimitError
 from .fields import Fp, GroundField
@@ -35,6 +45,19 @@ from .fields import Fp, GroundField
 #: Hard ceiling on the number of stored terms in any single polynomial.
 #: Substitution can blow degrees up; we fail loudly rather than thrash.
 TERM_LIMIT = 10_000
+
+#: Products with at least this many term pairs run on integers (see
+#: :func:`_imul`).  Below it, converting the operands and the result costs
+#: more than the loop saves: on CPython 3.11 the two loops take the same
+#: time at about 9 pairs over Q and about 16 over F_101.
+_INT_MUL_PAIRS = 16
+
+
+def _check_size(terms):
+    if len(terms) > TERM_LIMIT:
+        raise ResourceLimitError(
+            "polynomial with %d terms exceeds TERM_LIMIT=%d" % (len(terms), TERM_LIMIT)
+        )
 
 
 class BivarPoly:
@@ -52,10 +75,7 @@ class BivarPoly:
                     c = field(c)
                 if c:
                     clean[(int(a), int(b))] = c
-        if len(clean) > TERM_LIMIT:
-            raise ResourceLimitError(
-                "polynomial with %d terms exceeds TERM_LIMIT=%d" % (len(clean), TERM_LIMIT)
-            )
+        _check_size(clean)
         self.terms = clean
 
     # ---- constructors -------------------------------------------------
@@ -164,6 +184,9 @@ class BivarPoly:
         if other is NotImplemented:
             return NotImplemented
         self._check_compat(other)
+        if len(self.terms) * len(other.terms) >= _INT_MUL_PAIRS:
+            p = self.field.characteristic
+            return _from_int(self.field, _imul(_to_int(self), _to_int(other), p), self.vars)
         out = {}
         get = out.get
         other_terms = other.terms.items()
@@ -223,45 +246,48 @@ class BivarPoly:
 
         Exact; the result lives in the variables of the arguments.  Uses
         Horner evaluation in the second variable with cached powers of the
-        first to keep intermediate blow-up in check.
+        first to keep intermediate blow-up in check.  Every power, product
+        and sum is formed in integer form (see :func:`_imul`) and checked
+        against :data:`TERM_LIMIT`; only the result is made a polynomial.
         """
+        self._check_compat(first)
         first._check_compat(second)
         field = self.field
         out_vars = first.vars
-        zero = BivarPoly.zero(field, out_vars)
         if not self.terms:
-            return zero
+            return BivarPoly.zero(field, out_vars)
+        p = field.characteristic
         # group by exponent of the second variable
         by_b = {}
         for (a, b), c in self.terms.items():
             by_b.setdefault(b, {})[a] = c
+        x, y = _to_int(first), _to_int(second)
         # Horner in `second`, with powers of `first` computed on demand
-        pow_cache = {0: BivarPoly.const(field, 1, out_vars)}
+        pow_cache = {0: _ONE}
 
         def first_pow(a):
             if a not in pow_cache:
                 half = first_pow(a // 2)
-                p = half * half
+                q = _imul(half, half, p)
                 if a % 2:
-                    p = p * first
-                pow_cache[a] = p
+                    q = _imul(q, x, p)
+                pow_cache[a] = q
             return pow_cache[a]
 
-        result = zero
-        bs = sorted(by_b, reverse=True)
+        result = None
         prev_b = None
-        for b in bs:
-            coeff = zero
+        for b in sorted(by_b, reverse=True):
+            coeff = _ZERO
             for a, c in by_b[b].items():
-                coeff = coeff + first_pow(a).scale(c)
+                coeff = _iadd(coeff, _iscale(first_pow(a), c, p), p)
             if prev_b is None:
                 result = coeff
             else:
-                result = result * (second ** (prev_b - b)) + coeff
+                result = _iadd(_imul(result, _ipow(y, prev_b - b, p), p), coeff, p)
             prev_b = b
         if prev_b:
-            result = result * (second ** prev_b)
-        return result
+            result = _imul(result, _ipow(y, prev_b, p), p)
+        return _from_int(field, result, out_vars)
 
     # ---- serialization -------------------------------------------------
 
@@ -304,6 +330,100 @@ class BivarPoly:
 
     def __repr__(self):
         return "BivarPoly(%s)" % self
+
+
+# ---- integer inner loops ------------------------------------------------
+#
+# Products and substitutions run on plain ints.  The integer form of a
+# polynomial is a pair (terms, den): a dict from exponent pairs to ints and
+# a positive int denominator.  Over F_p den is 1 and the ints are the
+# residues in [0, p); over Q the coefficient of e is terms[e] / den, with
+# no factor common to den and all the numerators.  Each helper drops zero
+# coefficients (after reducing mod p) and checks TERM_LIMIT on its result,
+# as the constructor does for every polynomial.
+
+_ONE = ({(0, 0): 1}, 1)
+_ZERO = ({}, 1)
+
+
+def _to_int(f: BivarPoly):
+    if f.field.characteristic:
+        return {e: c.val for e, c in f.terms.items()}, 1
+    den = lcm(*[c.denominator for c in f.terms.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
+
+
+def _from_int(field: GroundField, x, vars) -> BivarPoly:
+    terms, den = x
+    p = field.characteristic
+    if p:
+        return BivarPoly(field, {e: Fp(c, p) for e, c in terms.items()}, vars)
+    return BivarPoly(field, {e: Fraction(c, den) for e, c in terms.items()}, vars)
+
+
+def _reduce(terms, den, p):
+    """Normalise a raw integer-form result and check its size."""
+    if p:
+        terms = {e: r for e, c in terms.items() if (r := c % p)}
+    else:
+        terms = {e: c for e, c in terms.items() if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {e: c // g for e, c in terms.items()}
+    _check_size(terms)
+    return terms, den
+
+
+def _imul(x, y, p):
+    """Product of two integer forms over F_p (p > 0) or Q (p == 0)."""
+    xt, xd = x
+    yt, yd = y
+    out = {}
+    get = out.get
+    y_items = list(yt.items())
+    for (a1, b1), c1 in xt.items():
+        for (a2, b2), c2 in y_items:
+            e = (a1 + a2, b1 + b2)
+            out[e] = get(e, 0) + c1 * c2
+    return _reduce(out, xd * yd, p)
+
+
+def _iadd(x, y, p):
+    """Sum of two integer forms, over the least common denominator."""
+    xt, xd = x
+    yt, yd = y
+    den = lcm(xd, yd)
+    sx, sy = den // xd, den // yd
+    out = {e: c * sx for e, c in xt.items()}
+    get = out.get
+    for e, c in yt.items():
+        out[e] = get(e, 0) + c * sy
+    return _reduce(out, den, p)
+
+
+def _iscale(x, c, p):
+    """The integer form ``x`` times the field element ``c``."""
+    xt, xd = x
+    if p:
+        n, d = c.val, 1
+    else:
+        n, d = c.numerator, c.denominator
+    return _reduce({e: v * n for e, v in xt.items()}, xd * d, p)
+
+
+def _ipow(x, e: int, p):
+    """``x ** e`` by the same squarings as :meth:`BivarPoly.__pow__`."""
+    out = _ONE
+    base = x
+    while e:
+        if e & 1:
+            out = _imul(out, base, p)
+        if e > 1:
+            base = _imul(base, base, p)
+        e >>= 1
+    return out
 
 
 # ---- univariate helpers (polynomials in the first variable only) --------

@@ -152,6 +152,38 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "genseq", str(bad))[0] == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["euclid", "4", "2"],
+    ["euclid", "0", "3"],
+    ["monoidal", SPEC_A, "--depth", "5"],
+    ["monoidal", SPEC_B],
+    ["verify", SPEC_A, "--gamma-max", "abc"],
+], ids=["euclid-not-coprime", "euclid-zero", "monoidal-depth-5", "monoidal-no-independent",
+        "verify-gamma-max-abc"])
+def test_bad_request_exit_64(capsys, argv):
+    """Requests the command cannot serve exit 64 with an error message and
+    no traceback."""
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_prime_field_spec_with_fraction_lambda(capsys, tmp_path):
+    """An F_p spec may write a constant as "a/b"; a denominator that is
+    0 mod p is a usage error."""
+    spec = {"field": {"kind": "prime", "p": 101}, "pairs": [[3, 2]], "lambdas": ["1/2"]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "genseq", str(path))
+    assert code == 0
+    # T_2 = v^2 - (1/2) u^3 = v^2 + 50 u^3 over F_101
+    assert {"c": "50", "e": [3, 0]} in json.loads(out)["sequence"]["T"][2]["terms"]
+    path.write_text(json.dumps(dict(spec, lambdas=["1/101"])))
+    code, out, err = run(capsys, "genseq", str(path))
+    assert code == 64 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "euclid", "3", "2", "--format", "text")
     assert code == 0

@@ -1,0 +1,132 @@
+"""Golden transcript of CLI requests on the reference specs.
+
+Each request's exit code and stdout are hashed together and compared with
+hashes recorded before the polynomial kernel moved its inner loops to
+plain integers.  Any later change to the kernel's arithmetic that alters
+an output byte fails here.  When a change to the output is intended,
+regenerate the table by running this file as a script and say why in
+CHANGES.md.
+
+Besides spec-a and spec-b the list uses F101-a, spec-a's pairs over F_101
+with lambdas 3 and 7, so that prime-field arithmetic is covered too.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+from jumpseq.cli import main
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
+
+#: a fixed polynomial for eval/expand: v^2 - u^3 + 2uv + 5u^2v^3
+POLY = {"vars": ["u", "v"], "terms": [
+    {"e": [0, 2], "c": "1"}, {"e": [3, 0], "c": "-1"},
+    {"e": [1, 1], "c": "2"}, {"e": [2, 3], "c": "5"}]}
+
+GOLDEN = {
+    'genseq a': '9410f26137acc73c70f57a4438ed9111ea5f371e534f99e9879eef754b34dbeb',
+    'blowup a --steps 3': '033b7c914420eca9e81ab0005b75bb657a401b14ec3528c09e4163d0c836bf3a',
+    'eval a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
+    'expand a poly': 'd8926174cb19f79f8a6ad5d577edcb3dc4bb1a7a516c222f40c9d473a06b8052',
+    'monoidal a': 'e6c0aec8be22c3d98de51d8c05afaf6d69a1b83903aeb219887f5c0ce2aa4eec',
+    'blowup a --steps 7': '420e40a50d6bf7a3a875cfc67a0eb7f84cfc67018c769dcdaef7807d6ee1d5bf',
+    'ladder a t=2': '796e1dd661b493a06d2c64e76f1512b9c97a2a891e490abb47303b0bc3a1090e',
+    'classify a t=2': '40da0b418754481ca597b49d61d921f914807e935f7a5b640a56ef4db4407b36',
+    'dual a t=2': 'e95cea1a8af5bc2e619494d198bbd65c31417a6ae4e9920c0b5fad347bee2f12',
+    'ladder a t=3': '7e1c6e845cd818ceab963302a8adaf66032839146fe61cc010fd19d8fce7ed9c',
+    'classify a t=3': '8f3a156ba51b0375650836270788391760aa29fa845a112d6bd00b22736896d4',
+    'dual a t=3': '1087d2a7b933ecc25199bc4b5803461b8fefd6a3b10632ec0aef67f2d3bc4c54',
+    'ladder a t=5': '7ef337af3f44c23533bd3941cd4192cb54ce522f64224d96fd64a7d042d333f7',
+    'classify a t=5': '606ec62ce8b3bafc02d10995cf0bf7ca678f4e5184280aa2149707030d873ba3',
+    'dual a t=5': '1f20dd034b8f5dda10398c3e0a8e6ffe1a313b8505be151830ac40c57a140a42',
+    'ladder a t=7': 'c61f885e02e03e479724471ad2f13aa6aa7ae3fedb120b98b7d53a7e92558900',
+    'classify a t=7': '25ee36c07eb4379d6a54589bab3bb71d788cf6b3395ef4ce1d6571e2626d5d67',
+    'dual a t=7': '45f764664482d868cdf25e655985f4b8762aeac961aeff8b6a3cd7ace5832d6c',
+    'genseq b': '1ee10f3280a3aaa53c12bef83d934d32c092f4c5c1930900072639601435ac1c',
+    'blowup b --steps 3': 'cb7253b18d41b7216fc961266ff1ddc4c94d3474c952a925d2e366d94794bf2f',
+    'eval b poly': 'ab39cc11761e9b79411827d08ebfb35641b03eff7ba02284b57d508d7c8138a7',
+    'expand b poly': 'e41428eed15c816c7c035cd072abd97791405c58b0e2b4ae179a91faf42723c9',
+    'ladder b t=2': '721d6a26819de8c96b3dfaff7574f68f63b5a45fc3777928f58f532eaa623b7e',
+    'classify b t=2': '3e83029e48e233760b738a6b3f93e5fbda07e528e80e7e9ac00a10d205e4de1c',
+    'dual b t=2': 'ea954645acaf183856089a91ff02e05f1aabe32c92eea41f94194a0fb2732592',
+    'ladder b t=3': '5e1726df65f100fce47a64779c200c25f057ddc0e5afb1ed757617ba4ddb3a6e',
+    'classify b t=3': '38406212d7be613fd8e1b098c64a5cae8ed4e1c685ebb61d6e9f897add4bd8b5',
+    'dual b t=3': 'ea4a561b1585334f997609b5190875aaeb2f589c4df9f082dd63cbf65bd58b76',
+    'ladder b t=5': 'eca05d81ae60e8c3c3e982c98fc986d02ffa338db12d2ccb82fc90740ee5616d',
+    'classify b t=5': 'c1a3ae429f9e377cbe4cb51cfc1e8b066a0a9a4f3ed2dca568cb4d9e83ec1e34',
+    'dual b t=5': '71662fcd31b19a4b267a15e0dae06249e24fe097aeb7cdfd5c91cd26dbb2c5ed',
+    'ladder b t=7': 'dc0d0c6fd71c3c2725290baa39f6cb049606a77119e05f7038e4e826d267c878',
+    'classify b t=7': '7a05d1112495095d1c69d6a4e415545b87330d1fd4cef9d761e9789693018c31',
+    'dual b t=7': '724a51fc6cea2703953e6f17834e1eaee4fa238332acdbb885fefced72fe7ae2',
+    'genseq F101-a': 'e396de12aedcd50b1ca975b2bbedd8f6284b8c1c4e400b0c6e98da8d606ae7ab',
+    'blowup F101-a --steps 3': '2f2b68ef7a6ca0e7615e5da9f1c270e725895e0207ceeb0db72267ceccee510f',
+    'eval F101-a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
+    'expand F101-a poly': '57c59a8301865a9edb3a422ac8d63f086117cff4a5547a4d1684d0ef8a69ddfd',
+    'monoidal F101-a': 'd367f4f57147ac05629a0a264f2b9f7c55490f26030a12bdb1995174a235b043',
+    'blowup F101-a --steps 7': 'a05ee986bba8e614b746a45acb73b3432a2d8bacb6df2959abeffcd632db9e73',
+    'ladder F101-a t=2': '796e1dd661b493a06d2c64e76f1512b9c97a2a891e490abb47303b0bc3a1090e',
+    'classify F101-a t=2': '40da0b418754481ca597b49d61d921f914807e935f7a5b640a56ef4db4407b36',
+    'dual F101-a t=2': 'e95cea1a8af5bc2e619494d198bbd65c31417a6ae4e9920c0b5fad347bee2f12',
+    'ladder F101-a t=3': '7e1c6e845cd818ceab963302a8adaf66032839146fe61cc010fd19d8fce7ed9c',
+    'classify F101-a t=3': '8f3a156ba51b0375650836270788391760aa29fa845a112d6bd00b22736896d4',
+    'dual F101-a t=3': '1087d2a7b933ecc25199bc4b5803461b8fefd6a3b10632ec0aef67f2d3bc4c54',
+    'ladder F101-a t=5': '770adf314a83b4451e7122717d66f6fda8e453ea8bf1b31d7feb0eae9b87ddd3',
+    'classify F101-a t=5': 'a98811a0904b88bdf3032361096c777ca9eb216e464d2ae33baf89bab52c19bd',
+    'dual F101-a t=5': '1f20dd034b8f5dda10398c3e0a8e6ffe1a313b8505be151830ac40c57a140a42',
+    'ladder F101-a t=7': '223c7544564d231ccf34c72b02ce4e7e3c6fbce8ad6a85de2077493c45763727',
+    'classify F101-a t=7': '19307fa52f924e4c763e1322e32a649510a9d8f23a729a77f0698b2ef388eded',
+    'dual F101-a t=7': '45f764664482d868cdf25e655985f4b8762aeac961aeff8b6a3cd7ace5832d6c',
+}
+
+
+def _requests(tmp):
+    """(label, argv) for every request; the labels hold no paths."""
+    specs = {"a": json.loads((SPECS / "spec-a.json").read_text()),
+             "b": json.loads((SPECS / "spec-b.json").read_text())}
+    specs["F101-a"] = dict(specs["a"], field={"kind": "prime", "p": 101}, lambdas=["3", "7"])
+    poly = tmp / "poly.json"
+    poly.write_text(json.dumps(POLY))
+    reqs = []
+    for name, spec in specs.items():
+        path = tmp / ("spec-%s.json" % name)
+        path.write_text(json.dumps(spec))
+        reqs += [("genseq %s" % name, ["genseq", path]),
+                 ("blowup %s --steps 3" % name, ["blowup", path, "--steps", "3"]),
+                 ("eval %s poly" % name, ["eval", path, poly]),
+                 ("expand %s poly" % name, ["expand", path, poly])]
+        if spec["mode"] == "nondiscrete":
+            reqs += [("monoidal %s" % name, ["monoidal", path]),
+                     ("blowup %s --steps 7" % name, ["blowup", path, "--steps", "7"])]
+        for t in (2, 3, 5, 7):
+            ext = tmp / ("ext-%s-%d.json" % (name, t))
+            ext.write_text(json.dumps({"t": t, "delta": "1", "spec": spec}))
+            for cmd in ("ladder", "classify", "dual"):
+                reqs.append(("%s %s t=%d" % (cmd, name, t), [cmd, ext]))
+    return [(label, [str(a) for a in argv]) for label, argv in reqs]
+
+
+def transcript_hashes(tmp) -> dict:
+    """sha256 of the exit code and stdout of each request."""
+    hashes = {}
+    for label, argv in _requests(pathlib.Path(tmp)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        blob = ("%d\n" % code + out.getvalue()).encode()
+        hashes[label] = hashlib.sha256(blob).hexdigest()
+    return hashes
+
+
+def test_cli_transcript_matches_golden(tmp_path):
+    assert transcript_hashes(tmp_path) == GOLDEN
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, digest in transcript_hashes(tmp).items():
+            sys.stdout.write("    %r: %r,\n" % (label, digest))

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import jumpseq.engine as engine
 from jumpseq.engine import (
+    TExpansion,
     ValuationSpec,
     build_jumping_sequence,
     expand,
@@ -180,6 +182,33 @@ def test_residue_requires_equal_values(js_a):
         residue(v, u, js_a)
 
 
+# The checks below guard invariants that valid input always meets; each
+# test breaks one by hand.  They are explicit code, so they also hold
+# under python -O.
+
+
+def test_expand_rejects_level0_digit_with_v(js_a, monkeypatch):
+    monkeypatch.setattr(engine, "_v_digits", lambda f, g: [f])
+    with pytest.raises(ArithmeticError):
+        expand(U_V()[1], js_a)
+
+
+def test_min_pure_term_rejects_equal_pure_values(js_a):
+    # u^3 and T_1^2 both have value 3; the second is not in standard form
+    exp = TExpansion(js_a, ((QQ(1), (3, 0, 0, 0)), (QQ(1), (0, 2, 0, 0))))
+    with pytest.raises(ArithmeticError):
+        engine._min_pure_term(exp)
+
+
+def test_residue_rejects_different_minimal_monomials(js_a, monkeypatch):
+    u, v = U_V()
+    fake = {u: TExpansion(js_a, ((QQ(1), (3, 0, 0, 0)),)),
+            v: TExpansion(js_a, ((QQ(1), (0, 2, 0, 0)),))}
+    monkeypatch.setattr(engine, "expand", lambda f, js: fake[f])
+    with pytest.raises(ArithmeticError):
+        residue(u, v, js_a)
+
+
 def test_reduced_exponent_uniqueness(js_a):
     """No nontrivial bounded integer relation among the j-values."""
     beta = js_a.beta
@@ -249,6 +278,27 @@ def test_rewrite_rejects_tampered_sequence():
     T[2] = T[2] + BivarPoly.const(QQ, 1)
     with pytest.raises(InvalidSpecError):
         rewrite_in_independent(2, replace(js, T=tuple(T)), ind)
+
+
+def test_rewrite_rejects_skipped_independent_index():
+    # dropping i_1 = 1 leaves q_1 = 2 between k = 1 and the next index 3
+    js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
+    ind = extract_independent(js)
+    with pytest.raises(InvalidSpecError):
+        rewrite_in_independent(1, js, replace(ind, indices=(3,)))
+
+
+def test_independent_rejects_chunk_length_mismatch(monkeypatch):
+    real = engine.euclid_data
+
+    def off_by_one(p, q):
+        ed = real(p, q)
+        return replace(ed, epsilon=ed.epsilon + 1) if (p, q) == (17, 3) else ed
+
+    js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
+    monkeypatch.setattr(engine, "euclid_data", off_by_one)
+    with pytest.raises(InvalidSpecError):
+        extract_independent(js)
 
 
 def test_rewrite_discrete_insufficient(js_b):

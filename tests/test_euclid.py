@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import jumpseq.euclid as euclid
 from jumpseq.euclid import bezout, euclid_data
 
 
@@ -35,6 +36,14 @@ def test_bezout_oracles():
     assert bezout(5, 3) == (2, 1)
     assert bezout(5, 1) == (1, 0)
     assert bezout(1, 4) == (1, 3)
+
+
+def test_bezout_checks_its_identity(monkeypatch):
+    """A wrong modular inverse is caught by an explicit check, which also
+    holds under python -O."""
+    monkeypatch.setattr(euclid, "pow", lambda *args: 1, raising=False)
+    with pytest.raises(ArithmeticError):
+        bezout(5, 3)
 
 
 coprime_pairs = st.tuples(st.integers(1, 60), st.integers(1, 60)).filter(

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from jumpseq.errors import JumpseqError
 from jumpseq.fields import Fp, GroundField, QQ, prime_field
 
 
@@ -32,6 +33,20 @@ def test_prime_field_render():
     F = prime_field(101)
     assert F.render(F(-1)) == "100"
     assert F.render(F("13")) == "13"
+
+
+def test_prime_field_parses_fractions():
+    F = prime_field(101)
+    assert F.parse("1/2") == F(51) and F.parse("1/2") * 2 == F.one
+    assert F.parse("-3/4") * 4 == F(-3)
+    assert F.parse("7/1") == F(7)
+
+
+def test_prime_field_rejects_zero_denominator():
+    F = prime_field(101)
+    for s in ("1/0", "1/101", "3/-202"):
+        with pytest.raises(JumpseqError):
+            F.parse(s)
 
 
 def test_field_json_roundtrip():

@@ -2,7 +2,9 @@
 
 Products, substitutions and both division routines are compared with
 sympy's polynomial arithmetic over Q and over F_101 on small random
-polynomials.
+polynomials, and products and substitutions again at sizes where they
+run on integers (20 to 80 terms, each operand over Q with its own
+denominators).
 """
 
 from fractions import Fraction
@@ -10,9 +12,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumpseq.errors import DivisibilityError
+import jumpseq.poly
+from jumpseq.errors import DivisibilityError, ResourceLimitError
 from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly, divmod_in_v, exact_divide
+from jumpseq.poly import TERM_LIMIT, BivarPoly, divmod_in_v, exact_divide
 
 sympy = pytest.importorskip("sympy")
 
@@ -117,3 +120,75 @@ def test_exact_divide_matches_sympy(data, fld, divisible):
     else:
         with pytest.raises(DivisibilityError):
             exact_divide(f, g)
+
+
+# ---- the integer inner loops ---------------------------------------------
+
+
+@st.composite
+def large_polys(draw, fld, min_terms, max_terms, max_exp):
+    """Polynomials with many terms; over Q every operand draws its own
+    denominators (a base d times 1, 2 or 3) and mixed-sign numerators."""
+    exps = draw(st.sets(st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
+                        min_size=min_terms, max_size=max_terms))
+    if fld is QQ:
+        base = draw(st.integers(2, 12))
+        nums = st.integers(-60, 60).filter(bool)
+        return BivarPoly(fld, {e: Fraction(draw(nums), base * draw(st.integers(1, 3)))
+                               for e in exps})
+    return BivarPoly(fld, {e: draw(st.integers(1, 100)) for e in exps})
+
+
+def expected_subs(f, first, second):
+    """f(first, second) by sympy's polynomial arithmetic."""
+    P1, P2 = to_sympy(first), to_sympy(second)
+    out = to_sympy(BivarPoly(f.field, {}))
+    for (a, b), c in f.terms.items():
+        out += to_sympy(BivarPoly(f.field, {(0, 0): c})) * P1 ** a * P2 ** b
+    return from_sympy(out, f.field)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data(), fields)
+def test_large_mul_matches_sympy(data, fld):
+    f = data.draw(large_polys(fld, 20, 80, 12))
+    g = data.draw(large_polys(fld, 20, 80, 12))
+    assert f * g == from_sympy(to_sympy(f) * to_sympy(g), fld)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data(), fields)
+def test_large_subs_matches_sympy(data, fld):
+    f = data.draw(large_polys(fld, 20, 30, 5))
+    first = data.draw(large_polys(fld, 2, 5, 2))
+    second = data.draw(large_polys(fld, 2, 5, 2))
+    assert f.subs(first, second) == expected_subs(f, first, second)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), fields, st.integers(2, 6), st.integers(2, 6))
+def test_products_agree_across_the_crossover(data, fld, n, m):
+    """The object loop and the integer loop give the same terms, with the
+    same coefficient types, on products with 4 to 36 term pairs."""
+    f = data.draw(large_polys(fld, n, n, 4))
+    g = data.draw(large_polys(fld, m, m, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jumpseq.poly, "_INT_MUL_PAIRS", 0)
+        by_int = f * g
+        mp.setattr(jumpseq.poly, "_INT_MUL_PAIRS", n * m + 1)
+        by_objects = f * g
+    assert by_int.terms == by_objects.terms
+    assert {type(c) for c in by_int.terms.values()} <= {fld.element_type}
+
+
+def test_subs_checks_term_limit_on_intermediate_powers():
+    """u^6 and v with first = sum of x^(7^i) + y^(7^i) for i < 6: the
+    exponent sums in first^k are all distinct, so first^6 has C(17, 6) =
+    12376 terms while the inputs and first^3 (364 terms) are small."""
+    Y = BivarPoly.monomial(QQ, 0, 1, vars=("x", "y"))
+    first = BivarPoly(QQ, {e: 1 for i in range(6) for e in ((7 ** i, 0), (0, 7 ** i))},
+                      ("x", "y"))
+    f = BivarPoly(QQ, {(6, 0): 1, (0, 1): 1})
+    assert 12376 > TERM_LIMIT
+    with pytest.raises(ResourceLimitError, match="polynomial with 12376 terms exceeds"):
+        f.subs(first, Y)

@@ -99,12 +99,14 @@ def spec_record(name, spec, rng, n_random_polys):
         f = random_poly(rng, spec.field)
         if f.is_zero():
             continue
-        assert expand(f, js).resubstitute() == f
+        if expand(f, js).resubstitute() != f:
+            raise AssertionError("expansion round trip failed for %s on %s" % (name, f))
         roundtrips += 1
         polys.append(f)
     for f, g in zip(polys[0::2], polys[1::2]):
         try:
-            assert value(f * g, js) == value(f, js) + value(g, js)
+            if value(f * g, js) != value(f, js) + value(g, js):
+                raise AssertionError("value is not additive for %s on %s and %s" % (name, f, g))
             additivity += 1
         except InsufficientDepthError:
             skipped += 1
@@ -150,9 +152,12 @@ def spec_record(name, spec, rng, n_random_polys):
         entry = {"t": t, "outcome": cert.outcome["kind"], "ok": cert.ok}
         if M is None:
             entry["ratios"] = [r["value_ratio"] for r in cert.rungs]
-            assert cert.ok, "ladder failed for %s t=%d" % (name, t)
+            if not cert.ok:
+                raise AssertionError("ladder failed for %s t=%d" % (name, t))
         else:
-            assert cert.outcome["M"] == M
+            if cert.outcome["M"] != M:
+                raise AssertionError("ladder contradiction for %s t=%d at M=%s, expected M=%d"
+                                     % (name, t, cert.outcome["M"], M))
             entry["witness"] = {k: cert.outcome[k] for k in ("M", "l", "g")}
         rec["ladders"].append(entry)
         if spec.mode == "discrete" and M is None:

@@ -117,11 +117,17 @@ def cmd_genseq(args):
     return EXIT_OK
 
 
+def _load_nonzero_poly(args, spec) -> BivarPoly:
+    f = BivarPoly.from_json(spec.field, _load_json(args.poly))
+    if f.is_zero():
+        raise UsageError("%s: the zero polynomial has no value or expansion" % args.command)
+    return f
+
+
 def cmd_eval(args):
     spec = _load_spec(args.spec)
     js = build_jumping_sequence(spec)
-    f = BivarPoly.from_json(spec.field, _load_json(args.poly))
-    v = value(f, js)
+    v = value(_load_nonzero_poly(args, spec), js)
     _emit({"value": v}, args)
     return EXIT_OK
 
@@ -129,8 +135,7 @@ def cmd_eval(args):
 def cmd_expand(args):
     spec = _load_spec(args.spec)
     js = build_jumping_sequence(spec)
-    f = BivarPoly.from_json(spec.field, _load_json(args.poly))
-    _emit(expand(f, js), args)
+    _emit(expand(_load_nonzero_poly(args, spec), js), args)
     return EXIT_OK
 
 

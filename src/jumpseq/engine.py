@@ -9,19 +9,29 @@ with values beta_i normalized so that the value of u is 1.  Expansions of
 arbitrary polynomials in the T-monomials then give exact values and
 residues, with an explicit insufficient-depth error whenever the defining
 data does not pin the answer down.
+
+Value bookkeeping runs on integers.  The denominator of beta_j divides
+Q_j = q_1...q_j, so every beta_j with j <= N (N the spec depth) is an
+integer over the common denominator Q_N.  A sequence holds these
+numerators once (:attr:`JumpingSequence.weights`), an expansion holds one
+numerator per term (:attr:`TExpansion.nums`), and values, residues and
+the generating-sequence checks compare those ints; a ``Fraction`` is made
+only for a value that is returned or reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
 from .fields import GroundField
-from .poly import BivarPoly, divmod_in_v
+from .poly import BivarPoly, _check_size, divmod_in_v
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +161,27 @@ class JumpingSequence:
     def vdeg(self) -> List[int]:
         return [t.deg_v() for t in self.T]
 
+    @cached_property
+    def weights(self) -> Tuple[int, ...]:
+        """Integer value weights w_0 .. w_{N+1} over the denominator Q_N.
+
+        N is the depth.  For j <= N, w_j = Q_N * beta_j, an integer because
+        the denominator of beta_j divides Q_j; the last weight is
+        w_{N+1} = q_N * w_N (0 when N = 0).  Since T_{N+1} has value
+        greater than q_N * beta_N, sum_j e_j * w_j / Q_N is the exact value
+        of a T-monomial with e_{N+1} = 0 and a strict lower bound of one
+        with e_{N+1} > 0.  Computed once per sequence.
+        """
+        N, QN = self.depth, self.Q[-1]
+        w = []
+        for j, b in enumerate(self.beta):
+            x = b * QN
+            if x.denominator != 1:
+                raise ArithmeticError("Q_%d * beta_%d = %s is not an integer" % (N, j, x))
+            w.append(x.numerator)
+        w.append(self.q(N) * w[N] if N else 0)
+        return tuple(w)
+
     def to_json(self):
         f = self.field
         return {
@@ -265,6 +296,8 @@ class TExpansion:
     Interior exponents satisfy a_i < q_i; a_0 and a_M are unbounded.  Terms
     with a_M = 0 ("pure") have exactly known values; terms with a_M > 0
     only admit a strict lower bound since beta_M is beyond spec depth.
+    Both are kept as integers over Q_N in :attr:`nums`, computed once per
+    expansion.
     """
 
     js: JumpingSequence
@@ -275,30 +308,57 @@ class TExpansion:
         return self.js.depth + 1
 
     def resubstitute(self) -> BivarPoly:
+        """The polynomial sum of coeff * prod_j T_j^{a_j} over the terms.
+
+        Each power T_j^e is formed once per call.  The terms are added
+        into one running sum, which drops zeros and is checked against
+        TERM_LIMIT after each term, as a sum of polynomials would be.
+        """
         fld = self.js.field
-        out = BivarPoly.zero(fld, ("u", "v"))
+        T = self.js.T
+        vars = T[0].vars
+        powers = {}
+        out = {}
+        get = out.get
         for c, exps in self.terms:
-            mono = BivarPoly.const(fld, c, ("u", "v"))
+            mono = BivarPoly.const(fld, c, vars)
             for j, e in enumerate(exps):
                 if e:
-                    mono = mono * self.js.T[j] ** e
-            out = out + mono
-        return out
+                    pw = powers.get((j, e))
+                    if pw is None:
+                        pw = powers[(j, e)] = T[j] ** e
+                    mono = mono * pw
+            for k, x in mono.terms.items():
+                s = get(k)
+                if s is None:
+                    out[k] = x
+                    continue
+                s = s + x
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+            _check_size(out)
+        return BivarPoly(fld, out, vars)
+
+    def _num(self, exps: Tuple[int, ...]) -> int:
+        return sum(map(mul, exps, self.js.weights))
+
+    @cached_property
+    def nums(self) -> Tuple[int, ...]:
+        """Per term, Q_N times its exact value (pure term) or its strict
+        lower bound (term involving T_M); see :attr:`JumpingSequence.weights`."""
+        return tuple(self._num(exps) for _, exps in self.terms)
 
     def term_value(self, exps: Tuple[int, ...]) -> Optional[Fraction]:
         """Exact value of a pure term; None when the term involves T_M."""
         if exps[self.M]:
             return None
-        return sum((e * self.js.beta[j] for j, e in enumerate(exps[: self.M])), Fraction(0))
+        return Fraction(self._num(exps), self.js.Q[-1])
 
     def term_lower_bound(self, exps: Tuple[int, ...]) -> Fraction:
         """A strict lower bound for a term involving T_M."""
-        js = self.js
-        N = js.depth
-        lb = sum((e * js.beta[j] for j, e in enumerate(exps[: self.M])), Fraction(0))
-        if N >= 1:
-            lb += exps[self.M] * js.q(N) * js.beta[N]
-        return lb
+        return Fraction(self._num(exps), self.js.Q[-1])
 
     def to_json(self):
         fld = self.js.field
@@ -353,24 +413,21 @@ def _min_pure_term(exp: TExpansion):
     InsufficientDepthError when some term involving T_M cannot be bounded
     below by the candidate minimum.
     """
-    pure = []
-    for c, exps in exp.terms:
-        val = exp.term_value(exps)
-        if val is not None:
-            pure.append((val, c, exps))
+    M, nums = exp.M, exp.nums
+    pure = [(n, c, e) for (c, e), n in zip(exp.terms, nums) if not e[M]]
     if not pure:
         raise InsufficientDepthError(
-            "every expansion term involves T_%d, whose value is beyond spec depth" % exp.M
+            "every expansion term involves T_%d, whose value is beyond spec depth" % M
         )
-    vals = [v for v, _, _ in pure]
-    if len(set(vals)) != len(vals):
+    if len({n for n, _, _ in pure}) != len(pure):
         raise ArithmeticError("pure expansion terms must have distinct values")
-    sigma, coeff, exps = min(pure, key=lambda t: t[0])
-    for c, e in exp.terms:
-        if e[exp.M] and exp.term_lower_bound(e) < sigma:
-            raise InsufficientDepthError(
-                "a term involving T_%d may fall below the candidate minimum %s" % (exp.M, sigma)
-            )
+    low, coeff, exps = min(pure, key=lambda t: t[0])
+    sigma = Fraction(low, exp.js.Q[-1])
+    # pure terms are >= low by choice, so only a mixed term can be below it
+    if min(nums) < low:
+        raise InsufficientDepthError(
+            "a term involving T_%d may fall below the candidate minimum %s" % (M, sigma)
+        )
     return sigma, coeff, exps
 
 
@@ -452,8 +509,11 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
 
     For each semigroup value gamma up to gamma_max and each monomial
     u^a v^b of total degree <= deg_bound with value >= gamma, every term
-    of the expansion must again have value >= gamma.  Optionally also
-    checks random polynomial samples.  Returns a list of check records.
+    of the expansion must again have value >= gamma: its smallest term
+    numerator over Q_N is compared with gamma.  Optionally also checks
+    random polynomial samples.  Returns a list of check records; the
+    records of one polynomial share one ``witness`` dict, which callers
+    must treat as read-only.
     """
     import random
 
@@ -469,21 +529,18 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
             report.append({"check": "membership", "inputs": label,
                            "witness": "value not certified at this depth", "pass": True})
             return
-        for gamma in gammas:
-            if sigma < gamma:
-                continue
-            ok = True
-            for c, e in exp.terms:
-                tv = exp.term_value(e)
-                low = tv if tv is not None else exp.term_lower_bound(e)
-                if low < gamma:
-                    ok = False
-                    break
+        low = Fraction(min(exp.nums), js.Q[-1])
+        witness = None
+        for gamma in gammas:  # ascending
+            if gamma > sigma:
+                break
+            if witness is None:
+                witness = exp.to_json()
             report.append({
                 "check": "membership",
                 "inputs": "%s, gamma=%s" % (label, gamma),
-                "witness": exp.to_json(),
-                "pass": ok,
+                "witness": witness,
+                "pass": low >= gamma,
             })
 
     for a in range(deg_bound + 1):

@@ -198,7 +198,13 @@ class GroundField:
         return str(self(e).val)
 
     def parse(self, s: str):
-        return self(s)
+        """A field element from input data; a literal that is not an
+        integer or fraction (``"abc"``, ``1.5``), or has a zero denominator,
+        raises :class:`InvalidSpecError`."""
+        try:
+            return self(s)
+        except (ValueError, ZeroDivisionError, TypeError) as e:
+            raise InvalidSpecError("cannot read %r as a field element: %s" % (s, e)) from None
 
     def to_json(self):
         if self.kind == "rationals":

@@ -24,6 +24,10 @@ Horner steps in that integer form, and each of those intermediates is
 checked against :data:`TERM_LIMIT` after dropping zeros, at the same
 points and with the same message as a stored polynomial.
 
+Ring operations and :func:`divmod_in_v` refuse operands over different
+fields or in different variables (``ValueError``); :meth:`BivarPoly.subs`
+maps the variables of a polynomial onto those of its arguments.
+
 The two division routines carry the load for the rest of the library:
 
 * :func:`divmod_in_v` divides by a polynomial that is monic in the second
@@ -142,6 +146,8 @@ class BivarPoly:
     def _check_compat(self, other: "BivarPoly"):
         if self.field != other.field:
             raise ValueError("mixed coefficient fields")
+        if self.vars != other.vars:
+            raise ValueError("mixed variables: %s vs %s" % (self.vars, other.vars))
 
     def __add__(self, other):
         other = self._as_poly(other)
@@ -250,7 +256,8 @@ class BivarPoly:
         and sum is formed in integer form (see :func:`_imul`) and checked
         against :data:`TERM_LIMIT`; only the result is made a polynomial.
         """
-        self._check_compat(first)
+        if self.field != first.field:  # the variables are mapped, not shared
+            raise ValueError("mixed coefficient fields")
         first._check_compat(second)
         field = self.field
         out_vars = first.vars

@@ -1,0 +1,58 @@
+"""The battery script's checks are explicit code: under ``python -O`` a
+wrong result still stops the run instead of being counted as passed."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: replaces one library function inside run_battery with a wrong one
+BREAKAGES = {
+    "round-trip": (
+        "run_battery.expand = lambda f, js: SimpleNamespace(resubstitute=lambda: f + 1)",
+        "expansion round trip failed for spec-a",
+    ),
+    "additivity": (
+        "run_battery.value = lambda f, js: Fraction(1)",
+        "value is not additive for spec-a",
+    ),
+    "ladder-ok": (
+        "run_battery.ladder = lambda ext: SimpleNamespace(ok=False, rungs=[], outcome=dict("
+        "kind='toroidal', M=first_gcd_failure(ext.t, ext.base_spec.pairs), l=0, g=0))",
+        "ladder failed for spec-a t=5",
+    ),
+    "contradiction-M": (
+        "run_battery.ladder = lambda ext: SimpleNamespace(ok=True, rungs=[], outcome=dict("
+        "kind='contradiction', M=7, l=0, g=0))",
+        "ladder contradiction for spec-a t=2 at M=7, expected M=1",
+    ),
+}
+
+SCRIPT = """
+import json, random, sys
+from fractions import Fraction
+from types import SimpleNamespace
+sys.path.insert(0, %(scripts)r)
+import run_battery
+from jumpseq.extension import first_gcd_failure
+spec = run_battery.ValuationSpec.from_json(
+    json.loads((run_battery.SPECS_DIR / "spec-a.json").read_text()))
+%(patch)s
+run_battery.spec_record("spec-a", spec, random.Random(0), 4)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(BREAKAGES))
+def test_battery_check_survives_optimized_interpreter(name):
+    patch, message = BREAKAGES[name]
+    code = SCRIPT % {"scripts": str(ROOT / "scripts"), "patch": patch}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode != 0
+    assert "AssertionError: " + message in proc.stderr, proc.stderr

@@ -168,6 +168,23 @@ def test_bad_request_exit_64(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd", ["eval", "expand"])
+@pytest.mark.parametrize("terms", [
+    [],
+    [{"e": [0, 2], "c": "1"}, {"e": [3, 0], "c": "abc"}],
+    [{"e": [0, 2], "c": "1/0"}],
+    [{"e": [0, 2], "c": 1.5}],
+], ids=["zero-poly", "coefficient-abc", "coefficient-1-over-0", "coefficient-float"])
+def test_bad_polynomial_exit_64(capsys, tmp_path, cmd, terms):
+    """The zero polynomial and a coefficient that is not an integer or
+    fraction literal are usage errors, not tracebacks."""
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps({"vars": ["u", "v"], "terms": terms}))
+    code, out, err = run(capsys, cmd, SPEC_A, str(poly))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_prime_field_spec_with_fraction_lambda(capsys, tmp_path):
     """An F_p spec may write a constant as "a/b"; a denominator that is
     0 mod p is a usage error."""

@@ -2,10 +2,11 @@
 
 Each request's exit code and stdout are hashed together and compared with
 hashes recorded before the polynomial kernel moved its inner loops to
-plain integers.  Any later change to the kernel's arithmetic that alters
-an output byte fails here.  When a change to the output is intended,
-regenerate the table by running this file as a script and say why in
-CHANGES.md.
+plain integers; the ``verify`` rows were recorded before the engine moved
+its value bookkeeping to integers.  Any later change to the arithmetic
+that alters an output byte fails here.  When a change to the output is
+intended, regenerate the table by running this file as a script and say
+why in CHANGES.md.
 
 Besides spec-a and spec-b the list uses F101-a, spec-a's pairs over F_101
 with lambdas 3 and 7, so that prime-field arithmetic is covered too.
@@ -23,6 +24,10 @@ from jumpseq.cli import main
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
+#: extra ``verify`` arguments per spec; spec-b runs without samples
+VERIFY_ARGS = {"a": ["--samples", "10", "--seed", "5"], "b": [],
+               "F101-a": ["--samples", "10", "--seed", "5"]}
+
 #: a fixed polynomial for eval/expand: v^2 - u^3 + 2uv + 5u^2v^3
 POLY = {"vars": ["u", "v"], "terms": [
     {"e": [0, 2], "c": "1"}, {"e": [3, 0], "c": "-1"},
@@ -33,6 +38,7 @@ GOLDEN = {
     'blowup a --steps 3': '033b7c914420eca9e81ab0005b75bb657a401b14ec3528c09e4163d0c836bf3a',
     'eval a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
     'expand a poly': 'd8926174cb19f79f8a6ad5d577edcb3dc4bb1a7a516c222f40c9d473a06b8052',
+    'verify a': '3c57b80c92a7bcedf96ffba7fc335fd7de159fa149c8fc231153f6ce2d5be0d0',
     'monoidal a': 'e6c0aec8be22c3d98de51d8c05afaf6d69a1b83903aeb219887f5c0ce2aa4eec',
     'blowup a --steps 7': '420e40a50d6bf7a3a875cfc67a0eb7f84cfc67018c769dcdaef7807d6ee1d5bf',
     'ladder a t=2': '796e1dd661b493a06d2c64e76f1512b9c97a2a891e490abb47303b0bc3a1090e',
@@ -51,6 +57,7 @@ GOLDEN = {
     'blowup b --steps 3': 'cb7253b18d41b7216fc961266ff1ddc4c94d3474c952a925d2e366d94794bf2f',
     'eval b poly': 'ab39cc11761e9b79411827d08ebfb35641b03eff7ba02284b57d508d7c8138a7',
     'expand b poly': 'e41428eed15c816c7c035cd072abd97791405c58b0e2b4ae179a91faf42723c9',
+    'verify b': 'b3f837d592704718e8f4bcdf018913bfc263ed52e4878d1666de9afaca79b53b',
     'ladder b t=2': '721d6a26819de8c96b3dfaff7574f68f63b5a45fc3777928f58f532eaa623b7e',
     'classify b t=2': '3e83029e48e233760b738a6b3f93e5fbda07e528e80e7e9ac00a10d205e4de1c',
     'dual b t=2': 'ea954645acaf183856089a91ff02e05f1aabe32c92eea41f94194a0fb2732592',
@@ -67,6 +74,7 @@ GOLDEN = {
     'blowup F101-a --steps 3': '2f2b68ef7a6ca0e7615e5da9f1c270e725895e0207ceeb0db72267ceccee510f',
     'eval F101-a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
     'expand F101-a poly': '57c59a8301865a9edb3a422ac8d63f086117cff4a5547a4d1684d0ef8a69ddfd',
+    'verify F101-a': 'fcbfd1b966768648e612b45b0f6cce1a6bbc9eac107e42329bb45464c3de56d7',
     'monoidal F101-a': 'd367f4f57147ac05629a0a264f2b9f7c55490f26030a12bdb1995174a235b043',
     'blowup F101-a --steps 7': 'a05ee986bba8e614b746a45acb73b3432a2d8bacb6df2959abeffcd632db9e73',
     'ladder F101-a t=2': '796e1dd661b493a06d2c64e76f1512b9c97a2a891e490abb47303b0bc3a1090e',
@@ -98,7 +106,8 @@ def _requests(tmp):
         reqs += [("genseq %s" % name, ["genseq", path]),
                  ("blowup %s --steps 3" % name, ["blowup", path, "--steps", "3"]),
                  ("eval %s poly" % name, ["eval", path, poly]),
-                 ("expand %s poly" % name, ["expand", path, poly])]
+                 ("expand %s poly" % name, ["expand", path, poly]),
+                 ("verify %s" % name, ["verify", path] + VERIFY_ARGS[name])]
         if spec["mode"] == "nondiscrete":
             reqs += [("monoidal %s" % name, ["monoidal", path]),
                      ("blowup %s --steps 7" % name, ["blowup", path, "--steps", "7"])]

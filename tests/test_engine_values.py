@@ -1,0 +1,142 @@
+"""Integer value bookkeeping against the plain ``Fraction`` formulas.
+
+The engine keeps each term's value (pure term) or strict lower bound
+(term involving T_M) as an integer over Q_N.  These tests recompute both
+from beta with ``Fraction`` arithmetic, term by term, and recompute
+``value``'s outcome (a value or InsufficientDepthError) from them.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jumpseq.engine import TExpansion, build_jumping_sequence, expand, value
+from jumpseq.errors import InsufficientDepthError, ResourceLimitError
+from jumpseq.fields import QQ, prime_field
+from jumpseq.poly import TERM_LIMIT, BivarPoly
+
+from conftest import make_spec
+
+F101 = prime_field(101)
+
+TOWERS = [
+    (QQ, ((3, 2), (5, 3))),
+    (QQ, ((3, 2), (4, 1), (5, 3))),
+    (QQ, ((3, 2), (5, 3), (5, 2), (2, 3))),
+    (QQ, ((2, 1), (3, 1))),
+    (F101, ((3, 2), (4, 1), (5, 3))),
+    (F101, ((3, 2), (5, 3), (5, 2), (2, 3))),
+    (F101, ((2, 3), (3, 2))),
+]
+
+
+def _sequence(fld, pairs):
+    mode = "discrete" if all(q == 1 for _, q in pairs) else "nondiscrete"
+    lambdas = tuple(fld(c) for c in (2, 3, 5, 7)[:len(pairs)])
+    return build_jumping_sequence(make_spec(fld, pairs, mode=mode, lambdas=lambdas))
+
+
+SEQUENCES = [_sequence(fld, pairs) for fld, pairs in TOWERS]
+
+
+def fraction_bound(js, exps) -> Fraction:
+    """sum_{j<M} e_j beta_j + e_M q_N beta_N: the exact value of a pure
+    term and the strict lower bound of one involving T_M."""
+    N, M = js.depth, js.depth + 1
+    lb = sum((e * js.beta[j] for j, e in enumerate(exps[:M])), Fraction(0))
+    if N >= 1:
+        lb += exps[M] * js.q(N) * js.beta[N]
+    return lb
+
+
+def fraction_value(exp):
+    """value() from the Fraction bounds: the least pure value, or
+    InsufficientDepthError when there is no pure term or a mixed bound
+    lies below it."""
+    js, M = exp.js, exp.js.depth + 1
+    pure = [fraction_bound(js, e) for _, e in exp.terms if not e[M]]
+    if not pure:
+        return InsufficientDepthError
+    sigma = min(pure)
+    if any(fraction_bound(js, e) < sigma for _, e in exp.terms if e[M]):
+        return InsufficientDepthError
+    return sigma
+
+
+@st.composite
+def polys(draw):
+    """A sequence and f = u^s * (small polynomial) + c * (product of up to
+    three T_j, T_M in about half of them), so that expansions carry terms
+    in T_M, some of them below the least pure value, and cancellations."""
+    js = draw(st.sampled_from(SEQUENCES))
+    fld, M = js.field, js.depth + 1
+    exps = st.tuples(st.integers(0, 7), st.integers(0, 5))
+    coeffs = st.integers(-4, 4).filter(bool)
+    s = draw(st.integers(0, 24))
+    f = BivarPoly(fld, {(a + s, b): c for (a, b), c in
+                        draw(st.dictionaries(exps, coeffs, max_size=4)).items()})
+    factors = draw(st.lists(st.integers(0, M - 1), max_size=2))
+    if draw(st.booleans()):
+        factors.append(M)
+    if factors:
+        mono = BivarPoly.const(fld, draw(coeffs))
+        for j in factors:
+            mono = mono * js.T[j]
+        f = f + mono
+    return js, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys())
+def test_integer_bounds_match_fraction_formula(case):
+    js, f = case
+    if f.is_zero():
+        return
+    exp = expand(f, js)
+    QN, M = js.Q[-1], js.depth + 1
+    assert len(exp.nums) == len(exp.terms)
+    for (_, e), n in zip(exp.terms, exp.nums):
+        old = fraction_bound(js, e)
+        assert Fraction(n, QN) == old
+        assert exp.term_lower_bound(e) == old
+        assert exp.term_value(e) == (None if e[M] else old)
+    try:
+        got = value(f, js)
+    except InsufficientDepthError:
+        got = InsufficientDepthError
+    assert got == fraction_value(exp)
+
+
+@pytest.mark.parametrize("js", SEQUENCES, ids=["%s-%s" % (fld.kind, pairs) for fld, pairs in TOWERS])
+def test_weights_are_beta_over_Q_N(js):
+    N, QN = js.depth, js.Q[-1]
+    assert js.weights[:N + 1] == tuple(int(b * QN) for b in js.beta)
+    assert js.weights[N + 1] == js.q(N) * js.weights[N]
+
+
+def test_non_integral_weight_raises(js_a):
+    """A beta whose denominator does not divide Q_N is rejected by an
+    explicit check, also under python -O."""
+    bad = type(js_a)(js_a.spec, js_a.T, js_a.beta[:-1] + (Fraction(1, 7),), js_a.Q, js_a.n)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        bad.weights
+
+
+def test_resubstitute_checks_the_running_sum(js_a):
+    """Each term u^a v^b is one monomial, but their sum passes TERM_LIMIT:
+    resubstitute raises when the running sum does, as a chain of
+    polynomial additions would."""
+    side = 101
+    assert side * side > TERM_LIMIT
+    terms = tuple((QQ(1), (a, b, 0, 0)) for a in range(side) for b in range(side))
+    with pytest.raises(ResourceLimitError, match="polynomial with %d terms" % (TERM_LIMIT + 1)):
+        TExpansion(js_a, terms).resubstitute()
+    assert len(TExpansion(js_a, terms[:TERM_LIMIT]).resubstitute().terms) == TERM_LIMIT
+
+
+def test_resubstitute_drops_cancelled_terms(js_a):
+    # u^3 + T_2 - v^2 = u^3 + (v^2 - u^3) - v^2 = 0 on spec-a
+    terms = ((QQ(1), (3, 0, 0, 0)), (QQ(1), (0, 0, 1, 0)), (QQ(-1), (0, 2, 0, 0)))
+    out = TExpansion(js_a, terms).resubstitute()
+    assert out.is_zero() and out.vars == ("u", "v")

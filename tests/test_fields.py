@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jumpseq.errors import JumpseqError
+from jumpseq.errors import InvalidSpecError, JumpseqError
 from jumpseq.fields import Fp, GroundField, QQ, prime_field
 
 
@@ -47,6 +47,16 @@ def test_prime_field_rejects_zero_denominator():
     for s in ("1/0", "1/101", "3/-202"):
         with pytest.raises(JumpseqError):
             F.parse(s)
+
+
+def test_parse_rejects_malformed_literals():
+    """A literal that is not an integer or fraction, or divides by zero, is
+    bad input data (InvalidSpecError), not a ValueError, ZeroDivisionError
+    or TypeError."""
+    for fld in (QQ, prime_field(101)):
+        for s in ("abc", "1/0", "", "1/x", 1.5):
+            with pytest.raises(InvalidSpecError):
+                fld.parse(s)
 
 
 def test_field_json_roundtrip():

@@ -88,6 +88,20 @@ def test_element_of_another_prime_field_is_rejected():
         P({(0, 1): 1}, fld=F101) + Fp(3, 7)
 
 
+def test_mixed_variables_are_rejected():
+    """(u, v) and (x, y) polynomials do not add, multiply or divide, while
+    subs maps (u, v) onto (x, y) by design."""
+    f = P({(1, 0): 1, (0, 2): 1})
+    x, y = BivarPoly.gens(QQ, ("x", "y"))
+    for op in (lambda: f + x, lambda: f - x, lambda: f * y, lambda: divmod_in_v(f, y)):
+        with pytest.raises(ValueError, match="mixed variables"):
+            op()
+    with pytest.raises(ValueError, match="mixed variables"):
+        f.subs(x, P({(0, 1): 1}))
+    assert f.subs(x, y) == P({(1, 0): 1, (0, 2): 1}, vars=("x", "y"))
+    assert f.subs(x, y).vars == ("x", "y")
+
+
 def test_constructor_coerces_plain_inputs():
     f = BivarPoly(F101, {(0, 0): 205, (1, 0): "3", (2, 0): 101})
     assert f.terms == {(0, 0): Fp(3, 101), (1, 0): Fp(3, 101)}

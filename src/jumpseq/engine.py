@@ -17,21 +17,32 @@ numerators once (:attr:`JumpingSequence.weights`), an expansion holds one
 numerator per term (:attr:`TExpansion.nums`), and values, residues and
 the generating-sequence checks compare those ints; a ``Fraction`` is made
 only for a value that is returned or reported.
+
+Expansions run on integer forms too (see :mod:`jumpseq.poly`).  A
+sequence converts T_1 .. T_M into divisor rows once, at its first
+expansion (:attr:`JumpingSequence.T_rows`); :func:`expand` converts f
+once, takes its digits level by level with the integer division
+:func:`jumpseq.poly._idivmod_v`, which checks every quotient and
+remainder against ``TERM_LIMIT``, and makes a field element only for
+each output coefficient.  Expansion needs every T_i monic in the second
+variable; a unit that breaks this (for instance an extension's
+delta = 1 + y) is reported as :class:`InvalidSpecError` at the first
+expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
-from .fields import GroundField
-from .poly import BivarPoly, _check_size, divmod_in_v
+from .fields import Fp, GroundField
+from .poly import BivarPoly, _check_size, _from_int, _idivmod_v, _to_int, _v_rows
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +192,24 @@ class JumpingSequence:
             w.append(x.numerator)
         w.append(self.q(N) * w[N] if N else 0)
         return tuple(w)
+
+    @cached_property
+    def T_rows(self) -> tuple:
+        """T_1 .. T_M as integer-row divisors (:func:`jumpseq.poly._v_rows`)
+        for :func:`expand`.  Converted once per sequence, at its first
+        expansion; raises :class:`InvalidSpecError` when some T_i is not
+        monic in the second variable, which a unit involving that variable
+        can cause.
+        """
+        out = []
+        for i, t in enumerate(self.T[1:], start=1):
+            x = _v_rows(_to_int(t))
+            if x is None:
+                raise InvalidSpecError(
+                    "T_%d is not monic in %s: a unit involving %s raised its degree, "
+                    "and expansions need monic jumping polynomials" % (i, t.vars[1], t.vars[1]))
+            out.append(x)
+        return tuple(out)
 
     def to_json(self):
         f = self.field
@@ -369,34 +398,48 @@ class TExpansion:
         }
 
 
-def _v_digits(f: BivarPoly, g: BivarPoly) -> List[BivarPoly]:
-    """g-adic digits of f (g monic in v): f = sum digits[k] * g^k."""
+def _v_digits(x, divide) -> list:
+    """g-adic digits of the integer form x, where divide(x) returns the
+    quotient and remainder by g: x = sum digits[k] * g^k."""
     digits = []
-    while not f.is_zero():
-        f, r = divmod_in_v(f, g)
+    while x[0]:
+        x, r = divide(x)
         digits.append(r)
     return digits
 
 
 def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
+    """The standard-form expansion of f in the T-monomials of ``js``.
+
+    f is converted to its integer form once; the digits of every level are
+    integer forms (:func:`jumpseq.poly._idivmod_v` by the cached
+    :attr:`JumpingSequence.T_rows`), and a field element is made only for
+    each output coefficient.
+    """
     if f.is_zero():
         raise ValueError("cannot expand the zero polynomial")
+    f._check_compat(js.T[0])
     M = js.depth + 1
+    fld = js.field
+    p = fld.characteristic
+    divide = [partial(_idivmod_v, g=g, p=p) for g in js.T_rows]
     terms: List[Tuple[object, Tuple[int, ...]]] = []
 
-    def rec(g: BivarPoly, level: int, suffix: Tuple[int, ...]):
+    def rec(x, level: int, suffix: Tuple[int, ...]):
         if level == 0:
-            # g lies in k[u]; split into u-monomials
-            for (a, b), c in sorted(g.terms.items()):
+            # x lies in k[u]; split into u-monomials
+            xt, den = x
+            for (a, b), c in sorted(xt.items()):
                 if b != 0:
-                    raise ArithmeticError("level-0 digit %s is not in k[u]" % g)
-                terms.append((c, (a,) + suffix))
+                    raise ArithmeticError("level-0 digit %s is not in k[u]"
+                                          % _from_int(fld, x, f.vars))
+                terms.append((Fp(c, p) if p else Fraction(c, den), (a,) + suffix))
             return
-        for k, digit in enumerate(_v_digits(g, js.T[level])):
-            if not digit.is_zero():
+        for k, digit in enumerate(_v_digits(x, divide[level - 1])):
+            if digit[0]:
                 rec(digit, level - 1, (k,) + suffix)
 
-    rec(f, M, ())
+    rec(_to_int(f), M, ())
     terms.sort(key=lambda t: t[1])
     return TExpansion(js, tuple(terms))
 

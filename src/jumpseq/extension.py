@@ -113,6 +113,13 @@ def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> Dua
     Requires trivial downstairs units.  When gcd(t, Q_k) != 1 the result
     carries the first failing index instead of an upstairs sequence.
     """
+    return _dual_sequences(ext, k)
+
+
+def _dual_sequences(ext: MonomialExtension, k: Optional[int],
+                    down: Optional[JumpingSequence] = None) -> DualSequences:
+    """:func:`build_dual_sequences`, reusing the downstairs sequence
+    ``down`` when the caller has built it."""
     spec = ext.base_spec
     fld = ext.field
     if k is None:
@@ -123,7 +130,8 @@ def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> Dua
     if any(u != one for u in spec.units):
         raise InvalidSpecError("dual sequences require trivial downstairs units")
 
-    down = build_jumping_sequence(spec)
+    if down is None:
+        down = build_jumping_sequence(spec)
     M = first_gcd_failure(ext.t, spec.pairs, upto=k)
     if M is not None:
         return DualSequences(ext, down, None, False, M)
@@ -376,7 +384,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                    "pbar_prime": pbar_prime}
         return LadderCertificate((), outcome, False)
 
-    duals = build_dual_sequences(ext, k=depth)
+    duals = _dual_sequences(ext, depth, down)
     up = duals.up
 
     fld = ext.field

@@ -213,11 +213,20 @@ class GroundField:
 
     @classmethod
     def from_json(cls, obj) -> "GroundField":
-        if obj["kind"] == "rationals":
+        """A field from input data: ``{"kind": "rationals"}`` or
+        ``{"kind": "prime", "p": <prime>}``; anything else raises
+        :class:`InvalidSpecError`."""
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind == "rationals":
             return cls("rationals", 0)
-        if obj["kind"] == "prime":
-            return cls("prime", int(obj["p"]))
-        raise ValueError("unknown field kind %r" % (obj.get("kind"),))
+        if kind == "prime":
+            p = obj.get("p")
+            if isinstance(p, str) and p.isdigit():
+                p = int(p)
+            if type(p) is not int or not _is_prime(p):
+                raise InvalidSpecError("field characteristic %r is not a prime" % (p,))
+            return cls("prime", p)
+        raise InvalidSpecError("unknown field %r: the kind must be \"rationals\" or \"prime\"" % (obj,))
 
 
 QQ = GroundField("rationals", 0)

@@ -11,18 +11,22 @@ field (a ``Fraction`` over Q, an ``Fp`` of the same p over F_p), so ints,
 strings and elements of another prime field are converted or rejected as
 before, while the results of the ring operations are stored as they are.
 Zero coefficients are dropped and :data:`TERM_LIMIT` is checked on every
-polynomial it stores, including each quotient and remainder; the rows
-that :func:`divmod_in_v` updates in place while it divides are plain
-dicts and are not checked.
+polynomial it stores.
 
-Products with many term pairs and every substitution run their inner
-loops on plain ints: residues mod p over F_p, numerators over one common
-denominator over Q.  Each operand is converted once on entry and the
-result once on exit, through the constructor, so stored coefficients
-stay ``Fraction``/``Fp``.  :meth:`BivarPoly.subs` keeps its powers and
-Horner steps in that integer form, and each of those intermediates is
-checked against :data:`TERM_LIMIT` after dropping zeros, at the same
-points and with the same message as a stored polynomial.
+Products with many term pairs, every substitution and every division by
+a polynomial monic in the second variable run their inner loops on plain
+ints: residues mod p over F_p, numerators over one common denominator
+over Q.  Each operand is converted once on entry and the result once on
+exit, through the constructor, so stored coefficients stay
+``Fraction``/``Fp``.  :meth:`BivarPoly.subs` keeps its powers and Horner
+steps in that integer form, and each of those intermediates is checked
+against :data:`TERM_LIMIT` after dropping zeros, at the same points and
+with the same message as a stored polynomial.  :func:`divmod_in_v` is a
+thin wrapper around :func:`_idivmod_v`, which divides on the v-degree
+rows of the integer form and checks each quotient and remainder; the
+rows it updates in place while it divides are plain dicts and are not
+checked.  The T-adic expansion of :mod:`jumpseq.engine` calls
+:func:`_idivmod_v` directly, so its digits never become polynomials.
 
 Ring operations and :func:`divmod_in_v` refuse operands over different
 fields or in different variables (``ValueError``); :meth:`BivarPoly.subs`
@@ -42,8 +46,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
-from .errors import DivisibilityError, ResourceLimitError
+from .errors import DivisibilityError, InvalidSpecError, ResourceLimitError
 from .fields import Fp, GroundField
 
 #: Hard ceiling on the number of stored terms in any single polynomial.
@@ -311,11 +316,17 @@ class BivarPoly:
         if isinstance(obj, str):
             # bare field element, e.g. "1" for a trivial unit
             return cls.const(field, field.parse(obj), vars or ("u", "v"))
+        rows = obj.get("terms") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(t, dict) for t in rows):
+            raise InvalidSpecError("polynomial %r is not an object with a list of terms" % (obj,))
         vnames = tuple(obj.get("vars", vars or ("u", "v")))
         terms = {}
-        for t in obj["terms"]:
-            a, b = t["e"]
-            terms[(int(a), int(b))] = field.parse(t["c"])
+        for t in rows:
+            e = t["e"]
+            if not (isinstance(e, (list, tuple)) and len(e) == 2
+                    and all(type(x) is int and x >= 0 for x in e)):
+                raise InvalidSpecError("exponent %r is not a pair of non-negative integers" % (e,))
+            terms[tuple(e)] = field.parse(t["c"])
         return cls(field, terms, vnames)
 
     def __str__(self):
@@ -341,16 +352,17 @@ class BivarPoly:
 
 # ---- integer inner loops ------------------------------------------------
 #
-# Products and substitutions run on plain ints.  The integer form of a
-# polynomial is a pair (terms, den): a dict from exponent pairs to ints and
-# a positive int denominator.  Over F_p den is 1 and the ints are the
-# residues in [0, p); over Q the coefficient of e is terms[e] / den, with
-# no factor common to den and all the numerators.  Each helper drops zero
-# coefficients (after reducing mod p) and checks TERM_LIMIT on its result,
-# as the constructor does for every polynomial.
+# Products, substitutions and divisions in v run on plain ints.  The
+# integer form of a polynomial is a pair (terms, den): a dict from exponent
+# pairs to ints and a positive int denominator.  Over F_p den is 1 and the
+# ints are the residues in [0, p); over Q the coefficient of e is
+# terms[e] / den, with no factor common to den and all the numerators.
+# Each helper drops zero coefficients (after reducing mod p) and checks
+# TERM_LIMIT on its result, as the constructor does for every polynomial.
 
 _ONE = ({(0, 0): 1}, 1)
 _ZERO = ({}, 1)
+_second = itemgetter(1)
 
 
 def _to_int(f: BivarPoly):
@@ -433,6 +445,79 @@ def _ipow(x, e: int, p):
     return out
 
 
+def _v_rows(x):
+    """The integer form ``x`` prepared as a divisor for :func:`_idivmod_v`.
+
+    Returns ``(m, tail, den)``: ``m = deg_v(x)``, the rows of the
+    numerators of ``v^m - x`` as ``{b: [(a, c)]}``, and the denominator of
+    ``x``.  Returns None when ``x`` is not monic in the second variable.
+    """
+    terms, den = x
+    m = max(b for _, b in terms)
+    lead, tail = [], {}
+    for (a, b), c in terms.items():
+        if b == m:
+            lead.append((a, c))
+        else:
+            tail.setdefault(b, []).append((a, -c))
+    return (m, tail, den) if lead == [(0, den)] else None
+
+
+def _idivmod_v(x, g, p):
+    """Quotient and remainder of the integer form ``x`` by a divisor monic
+    in the second variable, given by its rows ``g`` (see :func:`_v_rows`).
+
+    One downward pass over the v-degree rows of ``x`` moves each row at or
+    above ``m = deg_v(g)`` into the quotient and subtracts it times
+    ``g - v^m`` in place.  The rows are not reduced while they are
+    updated; over F_p a row is reduced mod p when it is taken.  Over Q the
+    rows are numerators over the denominator of ``x``.  When ``g`` has a
+    denominator D > 1, its leading numerator is D, so ``x`` is first
+    scaled by D^k (k the number of quotient rows) and each taken row then
+    divides exactly by D.  The quotient and then the remainder are
+    normalised and checked against :data:`TERM_LIMIT`; when deg_v(x) < m
+    the quotient is zero and the remainder is ``x`` itself, checked again.
+    """
+    m, tail, gd = g
+    xt, den = x
+    if not xt or max(map(_second, xt)) < m:
+        _check_size(xt)
+        return _ZERO, x
+    rows = {}  # rows of the running remainder: {b: {a: c}}
+    for (a, b), c in xt.items():
+        rows.setdefault(b, {})[a] = c
+    top = max(rows)
+    if gd != 1:
+        scale = gd ** (top - m + 1)
+        den *= scale
+        rows = {b: {a: c * scale for a, c in row.items()} for b, row in rows.items()}
+    q = {}
+    for b in range(top, m - 1, -1):
+        row = rows.pop(b, None)
+        if not row:
+            continue
+        if p:
+            row = {a: r for a, c in row.items() if (r := c % p)}
+        else:
+            row = {a: c for a, c in row.items() if c}
+        if not row:
+            continue
+        s = b - m
+        for a, c in row.items():
+            q[(a, s)] = c
+        if gd != 1:
+            row = {a: c // gd for a, c in row.items()}
+        for gb, gcol in tail.items():
+            target = rows.setdefault(gb + s, {})
+            get = target.get
+            for a, c in row.items():
+                for ga, gc in gcol:
+                    e = a + ga
+                    target[e] = get(e, 0) + c * gc
+    r = {(a, b): c for b, row in rows.items() for a, c in row.items()}
+    return _reduce(q, den, p), _reduce(r, den, p)
+
+
 # ---- univariate helpers (polynomials in the first variable only) --------
 
 
@@ -479,46 +564,17 @@ def divmod_in_v(f: BivarPoly, g: BivarPoly):
     """Divide ``f`` by ``g`` where ``g`` is monic in the second variable.
 
     Returns ``(quotient, remainder)`` with ``deg_v(remainder) < deg_v(g)``
-    and ``f == quotient*g + remainder`` exactly.  One downward pass over
-    the v-degree rows of ``f`` moves each row above ``deg_v(g)`` into the
-    quotient and subtracts it times ``g - v^deg_v(g)`` in place.
+    and ``f == quotient*g + remainder`` exactly.  The division itself runs
+    on integer forms (:func:`_idivmod_v`).
     """
     f._check_compat(g)
-    dg = g.deg_v()
-    if dg < 0:
+    if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    lead = g.v_coefficient(dg)
-    if lead.terms != {(0, 0): g.field.one}:
+    rows = _v_rows(_to_int(g))
+    if rows is None:
         raise ValueError("divisor is not monic in %s" % g.vars[1])
-    tail = {}  # rows of g - v^dg: {b: [(a, c)]}
-    for (a, b), c in g.terms.items():
-        if b != dg:
-            tail.setdefault(b, []).append((a, c))
-    rows = {}  # rows of the running remainder: {b: {a: c}}
-    for (a, b), c in f.terms.items():
-        rows.setdefault(b, {})[a] = c
-    q = {}
-    for b in range(f.deg_v(), dg - 1, -1):
-        row = rows.pop(b, None)
-        if not row:
-            continue
-        s = b - dg
-        for a, c in row.items():
-            q[(a, s)] = c
-        for gb, gcol in tail.items():
-            target = rows.setdefault(gb + s, {})
-            get = target.get
-            for a, c in row.items():
-                for ga, gc in gcol:
-                    e = a + ga
-                    t = get(e)
-                    t = -c * gc if t is None else t - c * gc
-                    if t:
-                        target[e] = t
-                    else:
-                        del target[e]
-    r = {(a, b): c for b, row in rows.items() for a, c in row.items()}
-    return BivarPoly(f.field, q, f.vars), BivarPoly(f.field, r, f.vars)
+    q, r = _idivmod_v(_to_int(f), rows, f.field.characteristic)
+    return _from_int(f.field, q, f.vars), _from_int(f.field, r, f.vars)
 
 
 def exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:

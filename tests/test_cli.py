@@ -185,6 +185,56 @@ def test_bad_polynomial_exit_64(capsys, tmp_path, cmd, terms):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("e", [["a", 0], [1], [-1, 0], [1.5, 0], [1, 0, 0], 3, [True, 0]],
+                         ids=["letter", "one-entry", "negative", "float", "three-entries",
+                              "not-a-list", "bool"])
+def test_bad_exponent_exit_64(capsys, tmp_path, e):
+    """An exponent that is not a pair of non-negative integers is a usage
+    error: it is neither truncated nor read as a negative power."""
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps({"vars": ["u", "v"], "terms": [{"e": e, "c": "1"}]}))
+    code, out, err = run(capsys, "eval", SPEC_A, str(poly))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "exponent" in err
+
+
+@pytest.mark.parametrize("poly", [5, {"vars": ["u", "v"]}, {"terms": 5}, {"terms": [[0, 1]]}],
+                         ids=["number", "no-terms", "terms-not-a-list", "term-not-an-object"])
+def test_bad_polynomial_shape_exit_64(capsys, tmp_path, poly):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(poly))
+    code, out, err = run(capsys, "eval", SPEC_A, str(path))
+    assert code == 64 and out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", [{"kind": "bogus"}, {"kind": "prime", "p": 6},
+                                   {"kind": "prime", "p": 10.5}, "rationals"],
+                         ids=["unknown-kind", "p-not-prime", "p-float", "not-an-object"])
+def test_bad_field_exit_64(capsys, tmp_path, field):
+    with open(SPEC_A) as fh:
+        spec = dict(json.load(fh), field=field)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "genseq", str(path))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "field" in err
+
+
+def test_delta_breaking_monic_T_exit_64(capsys, tmp_path):
+    """With delta = 1 + y the upstairs T'_2 = y^2 - x^15 (1+y)^3 is not
+    monic in y, so nothing can be expanded in it: ladder and classify
+    report bad input, while dual, which expands nothing, still runs."""
+    delta = {"vars": ["x", "y"], "terms": [{"e": [0, 0], "c": "1"}, {"e": [0, 1], "c": "1"}]}
+    ext = write_ext(tmp_path, 5, SPEC_A, delta=delta)
+    for cmd in ("ladder", "classify"):
+        code, out, err = run(capsys, cmd, ext)
+        assert code == 64 and out == ""
+        assert err.startswith("error:") and "T_2 is not monic in y" in err
+    code, out, _ = run(capsys, "dual", ext)
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_prime_field_spec_with_fraction_lambda(capsys, tmp_path):
     """An F_p spec may write a constant as "a/b"; a denominator that is
     0 mod p is a usage error."""

@@ -9,7 +9,13 @@ intended, regenerate the table by running this file as a script and say
 why in CHANGES.md.
 
 Besides spec-a and spec-b the list uses F101-a, spec-a's pairs over F_101
-with lambdas 3 and 7, so that prime-field arithmetic is covered too.
+with lambdas 3 and 7, so that prime-field arithmetic is covered too.  A
+shorter set of requests (genseq, eval, expand, monoidal, verify and the
+ladders in ``EXTRA_LADDERS``) runs on spec-a's pairs over F_3 (lambdas 2
+and 1) and F_5, and on Qfrac-a: spec-a's pairs over Q with lambdas 3/7
+and -5/2 and delta_1 = 1 + (2/3)u, whose T_2 and T_3 have the common
+denominators 7 and 686.  These rows were recorded before the T-adic
+expansion moved to integer rows.
 """
 
 import contextlib
@@ -32,6 +38,9 @@ VERIFY_ARGS = {"a": ["--samples", "10", "--seed", "5"], "b": [],
 POLY = {"vars": ["u", "v"], "terms": [
     {"e": [0, 2], "c": "1"}, {"e": [3, 0], "c": "-1"},
     {"e": [1, 1], "c": "2"}, {"e": [2, 3], "c": "5"}]}
+
+#: specs that get the shorter set of requests, and their ladder exponents
+EXTRA_LADDERS = {"F3-a": (5,), "F5-a": (7,), "Qfrac-a": ()}
 
 GOLDEN = {
     'genseq a': '9410f26137acc73c70f57a4438ed9111ea5f371e534f99e9879eef754b34dbeb',
@@ -89,6 +98,23 @@ GOLDEN = {
     'ladder F101-a t=7': '223c7544564d231ccf34c72b02ce4e7e3c6fbce8ad6a85de2077493c45763727',
     'classify F101-a t=7': '19307fa52f924e4c763e1322e32a649510a9d8f23a729a77f0698b2ef388eded',
     'dual F101-a t=7': '45f764664482d868cdf25e655985f4b8762aeac961aeff8b6a3cd7ace5832d6c',
+    'genseq F3-a': '6416f6a37192a0734d903b3850a78da5f49a54ff9fdfc2f816d56cee6cedf15c',
+    'eval F3-a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
+    'expand F3-a poly': '0d2abe3822e7c00c122ee8a6da6a8479547a78007c5c5c5993f6b9b31f255980',
+    'monoidal F3-a': '739323131574238c9cc5aa881e1f5f95ee68953242335bebe2d060839206aecd',
+    'verify F3-a --samples 5': 'b98f32dad889b67e276b520da946a7c15b35198922c8d7fac104249a68ac2779',
+    'ladder F3-a t=5': 'f1dff6c2d4bed8e17df2aaa34d2a29ee2c5aaf6c00d30fed39470c578bbf2c82',
+    'genseq F5-a': 'c5ac568ea4a1cd85e0ec33281d1ed22bc043c61e0279b7ea483ccec22b95e0ee',
+    'eval F5-a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
+    'expand F5-a poly': '25d5ff8320315b240fc6e618267927e6d1047bcdccd3d385ec51ffe11a812f7e',
+    'monoidal F5-a': '4e5dfcfd4881a7426c5b6df6d42c0a31d2786d01769e0452bd323a8e5105dcfa',
+    'verify F5-a --samples 5': '6bbdd612a200ecf69c28f201f20b4040886de75871cd17c4b04a5b56dc81f245',
+    'ladder F5-a t=7': 'c61f885e02e03e479724471ad2f13aa6aa7ae3fedb120b98b7d53a7e92558900',
+    'genseq Qfrac-a': '7c223216c6da99527dd9c884c0538cef3a48a130109de887b8c417a144e8dfd9',
+    'eval Qfrac-a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
+    'expand Qfrac-a poly': '1b16c29a8aef7c2addd723a78c54bebd8c06f211b73afa76aaf449260a450209',
+    'monoidal Qfrac-a': '5b91c101253feef59d81379ff808965f5ec08e0f667e6705eb4db211c3a138c6',
+    'verify Qfrac-a --samples 5': '5ee10c7961298c206a103e80c33991b7c282e88bc7e672a086c4bf18a84372b3',
 }
 
 
@@ -97,6 +123,13 @@ def _requests(tmp):
     specs = {"a": json.loads((SPECS / "spec-a.json").read_text()),
              "b": json.loads((SPECS / "spec-b.json").read_text())}
     specs["F101-a"] = dict(specs["a"], field={"kind": "prime", "p": 101}, lambdas=["3", "7"])
+    extra = {
+        "F3-a": dict(specs["a"], field={"kind": "prime", "p": 3}, lambdas=["2", "1"]),
+        "F5-a": dict(specs["a"], field={"kind": "prime", "p": 5}),
+        "Qfrac-a": dict(specs["a"], lambdas=["3/7", "-5/2"], units=[
+            {"vars": ["u", "v"], "terms": [{"e": [0, 0], "c": "1"}, {"e": [1, 0], "c": "2/3"}]},
+            "1"]),
+    }
     poly = tmp / "poly.json"
     poly.write_text(json.dumps(POLY))
     reqs = []
@@ -116,6 +149,18 @@ def _requests(tmp):
             ext.write_text(json.dumps({"t": t, "delta": "1", "spec": spec}))
             for cmd in ("ladder", "classify", "dual"):
                 reqs.append(("%s %s t=%d" % (cmd, name, t), [cmd, ext]))
+    for name, spec in extra.items():
+        path = tmp / ("spec-%s.json" % name)
+        path.write_text(json.dumps(spec))
+        reqs += [("genseq %s" % name, ["genseq", path]),
+                 ("eval %s poly" % name, ["eval", path, poly]),
+                 ("expand %s poly" % name, ["expand", path, poly]),
+                 ("monoidal %s" % name, ["monoidal", path]),
+                 ("verify %s --samples 5" % name, ["verify", path, "--samples", "5"])]
+        for t in EXTRA_LADDERS[name]:
+            ext = tmp / ("ext-%s-%d.json" % (name, t))
+            ext.write_text(json.dumps({"t": t, "delta": "1", "spec": spec}))
+            reqs.append(("ladder %s t=%d" % (name, t), ["ladder", ext]))
     return [(label, [str(a) for a in argv]) for label, argv in reqs]
 
 

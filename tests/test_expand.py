@@ -1,0 +1,102 @@
+"""T-adic expansion on integer rows: standard form, round trip, limits.
+
+``expand`` divides on integer forms, so these tests run it where that
+representation has the most to get wrong: over Q with jumping
+polynomials whose integer forms have denominators above 1, and over
+small prime fields.  Each expansion must be in standard form (every
+interior exponent a_i below q_i) and must give back f through the
+object-path ``TExpansion.resubstitute``.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jumpseq import poly
+from jumpseq.engine import ValuationSpec, build_jumping_sequence, expand
+from jumpseq.errors import ResourceLimitError
+from jumpseq.fields import QQ, prime_field
+from jumpseq.poly import BivarPoly, _to_int
+
+
+def _sequence(fld, pairs, lambdas, delta_1="1"):
+    units = [delta_1] + ["1"] * (len(pairs) - 1)
+    return build_jumping_sequence(ValuationSpec.from_json({
+        "field": fld.to_json(), "pairs": [list(pq) for pq in pairs],
+        "lambdas": list(lambdas), "units": units}))
+
+
+#: delta_1 = 1 + (2/3)u, or 1 + u over a prime field
+def _delta(c):
+    return {"vars": ["u", "v"], "terms": [{"e": [0, 0], "c": "1"}, {"e": [1, 0], "c": c}]}
+
+
+SEQUENCES = {
+    "Q-frac": _sequence(QQ, ((3, 2), (5, 3)), ("3/7", "-5/2"), _delta("2/3")),
+    "F2": _sequence(prime_field(2), ((3, 2), (5, 3)), ("1", "1"), _delta("1")),
+    "F3": _sequence(prime_field(3), ((3, 2), (4, 1), (5, 3)), ("2", "1", "2")),
+    "F5": _sequence(prime_field(5), ((2, 3), (3, 2)), ("2", "3"), _delta("1")),
+    "F101": _sequence(prime_field(101), ((3, 2), (5, 3), (5, 2), (2, 3)), ("3", "7", "5", "2")),
+}
+
+
+def test_fractional_tower_has_denominators():
+    """The Q tower divides by T_2 and T_3 whose integer forms have
+    denominators 7 and 686, so the scaled division path runs."""
+    js = SEQUENCES["Q-frac"]
+    assert [_to_int(t)[1] for t in js.T] == [1, 1, 7, 686]
+
+
+@st.composite
+def cases(draw):
+    """A sequence and f = u^s * (small polynomial) + c * (product of up to
+    three T_j), so that expansions reach every level and cancel terms."""
+    js = draw(st.sampled_from(list(SEQUENCES.values())))
+    fld, M = js.field, js.depth + 1
+    if not fld.characteristic:
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool).map(QQ)
+    else:
+        coeffs = st.integers(1, fld.characteristic - 1)
+    exps = st.tuples(st.integers(0, 7), st.integers(0, 6))
+    s = draw(st.integers(0, 12))
+    f = BivarPoly(fld, {(a + s, b): c for (a, b), c in
+                        draw(st.dictionaries(exps, coeffs, max_size=5)).items()})
+    factors = draw(st.lists(st.integers(0, M), max_size=3))
+    if factors:
+        mono = BivarPoly.const(fld, draw(coeffs))
+        for j in factors:
+            mono = mono * js.T[j]
+        f = f + mono
+    return js, f
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases())
+def test_expansion_is_standard_and_round_trips(case):
+    js, f = case
+    if f.is_zero():
+        return
+    exp = expand(f, js)
+    etype = js.field.element_type
+    for c, e in exp.terms:
+        assert type(c) is etype and c
+        assert len(e) == js.depth + 2
+        assert all(e[i] < js.q(i) for i in range(1, js.depth + 1)), e
+    vectors = [e for _, e in exp.terms]
+    assert vectors == sorted(set(vectors))
+    assert exp.resubstitute() == f
+
+
+@pytest.mark.parametrize("fld, terms", [(QQ, 59), (prime_field(3), 40)], ids=["QQ", "F3"])
+def test_expand_checks_term_limit(spec_a, monkeypatch, fld, terms):
+    """Every quotient and remainder of the expansion is checked against
+    TERM_LIMIT: lowering the limit makes expand raise the usual message,
+    naming the first division result that passes it."""
+    js = build_jumping_sequence(ValuationSpec(fld, spec_a.pairs, tuple(map(fld, (1, 1))),
+                                              tuple(BivarPoly.const(fld, 1) for _ in range(2))))
+    u, v = BivarPoly.gens(fld)
+    f = (u + v + 1) ** 8
+    expand(f, js)
+    monkeypatch.setattr(poly, "TERM_LIMIT", 20)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^polynomial with %d terms exceeds TERM_LIMIT=20$" % terms):
+        expand(f, js)

@@ -177,9 +177,9 @@ def test_ladder_depth_check(spec_a):
 def test_ladder_fails_with_dual_sequences(spec_a, monkeypatch):
     """A dual-sequence table that does not check out fails the ladder even
     when every rung passes."""
-    build = extension.build_dual_sequences
-    monkeypatch.setattr(extension, "build_dual_sequences",
-                        lambda ext, k=None: replace(build(ext, k), ok=False))
+    build = extension._dual_sequences
+    monkeypatch.setattr(extension, "_dual_sequences",
+                        lambda ext, k, down=None: replace(build(ext, k, down), ok=False))
     cert = ladder(mk_ext(spec_a, 5), depth=1)
     assert all(r["pass"] for r in cert.rungs)
     assert cert.outcome == {"kind": "toroidal"} and not cert.ok

@@ -31,7 +31,6 @@ from .blowup import (
     ChunkResult,
     chunk_transform,
     initial_chart,
-    is_admissible,
     monoidal_sequence,
     single_quadratic_transform,
     strict_transform,
@@ -46,8 +45,6 @@ from .extension import (
     classify_toroidal_form,
     discrete_branch_report,
     ladder,
-    prepared_pair_check,
-    prepared_pair_step,
 )
 
 __version__ = "0.1.0"

@@ -38,11 +38,6 @@ from .fields import GroundField
 from .poly import BivarPoly, RatExpr
 
 
-def is_admissible(p: int, q: int) -> bool:
-    """Permissible parameters with value ratio p/q are admissible iff q != 1."""
-    return q != 1
-
-
 @dataclass(frozen=True)
 class Chart:
     """A local chart after ``step_index`` quadratic transforms.
@@ -82,10 +77,9 @@ class Chart:
 
 def initial_chart(field: GroundField, values: Tuple[Fraction, Fraction],
                   forward: Optional[Tuple[BivarPoly, BivarPoly]] = None,
-                  backward: Optional[Tuple[RatExpr, RatExpr]] = None,
-                  cur_vars: Tuple[str, str] = ("x", "y")) -> Chart:
+                  backward: Optional[Tuple[RatExpr, RatExpr]] = None) -> Chart:
     if forward is None:
-        forward = BivarPoly.gens(field, cur_vars)
+        forward = BivarPoly.gens(field, ("x", "y"))
     if backward is None:
         u, v = BivarPoly.gens(field, ("u", "v"))
         backward = (RatExpr.from_poly(u), RatExpr.from_poly(v))
@@ -100,6 +94,27 @@ def _chunk_flags(chunk_pq: Tuple[int, int], pos: int) -> bool:
     p, q = chunk_pq
     ed = euclid_data(p, q)
     return pos <= ed.f[0] or pos == ed.epsilon
+
+
+def _rat_value(r: RatExpr, js: JumpingSequence) -> Fraction:
+    """The value of a backward expression: value(num) - value(den)."""
+    return value(r.num, js) - value(r.den, js)
+
+
+def _after_closing(new_y: RatExpr, vU: Fraction, js: Optional[JumpingSequence]):
+    """The value of the new second parameter ``new_y`` after a chunk
+    closing and the value ratio (p, q) of the next chunk, with vU the
+    value of the first parameter.  Both are None without ``js`` or when
+    the value needs the next defining pair, which at the last certifiable
+    chunk lies beyond the spec depth."""
+    if js is None:
+        return None, None
+    try:
+        vY = _rat_value(new_y, js)
+    except InsufficientDepthError:
+        return None, None
+    r = Fraction(vY) / vU
+    return vY, (r.numerator, r.denominator)
 
 
 def single_quadratic_transform(chart: Chart, js: Optional[JumpingSequence] = None,
@@ -123,22 +138,18 @@ def single_quadratic_transform(chart: Chart, js: Optional[JumpingSequence] = Non
     X, Y = BivarPoly.gens(fld, fu.vars)
     pos = chart.chunk_pos + 1
 
-    if vU < vV:
-        new_forward = (fu.subs(X, X * Y), fv.subs(X, X * Y))
-        new_backward = (bu, bv / bu)
-        new_values = (vU, vV - vU)
-        free = _chunk_flags(chart.chunk_pq, pos)
-        return replace(chart, forward=new_forward, backward=new_backward,
-                       values=new_values, free=free,
-                       step_index=chart.step_index + 1, chunk_pos=pos)
-
-    if vU > vV:
-        new_forward = (fu.subs(X * Y, Y), fv.subs(X * Y, Y))
-        new_backward = (bu / bv, bv)
-        new_values = (vU - vV, vV)
-        free = _chunk_flags(chart.chunk_pq, pos)
-        return replace(chart, forward=new_forward, backward=new_backward,
-                       values=new_values, free=free,
+    if vU != vV:
+        if vU < vV:  # new parameters (U, V/U)
+            sub = (X, X * Y)
+            new_backward = (bu, bv / bu)
+            new_values = (vU, vV - vU)
+        else:  # new parameters (U/V, V)
+            sub = (X * Y, Y)
+            new_backward = (bu / bv, bv)
+            new_values = (vU - vV, vV)
+        return replace(chart, forward=(fu.subs(*sub), fv.subs(*sub)),
+                       backward=new_backward, values=new_values,
+                       free=_chunk_flags(chart.chunk_pq, pos),
                        step_index=chart.step_index + 1, chunk_pos=pos)
 
     # equal values: the chunk closes with a residue translation
@@ -155,18 +166,7 @@ def single_quadratic_transform(chart: Chart, js: Optional[JumpingSequence] = Non
     if pos != eps:
         raise InvalidSpecError("chunk %s closed at step %d, expected epsilon = %d"
                                % (chart.chunk_pq, pos, eps))
-    vY = None
-    if js is not None:
-        # the new second value needs the next defining pair; at the last
-        # certifiable chunk it stays unknown
-        try:
-            vY = value(new_y.num, js) - value(new_y.den, js)
-        except InsufficientDepthError:
-            vY = None
-    new_pq = None
-    if vY is not None:
-        r = Fraction(vY) / vU
-        new_pq = (r.numerator, r.denominator)
+    vY, new_pq = _after_closing(new_y, vU, js)
     return replace(chart, forward=new_forward, backward=new_backward,
                    values=(vU, vY), free=True,
                    step_index=chart.step_index + 1, chunk_pos=0,
@@ -205,17 +205,7 @@ def chunk_transform(p: int, q: int, c, chart: Chart,
     new_forward = (fu.subs(sub_x, sub_y), fv.subs(sub_x, sub_y))
     new_backward = (bu ** a / bv ** b, (bv ** q / bu ** p).sub_scalar(c))
     vU = chart.values[0] / q
-    vY = None
-    if js is not None:
-        ny = new_backward[1]
-        try:
-            vY = value(ny.num, js) - value(ny.den, js)
-        except InsufficientDepthError:
-            vY = None
-    new_pq = None
-    if vY is not None:
-        r = Fraction(vY) / vU
-        new_pq = (r.numerator, r.denominator)
+    vY, new_pq = _after_closing(new_backward[1], vU, js)
     closed = Chart(fld, new_forward, new_backward, (vU, vY), True,
                    chart.step_index + epsilon(p, q), 0, new_pq,
                    chart.residues + (fld(c),))
@@ -245,8 +235,7 @@ def value_in_original(f: BivarPoly, m: int, chart: Chart, js: JumpingSequence) -
     with value(X) taken through the engine from X's backward expression,
     independently of the ``values`` the chart carries.
     """
-    bu = chart.backward[0]
-    return value(f, js) - m * (value(bu.num, js) - value(bu.den, js))
+    return value(f, js) - m * _rat_value(chart.backward[0], js)
 
 
 def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List[dict]:

@@ -309,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="generating-sequence verification battery")
     p.add_argument("spec")
     p.add_argument("--gamma-max", type=_fraction, default="5")
-    p.add_argument("--deg-bound", type=int, default=8)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--deg-bound", type=_nonnegative_int, default=8)
+    p.add_argument("--samples", type=_nonnegative_int, default=0)
     common(p)
     p.set_defaults(func=cmd_verify)
 

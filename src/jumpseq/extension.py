@@ -1,6 +1,10 @@
 """The extension side: dual jumping sequences under u = x^t * delta, v = y,
 chunk descent, the stable-form ladder and the toroidal classifier.
 
+The ladder is the certificate of the stable form: rung by rung it checks
+u_i = x_i^t * delta_i along the R- and S-chains, pulling the R-side
+parameters into the S-chart with one numerator/denominator pull-back.
+
 Everything here treats the stable monomial form as an *input assumption*:
 when the gcd conditions it implies fail, the contradiction witness is
 emitted as a certificate, with no attempt to re-derive the stable form
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .blowup import (
     Chart,
@@ -22,14 +26,14 @@ from .blowup import (
     value_in_original,
 )
 from .engine import (
-    IndependentData,
     JumpingSequence,
     ValuationSpec,
+    _json_int,
     build_jumping_sequence,
     extract_independent,
     residue,
 )
-from .errors import DivisibilityError, InvalidSpecError, ResourceLimitError
+from .errors import DivisibilityError, InvalidSpecError
 from .euclid import bezout, epsilon
 from .fields import GroundField
 from .poly import BivarPoly, RatExpr, exact_divide
@@ -69,9 +73,13 @@ class MonomialExtension:
 
     @classmethod
     def from_json(cls, obj) -> "MonomialExtension":
+        """An extension from input data; a top level that is not an object
+        or a ``t`` that is not a JSON integer raises :class:`InvalidSpecError`."""
+        if not isinstance(obj, dict):
+            raise InvalidSpecError("extension %r is not an object" % (obj,))
         spec = ValuationSpec.from_json(obj["spec"])
         delta = BivarPoly.from_json(spec.field, obj.get("delta", "1"), vars=("x", "y"))
-        return cls(int(obj["t"]), delta, spec)
+        return cls(_json_int(obj["t"], "extension exponent t"), delta, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +114,23 @@ def first_gcd_failure(t: int, pairs, upto: Optional[int] = None) -> Optional[int
     return None
 
 
-def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> DualSequences:
+def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None,
+                         down: Optional[JumpingSequence] = None) -> DualSequences:
     """Build the upstairs jumping sequence and verify it against the
-    downstairs one term by term.
+    downstairs one term by term, up to depth ``k`` (0 to the spec depth;
+    default the spec depth).
 
     Requires trivial downstairs units.  When gcd(t, Q_k) != 1 the result
     carries the first failing index instead of an upstairs sequence.
+    ``down`` is the downstairs sequence when the caller has built it.
     """
-    return _dual_sequences(ext, k)
-
-
-def _dual_sequences(ext: MonomialExtension, k: Optional[int],
-                    down: Optional[JumpingSequence] = None) -> DualSequences:
-    """:func:`build_dual_sequences`, reusing the downstairs sequence
-    ``down`` when the caller has built it."""
     spec = ext.base_spec
     fld = ext.field
     if k is None:
         k = spec.depth
-    if k > spec.depth:
-        raise InvalidSpecError("requested depth %d exceeds spec depth %d" % (k, spec.depth))
+    if not 0 <= k <= spec.depth:
+        raise InvalidSpecError("requested depth %d: the spec provides depths 0 to %d"
+                               % (k, spec.depth))
     one = BivarPoly.const(fld, 1, ("u", "v"))
     if any(u != one for u in spec.units):
         raise InvalidSpecError("dual sequences require trivial downstairs units")
@@ -207,57 +212,24 @@ def chunk_descend(t: int, p_prime: int, q_prime: int, characteristic: int,
 
 
 # ---------------------------------------------------------------------------
-# prepared pairs
+# rung certificates
 # ---------------------------------------------------------------------------
 
 
-def prepared_pair_check(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> dict:
-    """The computable prepared-pair conditions for a pair of charts.
-
-    Checks freeness flags, positivity of the parameter values
-    (domination), and the monomial relation between the exceptional
-    parameters with a certified unit.  The critical-locus condition has
-    no computational carrier and is recorded as assumed.
-    """
-    diagnostics = []
-    ok = True
-    if not chart_R.free or not chart_S.free:
-        ok = False
-        diagnostics.append("a chart in the pair is not free")
-    for ch in (chart_R, chart_S):
-        for v in ch.values:
-            if v is not None and v <= 0:
-                ok = False
-                diagnostics.append("nonpositive parameter value %s" % v)
-    unit = _stable_unit(ext, chart_R, chart_S)
-    if unit is None or not unit.is_local_unit():
-        ok = False
-        diagnostics.append("delta not a unit")
-    return {
-        "prepared": ok,
-        "critical_locus": "assumed",
-        "diagnostics": diagnostics,
-        "delta_constant": ext.field.render(unit.constant_term()) if unit is not None else None,
-    }
-
-
-def _to_upstairs(ext: MonomialExtension, r: RatExpr) -> RatExpr:
-    """Substitute u = x^t*delta, v = y into a rational expression in (u, v)."""
-    sx, sy = ext.substitution()
-    return RatExpr(r.num.subs(sx, sy), r.den.subs(sx, sy))
-
-
-def _in_chart(r: RatExpr, chart: Chart) -> RatExpr:
-    """Pull a rational expression in the chart's original parameters back
-    to the chart coordinates."""
-    return RatExpr(r.num.subs(*chart.forward), r.den.subs(*chart.forward))
+def _pull_back(r: RatExpr, sub: Tuple[BivarPoly, BivarPoly]) -> RatExpr:
+    """Substitute the pair ``sub`` for the variables of the numerator and
+    the denominator of ``r``: with ``ext.substitution()`` this takes a
+    (u, v) expression upstairs, with ``chart.forward`` it pulls an
+    expression in the chart's original parameters back to the chart."""
+    return RatExpr(r.num.subs(*sub), r.den.subs(*sub))
 
 
 def _stable_unit(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> Optional[BivarPoly]:
     """The unit Delta with u_i = x_i^t * Delta, as a polynomial in the
-    S-chart coordinates; None when the exact division fails."""
-    u_i = _to_upstairs(ext, chart_R.backward[0])
-    quot = _in_chart(u_i / chart_S.backward[0] ** ext.t, chart_S)
+    S-chart coordinates; None when the exact division fails.  Any other
+    fault of the kernel, such as :class:`ResourceLimitError`, propagates."""
+    u_i = _pull_back(chart_R.backward[0], ext.substitution())
+    quot = _pull_back(u_i / chart_S.backward[0] ** ext.t, chart_S.forward)
     try:
         return exact_divide(quot.num, quot.den)
     except DivisibilityError:
@@ -274,7 +246,7 @@ def _second_param_certificate(ext: MonomialExtension, chart_R: Chart, chart_S: C
     has order exactly 1 in the second coordinate.
     """
     # RatExpr strips the common exceptional monomial
-    W = _in_chart(_to_upstairs(ext, chart_R.backward[1]), chart_S)
+    W = _pull_back(_pull_back(chart_R.backward[1], ext.substitution()), chart_S.forward)
     num, den = W.num, W.den
     den_unit = den.is_local_unit()
     vanishes = num.constant_term() == ext.field.zero
@@ -286,56 +258,6 @@ def _second_param_certificate(ext: MonomialExtension, chart_R: Chart, chart_S: C
         "exceptional_order_one": order_one,
         "pass": den_unit and vanishes and order_one,
     }
-
-
-def prepared_pair_step(ext: MonomialExtension, chart_R: Chart, chart_S: Chart,
-                       f_n: BivarPoly, js_up: JumpingSequence,
-                       js_down: JumpingSequence, ceiling: int = 64) -> dict:
-    """One step of the prepared-pair resolution.
-
-    Advances the S-chain until it is free and the strict transform of
-    f_n is empty (a local unit), then advances the R-chain to the
-    maximal ring the new S-ring dominates.  Both searches are bounded by
-    ``ceiling`` quadratic transforms.
-    """
-    if f_n.is_local_unit():
-        raise ValueError("f_n is already a unit; the pair needs no step")
-    steps = 0
-    while True:
-        chart_S = single_quadratic_transform(chart_S, js=js_up)
-        steps += 1
-        if steps > ceiling:
-            raise ResourceLimitError("S-side search exceeded %d transforms" % ceiling)
-        g, _ = strict_transform(f_n, chart_S)
-        if chart_S.free and g.is_local_unit():
-            break
-    s_next = chart_S.step_index
-    # maximal r with the new S-ring dominating R_r
-    best = chart_R
-    steps = 0
-    while True:
-        nxt = single_quadratic_transform(chart_R, js=js_down)
-        steps += 1
-        if steps > ceiling:
-            raise ResourceLimitError("R-side search exceeded %d transforms" % ceiling)
-        if not _dominates(ext, nxt, chart_S):
-            break
-        chart_R = nxt
-        best = nxt
-    return {"s_next": s_next, "r_next": best.step_index,
-            "chart_R": best, "chart_S": chart_S}
-
-
-def _dominates(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> bool:
-    """True when the S-chart local ring contains the R-chart parameters
-    with positive values (bounded computable domination test)."""
-    for r in chart_R.backward:
-        rr = _in_chart(_to_upstairs(ext, r), chart_S)
-        if not rr.den.is_local_unit():
-            return False
-        if rr.num.constant_term() != ext.field.zero:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +284,15 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
     p'_{i+1}/q'_{i+1}.  The certificate is ok when every rung passes and
     the dual sequences check out.  On the first index M with
     gcd(t, q_M) != 1 the walk stops with the contradiction witness (M, l, g).
+    ``depth`` (1 to the spec depth; default the spec depth) is the number
+    of rungs.
     """
     spec = ext.base_spec
     if depth is None:
         depth = spec.depth
-    if depth > spec.depth:
-        raise InvalidSpecError("ladder depth %d exceeds spec depth %d" % (depth, spec.depth))
+    if not 1 <= depth <= spec.depth:
+        raise InvalidSpecError("ladder depth %d: the spec provides depths 1 to %d"
+                               % (depth, spec.depth))
     t = ext.t
     down = build_jumping_sequence(spec)
     ind = extract_independent(down)
@@ -384,7 +309,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                    "pbar_prime": pbar_prime}
         return LadderCertificate((), outcome, False)
 
-    duals = _dual_sequences(ext, depth, down)
+    duals = build_dual_sequences(ext, depth, down)
     up = duals.up
 
     fld = ext.field
@@ -419,16 +344,13 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                 chart_S = single_quadratic_transform(chart_S, js=up)
         rec = {"i": i, "t": t,
                "step_R": chart_R.step_index, "step_S": chart_S.step_index}
+        unit = ext.delta if i == 0 else _stable_unit(ext, chart_R, chart_S)
+        rec["delta_unit"] = unit is not None and unit.is_local_unit()
+        rec["delta_constant"] = fld.render(unit.constant_term()) if unit is not None else None
         if i == 0:
-            delta_i = ext.delta
-            rec["delta_constant"] = fld.render(delta_i.constant_term())
-            rec["delta_unit"] = delta_i.is_local_unit()
             rec["second_param"] = {"pass": True}
             rec["residue_match"] = True
         else:
-            unit = _stable_unit(ext, chart_R, chart_S)
-            rec["delta_unit"] = unit is not None and unit.is_local_unit()
-            rec["delta_constant"] = fld.render(unit.constant_term()) if unit is not None else None
             rec["second_param"] = _second_param_certificate(ext, chart_R, chart_S)
             # goodchunk residue compatibility: t~ = 1, so c_i = c'_i; both
             # residues are taken on the admissible parameters entering the

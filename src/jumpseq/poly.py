@@ -32,14 +32,16 @@ Ring operations and :func:`divmod_in_v` refuse operands over different
 fields or in different variables (``ValueError``); :meth:`BivarPoly.subs`
 maps the variables of a polynomial onto those of its arguments.
 
-The two division routines carry the load for the rest of the library:
+The two public division routines:
 
 * :func:`divmod_in_v` divides by a polynomial that is monic in the second
-  variable, which is how standard-form expansions are peeled off;
+  variable, the division that standard-form expansions peel off (they
+  call its integer core directly);
 * :func:`exact_divide` performs a division that the caller claims is
   exact, and raises :class:`DivisibilityError` with the offending
-  remainder otherwise.  Strict transforms and unit extraction are built
-  on it, so failure here always means a broken invariant upstream.
+  remainder otherwise.  The ladder extracts its stable unit with it and
+  reads that error as "no unit"; strict transforms only strip a monomial
+  and do not divide.
 """
 
 from __future__ import annotations
@@ -128,11 +130,6 @@ class BivarPoly:
         if not self.terms:
             return -1
         return max(a for a, _ in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(a + b for a, b in self.terms)
 
     def v_coefficient(self, b: int) -> "BivarPoly":
         """The coefficient of v^b, as a polynomial in the first variable."""
@@ -326,6 +323,8 @@ class BivarPoly:
             if not (isinstance(e, (list, tuple)) and len(e) == 2
                     and all(type(x) is int and x >= 0 for x in e)):
                 raise InvalidSpecError("exponent %r is not a pair of non-negative integers" % (e,))
+            if tuple(e) in terms:
+                raise InvalidSpecError("exponent %r appears in two terms" % (e,))
             terms[tuple(e)] = field.parse(t["c"])
         return cls(field, terms, vnames)
 
@@ -550,13 +549,6 @@ def _u_divmod(f: BivarPoly, g: BivarPoly):
     )
 
 
-def _u_exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:
-    q, r = _u_divmod(f, g)
-    if not r.is_zero():
-        raise DivisibilityError("inexact division in k[u]", remainder=r)
-    return q
-
-
 # ---- public division routines ------------------------------------------
 
 
@@ -585,17 +577,6 @@ def exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:
     if f.is_zero():
         return BivarPoly.zero(field, f.vars)
     dg = g.deg_v()
-    if dg == 0:
-        # coefficient-wise division by a polynomial in u alone
-        out = {}
-        by_b = {}
-        for (a, b), c in f.terms.items():
-            by_b.setdefault(b, {})[(a, 0)] = c
-        for b, coeffs in by_b.items():
-            qb = _u_exact_divide(BivarPoly(field, coeffs, f.vars), g)
-            for (a, _), c in qb.terms.items():
-                out[(a, b)] = c
-        return BivarPoly(field, out, f.vars)
     lead_g = g.v_coefficient(dg)
     q = BivarPoly.zero(field, f.vars)
     r = f
@@ -603,10 +584,8 @@ def exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:
         dr = r.deg_v()
         if dr < dg:
             raise DivisibilityError("inexact bivariate division", remainder=r)
-        lead_r = r.v_coefficient(dr)
-        try:
-            qc = _u_exact_divide(lead_r, lead_g)
-        except DivisibilityError:
+        qc, rc = _u_divmod(r.v_coefficient(dr), lead_g)
+        if not rc.is_zero():
             raise DivisibilityError("inexact bivariate division", remainder=r)
         shift = BivarPoly(field, {(a, dr - dg): c for (a, _), c in qc.terms.items()}, f.vars)
         q = q + shift
@@ -637,9 +616,6 @@ class RatExpr:
 
     def __add__(self, other: "RatExpr") -> "RatExpr":
         return RatExpr(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatExpr") -> "RatExpr":
-        return RatExpr(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other: "RatExpr") -> "RatExpr":
         return RatExpr(self.num * other.num, self.den * other.den)

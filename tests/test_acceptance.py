@@ -24,7 +24,7 @@ from jumpseq.extension import MonomialExtension, build_dual_sequences, \
 from jumpseq.fields import QQ
 from jumpseq.poly import BivarPoly
 
-from conftest import charts_inverse, make_spec, random_bivar
+from conftest import charts_inverse, make_spec, random_poly
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -107,7 +107,7 @@ def test_criterion_2_expansion_oracle(battery):
         rng = random.Random(sum(map(ord, name)))
         polys = []
         for _ in range(200):
-            f = random_bivar(rng, spec.field, max_deg=12, max_terms=4)
+            f = random_poly(rng, spec.field, max_deg=12, max_terms=4)
             if f.is_zero():
                 continue
             exp = expand(f, js)
@@ -129,7 +129,7 @@ def test_criterion_2_expansion_oracle(battery):
 def test_criterion_2_pure_terms_distinct(js_a):
     rng = random.Random(7)
     for _ in range(50):
-        f = random_bivar(rng, QQ, max_deg=12, max_terms=4)
+        f = random_poly(rng, QQ, max_deg=12, max_terms=4)
         if f.is_zero():
             continue
         exp = expand(f, js_a)

@@ -6,7 +6,6 @@ import pytest
 from jumpseq.blowup import (
     chunk_transform,
     initial_chart,
-    is_admissible,
     monoidal_sequence,
     single_quadratic_transform,
     strict_transform,
@@ -20,11 +19,6 @@ from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import BivarPoly, RatExpr, eval_rat
 
 from conftest import charts_inverse, load_spec, make_spec
-
-
-def test_admissibility():
-    assert is_admissible(3, 2)
-    assert not is_admissible(5, 1)
 
 
 def test_initial_chart():

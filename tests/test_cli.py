@@ -274,3 +274,80 @@ def test_optimized_interpreter_same_stdout(capsys, tmp_path):
         proc = subprocess.run([sys.executable, "-O", "-m", "jumpseq.cli", *argv],
                               capture_output=True, env=env, timeout=300)
         assert (proc.returncode, proc.stdout) == (code, out.encode()), argv
+
+
+def _spec_a():
+    with open(SPEC_A) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("ext", [
+    {"t": "abc", "spec": _spec_a()},
+    {"t": 5.9, "spec": _spec_a()},
+    {"t": True, "spec": _spec_a()},
+    {"t": "5", "spec": _spec_a()},
+    {"t": 5, "spec": dict(_spec_a(), pairs=[[3, "x"], [5, 3]])},
+    {"t": 5, "spec": dict(_spec_a(), pairs=[[3, 2, 1], [5, 3]])},
+    {"t": 5, "spec": dict(_spec_a(), pairs=[[3.5, 2], [5, 3]])},
+    {"t": 5, "spec": dict(_spec_a(), pairs=[[True, 2], [5, 3]])},
+    {"t": 5, "spec": dict(_spec_a(), pairs=7)},
+    [5, _spec_a()],
+    {"t": 5, "spec": [3, 2]},
+], ids=["t-letters", "t-float", "t-bool", "t-string", "pair-letter", "pair-three-entries",
+        "pair-float", "pair-bool", "pairs-not-a-list", "ext-not-an-object",
+        "spec-not-an-object"])
+def test_bad_extension_integers_exit_64(capsys, tmp_path, ext):
+    """t and the pair entries must be JSON integers: nothing is truncated,
+    a bool is not read as 0 or 1, and a malformed value or a top level
+    that is not an object is a usage error, not a traceback."""
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(ext))
+    for cmd in ("ladder", "dual", "classify"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 64 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [[3, 2], "spec", dict(_spec_a(), pairs=[[3, 2.0], [5, 3]])],
+                         ids=["list", "string", "pair-float"])
+def test_bad_spec_top_level_exit_64(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "genseq", str(path))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd,depth", [("ladder", "0"), ("ladder", "-1"), ("ladder", "3"),
+                                       ("dual", "-1"), ("dual", "3")])
+def test_bad_depth_exit_64(capsys, tmp_path, cmd, depth):
+    """--depth outside 1..N (ladder) or 0..N (dual) is a usage error that
+    names the range, not an IndexError or a mismatched-length message."""
+    code, out, err = run(capsys, cmd, write_ext(tmp_path, 5, SPEC_A), "--depth", depth)
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "depth %s" % depth in err
+    assert "equal length" not in err
+
+
+def test_dual_depth_zero_runs(capsys, tmp_path):
+    code, out, _ = run(capsys, "dual", write_ext(tmp_path, 5, SPEC_A), "--depth", "0")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("flag", ["--deg-bound", "--samples"])
+def test_verify_negative_count_exit_64(capsys, flag):
+    code, out, err = run(capsys, "verify", SPEC_A, flag, "-1")
+    assert code == 64 and out == ""
+    assert "error:" in err and flag in err
+
+
+def test_duplicate_exponent_exit_64(capsys, tmp_path):
+    """2v^2 - u^3 written with v^2 split over two terms is refused rather
+    than read as the last term alone (v^2 - u^3)."""
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps({"vars": ["u", "v"], "terms": [
+        {"e": [0, 2], "c": "1"}, {"e": [0, 2], "c": "1"}, {"e": [3, 0], "c": "-1"}]}))
+    for cmd in ("eval", "expand"):
+        code, out, err = run(capsys, cmd, SPEC_A, str(poly))
+        assert code == 64 and out == ""
+        assert err.startswith("error:") and "[0, 2]" in err

@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from jumpseq import extension
-from jumpseq.blowup import initial_chart
-from jumpseq.engine import build_jumping_sequence
 from jumpseq.errors import DivisibilityError, InvalidSpecError, ResourceLimitError
 from jumpseq.extension import (
     MonomialExtension,
@@ -15,11 +13,9 @@ from jumpseq.extension import (
     discrete_branch_report,
     first_gcd_failure,
     ladder,
-    prepared_pair_check,
-    prepared_pair_step,
 )
 from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly, RatExpr
+from jumpseq.poly import BivarPoly
 
 from conftest import make_spec
 
@@ -177,47 +173,18 @@ def test_ladder_depth_check(spec_a):
 def test_ladder_fails_with_dual_sequences(spec_a, monkeypatch):
     """A dual-sequence table that does not check out fails the ladder even
     when every rung passes."""
-    build = extension._dual_sequences
-    monkeypatch.setattr(extension, "_dual_sequences",
-                        lambda ext, k, down=None: replace(build(ext, k, down), ok=False))
+    build = extension.build_dual_sequences
+    monkeypatch.setattr(extension, "build_dual_sequences",
+                        lambda ext, k=None, down=None: replace(build(ext, k, down), ok=False))
     cert = ladder(mk_ext(spec_a, 5), depth=1)
     assert all(r["pass"] for r in cert.rungs)
     assert cert.outcome == {"kind": "toroidal"} and not cert.ok
 
 
-# ---------------------------------------------------------------------------
-# prepared pairs
-# ---------------------------------------------------------------------------
-
-
-def _initial_charts(ext, duals):
-    fld = ext.field
-    down, up = duals.down, duals.up
-    chart_R = initial_chart(fld, (Fraction(1), down.beta[1]),
-                            forward=BivarPoly.gens(fld, ("U", "V")))
-    x, y = XY(fld)
-    chart_S = initial_chart(fld, (Fraction(1), up.beta[1]),
-                            forward=BivarPoly.gens(fld, ("X", "Y")),
-                            backward=(RatExpr.from_poly(x), RatExpr.from_poly(y)))
-    return chart_R, chart_S
-
-
-def test_prepared_pair_initial(spec_a):
+def test_ladder_only_divisibility_means_no_unit(spec_a, monkeypatch):
+    """An inexact division of the stable unit fails the rung with no unit;
+    any other fault in the kernel propagates."""
     ext = mk_ext(spec_a, 5, one_plus_x())
-    duals = build_dual_sequences(ext)
-    chR, chS = _initial_charts(ext, duals)
-    out = prepared_pair_check(ext, chR, chS)
-    assert out["prepared"]
-    assert out["critical_locus"] == "assumed"
-    assert out["delta_constant"] == "1"
-
-
-def test_prepared_pair_only_divisibility_means_no_unit(spec_a, monkeypatch):
-    """An inexact division reports "delta not a unit"; any other fault
-    in the kernel propagates."""
-    ext = mk_ext(spec_a, 5, one_plus_x())
-    duals = build_dual_sequences(ext)
-    chR, chS = _initial_charts(ext, duals)
 
     def raising(exc):
         def exact_divide(f, g):
@@ -225,33 +192,14 @@ def test_prepared_pair_only_divisibility_means_no_unit(spec_a, monkeypatch):
         return exact_divide
 
     monkeypatch.setattr(extension, "exact_divide", raising(DivisibilityError("inexact")))
-    out = prepared_pair_check(ext, chR, chS)
-    assert not out["prepared"] and "delta not a unit" in out["diagnostics"]
+    cert = ladder(ext)
+    assert not cert.ok and cert.outcome == {"kind": "toroidal"}
+    rung = cert.rungs[1]
+    assert rung["delta_unit"] is False and rung["delta_constant"] is None
+    assert not rung["pass"]
     monkeypatch.setattr(extension, "exact_divide", raising(ResourceLimitError("too big")))
     with pytest.raises(ResourceLimitError):
-        prepared_pair_check(ext, chR, chS)
-
-
-def test_prepared_pair_step_y(spec_a):
-    """Resolving f = y advances the S chain to the first chunk boundary."""
-    ext = mk_ext(spec_a, 5, one_plus_x())
-    duals = build_dual_sequences(ext)
-    chR, chS = _initial_charts(ext, duals)
-    _, y = XY()
-    out = prepared_pair_step(ext, chR, chS, y, duals.up, duals.down)
-    from jumpseq.euclid import euclid_data
-    assert out["s_next"] == euclid_data(15, 2).epsilon
-    assert out["r_next"] == euclid_data(3, 2).epsilon
-    assert out["chart_S"].free
-
-
-def test_prepared_pair_step_ceiling(spec_a):
-    ext = mk_ext(spec_a, 5, one_plus_x())
-    duals = build_dual_sequences(ext)
-    chR, chS = _initial_charts(ext, duals)
-    _, y = XY()
-    with pytest.raises(ResourceLimitError):
-        prepared_pair_step(ext, chR, chS, y, duals.up, duals.down, ceiling=2)
+        ladder(ext)
 
 
 # ---------------------------------------------------------------------------

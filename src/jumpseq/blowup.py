@@ -101,14 +101,12 @@ def _rat_value(r: RatExpr, js: JumpingSequence) -> Fraction:
     return value(r.num, js) - value(r.den, js)
 
 
-def _after_closing(new_y: RatExpr, vU: Fraction, js: Optional[JumpingSequence]):
+def _after_closing(new_y: RatExpr, vU: Fraction, js: JumpingSequence):
     """The value of the new second parameter ``new_y`` after a chunk
     closing and the value ratio (p, q) of the next chunk, with vU the
-    value of the first parameter.  Both are None without ``js`` or when
-    the value needs the next defining pair, which at the last certifiable
-    chunk lies beyond the spec depth."""
-    if js is None:
-        return None, None
+    value of the first parameter.  Both are None when the value needs the
+    next defining pair, which at the last certifiable chunk lies beyond
+    the spec depth."""
     try:
         vY = _rat_value(new_y, js)
     except InsufficientDepthError:
@@ -117,15 +115,14 @@ def _after_closing(new_y: RatExpr, vU: Fraction, js: Optional[JumpingSequence]):
     return vY, (r.numerator, r.denominator)
 
 
-def single_quadratic_transform(chart: Chart, js: Optional[JumpingSequence] = None,
-                               c=None) -> Chart:
+def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
     """One quadratic transform along the valuation.
 
-    The residue constant at a chunk-closing (equal values) step is taken
-    from ``c`` if supplied, otherwise computed through the engine; the
-    engine is also used to re-derive the new second value at closings.
+    At a chunk-closing (equal values) step the residue constant and the
+    new second value are computed through the engine from ``js``.
     Raises :class:`InsufficientDepthError` when the second value is
-    unknown, i.e. after the last chunk the spec certifies.
+    unknown, i.e. after the last chunk the spec certifies, and
+    :class:`InvalidSpecError` when the values meet before epsilon steps.
     """
     vU, vV = chart.values
     if vV is None:
@@ -153,19 +150,16 @@ def single_quadratic_transform(chart: Chart, js: Optional[JumpingSequence] = Non
                        step_index=chart.step_index + 1, chunk_pos=pos)
 
     # equal values: the chunk closes with a residue translation
-    ratio = bv / bu
-    if c is None:
-        if js is None:
-            raise ValueError("closing a chunk requires either c or a jumping sequence")
-        c = residue(ratio.num, ratio.den, js)
-    new_y = ratio.sub_scalar(c)
-    shift = BivarPoly(fld, {(0, 0): fld(c), (0, 1): fld.one}, X.vars)  # Y + c
-    new_forward = (fu.subs(X, X * shift), fv.subs(X, X * shift))
-    new_backward = (bu, new_y)
     eps = epsilon(*chart.chunk_pq)
     if pos != eps:
         raise InvalidSpecError("chunk %s closed at step %d, expected epsilon = %d"
                                % (chart.chunk_pq, pos, eps))
+    ratio = bv / bu
+    c = residue(ratio.num, ratio.den, js)
+    new_y = ratio.sub_scalar(c)
+    shift = BivarPoly(fld, {(0, 0): fld(c), (0, 1): fld.one}, X.vars)  # Y + c
+    new_forward = (fu.subs(X, X * shift), fv.subs(X, X * shift))
+    new_backward = (bu, new_y)
     vY, new_pq = _after_closing(new_y, vU, js)
     return replace(chart, forward=new_forward, backward=new_backward,
                    values=(vU, vY), free=True,
@@ -181,8 +175,7 @@ class ChunkResult:
     c: object
 
 
-def chunk_transform(p: int, q: int, c, chart: Chart,
-                    js: Optional[JumpingSequence] = None) -> ChunkResult:
+def chunk_transform(p: int, q: int, c, chart: Chart, js: JumpingSequence) -> ChunkResult:
     """The closed-form chart after one full Euclidean chunk.
 
     From permissible parameters (x, y) with value ratio p/q the chunk

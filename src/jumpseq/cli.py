@@ -2,16 +2,19 @@
 
 Every command reads JSON inputs, runs the corresponding library
 operation and writes a deterministic JSON report (sorted keys, explicit
-seed).  Exit codes: 0 success, 2 ladder contradiction, 3 insufficient
-depth, 64 usage/parse errors.
+seed), encoded in one ``json.dumps`` pass: ``Fraction`` and ``Fp`` as
+strings, a library object as its ``to_json()``, and anything else
+raises ``TypeError``; ``--format text`` renders the decoded JSON.  Exit
+codes: 0 success, 2 ladder contradiction, 3 insufficient depth, 64
+usage/parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .blowup import initial_chart, monoidal_sequence, single_quadratic_transform
@@ -46,32 +49,21 @@ class UsageError(JumpseqError):
     """A request that names data the command cannot work on (exit 64)."""
 
 
-def _jsonable(obj):
-    """Recursively convert library objects into plain JSON data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
+def _json_default(obj):
+    """Encode what ``json`` cannot: a field element as its string, a
+    library object as its ``to_json()``; anything else raises TypeError."""
+    if isinstance(obj, (Fraction, Fp)):
         return str(obj)
-    if isinstance(obj, Fp):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
     if hasattr(obj, "to_json"):
-        return _jsonable(obj.to_json())
-    if is_dataclass(obj):
-        return {k: _jsonable(v) for k, v in vars(obj).items()}
-    return str(obj)
+        return obj.to_json()
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def _emit(report, args) -> None:
-    data = _jsonable(report)
-    if getattr(args, "format", "json") == "text":
-        out = _render_text(data)
-    else:
-        out = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
+    out = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    if args.format == "text":
+        out = _render_text(json.loads(out))
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
     else:
@@ -246,6 +238,7 @@ def _fraction(s: str) -> Fraction:
         raise argparse.ArgumentTypeError("%r is not a rational number" % s) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumpseq",
@@ -323,9 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:

@@ -108,8 +108,10 @@ class ValuationSpec:
 
     @classmethod
     def from_json(cls, obj) -> "ValuationSpec":
-        """A spec from input data.  A top level that is not an object and
-        a pair that is not two JSON integers raise :class:`InvalidSpecError`."""
+        """A spec from input data.  A top level that is not an object, a
+        pair that is not two JSON integers, ``lambdas`` or ``units`` that
+        are not lists, and a lambda that is not a field literal raise
+        :class:`InvalidSpecError`."""
         if not isinstance(obj, dict):
             raise InvalidSpecError("spec %r is not an object" % (obj,))
         fld = GroundField.from_json(obj["field"])
@@ -119,10 +121,12 @@ class ValuationSpec:
                 and all(isinstance(pq, seq) and len(pq) == 2 for pq in rows)):
             raise InvalidSpecError("pairs %r is not a list of [p, q] pairs" % (rows,))
         pairs = tuple((_json_int(p, "pair entry"), _json_int(q, "pair entry")) for p, q in rows)
-        lambdas = tuple(fld.parse(str(l)) for l in obj["lambdas"])
-        units = tuple(
-            BivarPoly.from_json(fld, u, vars=("u", "v")) for u in obj.get("units", ["1"] * len(pairs))
-        )
+        lambdas, units = obj["lambdas"], obj.get("units", ["1"] * len(pairs))
+        for key, entries in (("lambdas", lambdas), ("units", units)):
+            if not isinstance(entries, seq):
+                raise InvalidSpecError("%s %r is not a list" % (key, entries))
+        lambdas = tuple(fld.parse(l) for l in lambdas)
+        units = tuple(BivarPoly.from_json(fld, u, vars=("u", "v")) for u in units)
         return cls(fld, pairs, lambdas, units, obj.get("mode", "nondiscrete"))
 
 

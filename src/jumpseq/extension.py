@@ -226,12 +226,16 @@ def _pull_back(r: RatExpr, sub: Tuple[BivarPoly, BivarPoly]) -> RatExpr:
 
 def _stable_unit(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> Optional[BivarPoly]:
     """The unit Delta with u_i = x_i^t * Delta, as a polynomial in the
-    S-chart coordinates; None when the exact division fails.  Any other
-    fault of the kernel, such as :class:`ResourceLimitError`, propagates."""
-    u_i = _pull_back(chart_R.backward[0], ext.substitution())
-    quot = _pull_back(u_i / chart_S.backward[0] ** ext.t, chart_S.forward)
+    S-chart coordinates (X, Y); None when the exact division fails.
+
+    x_i is the S-chart's first backward parameter, and the forward map
+    inverts the backward one, so x_i pulls back to the coordinate X and
+    Delta = u_i(forward) / X^t.  Any other fault of the kernel, such as
+    :class:`ResourceLimitError`, propagates."""
+    u_i = _pull_back(_pull_back(chart_R.backward[0], ext.substitution()), chart_S.forward)
+    x_t = BivarPoly.monomial(ext.field, ext.t, 0, 1, u_i.den.vars)
     try:
-        return exact_divide(quot.num, quot.den)
+        return exact_divide(u_i.num, u_i.den * x_t)
     except DivisibilityError:
         return None
 

@@ -199,8 +199,10 @@ class GroundField:
 
     def parse(self, s: str):
         """A field element from input data; a literal that is not an
-        integer or fraction (``"abc"``, ``1.5``), or has a zero denominator,
-        raises :class:`InvalidSpecError`."""
+        integer or fraction (``"abc"``, ``1.5``, ``true``), or has a zero
+        denominator, raises :class:`InvalidSpecError`."""
+        if isinstance(s, bool):
+            raise InvalidSpecError("cannot read %r as a field element" % (s,))
         try:
             return self(s)
         except (ValueError, ZeroDivisionError, TypeError) as e:

@@ -1,12 +1,16 @@
 """The battery script's checks are explicit code: under ``python -O`` a
-wrong result still stops the run instead of being counted as passed."""
+wrong result still stops the run instead of being counted as passed.
+Its ``--out`` report is plain JSON."""
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+import run_battery
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -56,3 +60,19 @@ def test_battery_check_survives_optimized_interpreter(name):
                           env=env, timeout=300)
     assert proc.returncode != 0
     assert "AssertionError: " + message in proc.stderr, proc.stderr
+
+
+def test_battery_out_writes_json_report(tmp_path):
+    """``--out`` writes the report with field data as strings and the
+    timings as JSON numbers."""
+    target = tmp_path / "report.json"
+    argv = ["--random-specs", "0", "--polys-per-spec", "2", "--out", str(target)]
+    assert run_battery.main(argv) == 0
+    report = json.loads(target.read_text())
+    spec_a, spec_b = report["specs"]
+    assert (spec_a["name"], spec_b["name"]) == ("spec-a", "spec-b")
+    assert spec_a["beta"] == ["1", "3/2", "23/6"] and spec_a["pairs"] == [[3, 2], [5, 3]]
+    assert spec_a["monoidal"] == {"levels": 2, "pass": True}
+    assert spec_a["ladders"][2] == {"t": 5, "outcome": "toroidal", "ok": True,
+                                    "ratios": [[15, 2], [25, 3]]}
+    assert all(isinstance(r["seconds"], float) for r in [report] + report["specs"])

@@ -65,12 +65,12 @@ def test_chunk_closed_form_matches_steps(js_a):
     assert closed.values[0] == Fraction(1, 2)
 
 
-def test_closing_off_epsilon_raises():
+def test_closing_off_epsilon_raises(js_a):
     """A chunk that closes before epsilon is rejected explicitly, also
-    under python -O."""
+    under python -O, before any residue is computed."""
     ch = replace(initial_chart(QQ, (Fraction(1), Fraction(1))), chunk_pq=(3, 2))
     with pytest.raises(InvalidSpecError):
-        single_quadratic_transform(ch, c=QQ(1))
+        single_quadratic_transform(ch, js=js_a)
 
 
 def test_chunk_validates_ratio(js_a):

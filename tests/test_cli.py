@@ -351,3 +351,55 @@ def test_duplicate_exponent_exit_64(capsys, tmp_path):
         code, out, err = run(capsys, cmd, SPEC_A, str(poly))
         assert code == 64 and out == ""
         assert err.startswith("error:") and "[0, 2]" in err
+
+
+@pytest.mark.parametrize("change", [
+    {"lambdas": "23"},
+    {"lambdas": 5},
+    {"units": 5},
+    {"units": "11"},
+    {"lambdas": [1.5, 1]},
+    {"lambdas": [True, 1]},
+], ids=["lambdas-string", "lambdas-number", "units-number", "units-string",
+        "lambda-float", "lambda-bool"])
+def test_bad_spec_lists_exit_64(capsys, tmp_path, change):
+    """lambdas and units must be lists, and a lambda is read like a
+    coefficient: the string "23" is not lambda = (2, 3), the number 1.5 is
+    not 3/2, and true is not 1."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(_spec_a(), **change)))
+    code, out, err = run(capsys, "genseq", str(path))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", [{"kind": "rationals"}, {"kind": "prime", "p": 101}],
+                         ids=["QQ", "F101"])
+def test_bool_coefficient_exit_64(capsys, tmp_path, field):
+    """A coefficient true is refused, as t, pairs and exponents refuse
+    bools, rather than read v^2 - u^3 with value 23/6."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(_spec_a(), field=field)))
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps({"vars": ["u", "v"], "terms": [
+        {"e": [0, 2], "c": True}, {"e": [3, 0], "c": "-1"}]}))
+    code, out, err = run(capsys, "eval", str(spec), str(poly))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "True" in err
+
+
+def test_parser_reused_across_requests(capsys, tmp_path):
+    """Requests in one process print the same bytes as each request in a
+    fresh process: the parser kept between calls carries no state from a
+    request with a non-default option or from one that exits 64."""
+    ext = write_ext(tmp_path, 5, SPEC_A)
+    requests = [["ladder", ext, "--depth", "1"], ["ladder", ext],
+                ["monoidal", SPEC_A, "--depth", "5"], ["monoidal", SPEC_A]]
+    in_process = [run(capsys, *argv)[:2] for argv in requests]
+    assert [code for code, _ in in_process] == [0, 0, 64, 0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv, (code, out) in zip(requests, in_process):
+        proc = subprocess.run([sys.executable, "-m", "jumpseq.cli", *argv],
+                              capture_output=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout) == (code, out.encode()), argv

@@ -16,11 +16,19 @@ and 1) and F_5, and on Qfrac-a: spec-a's pairs over Q with lambdas 3/7
 and -5/2 and delta_1 = 1 + (2/3)u, whose T_2 and T_3 have the common
 denominators 7 and 686.  These rows were recorded before the T-adic
 expansion moved to integer rows.
+
+The ``delta=`` rows run ladder and classify with the upstairs units in
+``DELTAS`` (t = 5, 7, on spec-a and F101-a), and the ``--format text``
+rows render three spec-a requests as text; both were recorded before the
+CLI dropped its report copy and the ladder wrote x_i^t as X^t.  With
+delta = 1 + x + x^2 y the upstairs T'_2 is not monic in y, so those rows
+pin the exit-64 message.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -42,6 +50,17 @@ POLY = {"vars": ["u", "v"], "terms": [
 #: specs that get the shorter set of requests, and their ladder exponents
 EXTRA_LADDERS = {"F3-a": (5,), "F5-a": (7,), "Qfrac-a": ()}
 
+#: non-trivial upstairs units delta for ladder/classify on spec-a and F101-a
+DELTAS = {
+    "1+x": {"vars": ["x", "y"], "terms": [{"e": [0, 0], "c": "1"}, {"e": [1, 0], "c": "1"}]},
+    "1+x+x^2y": {"vars": ["x", "y"], "terms": [
+        {"e": [0, 0], "c": "1"}, {"e": [1, 0], "c": "1"}, {"e": [2, 1], "c": "1"}]},
+}
+
+#: requests on spec-a rendered with ``--format text``
+TEXT_REQUESTS = {"monoidal a": ["monoidal"], "ladder a t=5": ["ladder"],
+                 "verify a": ["verify"] + VERIFY_ARGS["a"]}
+
 GOLDEN = {
     'genseq a': '9410f26137acc73c70f57a4438ed9111ea5f371e534f99e9879eef754b34dbeb',
     'blowup a --steps 3': '033b7c914420eca9e81ab0005b75bb657a401b14ec3528c09e4163d0c836bf3a',
@@ -62,6 +81,14 @@ GOLDEN = {
     'ladder a t=7': 'c61f885e02e03e479724471ad2f13aa6aa7ae3fedb120b98b7d53a7e92558900',
     'classify a t=7': '25ee36c07eb4379d6a54589bab3bb71d788cf6b3395ef4ce1d6571e2626d5d67',
     'dual a t=7': '45f764664482d868cdf25e655985f4b8762aeac961aeff8b6a3cd7ace5832d6c',
+    'ladder a t=5 delta=1+x': '7ef337af3f44c23533bd3941cd4192cb54ce522f64224d96fd64a7d042d333f7',
+    'classify a t=5 delta=1+x': '606ec62ce8b3bafc02d10995cf0bf7ca678f4e5184280aa2149707030d873ba3',
+    'ladder a t=7 delta=1+x': 'c61f885e02e03e479724471ad2f13aa6aa7ae3fedb120b98b7d53a7e92558900',
+    'classify a t=7 delta=1+x': '25ee36c07eb4379d6a54589bab3bb71d788cf6b3395ef4ce1d6571e2626d5d67',
+    'ladder a t=5 delta=1+x+x^2y': '913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc',
+    'classify a t=5 delta=1+x+x^2y': '913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc',
+    'ladder a t=7 delta=1+x+x^2y': '913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc',
+    'classify a t=7 delta=1+x+x^2y': '913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc',
     'genseq b': '1ee10f3280a3aaa53c12bef83d934d32c092f4c5c1930900072639601435ac1c',
     'blowup b --steps 3': 'cb7253b18d41b7216fc961266ff1ddc4c94d3474c952a925d2e366d94794bf2f',
     'eval b poly': 'ab39cc11761e9b79411827d08ebfb35641b03eff7ba02284b57d508d7c8138a7',
@@ -98,6 +125,14 @@ GOLDEN = {
     'ladder F101-a t=7': '223c7544564d231ccf34c72b02ce4e7e3c6fbce8ad6a85de2077493c45763727',
     'classify F101-a t=7': '19307fa52f924e4c763e1322e32a649510a9d8f23a729a77f0698b2ef388eded',
     'dual F101-a t=7': '45f764664482d868cdf25e655985f4b8762aeac961aeff8b6a3cd7ace5832d6c',
+    'ladder F101-a t=5 delta=1+x': '770adf314a83b4451e7122717d66f6fda8e453ea8bf1b31d7feb0eae9b87ddd3',
+    'classify F101-a t=5 delta=1+x': 'a98811a0904b88bdf3032361096c777ca9eb216e464d2ae33baf89bab52c19bd',
+    'ladder F101-a t=7 delta=1+x': '223c7544564d231ccf34c72b02ce4e7e3c6fbce8ad6a85de2077493c45763727',
+    'classify F101-a t=7 delta=1+x': '19307fa52f924e4c763e1322e32a649510a9d8f23a729a77f0698b2ef388eded',
+    'ladder F101-a t=5 delta=1+x+x^2y': '913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc',
+    'classify F101-a t=5 delta=1+x+x^2y': '913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc',
+    'ladder F101-a t=7 delta=1+x+x^2y': '913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc',
+    'classify F101-a t=7 delta=1+x+x^2y': '913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc',
     'genseq F3-a': '6416f6a37192a0734d903b3850a78da5f49a54ff9fdfc2f816d56cee6cedf15c',
     'eval F3-a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
     'expand F3-a poly': '0d2abe3822e7c00c122ee8a6da6a8479547a78007c5c5c5993f6b9b31f255980',
@@ -115,6 +150,9 @@ GOLDEN = {
     'expand Qfrac-a poly': '1b16c29a8aef7c2addd723a78c54bebd8c06f211b73afa76aaf449260a450209',
     'monoidal Qfrac-a': '5b91c101253feef59d81379ff808965f5ec08e0f667e6705eb4db211c3a138c6',
     'verify Qfrac-a --samples 5': '5ee10c7961298c206a103e80c33991b7c282e88bc7e672a086c4bf18a84372b3',
+    'monoidal a --format text': '9e529ee0ae109462f420eeb2e5c2bfbdf1e94dde68ad890ba12bb64932c42660',
+    'ladder a t=5 --format text': '88958696c50fdf79e4ba518ad7348944bd87cfda3a5cd8b17d745b9c566f6d6c',
+    'verify a --format text': '41026c976e835b717c17f98640e0a14282292b8d5c2951069d1cfe2857261b26',
 }
 
 
@@ -149,6 +187,12 @@ def _requests(tmp):
             ext.write_text(json.dumps({"t": t, "delta": "1", "spec": spec}))
             for cmd in ("ladder", "classify", "dual"):
                 reqs.append(("%s %s t=%d" % (cmd, name, t), [cmd, ext]))
+        deltas = DELTAS.items() if name in ("a", "F101-a") else ()
+        for (dname, delta), t in itertools.product(deltas, (5, 7)):
+            ext = tmp / ("ext-%s-%d-%s.json" % (name, t, dname))
+            ext.write_text(json.dumps({"t": t, "delta": delta, "spec": spec}))
+            for cmd in ("ladder", "classify"):
+                reqs.append(("%s %s t=%d delta=%s" % (cmd, name, t, dname), [cmd, ext]))
     for name, spec in extra.items():
         path = tmp / ("spec-%s.json" % name)
         path.write_text(json.dumps(spec))
@@ -161,6 +205,10 @@ def _requests(tmp):
             ext = tmp / ("ext-%s-%d.json" % (name, t))
             ext.write_text(json.dumps({"t": t, "delta": "1", "spec": spec}))
             reqs.append(("ladder %s t=%d" % (name, t), ["ladder", ext]))
+    for label, argv in TEXT_REQUESTS.items():
+        target = tmp / ("ext-a-5.json" if argv[0] == "ladder" else "spec-a.json")
+        reqs.append((label + " --format text",
+                     [argv[0], target, "--format", "text"] + argv[1:]))
     return [(label, [str(a) for a in argv]) for label, argv in reqs]
 
 

@@ -15,7 +15,7 @@ from jumpseq.extension import (
     ladder,
 )
 from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly
+from jumpseq.poly import BivarPoly, exact_divide
 
 from conftest import make_spec
 
@@ -200,6 +200,29 @@ def test_ladder_only_divisibility_means_no_unit(spec_a, monkeypatch):
     monkeypatch.setattr(extension, "exact_divide", raising(ResourceLimitError("too big")))
     with pytest.raises(ResourceLimitError):
         ladder(ext)
+
+
+@pytest.mark.parametrize("fld", [QQ, prime_field(101)], ids=["QQ", "F101"])
+@pytest.mark.parametrize("t", [5, 7])
+def test_stable_unit_is_u_over_x_to_the_t(spec_a, monkeypatch, fld, t):
+    """On every rung the stable unit Delta satisfies u_i = X^t * Delta in
+    the S-chart, and equals the quotient obtained by pulling x_i^t back
+    through the forward map instead of writing it as X^t."""
+    spec = replace(spec_a, field=fld, lambdas=(fld(1), fld(1)),
+                   units=tuple(BivarPoly.const(fld, 1) for _ in spec_a.units))
+    stable_unit = extension._stable_unit
+    calls = []
+    monkeypatch.setattr(extension, "_stable_unit", lambda *a: calls.append(a) or stable_unit(*a))
+    assert ladder(mk_ext(spec, t, one_plus_x(fld))).ok
+    assert len(calls) == 1
+    for ext, chart_R, chart_S in calls:
+        unit = stable_unit(ext, chart_R, chart_S)
+        u_i = extension._pull_back(chart_R.backward[0], ext.substitution())
+        pulled = extension._pull_back(u_i, chart_S.forward)
+        X, _ = BivarPoly.gens(fld, chart_S.forward[0].vars)
+        assert unit * X ** t * pulled.den == pulled.num
+        via_forward = extension._pull_back(u_i / chart_S.backward[0] ** t, chart_S.forward)
+        assert unit == exact_divide(via_forward.num, via_forward.den)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from jumpseq.engine import (
     verify_minimality,
 )
 from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLimitError
-from jumpseq.euclid import epsilon
 from jumpseq.extension import (
     MonomialExtension,
     build_dual_sequences,
@@ -135,14 +134,6 @@ def spec_record(name, spec, rng, n_random_polys):
     for t in (2, 3, 5):
         ext = MonomialExtension(t=t, delta=one, base_spec=spec)
         M = first_gcd_failure(t, spec.pairs)
-        # the per-step chain cost grows with the total chunk length
-        # upstairs; skip combinations that would dominate the run
-        chain_len = sum(epsilon(r.numerator, r.denominator)
-                        for r in (Fraction(t * p, q) for p, q in spec.pairs))
-        if M is None and chain_len > 24:
-            rec["ladders"].append({"t": t, "outcome": "skipped",
-                                   "note": "chain length %d over budget" % chain_len})
-            continue
         try:
             cert = ladder(ext)
         except (InsufficientDepthError, ResourceLimitError) as e:

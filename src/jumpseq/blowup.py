@@ -1,58 +1,119 @@
 """Quadratic transforms along a valuation: charts, chunks, strict transforms.
 
-A :class:`Chart` records one local model in the blow-up chain.  The
-forward map (original parameters as polynomials in the current ones) is
-the source of truth; backward rational expressions exist only so that
-values and residues of the current parameters can be computed through
-the valuation engine.
+A :class:`Chart` records one local model in the blow-up chain as an
+initial map and the elementary steps taken since.  In the current
+parameters (U, V) a step is one of:
 
-Conventions for a single transform of parameters (U, V):
-
-* value(U) < value(V): new parameters (U, V/U), substitution
+* A, when value(U) < value(V): new parameters (U, V/U), substitution
   U -> X, V -> X*Y;
-* value(U) > value(V): new parameters (U/V, V), substitution
+* B, when value(U) > value(V): new parameters (U/V, V), substitution
   U -> X*Y, V -> Y;
-* equal values: the chunk closes; with c the residue of V/U the new
-  parameters are (U, V/U - c) and the substitution is U -> X,
-  V -> X*(Y + c).
+* C(c), when the values are equal: the chunk closes; with c the residue
+  of V/U the new parameters are (U, V/U - c) and the substitution is
+  U -> X, V -> X*(Y + c).
 
-Composing epsilon(p, q) such steps reproduces the closed-form chunk
-chart x = X^q (Y+c)^b, y = X^p (Y+c)^a exactly.
+The forward map (the original parameters as polynomials in the current
+ones) is composed on first use from the previous chart's forward map and
+one step, and cached, so a walk that never renders a chart never
+composes it.  Backward rational expressions give the values and residues
+of the current parameters through the valuation engine.  Composing
+epsilon(p, q) steps reproduces the closed-form chunk chart
+x = X^q (Y+c)^b, y = X^p (Y+c)^a exactly; :func:`chunk_transform` builds
+that closed form independently, as the initial map of a chart.
 
-A strict transform (g, m) of f satisfies f(forward) = X^m * g exactly,
-so the value of g is value(f) - m * value(X): both values are computed
-by the engine in the original ring, X's through its backward expression.
+A strict transform is pulled back one step at a time.  A and B relabel
+exponents and C is the only real substitution.  After each step the
+monomial X^a Y^b is stripped, so f(forward) = X^e_X Y^e_Y U g with g
+divisible by neither coordinate and U a product of pulled-back factors
+(Y + c)^e, a unit.  A maps (e_X, e_Y) to (e_X + e_Y, e_Y), B to
+(e_X, e_X + e_Y), and C(c) to (e_X + e_Y, 0) while U(0, 0) gains the
+factor c^e_Y (a residue is never zero).  The strict transform
+f(forward) / X^e_X is a local unit exactly when e_Y = 0 and g(0, 0) is
+nonzero.  Its value is value(f) - e_X * value(X): both values are
+computed by the engine in the original ring, X's through its backward
+expression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import comb, gcd
 from typing import List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import bezout, epsilon, euclid_data
 from .engine import IndependentData, JumpingSequence, residue, value
-from .fields import GroundField
-from .poly import BivarPoly, RatExpr
+from .fields import Fp, GroundField
+from . import poly
+from .poly import BivarPoly, RatExpr, _from_int, _reduce, _to_int
+
+#: the non-closing steps; a closing step is the pair ("C", c)
+STEP_A = ("A", None)
+STEP_B = ("B", None)
+
+
+def _step(x, step, p):
+    """The integer form ``x`` (see :mod:`jumpseq.poly`) composed with one
+    elementary step: x(X, X*Y) for A, x(X*Y, Y) for B and x(X, X*(Y + c))
+    for C(c).  A and B only relabel exponents."""
+    terms, den = x
+    kind, c = step
+    if kind == "A":
+        return {(a + b, b): v for (a, b), v in terms.items()}, den
+    if kind == "B":
+        return {(a, a + b): v for (a, b), v in terms.items()}, den
+    # X^a Y^b -> X^(a+b) (Y + n/d)^b over the common denominator d^top;
+    # rows[b] holds the nonzero multipliers of Y^k in d^top (Y + n/d)^b
+    n, d = (c.val, 1) if p else (c.numerator, c.denominator)
+    top = max(b for _, b in terms)
+    rows = {}
+    out = {}
+    get = out.get
+    for (a, b), v in terms.items():
+        row = rows.get(b)
+        if row is None:
+            row = rows[b] = []
+            for k in range(b + 1):
+                m = comb(b, k) * n ** (b - k) * d ** (top - b + k)
+                if p:
+                    m %= p
+                if m:
+                    row.append((k, m))
+        for k, m in row:
+            e = (a + b, k)
+            out[e] = get(e, 0) + v * m
+        if len(out) > poly.TERM_LIMIT:  # drop cancelled terms; raise if still over
+            out = _reduce(out, 1, p)[0]
+            get = out.get
+    return _reduce(out, den * d ** top, p)
+
+
+def _compose(maps, step):
+    """A pair of polynomials composed with one elementary step."""
+    return tuple(_from_int(f.field, _step(_to_int(f), step, f.field.characteristic), f.vars)
+                 for f in maps)
 
 
 @dataclass(frozen=True)
 class Chart:
     """A local chart after ``step_index`` quadratic transforms.
 
-    ``forward`` expresses the original parameters as polynomials in the
-    current parameters; ``backward`` the current parameters as rational
-    expressions in the original ones.  The first current parameter is
-    the exceptional one at every free ring.  ``chunk_pos`` counts steps
-    inside the current Euclidean chunk and ``chunk_pq`` is the value
-    ratio that chunk traverses; ``residues`` collects the constants c
-    used at the chunk closings passed so far.
+    ``initial`` expresses the original parameters as polynomials in the
+    chart coordinates before ``steps``, the elementary steps taken since
+    (``STEP_A``, ``STEP_B`` or ``("C", c)``); :attr:`forward` is their
+    composition.  ``backward`` expresses the current parameters as
+    rational expressions in the original ones.  The first current
+    parameter is the exceptional one at every free ring.  ``chunk_pos``
+    counts steps inside the current Euclidean chunk and ``chunk_pq`` is
+    the value ratio that chunk traverses; ``residues`` collects the
+    constants c used at the chunk closings passed so far.  ``previous``
+    is the chart one step back, whose forward map :attr:`forward` reuses.
     """
 
     field: GroundField
-    forward: Tuple[BivarPoly, BivarPoly]
+    initial: Tuple[BivarPoly, BivarPoly]
     backward: Tuple[RatExpr, RatExpr]
     values: Tuple[Fraction, Optional[Fraction]]
     free: bool
@@ -60,6 +121,32 @@ class Chart:
     chunk_pos: int
     chunk_pq: Optional[Tuple[int, int]]
     residues: tuple = ()
+    steps: tuple = ()
+    previous: Optional["Chart"] = dataclass_field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def forward(self) -> Tuple[BivarPoly, BivarPoly]:
+        """The original parameters as polynomials in the chart coordinates.
+
+        Composed from the nearest earlier chart whose forward map is
+        cached, one step per chart, and cached on every chart on the way
+        (in the slot this property caches into), so rendering every chart
+        of a walk composes each step once."""
+        pending = []
+        chart = self
+        while "forward" not in vars(chart) and chart.previous is not None:
+            pending.append(chart)
+            chart = chart.previous
+        maps = vars(chart).get("forward")
+        if maps is None:  # a chart made without a previous one
+            maps = chart.initial
+            for step in chart.steps:
+                maps = _compose(maps, step)
+            vars(chart)["forward"] = maps
+        for ch in reversed(pending):
+            maps = _compose(maps, ch.steps[-1])
+            vars(ch)["forward"] = maps
+        return maps
 
     def ratio(self) -> Tuple[int, int]:
         """The value ratio value(V)/value(U) = p/q in lowest terms."""
@@ -129,22 +216,19 @@ def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
         raise InsufficientDepthError(
             "step %d: the value of the second parameter lies beyond the spec depth"
             % (chart.step_index + 1))
-    fu, fv = chart.forward
     bu, bv = chart.backward
-    fld = chart.field
-    X, Y = BivarPoly.gens(fld, fu.vars)
     pos = chart.chunk_pos + 1
 
     if vU != vV:
         if vU < vV:  # new parameters (U, V/U)
-            sub = (X, X * Y)
+            step = STEP_A
             new_backward = (bu, bv / bu)
             new_values = (vU, vV - vU)
         else:  # new parameters (U/V, V)
-            sub = (X * Y, Y)
+            step = STEP_B
             new_backward = (bu / bv, bv)
             new_values = (vU - vV, vV)
-        return replace(chart, forward=(fu.subs(*sub), fv.subs(*sub)),
+        return replace(chart, steps=chart.steps + (step,), previous=chart,
                        backward=new_backward, values=new_values,
                        free=_chunk_flags(chart.chunk_pq, pos),
                        step_index=chart.step_index + 1, chunk_pos=pos)
@@ -157,12 +241,9 @@ def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
     ratio = bv / bu
     c = residue(ratio.num, ratio.den, js)
     new_y = ratio.sub_scalar(c)
-    shift = BivarPoly(fld, {(0, 0): fld(c), (0, 1): fld.one}, X.vars)  # Y + c
-    new_forward = (fu.subs(X, X * shift), fv.subs(X, X * shift))
-    new_backward = (bu, new_y)
     vY, new_pq = _after_closing(new_y, vU, js)
-    return replace(chart, forward=new_forward, backward=new_backward,
-                   values=(vU, vY), free=True,
+    return replace(chart, steps=chart.steps + (("C", c),), previous=chart,
+                   backward=(bu, new_y), values=(vU, vY), free=True,
                    step_index=chart.step_index + 1, chunk_pos=0,
                    chunk_pq=new_pq, residues=chart.residues + (c,))
 
@@ -205,20 +286,66 @@ def chunk_transform(p: int, q: int, c, chart: Chart, js: JumpingSequence) -> Chu
     return ChunkResult(closed, a, b, fld(c))
 
 
-def strict_transform(f: BivarPoly, chart: Chart) -> Tuple[BivarPoly, int]:
-    """Pull f back through the chart and strip the exceptional factor.
+def _strip(g):
+    """Strip the largest coordinate monomial X^a Y^b from the nonzero
+    integer form ``g``; returns the quotient, a and b."""
+    terms, den = g
+    a = min(a for a, _ in terms)
+    b = min(b for _, b in terms)
+    if a or b:
+        g = {(i - a, j - b): v for (i, j), v in terms.items()}, den
+    return g, a, b
 
-    Returns (g, m) with f(forward) = X^m * g and g not divisible by the
-    exceptional coordinate X (the first current parameter).
+
+def pull_back(f: BivarPoly, chart: Chart):
+    """Pull f back to the chart one step at a time, stripping the
+    coordinate monomial after each step.
+
+    Returns (e_X, e_Y, unit, g) with f(forward) = X^e_X * Y^e_Y * U * g,
+    where U is a polynomial unit with U(0, 0) = ``unit`` and g, in integer
+    form (see :mod:`jumpseq.poly`), is divisible by neither X nor Y.
     """
     if f.is_zero():
         raise ValueError("strict transform of the zero polynomial")
-    pulled = f.subs(*chart.forward)
-    m = pulled.min_exp_first()
-    g = BivarPoly(pulled.field,
-                  {(a - m, b): cc for (a, b), cc in pulled.terms.items()},
-                  pulled.vars)
-    return g, m
+    fld = chart.field
+    p = fld.characteristic
+    if chart.initial != BivarPoly.gens(fld):
+        f = f.subs(*chart.initial)
+    g, e_x, e_y = _strip(_to_int(f))
+    unit = fld.one
+    for step in chart.steps:
+        kind, c = step
+        if kind == "A":
+            e_x += e_y
+        elif kind == "B":
+            e_y += e_x
+        else:
+            unit = unit * c ** e_y
+            e_x, e_y = e_x + e_y, 0
+        g, a, b = _strip(_step(g, step, p))
+        e_x += a
+        e_y += b
+    return e_x, e_y, unit, g
+
+
+def constant_term(g, fld: GroundField):
+    """The constant term of the integer form ``g`` as an element of ``fld``."""
+    terms, den = g
+    c = terms.get((0, 0), 0)
+    return Fp(c, fld.characteristic) if fld.characteristic else Fraction(c, den)
+
+
+def strict_transform(f: BivarPoly, chart: Chart):
+    """The exceptional exponent and the constant term of the strict
+    transform of f.
+
+    Returns (m, c) with f(forward) = X^m * g, g not divisible by the
+    exceptional coordinate X (the first current parameter), and
+    c = g(0, 0), which is nonzero exactly when g is a local unit.
+    """
+    e_x, e_y, unit, g = pull_back(f, chart)
+    fld = chart.field
+    return e_x, (unit * constant_term(g, fld) if e_y == 0 else fld.zero)
 
 
 def value_in_original(f: BivarPoly, m: int, chart: Chart, js: JumpingSequence) -> Fraction:
@@ -285,11 +412,10 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         level_consts = []
         factor_ok = True
         for j in range(0, l + 1):
-            g, m = strict_transform(H[j], chart)
+            m, const = strict_transform(H[j], chart)
             expected = ind.Qbar[l] * ind.betabar[j]
-            ok = (Fraction(m) == expected) and g.is_local_unit()
+            ok = (Fraction(m) == expected) and bool(const)
             factor_ok = factor_ok and ok
-            const = g.constant_term()
             factorizations.append({"j": j, "exponent": m, "expected": expected,
                                    "unit_constant": fld.render(const), "pass": ok})
             level_consts.append(const)
@@ -300,7 +426,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         # (1/Qbar_l)(pbar_{l+1}/qbar_{l+1}) and the exceptional exponent
         # matches the denominator monomial of v_l
         if l < ind.levels:
-            g, m = strict_transform(H[l + 1], chart)
+            m, const = strict_transform(H[l + 1], chart)
             expected_m = ind.Qbar[l] * ind.qbar[l - 1] * ind.betabar[l]
             mono_exp = sum(nbar(l, j) * ind.Qbar[l] * ind.betabar[j] for j in range(l))
             vg = value_in_original(H[l + 1], m, chart, js)
@@ -312,7 +438,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
                 "value": vg,
                 "expected_value": expected_v,
                 "pass": Fraction(m) == expected_m == mono_exp and vg == expected_v
-                and not g.is_local_unit(),
+                and not const,
             }
 
         # residue cross-check lambda_{i_l} = c_l * t_l, with t_l computed

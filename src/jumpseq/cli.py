@@ -31,6 +31,7 @@ from .errors import InsufficientDepthError, JumpseqError
 from .euclid import bezout, euclid_data
 from .extension import (
     MonomialExtension,
+    _ladder,
     build_dual_sequences,
     classify_toroidal_form,
     discrete_branch_report,
@@ -206,13 +207,12 @@ def cmd_classify(args):
         form = classify_toroidal_form({"discrete": True})
         report = {"form": form, "discrete_branch": discrete_branch_report(ext)}
     else:
-        cert = ladder(ext)
+        down = build_jumping_sequence(spec)
+        cert = _ladder(ext, down=down)
         if cert.outcome.get("kind") == "contradiction":
             _emit({"outcome": cert.outcome}, args)
             return EXIT_CONTRADICTION
-        js = build_jumping_sequence(spec)
-        ind = extract_independent(js)
-        minimal = ind.pbar[0] != 1
+        minimal = extract_independent(down).pbar[0] != 1
         form = classify_toroidal_form({}, cert.outcome, minimal)
         report = {"form": form, "ladder": cert}
     _emit(report, args)

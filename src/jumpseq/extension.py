@@ -2,8 +2,11 @@
 chunk descent, the stable-form ladder and the toroidal classifier.
 
 The ladder is the certificate of the stable form: rung by rung it checks
-u_i = x_i^t * delta_i along the R- and S-chains, pulling the R-side
-parameters into the S-chart with one numerator/denominator pull-back.
+u_i = x_i^t * delta_i along the R- and S-chains.  It pulls an R-side
+parameter upstairs and then into the S-chart step by step, numerator and
+denominator apart, and reads only the coordinate exponents, the unit
+constants and the order along the exceptional locus from the result; it
+never composes a chart's forward map.
 
 Everything here treats the stable monomial form as an *input assumption*:
 when the gcd conditions it implies fail, the contradiction witness is
@@ -20,7 +23,9 @@ from typing import Optional, Tuple
 
 from .blowup import (
     Chart,
+    constant_term,
     initial_chart,
+    pull_back,
     single_quadratic_transform,
     strict_transform,
     value_in_original,
@@ -33,10 +38,10 @@ from .engine import (
     extract_independent,
     residue,
 )
-from .errors import DivisibilityError, InvalidSpecError
+from .errors import InvalidSpecError
 from .euclid import bezout, epsilon
 from .fields import GroundField
-from .poly import BivarPoly, RatExpr, exact_divide
+from .poly import BivarPoly, RatExpr
 
 
 @dataclass(frozen=True)
@@ -216,46 +221,50 @@ def chunk_descend(t: int, p_prime: int, q_prime: int, characteristic: int,
 # ---------------------------------------------------------------------------
 
 
-def _pull_back(r: RatExpr, sub: Tuple[BivarPoly, BivarPoly]) -> RatExpr:
-    """Substitute the pair ``sub`` for the variables of the numerator and
-    the denominator of ``r``: with ``ext.substitution()`` this takes a
-    (u, v) expression upstairs, with ``chart.forward`` it pulls an
-    expression in the chart's original parameters back to the chart."""
-    return RatExpr(r.num.subs(*sub), r.den.subs(*sub))
+def _in_S_chart(ext: MonomialExtension, r: RatExpr, chart_S: Chart):
+    """Pull an R-side expression r = num/den in (u, v) upstairs through
+    u = x^t * delta, v = y, and then into the S-chart step by step:
+    :func:`~jumpseq.blowup.pull_back` of the numerator and of the
+    denominator."""
+    sub = ext.substitution()
+    return pull_back(r.num.subs(*sub), chart_S), pull_back(r.den.subs(*sub), chart_S)
 
 
-def _stable_unit(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> Optional[BivarPoly]:
-    """The unit Delta with u_i = x_i^t * Delta, as a polynomial in the
-    S-chart coordinates (X, Y); None when the exact division fails.
+def _stable_unit(ext: MonomialExtension, chart_R: Chart, chart_S: Chart):
+    """The constant Delta(0, 0) of the unit Delta with u_i = x_i^t * Delta
+    in the S-chart, or None when Delta is not certified as a unit.
 
-    x_i is the S-chart's first backward parameter, and the forward map
-    inverts the backward one, so x_i pulls back to the coordinate X and
-    Delta = u_i(forward) / X^t.  Any other fault of the kernel, such as
-    :class:`ResourceLimitError`, propagates."""
-    u_i = _pull_back(_pull_back(chart_R.backward[0], ext.substitution()), chart_S.forward)
-    x_t = BivarPoly.monomial(ext.field, ext.t, 0, 1, u_i.den.vars)
-    try:
-        return exact_divide(u_i.num, u_i.den * x_t)
-    except DivisibilityError:
+    x_i pulls back to the S-chart coordinate X, and u_i pulls back to
+    X^a Y^b U g / (X^a' Y^b' U' g').  Delta = u_i / X^t is certified as a
+    ratio of local units: a - a' = t, b = b', and g and g' have nonzero
+    constant terms.  Its constant is then the ratio of theirs."""
+    (a, b, unit, g), (a2, b2, unit2, g2) = _in_S_chart(ext, chart_R.backward[0], chart_S)
+    fld = ext.field
+    c, c2 = constant_term(g, fld), constant_term(g2, fld)
+    if a - a2 != ext.t or b != b2 or not c or not c2:
         return None
+    return unit * c / (unit2 * c2)
 
 
 def _second_param_certificate(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> dict:
     """Certify that the R-side second parameter pulls back to a regular
     parameter completing the S-chart exceptional coordinate.
 
-    The pullback is W = num/den with den a unit; the certificate is:
-    den has nonzero constant term, W vanishes at the origin, and the
-    restriction of num to the exceptional locus (first coordinate = 0)
-    has order exactly 1 in the second coordinate.
+    The pullback is W = num/den, with the common coordinate monomial
+    cancelled and den a unit; the certificate is: den has nonzero
+    constant term, W vanishes at the origin, and the restriction of num
+    to the exceptional locus (first coordinate = 0) has order exactly 1
+    in the second coordinate.  With num = X^a Y^b U g and
+    den = X^a' Y^b' U' g' as :func:`~jumpseq.blowup.pull_back` gives
+    them, the cancelled monomial is X^min(a, a') Y^min(b, b').
     """
-    # RatExpr strips the common exceptional monomial
-    W = _pull_back(_pull_back(chart_R.backward[1], ext.substitution()), chart_S.forward)
-    num, den = W.num, W.den
-    den_unit = den.is_local_unit()
-    vanishes = num.constant_term() == ext.field.zero
-    restricted = {b for (a, b) in num.terms if a == 0}
-    order_one = bool(restricted) and min(restricted) == 1
+    (a, b, _, g), (a2, b2, _, g2) = _in_S_chart(ext, chart_R.backward[1], chart_S)
+    fld = ext.field
+    da, db = a - min(a, a2), b - min(b, b2)  # num's monomial after cancelling
+    den_unit = a2 <= a and b2 <= b and bool(constant_term(g2, fld))
+    vanishes = da > 0 or db > 0 or not constant_term(g, fld)
+    # on X = 0 the unit U has order 0 and g keeps the terms free of X
+    order_one = da == 0 and db + min(j for i, j in g[0] if i == 0) == 1
     return {
         "den_unit": den_unit,
         "vanishes_at_origin": vanishes,
@@ -280,6 +289,12 @@ class LadderCertificate:
 
 
 def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertificate:
+    """Walk the chunk-wise ladder of the stable form (see :func:`_ladder`)."""
+    return _ladder(ext, depth)
+
+
+def _ladder(ext: MonomialExtension, depth: Optional[int] = None,
+            down: Optional[JumpingSequence] = None) -> LadderCertificate:
     """Walk the chunk-wise ladder of the stable form.
 
     Rung i (0-based) certifies the stable relation u_i = x_i^t * delta_i,
@@ -289,7 +304,8 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
     the dual sequences check out.  On the first index M with
     gcd(t, q_M) != 1 the walk stops with the contradiction witness (M, l, g).
     ``depth`` (1 to the spec depth; default the spec depth) is the number
-    of rungs.
+    of rungs; ``down`` is the downstairs sequence when the caller has
+    built it.
     """
     spec = ext.base_spec
     if depth is None:
@@ -298,7 +314,8 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
         raise InvalidSpecError("ladder depth %d: the spec provides depths 1 to %d"
                                % (depth, spec.depth))
     t = ext.t
-    down = build_jumping_sequence(spec)
+    if down is None:
+        down = build_jumping_sequence(spec)
     ind = extract_independent(down)
 
     M = first_gcd_failure(t, spec.pairs, upto=depth)
@@ -348,9 +365,9 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                 chart_S = single_quadratic_transform(chart_S, js=up)
         rec = {"i": i, "t": t,
                "step_R": chart_R.step_index, "step_S": chart_S.step_index}
-        unit = ext.delta if i == 0 else _stable_unit(ext, chart_R, chart_S)
-        rec["delta_unit"] = unit is not None and unit.is_local_unit()
-        rec["delta_constant"] = fld.render(unit.constant_term()) if unit is not None else None
+        const = ext.delta.constant_term() if i == 0 else _stable_unit(ext, chart_R, chart_S)
+        rec["delta_unit"] = const is not None
+        rec["delta_constant"] = fld.render(const) if const is not None else None
         if i == 0:
             rec["second_param"] = {"pass": True}
             rec["residue_match"] = True
@@ -368,7 +385,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
         # the rung value ratio belongs to the admissible pair
         # (x_i, y_i = v_i): the exceptional chain parameter and the strict
         # transform of T'_{i+1}
-        _, m = strict_transform(up.T[i + 1], chart_S)
+        m, _ = strict_transform(up.T[i + 1], chart_S)
         vx = chart_S.values[0]
         vg = value_in_original(up.T[i + 1], m, chart_S, up)
         ratio = Fraction(vg) / vx

@@ -39,9 +39,9 @@ The two public division routines:
   call its integer core directly);
 * :func:`exact_divide` performs a division that the caller claims is
   exact, and raises :class:`DivisibilityError` with the offending
-  remainder otherwise.  The ladder extracts its stable unit with it and
-  reads that error as "no unit"; strict transforms only strip a monomial
-  and do not divide.
+  remainder otherwise.  No certificate divides: strict transforms and
+  the ladder's stable unit only strip monomials and compare constant
+  terms (see :mod:`jumpseq.blowup`).
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class BivarPoly:
     def constant_term(self):
         return self.terms.get((0, 0), self.field.zero)
 
-    def is_local_unit(self) -> bool:
-        """True when the polynomial is a unit in the local ring at the origin."""
-        return (0, 0) in self.terms
-
     def deg_v(self) -> int:
         """Degree in the second variable; -1 for the zero polynomial."""
         if not self.terms:
@@ -136,12 +132,6 @@ class BivarPoly:
         return BivarPoly(
             self.field, {(a, 0): c for (a, bb), c in self.terms.items() if bb == b}, self.vars
         )
-
-    def min_exp_first(self) -> int:
-        """Smallest exponent of the first variable over all terms."""
-        if not self.terms:
-            return 0
-        return min(a for a, _ in self.terms)
 
     # ---- ring operations ----------------------------------------------
 
@@ -309,14 +299,20 @@ class BivarPoly:
         }
 
     @classmethod
-    def from_json(cls, field: GroundField, obj, vars=None) -> "BivarPoly":
+    def from_json(cls, field: GroundField, obj, vars=("u", "v")) -> "BivarPoly":
+        """A polynomial in ``vars`` from input data: a bare field element,
+        or an object with a list of terms and optionally ``"vars"``, which
+        must then be the list of the names in ``vars``.  Malformed data
+        raises :class:`InvalidSpecError`."""
         if isinstance(obj, str):
             # bare field element, e.g. "1" for a trivial unit
-            return cls.const(field, field.parse(obj), vars or ("u", "v"))
+            return cls.const(field, field.parse(obj), vars)
         rows = obj.get("terms") if isinstance(obj, dict) else None
         if not isinstance(rows, list) or not all(isinstance(t, dict) for t in rows):
             raise InvalidSpecError("polynomial %r is not an object with a list of terms" % (obj,))
-        vnames = tuple(obj.get("vars", vars or ("u", "v")))
+        names = obj.get("vars", list(vars))
+        if names != list(vars):
+            raise InvalidSpecError("polynomial variables %r: expected %r" % (names, list(vars)))
         terms = {}
         for t in rows:
             e = t["e"]
@@ -326,7 +322,7 @@ class BivarPoly:
             if tuple(e) in terms:
                 raise InvalidSpecError("exponent %r appears in two terms" % (e,))
             terms[tuple(e)] = field.parse(t["c"])
-        return cls(field, terms, vnames)
+        return cls(field, terms, vars)
 
     def __str__(self):
         if not self.terms:

@@ -22,6 +22,11 @@ sys.path.insert(0, str(ROOT / "scripts"))
 from run_battery import random_poly, random_spec  # noqa: E402
 
 
+#: the fields of the differential tests: Q and prime fields of small and
+#: large characteristic
+FIELDS = [QQ, prime_field(2), prime_field(3), prime_field(5), prime_field(101)]
+
+
 def load_spec(name: str) -> ValuationSpec:
     with open(SPECS_DIR / name) as fh:
         return ValuationSpec.from_json(json.load(fh))
@@ -76,6 +81,17 @@ def battery(spec_a, spec_b):
     for i in range(4):
         specs.append(("random-F101-%d" % i, random_spec(rng, f101)))
     return specs
+
+
+def expanded_strict_transform(f, chart):
+    """The strict transform through the expanded forward map, the oracle
+    for the stepwise pull-back: (g, m) with f(forward) = X^m * g and g not
+    divisible by X."""
+    pulled = f.subs(*chart.forward)
+    m = min(a for a, _ in pulled.terms)
+    g = BivarPoly(pulled.field, {(a - m, b): c for (a, b), c in pulled.terms.items()},
+                  pulled.vars)
+    return g, m
 
 
 def charts_inverse(chart) -> bool:

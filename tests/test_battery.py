@@ -1,16 +1,19 @@
 """The battery script's checks are explicit code: under ``python -O`` a
 wrong result still stops the run instead of being counted as passed.
-Its ``--out`` report is plain JSON."""
+Its ``--out`` report is plain JSON, and its random specs that need long
+chains are certified, not skipped."""
 
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import run_battery
+from jumpseq.fields import QQ, prime_field
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -76,3 +79,20 @@ def test_battery_out_writes_json_report(tmp_path):
     assert spec_a["ladders"][2] == {"t": 5, "outcome": "toroidal", "ok": True,
                                     "ratios": [[15, 2], [25, 3]]}
     assert all(isinstance(r["seconds"], float) for r in [report] + report["specs"])
+
+
+@pytest.mark.parametrize("index, levels, ladders", [
+    (0, 2, ["contradiction", "contradiction", "toroidal"]),
+    (2, 3, ["resource-limited", "contradiction", "contradiction"]),
+])
+def test_battery_certifies_long_random_chains(index, levels, ladders):
+    """random-0 and random-2 of ``--seed 0`` (4 pairs each): the monoidal
+    sequence passes at every level, and every ladder runs to a
+    certificate or an honest resource limit, none skipped."""
+    rng = random.Random(0)  # drawn as main() draws them
+    for i in range(index + 1):
+        spec = run_battery.random_spec(rng, QQ if i % 2 == 0 else prime_field(101))
+    rec = run_battery.spec_record("random-%d" % index, spec, rng, 0)
+    assert rec["monoidal"] == {"levels": levels, "pass": True}
+    assert [e["outcome"] for e in rec["ladders"]] == ladders
+    assert all(e["ok"] for e in rec["ladders"] if e["outcome"] == "toroidal")

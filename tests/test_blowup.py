@@ -1,7 +1,9 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumpseq.blowup import (
     chunk_transform,
@@ -18,7 +20,8 @@ from jumpseq.extension import MonomialExtension, build_dual_sequences
 from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import BivarPoly, RatExpr, eval_rat
 
-from conftest import charts_inverse, load_spec, make_spec
+from conftest import (FIELDS, charts_inverse, expanded_strict_transform, load_spec,
+                      make_spec, random_poly, random_spec)
 
 
 def test_initial_chart():
@@ -106,10 +109,10 @@ def test_last_chunk_value_unknown(js_a):
 def test_strict_transform(js_a):
     ch0 = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
     ch = chunk_transform(3, 2, 1, ch0, js=js_a).chart
-    g, m = strict_transform(js_a.T[2], ch)
+    m, c = strict_transform(js_a.T[2], ch)
     # T_2 = v^2 - u^3 pulls back to X^6 ((Y+1)^4 - (Y+1)^3)
     assert m == 6
-    assert not g.is_local_unit()
+    assert c == 0  # not a local unit
     assert value_in_original(js_a.T[2], m, ch, js_a) == Fraction(23, 6) - 6 * Fraction(1, 2)
 
 
@@ -195,7 +198,8 @@ def test_chain_charts_inverse_and_values(name, steps, compared):
         if chart.step_index > compared:
             continue
         for f in js.T[1:js.depth + 1]:
-            g, m = strict_transform(f, chart)
+            g, m = expanded_strict_transform(f, chart)
+            assert strict_transform(f, chart) == (m, g.constant_term())
             r = eval_rat(g, *chart.backward)
             assert value_in_original(f, m, chart, js) == \
                 value(r.num, js) - value(r.den, js), "step %d" % chart.step_index
@@ -213,3 +217,39 @@ def test_charts_inverse_detects_mutated_closing(js_a):
     mutated = replace(closed, backward=(closed.backward[0], ratio.sub_scalar(c + 1)))
     assert charts_inverse(closed)
     assert not charts_inverse(mutated)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS))
+def test_stepwise_strict_transform_matches_expanded_forward(seed, fld):
+    """At every chart of a random chain, the stepwise strict transform
+    has the exceptional exponent and the constant term (nonzero exactly
+    for a local unit) that the expanded forward map gives, and each
+    forward map is the previous one composed with the step by
+    substitution.  The lambdas are random, fractional over Q, so that the
+    closings' residues vary.
+
+    The oracle's pull-back gets slow with the degree of the result, so a
+    polynomial is compared while deg(f) * deg(forward) <= 300, and the
+    walk stops once a forward map has more than 100 terms."""
+    rng = random.Random(seed)
+    spec = random_spec(rng, fld)
+    spec = replace(spec, lambdas=tuple(
+        fld(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) if fld == QQ
+            else rng.randint(1, fld.characteristic - 1)) for _ in spec.pairs))
+    js = build_jumping_sequence(spec)
+    fs = list(js.T[1:js.depth + 1]) + [random_poly(rng, fld, max_deg=6, max_terms=3)]
+    X, Y = BivarPoly.gens(fld, ("x", "y"))
+    chart = initial_chart(fld, (Fraction(1), js.beta[1]))
+    while chart.values[1] is not None and max(len(g.terms) for g in chart.forward) <= 100:
+        prev, chart = chart, single_quadratic_transform(chart, js=js)
+        kind, c = chart.steps[-1]
+        sub = {"A": (X, X * Y), "B": (X * Y, Y)}.get(kind) or (X, X * (Y + c))
+        assert chart.forward == tuple(g.subs(*sub) for g in prev.forward)
+        deg = max(g.deg_u() + g.deg_v() for g in chart.forward)
+        for h in fs:
+            if h.is_zero() or deg * max(a + b for a, b in h.terms) > 300:
+                continue
+            g, m = expanded_strict_transform(h, chart)
+            assert strict_transform(h, chart) == (m, g.constant_term()), \
+                "%s step %d: %s" % (spec.pairs, chart.step_index, h)

@@ -403,3 +403,45 @@ def test_parser_reused_across_requests(capsys, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "jumpseq.cli", *argv],
                               capture_output=True, env=env, timeout=300)
         assert (proc.returncode, proc.stdout) == (code, out.encode()), argv
+
+
+@pytest.mark.parametrize("names", [5, "uv", ["x", "y"], ["v", "u"], ["u", "u"], ["u", "v", "w"],
+                                   [1, 2]],
+                         ids=["number", "string", "other-names", "swapped", "repeated",
+                              "three-names", "not-strings"])
+def test_bad_polynomial_vars_exit_64(capsys, tmp_path, names):
+    """A polynomial's ``"vars"`` must be the list of the command's
+    variables: anything else is a usage error, neither a traceback nor
+    read letter by letter as (u, v)."""
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps({"vars": names, "terms": [
+        {"e": [0, 2], "c": "1"}, {"e": [3, 0], "c": "-1"}]}))
+    code, out, err = run(capsys, "eval", SPEC_A, str(poly))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "variables" in err
+
+
+def test_delta_in_wrong_vars_exit_64(capsys, tmp_path):
+    """An upstairs unit delta must be written in (x, y)."""
+    delta = {"vars": ["u", "v"], "terms": [{"e": [0, 0], "c": "1"}, {"e": [1, 0], "c": "1"}]}
+    code, out, err = run(capsys, "ladder", write_ext(tmp_path, 5, SPEC_A, delta))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "variables" in err
+
+
+def test_classify_builds_the_downstairs_sequence_once(capsys, tmp_path, monkeypatch):
+    """``classify`` reads pbar_1 from the downstairs sequence the ladder
+    walked: two sequences are built (downstairs and upstairs), not three."""
+    from jumpseq import cli, engine, extension
+    calls = []
+    build = engine.build_jumping_sequence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (cli, extension):
+        monkeypatch.setattr(module, "build_jumping_sequence", counted)
+    code, out, _ = run(capsys, "classify", write_ext(tmp_path, 5, SPEC_A))
+    assert code == 0 and json.loads(out)["form"]["minimal"] is True
+    assert len(calls) == 2

@@ -1,9 +1,13 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from jumpseq import extension
+from jumpseq.blowup import initial_chart
 from jumpseq.errors import DivisibilityError, InvalidSpecError, ResourceLimitError
 from jumpseq.extension import (
     MonomialExtension,
@@ -15,9 +19,10 @@ from jumpseq.extension import (
     ladder,
 )
 from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly, exact_divide
+from jumpseq.euclid import epsilon
+from jumpseq.poly import BivarPoly, RatExpr, exact_divide
 
-from conftest import make_spec
+from conftest import FIELDS, make_spec, random_spec
 
 
 def XY(fld=QQ):
@@ -181,48 +186,158 @@ def test_ladder_fails_with_dual_sequences(spec_a, monkeypatch):
     assert cert.outcome == {"kind": "toroidal"} and not cert.ok
 
 
-def test_ladder_only_divisibility_means_no_unit(spec_a, monkeypatch):
-    """An inexact division of the stable unit fails the rung with no unit;
-    any other fault in the kernel propagates."""
+def test_ladder_rung_without_unit(spec_a, monkeypatch):
+    """A rung whose Delta is not a unit reports ``delta_unit`` false and
+    ``delta_constant`` null, and fails.  Here Delta is read in the S-chart
+    one step short of the rung, where u_i / X^t is not a unit."""
     ext = mk_ext(spec_a, 5, one_plus_x())
-
-    def raising(exc):
-        def exact_divide(f, g):
-            raise exc
-        return exact_divide
-
-    monkeypatch.setattr(extension, "exact_divide", raising(DivisibilityError("inexact")))
+    stable_unit = extension._stable_unit
+    monkeypatch.setattr(extension, "_stable_unit",
+                        lambda ext, chart_R, chart_S: stable_unit(ext, chart_R, chart_S.previous))
     cert = ladder(ext)
     assert not cert.ok and cert.outcome == {"kind": "toroidal"}
     rung = cert.rungs[1]
     assert rung["delta_unit"] is False and rung["delta_constant"] is None
     assert not rung["pass"]
-    monkeypatch.setattr(extension, "exact_divide", raising(ResourceLimitError("too big")))
+    assert cert.rungs[0]["pass"]
+
+
+def test_ladder_resource_limit_propagates(spec_a, monkeypatch):
+    """A kernel fault inside the rung certificates is not read as "no
+    unit": ResourceLimitError from the stepwise pull-back propagates."""
+    def pull_back(f, chart):
+        raise ResourceLimitError("too big")
+
+    monkeypatch.setattr(extension, "pull_back", pull_back)
     with pytest.raises(ResourceLimitError):
-        ladder(ext)
+        ladder(mk_ext(spec_a, 5, one_plus_x()))
+
+
+def test_stable_unit_needs_equal_Y_exponents(spec_a):
+    """u_i = x * y upstairs with t = 1 pulls back to X * Y in the initial
+    S-chart: the X-exponents differ by t, but Delta = Y is not a unit."""
+    fld = QQ
+    u, v = BivarPoly.gens(fld, ("u", "v"))
+    chart_R = replace(initial_chart(fld, (Fraction(1), Fraction(3, 2))),
+                      backward=(RatExpr.from_poly(u * v), RatExpr.from_poly(v)))
+    x, y = XY(fld)
+    chart_S = initial_chart(fld, (Fraction(1), Fraction(3, 2)),
+                            forward=BivarPoly.gens(fld, ("X", "Y")),
+                            backward=(RatExpr.from_poly(x), RatExpr.from_poly(y)))
+    assert extension._stable_unit(mk_ext(spec_a, 1), chart_R, chart_S) is None
+    chart_R = replace(chart_R, backward=(RatExpr.from_poly(u * (u + 2)), RatExpr.from_poly(v)))
+    assert extension._stable_unit(mk_ext(spec_a, 1), chart_R, chart_S) == 2
+
+
+def expanded_rung(ext, chart_R, chart_S):
+    """``delta_unit``, ``delta_constant`` and ``second_param`` of a rung
+    through the expanded forward map of the S-chart, the oracle for the
+    stepwise certificates.
+
+    Delta is the exact quotient u_i(forward) / X^t when there is one, as
+    the ladder computed it before; when the quotient is not a polynomial,
+    Delta is a unit when, after cancelling the common monomial,
+    num = X^t * A and den = B with A and B local units."""
+    fld = ext.field
+    sub = ext.substitution()
+
+    def in_chart(r):
+        up = RatExpr(r.num.subs(*sub), r.den.subs(*sub))
+        return RatExpr(up.num.subs(*chart_S.forward), up.den.subs(*chart_S.forward))
+
+    u = in_chart(chart_R.backward[0])
+    try:
+        delta = exact_divide(u.num, u.den * BivarPoly.monomial(fld, ext.t, 0, 1, u.den.vars))
+        const = delta.constant_term()
+        unit = bool(const)
+    except DivisibilityError:
+        unit = (bool(u.den.constant_term()) and (ext.t, 0) in u.num.terms
+                and min(a for a, _ in u.num.terms) == ext.t)
+        const = u.num.terms[(ext.t, 0)] / u.den.constant_term() if unit else None
+    W = in_chart(chart_R.backward[1])
+    restricted = {b for (a, b) in W.num.terms if a == 0}
+    second = {"den_unit": bool(W.den.constant_term()),
+              "vanishes_at_origin": W.num.constant_term() == fld.zero,
+              "exceptional_order_one": bool(restricted) and min(restricted) == 1}
+    second["pass"] = all(second.values())
+    return unit, fld.render(const) if unit else None, second
+
+
+def rungs_with_charts(ext, depth=None):
+    """The ladder's rungs after rung 0 with the (R, S) charts they were
+    certified on."""
+    calls = []
+    stable_unit = extension._stable_unit
+    with mock.patch.object(extension, "_stable_unit",
+                           lambda *a: calls.append(a) or stable_unit(*a)):
+        cert = ladder(ext, depth)
+    assert len(calls) == len(cert.rungs) - 1
+    return cert, list(zip(cert.rungs[1:], calls))
+
+
+def rung_fields(rung):
+    return rung["delta_unit"], rung["delta_constant"], rung["second_param"]
 
 
 @pytest.mark.parametrize("fld", [QQ, prime_field(101)], ids=["QQ", "F101"])
 @pytest.mark.parametrize("t", [5, 7])
-def test_stable_unit_is_u_over_x_to_the_t(spec_a, monkeypatch, fld, t):
-    """On every rung the stable unit Delta satisfies u_i = X^t * Delta in
-    the S-chart, and equals the quotient obtained by pulling x_i^t back
-    through the forward map instead of writing it as X^t."""
+def test_rungs_match_expanded_forward(spec_a, fld, t):
+    """On spec-a every rung's stable unit is the exact quotient
+    u_i(forward) / X^t, and the stepwise certificates equal the ones read
+    from the expanded forward map."""
     spec = replace(spec_a, field=fld, lambdas=(fld(1), fld(1)),
                    units=tuple(BivarPoly.const(fld, 1) for _ in spec_a.units))
-    stable_unit = extension._stable_unit
-    calls = []
-    monkeypatch.setattr(extension, "_stable_unit", lambda *a: calls.append(a) or stable_unit(*a))
-    assert ladder(mk_ext(spec, t, one_plus_x(fld))).ok
-    assert len(calls) == 1
-    for ext, chart_R, chart_S in calls:
-        unit = stable_unit(ext, chart_R, chart_S)
-        u_i = extension._pull_back(chart_R.backward[0], ext.substitution())
-        pulled = extension._pull_back(u_i, chart_S.forward)
-        X, _ = BivarPoly.gens(fld, chart_S.forward[0].vars)
-        assert unit * X ** t * pulled.den == pulled.num
-        via_forward = extension._pull_back(u_i / chart_S.backward[0] ** t, chart_S.forward)
-        assert unit == exact_divide(via_forward.num, via_forward.den)
+    cert, rungs = rungs_with_charts(mk_ext(spec, t, one_plus_x(fld)))
+    assert cert.ok and rungs
+    for rung, (ext, chart_R, chart_S) in rungs:
+        assert rung_fields(rung) == expanded_rung(ext, chart_R, chart_S)
+
+
+def test_stable_unit_beyond_exact_division():
+    """(2,7),(5,2),(3,4) over F_2 with t = 3 and delta = 1 + x: at rung 2
+    u_i(forward) / X^t is not a polynomial, but it is a ratio of local
+    units, so Delta is a unit and the ladder is toroidal and ok (the exact
+    division read it as no unit)."""
+    fld = prime_field(2)
+    cert, rungs = rungs_with_charts(mk_ext(make_spec(fld, [(2, 7), (5, 2), (3, 4)]), 3,
+                                           one_plus_x(fld)))
+    assert cert.ok
+    rung, (ext, chart_R, chart_S) = rungs[-1]
+    assert rung["delta_unit"] and rung_fields(rung) == expanded_rung(ext, chart_R, chart_S)
+    u_i = chart_R.backward[0]
+    num, den = (f.subs(*ext.substitution()).subs(*chart_S.forward) for f in (u_i.num, u_i.den))
+    with pytest.raises(DivisibilityError):
+        exact_divide(num, den * BivarPoly.monomial(fld, 3, 0, 1, den.vars))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS), st.sampled_from([2, 3, 5, 7]))
+def test_ladder_rungs_match_expanded_forward(seed, fld, t):
+    """On random specs every rung's ``delta_unit``, ``delta_constant`` and
+    ``second_param`` equal the ones read from the expanded forward map.
+
+    Both the ladder's backward expressions and the oracle's pull-back get
+    slow on long chains, so the upstairs chain is kept to 20 steps and a
+    rung is compared while deg(forward) * t * deg(backward) <= 3000 and
+    the oracle stays within TERM_LIMIT.  A resource-limited ladder has no
+    certificate to compare."""
+    spec = random_spec(random.Random(seed), fld)
+    assume(first_gcd_failure(t, spec.pairs) is None)
+    ratios = [Fraction(t * p, q) for p, q in spec.pairs]
+    assume(sum(epsilon(r.numerator, r.denominator) for r in ratios) <= 20)
+    try:
+        cert, rungs = rungs_with_charts(mk_ext(spec, t, one_plus_x(fld)))
+    except ResourceLimitError:
+        assume(False)
+    for rung, (ext, chart_R, chart_S) in rungs:
+        deg = max(f.deg_u() + f.deg_v() for f in chart_S.forward)
+        if deg * t * max(r.num.deg_u() + r.num.deg_v() for r in chart_R.backward) > 3000:
+            break
+        try:
+            expected = expanded_rung(ext, chart_R, chart_S)
+        except ResourceLimitError:  # the stepwise rung got past the oracle's limit
+            break
+        assert rung_fields(rung) == expected, "%s t=%d rung %d" % (spec.pairs, t, rung["i"])
 
 
 # ---------------------------------------------------------------------------

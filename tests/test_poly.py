@@ -66,11 +66,7 @@ def test_queries():
     f = P({(0, 0): 1, (2, 1): 3, (0, 3): Fraction(1, 2)})
     assert f.deg_u() == 2 and f.deg_v() == 3
     assert f.constant_term() == 1
-    assert f.is_local_unit()
     assert f.v_coefficient(1) == P({(2, 0): 3}, vars=("u", "v"))
-    g = P({(3, 1): 1, (4, 0): 2})
-    assert g.min_exp_first() == 3
-    assert not g.is_local_unit()
 
 
 def test_product_over_term_limit_raises():

@@ -1,16 +1,24 @@
 """Guards for the tooling around the library.
 
 The benchmark's tracer (``perfbench/spans.py``) wraps library functions by
-name, so deleting or renaming one of them breaks ``--trace 1``; and every
-certificate check must survive ``python -O``, which strips ``assert``.
+name, so deleting or renaming one of them breaks ``--trace 1``; every
+certificate check must survive ``python -O``, which strips ``assert``; and
+the blow-up chain keeps its cost model: walks that render no chart never
+compose a forward map, a pull-back never substitutes, and rendering a
+walk composes each step once.
 """
 
 import ast
+import contextlib
+import io
 import pathlib
 import sys
+from fractions import Fraction
 
 import jumpseq
 import jumpseq.poly
+from jumpseq import blowup, cli, extension
+from jumpseq.engine import build_jumping_sequence, extract_independent
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -42,3 +50,47 @@ def test_library_has_no_assert():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.relative_to(ROOT), node.lineno))
     assert found == []
+
+
+def test_certificates_never_compose_forward_maps(spec_a, monkeypatch):
+    """``ladder`` and a ``monoidal_sequence`` whose charts are not rendered
+    read no chart's forward map."""
+    def forward(chart):
+        raise AssertionError("forward map of step %d composed" % chart.step_index)
+
+    monkeypatch.setattr(blowup.Chart, "forward", property(forward))
+    x, _ = jumpseq.BivarPoly.gens(jumpseq.QQ, ("x", "y"))
+    delta = jumpseq.BivarPoly.const(jumpseq.QQ, 1, ("x", "y")) + x
+    assert extension.ladder(jumpseq.MonomialExtension(5, delta, spec_a)).ok
+    js = build_jumping_sequence(spec_a)
+    ind = extract_independent(js)
+    assert all(r["pass"] for r in blowup.monoidal_sequence(js, ind, ind.levels))
+
+
+def test_chain_walk_never_substitutes(js_a, monkeypatch):
+    """Along spec-a's chain neither a step nor the strict transforms of
+    T_1 and T_2 at each chart call ``BivarPoly.subs``: A and B relabel
+    exponents, and C expands (Y + c)^b in place."""
+    calls = []
+    subs = jumpseq.BivarPoly.subs
+    monkeypatch.setattr(jumpseq.BivarPoly, "subs", lambda *a: calls.append(a) or subs(*a))
+    chart = blowup.initial_chart(jumpseq.QQ, (Fraction(1), js_a.beta[1]))
+    kinds = []
+    while chart.values[1] is not None:
+        chart = blowup.single_quadratic_transform(chart, js=js_a)
+        kinds.append(chart.steps[-1][0])
+        for f in js_a.T[1:3]:
+            blowup.strict_transform(f, chart)
+    assert kinds == ["A", "B", "C", "A", "B", "A", "C"]
+    assert calls == []
+
+
+def test_rendering_composes_each_step_once(monkeypatch):
+    """``blowup --steps 7`` composes one step per rendered chart, not the
+    whole chain for each chart."""
+    calls = []
+    compose = blowup._compose
+    monkeypatch.setattr(blowup, "_compose", lambda *a: calls.append(a) or compose(*a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["blowup", str(ROOT / "specs" / "spec-a.json"), "--steps", "7"]) == 0
+    assert len(calls) == 7

@@ -196,7 +196,8 @@ def cmd_verify(args):
         for k in range(ind.levels + 1):
             minimality.append(verify_minimality(ind, k))
     _emit({"checks": report, "minimality": minimality,
-           "pass": all(r["pass"] for r in report)}, args)
+           "pass": all(r["pass"] is not False for r in report),
+           "uncertified": sum(r["pass"] is None for r in report)}, args)
     return EXIT_OK
 
 

@@ -32,6 +32,7 @@ expansion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -571,55 +572,51 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
                                samples: int = 0, seed: int = 0) -> List[dict]:
     """Check that T-monomial expansions witness value-ideal membership.
 
-    For each semigroup value gamma up to gamma_max and each monomial
-    u^a v^b of total degree <= deg_bound with value >= gamma, every term
-    of the expansion must again have value >= gamma: its smallest term
-    numerator over Q_N is compared with gamma.  Optionally also checks
-    random polynomial samples.  Returns a list of check records; the
-    records of one polynomial share one ``witness`` dict, which callers
-    must treat as read-only.
+    Every monomial u^a v^b of total degree <= deg_bound, and optionally
+    ``samples`` random polynomials, is expanded once, which gives its
+    value sigma.  Its record lists in ``gammas`` the semigroup values
+    0 < gamma <= min(gamma_max, sigma), ascending, carries the expansion
+    once as ``witness``, and passes when every term of the expansion has
+    value >= gammas[-1] (the smallest term numerator over Q_N is compared,
+    so this one comparison covers every gamma).  A polynomial with no such
+    gamma gets no record.  One whose value is not certified at the spec's
+    depth gets ``"pass": None`` and the witness "value not certified at
+    this depth".  The semigroup is enumerated only up to the largest
+    sigma compared, however large gamma_max is.
     """
     import random
 
-    gamma_max = Fraction(gamma_max)
-    report = []
-    gammas = [g for g in semigroup_below(list(js.beta), gamma_max) if g > 0]
+    polys = [("u^%d v^%d" % (a, b), BivarPoly.monomial(js.field, a, b, 1, ("u", "v")))
+             for a in range(deg_bound + 1) for b in range(deg_bound + 1 - a) if a or b]
+    rng = random.Random(seed)
+    for s in range(samples):
+        f = _random_poly(js.field, rng, max_deg=6, max_terms=5)
+        if not f.is_zero():
+            polys.append(("sample %d" % s, f))
 
-    def check_poly(f: BivarPoly, label: str):
+    expanded = []  # (label, expansion, sigma), expansion None when uncertified
+    for label, f in polys:
         try:
             exp = expand(f, js)
             sigma, _, _ = _min_pure_term(exp)
         except InsufficientDepthError:
+            exp = sigma = None
+        expanded.append((label, exp, sigma))
+    largest = max((sigma for _, exp, sigma in expanded if exp is not None), default=0)
+    bound = min(Fraction(gamma_max), largest)
+    gammas = [g for g in semigroup_below(list(js.beta), bound) if g > 0]
+
+    report = []
+    for label, exp, sigma in expanded:
+        if exp is None:
             report.append({"check": "membership", "inputs": label,
-                           "witness": "value not certified at this depth", "pass": True})
-            return
-        low = Fraction(min(exp.nums), js.Q[-1])
-        witness = None
-        for gamma in gammas:  # ascending
-            if gamma > sigma:
-                break
-            if witness is None:
-                witness = exp.to_json()
-            report.append({
-                "check": "membership",
-                "inputs": "%s, gamma=%s" % (label, gamma),
-                "witness": witness,
-                "pass": low >= gamma,
-            })
-
-    for a in range(deg_bound + 1):
-        for b in range(deg_bound + 1 - a):
-            if a == 0 and b == 0:
-                continue
-            f = BivarPoly.monomial(js.field, a, b, 1, ("u", "v"))
-            check_poly(f, "u^%d v^%d" % (a, b))
-
-    rng = random.Random(seed)
-    for s in range(samples):
-        f = _random_poly(js.field, rng, max_deg=6, max_terms=5)
-        if f.is_zero():
+                           "witness": "value not certified at this depth", "pass": None})
             continue
-        check_poly(f, "sample %d" % s)
+        below = gammas[:bisect_right(gammas, sigma)]
+        if below:
+            low = Fraction(min(exp.nums), js.Q[-1])
+            report.append({"check": "membership", "inputs": label, "gammas": below,
+                           "witness": exp.to_json(), "pass": low >= below[-1]})
     return report
 
 

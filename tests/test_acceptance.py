@@ -149,8 +149,9 @@ def test_criterion_2_pure_terms_distinct(js_a):
 def test_criterion_3_generating_sequence(js_a):
     report = verify_generating_sequence(js_a, Fraction(5), 8)
     assert report, "empty verification report"
-    failures = [r for r in report if not r["pass"]]
-    assert failures == []
+    failures = [r for r in report if r["pass"] is False]
+    uncertified = [r for r in report if r["pass"] is None]
+    assert failures == [] and uncertified == []
 
 
 # ---------------------------------------------------------------------------

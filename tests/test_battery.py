@@ -76,6 +76,7 @@ def test_battery_out_writes_json_report(tmp_path):
     assert (spec_a["name"], spec_b["name"]) == ("spec-a", "spec-b")
     assert spec_a["beta"] == ["1", "3/2", "23/6"] and spec_a["pairs"] == [[3, 2], [5, 3]]
     assert spec_a["monoidal"] == {"levels": 2, "pass": True}
+    assert spec_a["generating"] == {"checks": 20, "uncertified": 0, "pass": True}
     assert spec_a["ladders"][2] == {"t": 5, "outcome": "toroidal", "ok": True,
                                     "ratios": [[15, 2], [25, 3]]}
     assert all(isinstance(r["seconds"], float) for r in [report] + report["specs"])

@@ -341,6 +341,20 @@ def test_verify_negative_count_exit_64(capsys, flag):
     assert "error:" in err and flag in err
 
 
+def test_verify_summary_counts_uncertified(capsys, tmp_path):
+    """An uncertified record reads ``"pass": null``; it is counted in
+    ``uncertified`` and does not make the summary ``pass`` false."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"field": {"kind": "prime", "p": 3}, "pairs": [[3, 2]],
+                                "lambdas": ["1"], "units": ["1"], "mode": "nondiscrete"}))
+    code, out, _ = run(capsys, "verify", str(spec), "--deg-bound", "2",
+                       "--samples", "5", "--seed", "16")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True and data["uncertified"] == 1
+    assert [r["inputs"] for r in data["checks"] if r["pass"] is None] == ["sample 0"]
+
+
 def test_duplicate_exponent_exit_64(capsys, tmp_path):
     """2v^2 - u^3 written with v^2 split over two terms is refused rather
     than read as the last term alone (v^2 - u^3)."""

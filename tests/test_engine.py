@@ -21,7 +21,7 @@ from jumpseq.engine import (
     verify_minimality,
 )
 from jumpseq.errors import InsufficientDepthError, InvalidSpecError
-from jumpseq.fields import QQ
+from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import BivarPoly
 
 from conftest import make_spec
@@ -315,4 +315,44 @@ def test_rewrite_discrete_insufficient(js_b):
 
 def test_verify_generating_smoke(js_a):
     report = verify_generating_sequence(js_a, Fraction(3), 4)
-    assert report and all(r["pass"] for r in report)
+    assert report
+    assert [r for r in report if r["pass"] is False] == []
+    assert [r for r in report if r["pass"] is None] == []
+    labels = [r["inputs"] for r in report]
+    assert len(set(labels)) == len(labels), "one record per polynomial"
+    for r in report:
+        assert r["gammas"] == sorted(r["gammas"]) and 0 < r["gammas"][0]
+        assert r["gammas"][-1] <= min(Fraction(3), value(_monomial(r["inputs"]), js_a))
+
+
+def _monomial(label):
+    """The monomial of a ``verify`` record labelled "u^a v^b"."""
+    a, b = (int(part.split("^")[1]) for part in label.split())
+    return BivarPoly.monomial(QQ, a, b, 1, ("u", "v"))
+
+
+def test_verify_uncertified_is_not_pass():
+    """A sample with no certified value (over F_3 on the pair (3, 2) the
+    expansion of seed 16's sample 0 has a term in T_2 = T_M that may fall
+    below its least pure term) is recorded with ``"pass": None``, not
+    ``True``."""
+    js = build_jumping_sequence(make_spec(prime_field(3), [(3, 2)]))
+    report = verify_generating_sequence(js, Fraction(5), 2, samples=5, seed=16)
+    uncertified = [r for r in report if r["pass"] is None]
+    assert [r["inputs"] for r in uncertified] == ["sample 0"]
+    assert uncertified[0]["witness"] == "value not certified at this depth"
+    assert all(r["pass"] is True for r in report if r not in uncertified)
+
+
+def test_verify_enumerates_gamma_up_to_largest_value(js_a, monkeypatch):
+    """The semigroup is enumerated only up to the largest value compared,
+    so a huge ``gamma_max`` costs nothing and changes no record."""
+    bounds = []
+    below = engine.semigroup_below
+    monkeypatch.setattr(engine, "semigroup_below",
+                        lambda gens, bound: bounds.append(bound) or below(gens, bound))
+    small = verify_generating_sequence(js_a, Fraction(200), 8)
+    big = verify_generating_sequence(js_a, Fraction(20000), 8)
+    largest = max(value(_monomial(r["inputs"]), js_a) for r in small)
+    assert bounds == [largest, largest] and largest < 200
+    assert big == small

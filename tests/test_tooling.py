@@ -5,12 +5,14 @@ name, so deleting or renaming one of them breaks ``--trace 1``; every
 certificate check must survive ``python -O``, which strips ``assert``; and
 the blow-up chain keeps its cost model: walks that render no chart never
 compose a forward map, a pull-back never substitutes, and rendering a
-walk composes each step once.
+walk composes each step once.  ``verify`` writes each polynomial's
+witness once, so its report stays small.
 """
 
 import ast
 import contextlib
 import io
+import json
 import pathlib
 import sys
 from fractions import Fraction
@@ -94,3 +96,15 @@ def test_rendering_composes_each_step_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["blowup", str(ROOT / "specs" / "spec-a.json"), "--steps", "7"]) == 0
     assert len(calls) == 7
+
+
+def test_verify_report_emits_each_witness_once():
+    """``verify`` writes one record per polynomial, so spec-b's report
+    (44 polynomials) stays small; with one record per gamma it had 203
+    records and 391 997 bytes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", str(ROOT / "specs" / "spec-b.json")]) == 0
+    checks = json.loads(out.getvalue())["checks"]
+    assert len(checks) == len({r["inputs"] for r in checks}) == 44
+    assert len(out.getvalue().encode()) < 100_000

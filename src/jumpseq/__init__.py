@@ -28,8 +28,6 @@ from .engine import (
 )
 from .blowup import (
     Chart,
-    ChunkResult,
-    chunk_transform,
     initial_chart,
     monoidal_sequence,
     single_quadratic_transform,

@@ -15,11 +15,20 @@ parameters (U, V) a step is one of:
 The forward map (the original parameters as polynomials in the current
 ones) is composed on first use from the previous chart's forward map and
 one step, and cached, so a walk that never renders a chart never
-composes it.  Backward rational expressions give the values and residues
-of the current parameters through the valuation engine.  Composing
-epsilon(p, q) steps reproduces the closed-form chunk chart
-x = X^q (Y+c)^b, y = X^p (Y+c)^a exactly; :func:`chunk_transform` builds
-that closed form independently, as the initial map of a chart.
+composes it.
+
+Backward, the current parameters are monomials in the factors of their
+chain: the two initial parameters and, from each closing, one factor
+N = P - c*Q, where V/U = P/Q with P and Q products of earlier factors
+(Spivakovsky's monomial form of the chart parameters).  A chart keeps U
+and V as integer exponent vectors over that tuple of factors, so A and B
+subtract one vector from the other and form no polynomial.  Each factor
+is expanded by the engine once, for its value and its initial form in
+the graded algebra of the valuation (:class:`Factor`).  Values of
+monomials in the factors add up, and their initial forms multiply, so a
+closing takes its residue c from the initial forms
+(:func:`jumpseq.engine.graded_residue`) and forms P and Q only to build
+the new factor; the new second value is value(N) - value(Q).
 
 A strict transform is pulled back one step at a time.  A and B relabel
 exponents and C is the only real substitution.  After each step the
@@ -29,9 +38,9 @@ divisible by neither coordinate and U a product of pulled-back factors
 (e_X, e_X + e_Y), and C(c) to (e_X + e_Y, 0) while U(0, 0) gains the
 factor c^e_Y (a residue is never zero).  The strict transform
 f(forward) / X^e_X is a local unit exactly when e_Y = 0 and g(0, 0) is
-nonzero.  Its value is value(f) - e_X * value(X): both values are
-computed by the engine in the original ring, X's through its backward
-expression.
+nonzero.  Its value is value(f) - e_X * value(X): value(f) is computed by
+the engine in the original ring and value(X) from the values of X's
+factors.
 """
 
 from __future__ import annotations
@@ -39,19 +48,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import comb
 from typing import List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
-from .euclid import bezout, epsilon, euclid_data
-from .engine import IndependentData, JumpingSequence, residue, value
+from .euclid import epsilon, euclid_data
+from .engine import IndependentData, JumpingSequence, graded_residue, initial_form, value
 from .fields import Fp, GroundField
 from . import poly
-from .poly import BivarPoly, RatExpr, _from_int, _reduce, _to_int
+from .poly import BivarPoly, _from_int, _reduce, _to_int
 
 #: the non-closing steps; a closing step is the pair ("C", c)
 STEP_A = ("A", None)
 STEP_B = ("B", None)
+
+
+def _binom_mod(n: int, k: int, p: int) -> int:
+    """comb(n, k) mod p for a prime p, by Lucas' theorem: the product of
+    the binomials of the base-p digits."""
+    out = 1
+    while k:
+        n, a = divmod(n, p)
+        k, b = divmod(k, p)
+        if b > a:
+            return 0
+        out = out * comb(a, b) % p
+    return out
 
 
 def _step(x, step, p):
@@ -65,7 +87,8 @@ def _step(x, step, p):
     if kind == "B":
         return {(a, a + b): v for (a, b), v in terms.items()}, den
     # X^a Y^b -> X^(a+b) (Y + n/d)^b over the common denominator d^top;
-    # rows[b] holds the nonzero multipliers of Y^k in d^top (Y + n/d)^b
+    # rows[b] holds the nonzero multipliers of Y^k in d^top (Y + n/d)^b,
+    # over F_p reduced mod p as they are made (d = 1 there)
     n, d = (c.val, 1) if p else (c.numerator, c.denominator)
     top = max(b for _, b in terms)
     rows = {}
@@ -76,9 +99,10 @@ def _step(x, step, p):
         if row is None:
             row = rows[b] = []
             for k in range(b + 1):
-                m = comb(b, k) * n ** (b - k) * d ** (top - b + k)
                 if p:
-                    m %= p
+                    m = _binom_mod(b, k, p) * pow(n, b - k, p) % p
+                else:
+                    m = comb(b, k) * n ** (b - k) * d ** (top - b + k)
                 if m:
                     row.append((k, m))
         for k, m in row:
@@ -96,6 +120,50 @@ def _compose(maps, step):
                  for f in maps)
 
 
+_UNSET = object()
+
+
+class Factor:
+    """A polynomial factor of the chart parameters of one chain.
+
+    Its value and initial form, (sigma, coefficient, exponent vector) as
+    :func:`jumpseq.engine.initial_form` gives them, are computed on first
+    use from the sequence the chain is walked along, and kept; the form
+    is None when the value lies beyond the spec depth.
+    """
+
+    __slots__ = ("poly", "_form")
+
+    def __init__(self, poly: BivarPoly):
+        self.poly = poly
+        self._form = _UNSET
+
+    def form(self, js: JumpingSequence):
+        if self._form is _UNSET:
+            try:
+                self._form = initial_form(self.poly, js)
+            except InsufficientDepthError:
+                self._form = None
+        return self._form
+
+
+def monomial_form(factors, exps, js: JumpingSequence):
+    """The value and the initial form (coefficient, exponent vector over
+    T_0 .. T_M) of prod_k factors[k]^exps[k]: values add up, and initial
+    forms multiply."""
+    val = Fraction(0)
+    coeff = js.field.one
+    out = [0] * (js.depth + 2)
+    for f, n in zip(factors, exps):
+        if n:
+            v, c, a = f.form(js)
+            val += n * v
+            coeff = coeff * c ** n
+            for j, x in enumerate(a):
+                out[j] += n * x
+    return val, coeff, out
+
+
 @dataclass(frozen=True)
 class Chart:
     """A local chart after ``step_index`` quadratic transforms.
@@ -103,18 +171,22 @@ class Chart:
     ``initial`` expresses the original parameters as polynomials in the
     chart coordinates before ``steps``, the elementary steps taken since
     (``STEP_A``, ``STEP_B`` or ``("C", c)``); :attr:`forward` is their
-    composition.  ``backward`` expresses the current parameters as
-    rational expressions in the original ones.  The first current
-    parameter is the exceptional one at every free ring.  ``chunk_pos``
-    counts steps inside the current Euclidean chunk and ``chunk_pq`` is
-    the value ratio that chunk traverses; ``residues`` collects the
-    constants c used at the chunk closings passed so far.  ``previous``
-    is the chart one step back, whose forward map :attr:`forward` reuses.
+    composition.  The current parameters are the monomials
+    prod_k factors[k]^e_k for the two exponent vectors ``params``; the
+    factors are the chain's two initial parameters and one new factor per
+    closing, and every chart of a chain shares their :class:`Factor`
+    objects.  The first current parameter is the exceptional one at every
+    free ring.  ``chunk_pos`` counts steps inside the current Euclidean
+    chunk and ``chunk_pq`` is the value ratio that chunk traverses;
+    ``residues`` collects the constants c used at the chunk closings
+    passed so far.  ``previous`` is the chart one step back, whose forward
+    map :attr:`forward` reuses.
     """
 
     field: GroundField
     initial: Tuple[BivarPoly, BivarPoly]
-    backward: Tuple[RatExpr, RatExpr]
+    factors: Tuple[Factor, ...]
+    params: Tuple[Tuple[int, ...], Tuple[int, ...]]
     values: Tuple[Fraction, Optional[Fraction]]
     free: bool
     step_index: int
@@ -148,11 +220,6 @@ class Chart:
             vars(ch)["forward"] = maps
         return maps
 
-    def ratio(self) -> Tuple[int, int]:
-        """The value ratio value(V)/value(U) = p/q in lowest terms."""
-        r = Fraction(self.values[1]) / Fraction(self.values[0])
-        return (r.numerator, r.denominator)
-
     def to_json(self):
         return {
             "forward": [f.to_json() for f in self.forward],
@@ -164,16 +231,19 @@ class Chart:
 
 def initial_chart(field: GroundField, values: Tuple[Fraction, Fraction],
                   forward: Optional[Tuple[BivarPoly, BivarPoly]] = None,
-                  backward: Optional[Tuple[RatExpr, RatExpr]] = None) -> Chart:
+                  backward: Optional[Tuple[BivarPoly, BivarPoly]] = None) -> Chart:
+    """The chart at the start of a chain: ``forward`` gives the original
+    parameters in the chart coordinates (default x, y) and ``backward``
+    the chart parameters in the original ring (default u, v), which
+    become the chain's first two factors."""
     if forward is None:
         forward = BivarPoly.gens(field, ("x", "y"))
     if backward is None:
-        u, v = BivarPoly.gens(field, ("u", "v"))
-        backward = (RatExpr.from_poly(u), RatExpr.from_poly(v))
+        backward = BivarPoly.gens(field, ("u", "v"))
     values = (Fraction(values[0]), Fraction(values[1]) if values[1] is not None else None)
     r = Fraction(values[1]) / values[0]
-    return Chart(field, forward, backward, values, True, 0, 0,
-                 (r.numerator, r.denominator), ())
+    return Chart(field, forward, tuple(Factor(b) for b in backward), ((1, 0), (0, 1)),
+                 values, True, 0, 0, (r.numerator, r.denominator), ())
 
 
 def _chunk_flags(chunk_pq: Tuple[int, int], pos: int) -> bool:
@@ -183,32 +253,14 @@ def _chunk_flags(chunk_pq: Tuple[int, int], pos: int) -> bool:
     return pos <= ed.f[0] or pos == ed.epsilon
 
 
-def _rat_value(r: RatExpr, js: JumpingSequence) -> Fraction:
-    """The value of a backward expression: value(num) - value(den)."""
-    return value(r.num, js) - value(r.den, js)
-
-
-def _after_closing(new_y: RatExpr, vU: Fraction, js: JumpingSequence):
-    """The value of the new second parameter ``new_y`` after a chunk
-    closing and the value ratio (p, q) of the next chunk, with vU the
-    value of the first parameter.  Both are None when the value needs the
-    next defining pair, which at the last certifiable chunk lies beyond
-    the spec depth."""
-    try:
-        vY = _rat_value(new_y, js)
-    except InsufficientDepthError:
-        return None, None
-    r = Fraction(vY) / vU
-    return vY, (r.numerator, r.denominator)
-
-
 def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
     """One quadratic transform along the valuation.
 
-    At a chunk-closing (equal values) step the residue constant and the
-    new second value are computed through the engine from ``js``.
-    Raises :class:`InsufficientDepthError` when the second value is
-    unknown, i.e. after the last chunk the spec certifies, and
+    At a chunk-closing (equal values) step the residue constant comes
+    from the initial forms of the chart's factors, and the new second
+    value from the engine's expansion of the new factor.  Raises
+    :class:`InsufficientDepthError` when the second value is unknown,
+    i.e. after the last chunk the spec certifies, and
     :class:`InvalidSpecError` when the values meet before epsilon steps.
     """
     vU, vV = chart.values
@@ -216,20 +268,20 @@ def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
         raise InsufficientDepthError(
             "step %d: the value of the second parameter lies beyond the spec depth"
             % (chart.step_index + 1))
-    bu, bv = chart.backward
+    eU, eV = chart.params
     pos = chart.chunk_pos + 1
 
     if vU != vV:
         if vU < vV:  # new parameters (U, V/U)
             step = STEP_A
-            new_backward = (bu, bv / bu)
+            new_params = (eU, tuple(b - a for a, b in zip(eU, eV)))
             new_values = (vU, vV - vU)
         else:  # new parameters (U/V, V)
             step = STEP_B
-            new_backward = (bu / bv, bv)
+            new_params = (tuple(a - b for a, b in zip(eU, eV)), eV)
             new_values = (vU - vV, vV)
         return replace(chart, steps=chart.steps + (step,), previous=chart,
-                       backward=new_backward, values=new_values,
+                       params=new_params, values=new_values,
                        free=_chunk_flags(chart.chunk_pq, pos),
                        step_index=chart.step_index + 1, chunk_pos=pos)
 
@@ -238,52 +290,30 @@ def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
     if pos != eps:
         raise InvalidSpecError("chunk %s closed at step %d, expected epsilon = %d"
                                % (chart.chunk_pq, pos, eps))
-    ratio = bv / bu
-    c = residue(ratio.num, ratio.den, js)
-    new_y = ratio.sub_scalar(c)
-    vY, new_pq = _after_closing(new_y, vU, js)
+    ratio = tuple(b - a for a, b in zip(eU, eV))  # V/U = P/Q
+    _, coeff, exps = monomial_form(chart.factors, ratio, js)
+    c = graded_residue(coeff, exps, js)
+    fld = chart.field
+    P = Q = BivarPoly.const(fld, 1, chart.factors[0].poly.vars)
+    for f, n in zip(chart.factors, ratio):
+        if n > 0:
+            P = P * f.poly ** n
+        elif n < 0:
+            Q = Q * f.poly ** -n
+    new = Factor(P - Q.scale(c))
+    den = tuple(min(n, 0) for n in ratio)  # 1/Q
+    form = new.form(js)
+    if form is None:  # the value needs the defining pair beyond the spec depth
+        vY = new_pq = None
+    else:
+        vY = form[0] + monomial_form(chart.factors, den, js)[0]
+        r = vY / vU
+        new_pq = (r.numerator, r.denominator)
     return replace(chart, steps=chart.steps + (("C", c),), previous=chart,
-                   backward=(bu, new_y), values=(vU, vY), free=True,
+                   factors=chart.factors + (new,), params=(eU + (0,), den + (1,)),
+                   values=(vU, vY), free=True,
                    step_index=chart.step_index + 1, chunk_pos=0,
                    chunk_pq=new_pq, residues=chart.residues + (c,))
-
-
-@dataclass(frozen=True)
-class ChunkResult:
-    chart: Chart
-    a: int
-    b: int
-    c: object
-
-
-def chunk_transform(p: int, q: int, c, chart: Chart, js: JumpingSequence) -> ChunkResult:
-    """The closed-form chart after one full Euclidean chunk.
-
-    From permissible parameters (x, y) with value ratio p/q the chunk
-    ends in parameters (X, Y) with x = X^q (Y+c)^b, y = X^p (Y+c)^a
-    where a*q - b*p = 1, a <= p, b < q.
-    """
-    if gcd(p, q) != 1:
-        raise ValueError("chunk_transform requires coprime (p, q)")
-    rp, rq = chart.ratio()
-    if (rp, rq) != (p, q):
-        raise ValueError("chart value ratio is %s, expected (%d, %d)" % ((rp, rq), p, q))
-    fld = chart.field
-    a, b = bezout(p, q)
-    fu, fv = chart.forward
-    bu, bv = chart.backward
-    X, Y = BivarPoly.gens(fld, fu.vars)
-    shift = BivarPoly(fld, {(0, 0): fld(c), (0, 1): fld.one}, X.vars)  # Y + c
-    sub_x = X ** q * shift ** b
-    sub_y = X ** p * shift ** a
-    new_forward = (fu.subs(sub_x, sub_y), fv.subs(sub_x, sub_y))
-    new_backward = (bu ** a / bv ** b, (bv ** q / bu ** p).sub_scalar(c))
-    vU = chart.values[0] / q
-    vY, new_pq = _after_closing(new_backward[1], vU, js)
-    closed = Chart(fld, new_forward, new_backward, (vU, vY), True,
-                   chart.step_index + epsilon(p, q), 0, new_pq,
-                   chart.residues + (fld(c),))
-    return ChunkResult(closed, a, b, fld(c))
 
 
 def _strip(g):
@@ -352,10 +382,10 @@ def value_in_original(f: BivarPoly, m: int, chart: Chart, js: JumpingSequence) -
     """The value of the strict transform g of f, where f(forward) = X^m * g.
 
     ``f`` lies in the original ring, so value(g) = value(f) - m * value(X)
-    with value(X) taken through the engine from X's backward expression,
+    with value(X) summed from the engine's values of X's factors,
     independently of the ``values`` the chart carries.
     """
-    return value(f, js) - m * _rat_value(chart.backward[0], js)
+    return value(f, js) - m * monomial_form(chart.factors, chart.params[0], js)[0]
 
 
 def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List[dict]:
@@ -385,10 +415,8 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
             "initial parameter H_1 requires corrections depending on u alone"
         )
     x, y = BivarPoly.gens(fld, ("x", "y"))
-    u, v = BivarPoly.gens(fld, ("u", "v"))
     fwd = (x, y + corr.subs(x, y))
-    bwd = (RatExpr.from_poly(u), RatExpr.from_poly(H[1]))
-    chart = initial_chart(fld, (Fraction(1), ind.betabar[1]), fwd, bwd)
+    chart = initial_chart(fld, (Fraction(1), ind.betabar[1]), fwd, (H[0], H[1]))
 
     def nbar(m: int, j: int) -> int:
         # n_{i_m, i_j} with i_0 = 0

@@ -502,6 +502,43 @@ def value(f: BivarPoly, js: JumpingSequence) -> Fraction:
     return sigma
 
 
+def initial_form(f: BivarPoly, js: JumpingSequence):
+    """The value of f and its initial form in the graded algebra of the
+    valuation: (sigma, coefficient, exponent vector over T_0 .. T_M) of
+    the minimal pure term of its expansion.  Raises
+    InsufficientDepthError as :func:`value` does."""
+    return _min_pure_term(expand(f, js))
+
+
+def graded_residue(coeff, exps, js: JumpingSequence):
+    """The residue of a quotient of value 0, read off its initial form.
+
+    The initial form is coeff * prod_j in(T_j)^exps[j], exponents of any
+    sign over T_0 .. T_M, as a product and quotient of initial forms
+    (:func:`initial_form`) gives it.  In the graded algebra
+    in(T_i)^{q_i} = lambda_i * delta_i(0) * prod_{j<i} in(T_j)^{n_{i,j}}
+    for 1 <= i <= N, so reducing a_i with divmod(a_i, q_i) from i = N down
+    to 1 brings the form to standard exponents 0 <= a_i < q_i.  Distinct
+    standard monomials have distinct values, so a quotient of value 0
+    reduces to a constant: its residue.  Any other result raises
+    ArithmeticError.
+    """
+    a = list(exps)
+    fld = js.field
+    spec = js.spec
+    for i in range(js.depth, 0, -1):
+        k, a[i] = divmod(a[i], js.q(i))
+        if k:
+            rel = fld(spec.lambdas[i - 1]) * spec.units[i - 1].constant_term()
+            coeff = coeff * rel ** k
+            for j, n in enumerate(js.n[i]):
+                a[j] += k * n
+    if any(a):
+        raise ArithmeticError("initial form with standard exponents %s is not a constant"
+                              % (a,))
+    return coeff
+
+
 def residue(f: BivarPoly, g: BivarPoly, js: JumpingSequence):
     """The residue of f/g in the residue field, for value(f) = value(g)."""
     ef, eg = expand(f, js), expand(g, js)

@@ -2,11 +2,14 @@
 chunk descent, the stable-form ladder and the toroidal classifier.
 
 The ladder is the certificate of the stable form: rung by rung it checks
-u_i = x_i^t * delta_i along the R- and S-chains.  It pulls an R-side
-parameter upstairs and then into the S-chart step by step, numerator and
-denominator apart, and reads only the coordinate exponents, the unit
-constants and the order along the exceptional locus from the result; it
-never composes a chart's forward map.
+u_i = x_i^t * delta_i along the R- and S-chains.  The R-side parameters
+are monomials in the R-chain's factors (see :mod:`jumpseq.blowup`), so a
+rung pulls each factor with a nonzero exponent upstairs and then into
+the S-chart step by step, once, and combines the results: coordinate
+exponents and orders along the exceptional locus add up with the
+exponents, and unit constants multiply.  It never composes a chart's
+forward map.  The rung residues c and c' are read off initial forms in
+the graded algebras of the two sequences, like the closings' residues.
 
 Everything here treats the stable monomial form as an *input assumption*:
 when the gcd conditions it implies fail, the contradiction witness is
@@ -25,6 +28,7 @@ from .blowup import (
     Chart,
     constant_term,
     initial_chart,
+    monomial_form,
     pull_back,
     single_quadratic_transform,
     strict_transform,
@@ -36,12 +40,12 @@ from .engine import (
     _json_int,
     build_jumping_sequence,
     extract_independent,
-    residue,
+    graded_residue,
 )
 from .errors import InvalidSpecError
 from .euclid import bezout, epsilon
 from .fields import GroundField
-from .poly import BivarPoly, RatExpr
+from .poly import BivarPoly
 
 
 @dataclass(frozen=True)
@@ -221,56 +225,96 @@ def chunk_descend(t: int, p_prime: int, q_prime: int, characteristic: int,
 # ---------------------------------------------------------------------------
 
 
-def _in_S_chart(ext: MonomialExtension, r: RatExpr, chart_S: Chart):
-    """Pull an R-side expression r = num/den in (u, v) upstairs through
-    u = x^t * delta, v = y, and then into the S-chart step by step:
-    :func:`~jumpseq.blowup.pull_back` of the numerator and of the
-    denominator."""
+def _pulled_factors(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> dict:
+    """Each factor of the R-chart with a nonzero exponent in either
+    parameter, pulled upstairs through u = x^t * delta, v = y and then
+    into the S-chart step by step: {k: (a, b, unit, g)} as
+    :func:`~jumpseq.blowup.pull_back` gives it for factor k."""
     sub = ext.substitution()
-    return pull_back(r.num.subs(*sub), chart_S), pull_back(r.den.subs(*sub), chart_S)
+    eU, eV = chart_R.params
+    return {k: pull_back(f.poly.subs(*sub), chart_S)
+            for k, f in enumerate(chart_R.factors) if eU[k] or eV[k]}
 
 
-def _stable_unit(ext: MonomialExtension, chart_R: Chart, chart_S: Chart):
+def _split(exps, pulled, fld):
+    """A parameter prod_k F_k^{e_k} pulled back factor by factor, as
+    num / den with num the factors of positive exponent and den those of
+    negative exponent.  Returns (a, b, c) for num and for den: with
+    num = X^a Y^b U g, c = U(0, 0) * g(0, 0), nonzero exactly when g is a
+    local unit.  The exponents add up and the constants multiply, since
+    pull_back of a product is the product of the pull-backs."""
+    out = []
+    for sign in (1, -1):
+        a = b = 0
+        const = fld.one
+        for k, e in enumerate(exps):
+            e *= sign
+            if e > 0:
+                ak, bk, unit, g = pulled[k]
+                a += e * ak
+                b += e * bk
+                const = const * (unit * constant_term(g, fld)) ** e
+        out.append((a, b, const))
+    return out
+
+
+def _stable_unit(ext: MonomialExtension, exps, pulled: dict):
     """The constant Delta(0, 0) of the unit Delta with u_i = x_i^t * Delta
     in the S-chart, or None when Delta is not certified as a unit.
 
-    x_i pulls back to the S-chart coordinate X, and u_i pulls back to
-    X^a Y^b U g / (X^a' Y^b' U' g').  Delta = u_i / X^t is certified as a
-    ratio of local units: a - a' = t, b = b', and g and g' have nonzero
-    constant terms.  Its constant is then the ratio of theirs."""
-    (a, b, unit, g), (a2, b2, unit2, g2) = _in_S_chart(ext, chart_R.backward[0], chart_S)
-    fld = ext.field
-    c, c2 = constant_term(g, fld), constant_term(g2, fld)
+    ``exps`` are u_i's exponents over the R-side factors and ``pulled``
+    their pull-backs (:func:`_pulled_factors`).  x_i pulls back to the
+    S-chart coordinate X, and u_i to X^a Y^b U g / (X^a' Y^b' U' g').
+    Delta = u_i / X^t is certified as a ratio of local units: a - a' = t,
+    b = b', and g and g' have nonzero constant terms.  Its constant is
+    then the ratio of theirs."""
+    (a, b, c), (a2, b2, c2) = _split(exps, pulled, ext.field)
     if a - a2 != ext.t or b != b2 or not c or not c2:
         return None
-    return unit * c / (unit2 * c2)
+    return c / c2
 
 
-def _second_param_certificate(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> dict:
+def _second_param_certificate(exps, pulled: dict, fld: GroundField) -> dict:
     """Certify that the R-side second parameter pulls back to a regular
     parameter completing the S-chart exceptional coordinate.
 
-    The pullback is W = num/den, with the common coordinate monomial
-    cancelled and den a unit; the certificate is: den has nonzero
-    constant term, W vanishes at the origin, and the restriction of num
-    to the exceptional locus (first coordinate = 0) has order exactly 1
-    in the second coordinate.  With num = X^a Y^b U g and
-    den = X^a' Y^b' U' g' as :func:`~jumpseq.blowup.pull_back` gives
-    them, the cancelled monomial is X^min(a, a') Y^min(b, b').
+    ``exps`` are its exponents over the R-side factors and ``pulled``
+    their pull-backs (:func:`_pulled_factors`).  The pullback is
+    W = num/den, with the common coordinate monomial cancelled and den a
+    unit; the certificate is: den has nonzero constant term, W vanishes at
+    the origin, and the restriction of num to the exceptional locus (first
+    coordinate = 0) has order exactly 1 in the second coordinate.  With
+    num = X^a Y^b U g and den = X^a' Y^b' U' g', the cancelled monomial is
+    X^min(a, a') Y^min(b, b'); the order of g on X = 0 is the sum of its
+    factors' orders.
     """
-    (a, b, _, g), (a2, b2, _, g2) = _in_S_chart(ext, chart_R.backward[1], chart_S)
-    fld = ext.field
+    (a, b, c), (a2, b2, c2) = _split(exps, pulled, fld)
     da, db = a - min(a, a2), b - min(b, b2)  # num's monomial after cancelling
-    den_unit = a2 <= a and b2 <= b and bool(constant_term(g2, fld))
-    vanishes = da > 0 or db > 0 or not constant_term(g, fld)
+    den_unit = a2 <= a and b2 <= b and bool(c2)
+    vanishes = da > 0 or db > 0 or not c
     # on X = 0 the unit U has order 0 and g keeps the terms free of X
-    order_one = da == 0 and db + min(j for i, j in g[0] if i == 0) == 1
+    order = sum(e * min(j for i, j in pulled[k][3][0] if i == 0)
+                for k, e in enumerate(exps) if e > 0)
+    order_one = da == 0 and db + order == 1
     return {
         "den_unit": den_unit,
         "vanishes_at_origin": vanishes,
         "exceptional_order_one": order_one,
         "pass": den_unit and vanishes and order_one,
     }
+
+
+def _rung_residue(js: JumpingSequence, i: int, chart: Chart):
+    """The residue of v^{q_i} / u^{p_i} for the admissible pair entering
+    chunk i: u the first parameter of ``chart`` and
+    v = T_i / prod_j T_j^{n_{i-1,j}}, read off the initial forms
+    (:func:`~jumpseq.engine.graded_residue`)."""
+    q, p = js.q(i), js.p(i)
+    _, coeff, exps = monomial_form(chart.factors, [-p * e for e in chart.params[0]], js)
+    exps[i] += q
+    for j, n in enumerate(js.n[i - 1]):
+        exps[j] -= q * n
+    return graded_residue(coeff, exps, js)
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +380,9 @@ def _ladder(ext: MonomialExtension, depth: Optional[int] = None,
     fld = ext.field
     chart_R = initial_chart(fld, (Fraction(1), down.beta[1]),
                             forward=BivarPoly.gens(fld, ("U", "V")))
-    x, y = BivarPoly.gens(fld, ("x", "y"))
     chart_S = initial_chart(fld, (Fraction(1), up.beta[1]),
                             forward=BivarPoly.gens(fld, ("X", "Y")),
-                            backward=(RatExpr.from_poly(x), RatExpr.from_poly(y)))
-
-    def strict_param_ratio(js_side: JumpingSequence, idx: int) -> RatExpr:
-        """v_idx = T_{idx+1} / prod_j T_j^{n_{idx,j}} as a rational expression."""
-        r = RatExpr.from_poly(js_side.T[idx + 1])
-        if idx >= 1:
-            for j, e in enumerate(js_side.n[idx]):
-                if e:
-                    r = r / RatExpr.from_poly(js_side.T[j]) ** e
-        return r
+                            backward=BivarPoly.gens(fld, ("x", "y")))
 
     rungs = []
     for i in range(depth):
@@ -365,21 +399,23 @@ def _ladder(ext: MonomialExtension, depth: Optional[int] = None,
                 chart_S = single_quadratic_transform(chart_S, js=up)
         rec = {"i": i, "t": t,
                "step_R": chart_R.step_index, "step_S": chart_S.step_index}
-        const = ext.delta.constant_term() if i == 0 else _stable_unit(ext, chart_R, chart_S)
+        if i == 0:
+            const = ext.delta.constant_term()
+        else:
+            pulled = _pulled_factors(ext, chart_R, chart_S)
+            const = _stable_unit(ext, chart_R.params[0], pulled)
         rec["delta_unit"] = const is not None
         rec["delta_constant"] = fld.render(const) if const is not None else None
         if i == 0:
             rec["second_param"] = {"pass": True}
             rec["residue_match"] = True
         else:
-            rec["second_param"] = _second_param_certificate(ext, chart_R, chart_S)
+            rec["second_param"] = _second_param_certificate(chart_R.params[1], pulled, fld)
             # goodchunk residue compatibility: t~ = 1, so c_i = c'_i; both
             # residues are taken on the admissible parameters entering the
             # chunk (the strict-transform second parameter)
-            vr = strict_param_ratio(down, i - 1) ** down.q(i) / prev_R.backward[0] ** down.p(i)
-            c = residue(vr.num, vr.den, down)
-            vs = strict_param_ratio(up, i - 1) ** up.q(i) / prev_S.backward[0] ** up.p(i)
-            c_prime = residue(vs.num, vs.den, up)
+            c = _rung_residue(down, i, prev_R)
+            c_prime = _rung_residue(up, i, prev_S)
             rec["residue_match"] = c == c_prime
             rec["c"] = fld.render(c)
         # the rung value ratio belongs to the admissible pair

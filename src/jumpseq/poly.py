@@ -595,8 +595,10 @@ def exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:
 class RatExpr:
     """A quotient of two bivariate polynomials, reduced only by monomials.
 
-    Used as backward bookkeeping for blow-up parameters: enough structure
-    to feed value and residue queries, with no pretense of canonical form.
+    Enough structure to feed value and residue queries, with no pretense
+    of canonical form.  The blow-up chain does not use it (its charts keep
+    exponent vectors over factor polynomials); the tests materialise chart
+    parameters with it as an oracle.
     """
 
     __slots__ = ("num", "den")

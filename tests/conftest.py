@@ -1,5 +1,7 @@
 """Shared fixtures: the two reference specs, a deterministic spec battery,
-and small polynomial helpers.
+small polynomial helpers, and the chart oracles: the expanded forward
+map, the backward parameters as rational expressions and the
+closed-form chunk chart.
 
 The random specs and polynomials come from ``scripts/run_battery.py``, so
 the tests and the battery draw from one generator."""
@@ -9,11 +11,17 @@ import pathlib
 import random
 import sys
 
+from dataclasses import dataclass
+from math import gcd
+
 import pytest
 
-from jumpseq.engine import ValuationSpec, build_jumping_sequence, extract_independent
+from jumpseq.blowup import Chart, Factor
+from jumpseq.engine import ValuationSpec, build_jumping_sequence, extract_independent, value
+from jumpseq.errors import InsufficientDepthError
+from jumpseq.euclid import bezout, epsilon
 from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly
+from jumpseq.poly import BivarPoly, RatExpr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPECS_DIR = ROOT / "specs"
@@ -94,10 +102,77 @@ def expanded_strict_transform(f, chart):
     return g, m
 
 
+def backward(chart):
+    """The chart parameters as rational expressions in the original ring,
+    materialised from the chart's factors and exponent vectors: the
+    backward oracle of the tests."""
+    one = RatExpr.from_poly(BivarPoly.const(chart.field, 1, chart.factors[0].poly.vars))
+    out = []
+    for exps in chart.params:
+        r = one
+        for f, e in zip(chart.factors, exps):
+            if e:
+                r = r * RatExpr.from_poly(f.poly) ** e
+        out.append(r)
+    return tuple(out)
+
+
 def charts_inverse(chart) -> bool:
     """Whether the backward parameters pull back through the forward map
     to the chart coordinates: b.num(forward) == C * b.den(forward) for
     each backward parameter b and coordinate C."""
     coords = BivarPoly.gens(chart.field, chart.forward[0].vars)
     return all(b.num.subs(*chart.forward) == C * b.den.subs(*chart.forward)
-               for b, C in zip(chart.backward, coords))
+               for b, C in zip(backward(chart), coords))
+
+
+def rat_value(r, js):
+    """The engine value of a rational expression: value(num) - value(den)."""
+    return value(r.num, js) - value(r.den, js)
+
+
+@dataclass(frozen=True)
+class ChunkResult:
+    chart: Chart
+    a: int
+    b: int
+    c: object
+
+
+def chunk_transform(p: int, q: int, c, chart: Chart, js) -> ChunkResult:
+    """The closed-form chart after one full Euclidean chunk, the
+    independent oracle for the stepwise walk.
+
+    From permissible parameters (x, y) with value ratio p/q the chunk
+    ends in parameters (X, Y) with x = X^q (Y+c)^b, y = X^p (Y+c)^a
+    where a*q - b*p = 1, a <= p, b < q.  The new parameters are
+    U^a / V^b and V^q / U^p - c as rational expressions, and the chart
+    keeps each as the quotient of two factors.
+    """
+    if gcd(p, q) != 1:
+        raise ValueError("chunk_transform requires coprime (p, q)")
+    if chart.chunk_pq != (p, q):
+        raise ValueError("chart value ratio is %s, expected (%d, %d)" % (chart.chunk_pq, p, q))
+    fld = chart.field
+    a, b = bezout(p, q)
+    fu, fv = chart.forward
+    bu, bv = backward(chart)
+    X, Y = BivarPoly.gens(fld, fu.vars)
+    shift = BivarPoly(fld, {(0, 0): fld(c), (0, 1): fld.one}, X.vars)  # Y + c
+    sub_x = X ** q * shift ** b
+    sub_y = X ** p * shift ** a
+    new_forward = (fu.subs(sub_x, sub_y), fv.subs(sub_x, sub_y))
+    new_u = bu ** a / bv ** b
+    new_v = (bv ** q / bu ** p).sub_scalar(c)
+    vU = chart.values[0] / q
+    try:
+        vY = rat_value(new_v, js)
+        r = vY / vU
+        new_pq = (r.numerator, r.denominator)
+    except InsufficientDepthError:
+        vY = new_pq = None
+    factors = tuple(Factor(f) for f in (new_u.num, new_u.den, new_v.num, new_v.den))
+    closed = Chart(fld, new_forward, factors, ((1, -1, 0, 0), (0, 0, 1, -1)), (vU, vY),
+                   True, chart.step_index + epsilon(p, q), 0, new_pq,
+                   chart.residues + (fld(c),))
+    return ChunkResult(closed, a, b, fld(c))

@@ -12,8 +12,7 @@ from math import gcd
 
 import pytest
 
-from jumpseq.blowup import chunk_transform, initial_chart, monoidal_sequence, \
-    single_quadratic_transform
+from jumpseq.blowup import initial_chart, monoidal_sequence, single_quadratic_transform
 from jumpseq.cli import main
 from jumpseq.engine import build_jumping_sequence, expand, extract_independent, \
     value, verify_generating_sequence, verify_minimality
@@ -24,7 +23,7 @@ from jumpseq.extension import MonomialExtension, build_dual_sequences, \
 from jumpseq.fields import QQ
 from jumpseq.poly import BivarPoly
 
-from conftest import charts_inverse, make_spec, random_poly
+from conftest import charts_inverse, chunk_transform, make_spec, random_poly
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 

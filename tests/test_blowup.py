@@ -3,31 +3,42 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jumpseq.blowup import (
-    chunk_transform,
+    Factor,
+    _step,
     initial_chart,
     monoidal_sequence,
     single_quadratic_transform,
     strict_transform,
     value_in_original,
 )
-from jumpseq.engine import build_jumping_sequence, extract_independent, value
-from jumpseq.errors import InsufficientDepthError, InvalidSpecError
+from jumpseq.engine import build_jumping_sequence, extract_independent, residue
+from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLimitError
 from jumpseq.euclid import euclid_data
 from jumpseq.extension import MonomialExtension, build_dual_sequences
-from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly, RatExpr, eval_rat
+from jumpseq.fields import Fp, QQ, prime_field
+from jumpseq.poly import BivarPoly, eval_rat
 
-from conftest import (FIELDS, charts_inverse, expanded_strict_transform, load_spec,
-                      make_spec, random_poly, random_spec)
+from conftest import (FIELDS, backward, charts_inverse, chunk_transform,
+                      expanded_strict_transform, load_spec, make_spec, random_poly,
+                      random_spec, rat_value)
+
+
+def random_lambdas(rng, spec):
+    """``spec`` with random lambdas, fractional over Q, so that the
+    closings' residues vary."""
+    fld = spec.field
+    return replace(spec, lambdas=tuple(
+        fld(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) if fld == QQ
+            else rng.randint(1, fld.characteristic - 1)) for _ in spec.pairs))
 
 
 def test_initial_chart():
     ch = initial_chart(QQ, (Fraction(1), Fraction(3, 2)))
     assert ch.step_index == 0 and ch.free
-    assert ch.ratio() == (3, 2)
+    assert ch.chunk_pq == (3, 2)
 
 
 def test_single_steps_spec_a(js_a):
@@ -175,10 +186,9 @@ def _chain(name):
         return js, initial_chart(QQ, (Fraction(1), js.beta[1]))
     one = BivarPoly.const(QQ, 1, ("x", "y"))
     js = build_dual_sequences(MonomialExtension(5, one, load_spec("spec-a.json"))).up
-    x, y = BivarPoly.gens(QQ, ("x", "y"))
     return js, initial_chart(QQ, (Fraction(1), js.beta[1]),
                              forward=BivarPoly.gens(QQ, ("X", "Y")),
-                             backward=(RatExpr.from_poly(x), RatExpr.from_poly(y)))
+                             backward=BivarPoly.gens(QQ, ("x", "y")))
 
 
 # spec-a's R chain is walked to its end; the tower and the S chain stop
@@ -200,52 +210,130 @@ def test_chain_charts_inverse_and_values(name, steps, compared):
         for f in js.T[1:js.depth + 1]:
             g, m = expanded_strict_transform(f, chart)
             assert strict_transform(f, chart) == (m, g.constant_term())
-            r = eval_rat(g, *chart.backward)
-            assert value_in_original(f, m, chart, js) == \
-                value(r.num, js) - value(r.den, js), "step %d" % chart.step_index
+            r = eval_rat(g, *backward(chart))
+            assert value_in_original(f, m, chart, js) == rat_value(r, js), \
+                "step %d" % chart.step_index
 
 
 def test_charts_inverse_detects_mutated_closing(js_a):
-    """A closing whose backward parameter uses a residue other than the
-    one in the forward map fails the inverse check."""
+    """A closing whose new factor uses a residue other than the one in the
+    forward map fails the inverse check."""
     ch = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
     for _ in range(2):
         ch = single_quadratic_transform(ch, js=js_a)
     closed = single_quadratic_transform(ch, js=js_a)
     c = closed.residues[-1]
-    ratio = ch.backward[1] / ch.backward[0]
-    mutated = replace(closed, backward=(closed.backward[0], ratio.sub_scalar(c + 1)))
-    assert charts_inverse(closed)
-    assert not charts_inverse(mutated)
+    bu, bv = backward(ch)
+    ratio = bv / bu
+
+    def closing(c):
+        # V/U - c as the quotient of two new factors
+        factors = closed.factors[:-1] + (Factor(ratio.num - ratio.den.scale(c)),
+                                         Factor(ratio.den))
+        zeros = (0,) * (len(factors) - 2)
+        return replace(closed, factors=factors,
+                       params=(closed.params[0] + (0,), zeros + (1, -1)))
+
+    assert charts_inverse(closed) and charts_inverse(closing(c))
+    assert not charts_inverse(closing(c + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS))
+def test_closings_match_engine_on_backward_parameters(seed, fld):
+    """Along a random chain with random lambdas, every closing's residue
+    is the engine residue of V/U materialised as a rational expression,
+    and both chart values are the engine values of the materialised
+    parameters; a second value the chart leaves unknown is one the
+    engine cannot certify either.
+
+    The materialised products grow along the chain, so the walk stops
+    once one has more than 200 terms, or at a TERM_LIMIT error of the walk
+    or of the oracle."""
+    rng = random.Random(seed)
+    js = build_jumping_sequence(random_lambdas(rng, random_spec(rng, fld)))
+    chart = initial_chart(fld, (Fraction(1), js.beta[1]))
+    while chart.values[1] is not None:
+        try:
+            prev, chart = chart, single_quadratic_transform(chart, js=js)
+        except ResourceLimitError as e:
+            assert "TERM_LIMIT" in str(e)
+            break
+        try:
+            bu, bv = backward(chart)
+            if max(len(f.terms) for r in (bu, bv) for f in (r.num, r.den)) > 200:
+                break
+            kind, c = chart.steps[-1]
+            if kind == "C":
+                pu, pv = backward(prev)
+                ratio = pv / pu
+                assert c == residue(ratio.num, ratio.den, js), \
+                    "%s step %d" % (js.spec.pairs, chart.step_index)
+            assert chart.values[0] == rat_value(bu, js)
+            if chart.values[1] is None:
+                with pytest.raises(InsufficientDepthError):
+                    rat_value(bv, js)
+            else:
+                assert chart.values[1] == rat_value(bv, js)
+        except ResourceLimitError:  # the oracle's expansions passed TERM_LIMIT
+            break
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_step_rows_mod_p_match_integer_rows(p):
+    """A closing step over F_p makes its rows of (Y + c)^b mod p (Lucas'
+    binomials, modular powers); they agree with the rows over Z reduced
+    mod p, for exponents with several base-p digits."""
+    rng = random.Random(p)
+    for _ in range(20):
+        terms = {(rng.randint(0, 5), rng.randint(0, 3 * p * p)): rng.randint(1, p - 1)
+                 for _ in range(rng.randint(1, 6))}
+        c = rng.randint(1, p - 1)
+        got = _step((terms, 1), ("C", Fp(c, p)), p)
+        over_z, den = _step((terms, 1), ("C", Fraction(c)), 0)
+        assert den == 1
+        assert got == ({e: r for e, v in over_z.items() if (r := v % p)}, 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS))
+@example(13952, QQ)
+@example(91133, prime_field(2))
+@example(4280, QQ)
 def test_stepwise_strict_transform_matches_expanded_forward(seed, fld):
     """At every chart of a random chain, the stepwise strict transform
     has the exceptional exponent and the constant term (nonzero exactly
     for a local unit) that the expanded forward map gives, and each
     forward map is the previous one composed with the step by
-    substitution.  The lambdas are random, fractional over Q, so that the
-    closings' residues vary.
+    substitution.  The lambdas are random (:func:`random_lambdas`).
 
     The oracle's pull-back gets slow with the degree of the result, so a
     polynomial is compared while deg(f) * deg(forward) <= 300, and the
-    walk stops once a forward map has more than 100 terms."""
+    walk stops once a forward map has more than 100 terms.  It also stops,
+    as at an unknown second value, where a closing's own polynomials pass
+    TERM_LIMIT (seeds 13952 and 91133) or where one step takes the
+    composed forward map past it (seed 4280), after comparing every chart
+    reached."""
     rng = random.Random(seed)
-    spec = random_spec(rng, fld)
-    spec = replace(spec, lambdas=tuple(
-        fld(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) if fld == QQ
-            else rng.randint(1, fld.characteristic - 1)) for _ in spec.pairs))
+    spec = random_lambdas(rng, random_spec(rng, fld))
     js = build_jumping_sequence(spec)
     fs = list(js.T[1:js.depth + 1]) + [random_poly(rng, fld, max_deg=6, max_terms=3)]
     X, Y = BivarPoly.gens(fld, ("x", "y"))
     chart = initial_chart(fld, (Fraction(1), js.beta[1]))
     while chart.values[1] is not None and max(len(g.terms) for g in chart.forward) <= 100:
-        prev, chart = chart, single_quadratic_transform(chart, js=js)
+        try:
+            prev, chart = chart, single_quadratic_transform(chart, js=js)
+        except ResourceLimitError as e:
+            assert "exceeds TERM_LIMIT" in str(e)
+            break
+        try:
+            forward = chart.forward
+        except ResourceLimitError as e:  # the oracle's composed map (seed 4280)
+            assert "exceeds TERM_LIMIT" in str(e)
+            break
         kind, c = chart.steps[-1]
         sub = {"A": (X, X * Y), "B": (X * Y, Y)}.get(kind) or (X, X * (Y + c))
-        assert chart.forward == tuple(g.subs(*sub) for g in prev.forward)
+        assert forward == tuple(g.subs(*sub) for g in prev.forward)
         deg = max(g.deg_u() + g.deg_v() for g in chart.forward)
         for h in fs:
             if h.is_zero() or deg * max(a + b for a, b in h.terms) > 300:

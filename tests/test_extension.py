@@ -20,9 +20,10 @@ from jumpseq.extension import (
 )
 from jumpseq.fields import QQ, prime_field
 from jumpseq.euclid import epsilon
+from jumpseq.engine import residue
 from jumpseq.poly import BivarPoly, RatExpr, exact_divide
 
-from conftest import FIELDS, make_spec, random_spec
+from conftest import FIELDS, backward, make_spec, random_spec
 
 
 def XY(fld=QQ):
@@ -191,9 +192,9 @@ def test_ladder_rung_without_unit(spec_a, monkeypatch):
     ``delta_constant`` null, and fails.  Here Delta is read in the S-chart
     one step short of the rung, where u_i / X^t is not a unit."""
     ext = mk_ext(spec_a, 5, one_plus_x())
-    stable_unit = extension._stable_unit
-    monkeypatch.setattr(extension, "_stable_unit",
-                        lambda ext, chart_R, chart_S: stable_unit(ext, chart_R, chart_S.previous))
+    pulled = extension._pulled_factors
+    monkeypatch.setattr(extension, "_pulled_factors",
+                        lambda ext, chart_R, chart_S: pulled(ext, chart_R, chart_S.previous))
     cert = ladder(ext)
     assert not cert.ok and cert.outcome == {"kind": "toroidal"}
     rung = cert.rungs[1]
@@ -217,16 +218,18 @@ def test_stable_unit_needs_equal_Y_exponents(spec_a):
     """u_i = x * y upstairs with t = 1 pulls back to X * Y in the initial
     S-chart: the X-exponents differ by t, but Delta = Y is not a unit."""
     fld = QQ
+    ext = mk_ext(spec_a, 1)
     u, v = BivarPoly.gens(fld, ("u", "v"))
-    chart_R = replace(initial_chart(fld, (Fraction(1), Fraction(3, 2))),
-                      backward=(RatExpr.from_poly(u * v), RatExpr.from_poly(v)))
-    x, y = XY(fld)
     chart_S = initial_chart(fld, (Fraction(1), Fraction(3, 2)),
-                            forward=BivarPoly.gens(fld, ("X", "Y")),
-                            backward=(RatExpr.from_poly(x), RatExpr.from_poly(y)))
-    assert extension._stable_unit(mk_ext(spec_a, 1), chart_R, chart_S) is None
-    chart_R = replace(chart_R, backward=(RatExpr.from_poly(u * (u + 2)), RatExpr.from_poly(v)))
-    assert extension._stable_unit(mk_ext(spec_a, 1), chart_R, chart_S) == 2
+                            forward=BivarPoly.gens(fld, ("X", "Y")), backward=XY(fld))
+
+    def stable_unit(u_i):
+        chart_R = initial_chart(fld, (Fraction(1), Fraction(3, 2)), backward=(u_i, v))
+        pulled = extension._pulled_factors(ext, chart_R, chart_S)
+        return extension._stable_unit(ext, chart_R.params[0], pulled)
+
+    assert stable_unit(u * v) is None
+    assert stable_unit(u * (u + 2)) == 2
 
 
 def expanded_rung(ext, chart_R, chart_S):
@@ -245,7 +248,8 @@ def expanded_rung(ext, chart_R, chart_S):
         up = RatExpr(r.num.subs(*sub), r.den.subs(*sub))
         return RatExpr(up.num.subs(*chart_S.forward), up.den.subs(*chart_S.forward))
 
-    u = in_chart(chart_R.backward[0])
+    bu, bv = backward(chart_R)
+    u = in_chart(bu)
     try:
         delta = exact_divide(u.num, u.den * BivarPoly.monomial(fld, ext.t, 0, 1, u.den.vars))
         const = delta.constant_term()
@@ -254,7 +258,7 @@ def expanded_rung(ext, chart_R, chart_S):
         unit = (bool(u.den.constant_term()) and (ext.t, 0) in u.num.terms
                 and min(a for a, _ in u.num.terms) == ext.t)
         const = u.num.terms[(ext.t, 0)] / u.den.constant_term() if unit else None
-    W = in_chart(chart_R.backward[1])
+    W = in_chart(bv)
     restricted = {b for (a, b) in W.num.terms if a == 0}
     second = {"den_unit": bool(W.den.constant_term()),
               "vanishes_at_origin": W.num.constant_term() == fld.zero,
@@ -263,13 +267,26 @@ def expanded_rung(ext, chart_R, chart_S):
     return unit, fld.render(const) if unit else None, second
 
 
+def expanded_rung_residue(js, i, chart):
+    """The engine residue of v^{q_i} / u^{p_i} for the pair entering chunk
+    i, u the first backward parameter of ``chart`` as a rational
+    expression and v = T_i / prod_j T_j^{n_{i-1,j}}: the oracle for the
+    rung residues."""
+    v = RatExpr.from_poly(js.T[i])
+    for j, e in enumerate(js.n[i - 1]):
+        if e:
+            v = v / RatExpr.from_poly(js.T[j]) ** e
+    r = v ** js.q(i) / backward(chart)[0] ** js.p(i)
+    return residue(r.num, r.den, js)
+
+
 def rungs_with_charts(ext, depth=None):
     """The ladder's rungs after rung 0 with the (R, S) charts they were
     certified on."""
     calls = []
-    stable_unit = extension._stable_unit
-    with mock.patch.object(extension, "_stable_unit",
-                           lambda *a: calls.append(a) or stable_unit(*a)):
+    pulled = extension._pulled_factors
+    with mock.patch.object(extension, "_pulled_factors",
+                           lambda *a: calls.append(a) or pulled(*a)):
         cert = ladder(ext, depth)
     assert len(calls) == len(cert.rungs) - 1
     return cert, list(zip(cert.rungs[1:], calls))
@@ -277,6 +294,26 @@ def rungs_with_charts(ext, depth=None):
 
 def rung_fields(rung):
     return rung["delta_unit"], rung["delta_constant"], rung["second_param"]
+
+
+def chart_at(chart, step):
+    """The chart of ``chart``'s chain at ``step``."""
+    while chart.step_index > step:
+        chart = chart.previous
+    return chart
+
+
+def rung_residues(ext, cert, rungs):
+    """Per rung after rung 0, its ``c`` and ``residue_match`` as the
+    engine gives them on the charts entering the chunk."""
+    duals = build_dual_sequences(ext)
+    out = []
+    for prev, (rung, (_, chart_R, chart_S)) in zip(cert.rungs, rungs):
+        i = rung["i"]
+        c = expanded_rung_residue(duals.down, i, chart_at(chart_R, prev["step_R"]))
+        c_prime = expanded_rung_residue(duals.up, i, chart_at(chart_S, prev["step_S"]))
+        out.append((ext.field.render(c), c == c_prime))
+    return out
 
 
 @pytest.mark.parametrize("fld", [QQ, prime_field(101)], ids=["QQ", "F101"])
@@ -291,6 +328,8 @@ def test_rungs_match_expanded_forward(spec_a, fld, t):
     assert cert.ok and rungs
     for rung, (ext, chart_R, chart_S) in rungs:
         assert rung_fields(rung) == expanded_rung(ext, chart_R, chart_S)
+    assert [(r["c"], r["residue_match"]) for r, _ in rungs] == \
+        rung_residues(rungs[0][1][0], cert, rungs)
 
 
 def test_stable_unit_beyond_exact_division():
@@ -304,7 +343,7 @@ def test_stable_unit_beyond_exact_division():
     assert cert.ok
     rung, (ext, chart_R, chart_S) = rungs[-1]
     assert rung["delta_unit"] and rung_fields(rung) == expanded_rung(ext, chart_R, chart_S)
-    u_i = chart_R.backward[0]
+    u_i = backward(chart_R)[0]
     num, den = (f.subs(*ext.substitution()).subs(*chart_S.forward) for f in (u_i.num, u_i.den))
     with pytest.raises(DivisibilityError):
         exact_divide(num, den * BivarPoly.monomial(fld, 3, 0, 1, den.vars))
@@ -320,7 +359,8 @@ def test_ladder_rungs_match_expanded_forward(seed, fld, t):
     slow on long chains, so the upstairs chain is kept to 20 steps and a
     rung is compared while deg(forward) * t * deg(backward) <= 3000 and
     the oracle stays within TERM_LIMIT.  A resource-limited ladder has no
-    certificate to compare."""
+    certificate to compare.  The rung residues are compared with the
+    engine's on the same rungs."""
     spec = random_spec(random.Random(seed), fld)
     assume(first_gcd_failure(t, spec.pairs) is None)
     ratios = [Fraction(t * p, q) for p, q in spec.pairs]
@@ -329,15 +369,17 @@ def test_ladder_rungs_match_expanded_forward(seed, fld, t):
         cert, rungs = rungs_with_charts(mk_ext(spec, t, one_plus_x(fld)))
     except ResourceLimitError:
         assume(False)
-    for rung, (ext, chart_R, chart_S) in rungs:
+    for n, (rung, (ext, chart_R, chart_S)) in enumerate(rungs):
         deg = max(f.deg_u() + f.deg_v() for f in chart_S.forward)
-        if deg * t * max(r.num.deg_u() + r.num.deg_v() for r in chart_R.backward) > 3000:
+        if deg * t * max(r.num.deg_u() + r.num.deg_v() for r in backward(chart_R)) > 3000:
             break
         try:
             expected = expanded_rung(ext, chart_R, chart_S)
+            residues = rung_residues(ext, cert, rungs[:n + 1])[-1]
         except ResourceLimitError:  # the stepwise rung got past the oracle's limit
             break
         assert rung_fields(rung) == expected, "%s t=%d rung %d" % (spec.pairs, t, rung["i"])
+        assert (rung["c"], rung["residue_match"]) == residues
 
 
 # ---------------------------------------------------------------------------

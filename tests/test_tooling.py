@@ -4,8 +4,9 @@ The benchmark's tracer (``perfbench/spans.py``) wraps library functions by
 name, so deleting or renaming one of them breaks ``--trace 1``; every
 certificate check must survive ``python -O``, which strips ``assert``; and
 the blow-up chain keeps its cost model: walks that render no chart never
-compose a forward map, a pull-back never substitutes, and rendering a
-walk composes each step once.  ``verify`` writes each polynomial's
+compose a forward map, a pull-back never substitutes, rendering a walk
+composes each step once, and no certificate forms a backward rational
+expression or asks the engine for a residue.  ``verify`` writes each polynomial's
 witness once, so its report stays small.
 """
 
@@ -19,8 +20,10 @@ from fractions import Fraction
 
 import jumpseq
 import jumpseq.poly
-from jumpseq import blowup, cli, extension
+from jumpseq import blowup, cli, engine, extension
 from jumpseq.engine import build_jumping_sequence, extract_independent
+
+from conftest import make_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -85,6 +88,31 @@ def test_chain_walk_never_substitutes(js_a, monkeypatch):
             blowup.strict_transform(f, chart)
     assert kinds == ["A", "B", "C", "A", "B", "A", "C"]
     assert calls == []
+
+
+def test_certificates_never_form_backward_expressions(spec_a, monkeypatch):
+    """``monoidal_sequence`` and ``ladder`` take every residue from initial
+    forms and every value from the values of the chain's factors: with
+    ``engine.residue`` (under every name the library binds it to) and
+    every ``RatExpr`` operation raising, spec-a and the tower (3,2),(4,1),
+    (5,3) still certify, the ladders with t = 5 and delta = 1 + x."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("backward expression or engine residue used")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "jumpseq":
+            for attr, val in list(vars(module).items()):
+                if val is engine.residue:
+                    monkeypatch.setattr(module, attr, refuse)
+    for attr in ("__init__", "__add__", "__mul__", "__truediv__", "__pow__", "sub_scalar"):
+        monkeypatch.setattr(jumpseq.poly.RatExpr, attr, refuse)
+    x, _ = jumpseq.BivarPoly.gens(jumpseq.QQ, ("x", "y"))
+    delta = jumpseq.BivarPoly.const(jumpseq.QQ, 1, ("x", "y")) + x
+    for spec in (spec_a, make_spec(jumpseq.QQ, [(3, 2), (4, 1), (5, 3)])):
+        js = build_jumping_sequence(spec)
+        ind = extract_independent(js)
+        assert all(r["pass"] for r in blowup.monoidal_sequence(js, ind, ind.levels))
+        assert extension.ladder(jumpseq.MonomialExtension(5, delta, spec)).ok
 
 
 def test_rendering_composes_each_step_once(monkeypatch):

@@ -35,7 +35,6 @@ from jumpseq.engine import (
 from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLimitError
 from jumpseq.extension import (
     MonomialExtension,
-    build_dual_sequences,
     discrete_branch_report,
     first_gcd_failure,
     ladder,
@@ -117,7 +116,7 @@ def spec_record(name, spec, rng, n_random_polys):
                          "uncertified": sum(r["pass"] is None for r in report),
                          "pass": all(r["pass"] is not False for r in report)}
 
-    if spec.mode == "nondiscrete" and ind.levels and ind.kbar[-1] <= 24:
+    if spec.mode == "nondiscrete" and ind.levels:
         try:
             levels = monoidal_sequence(js, ind, ind.levels)
             rec["monoidal"] = {"levels": len(levels),

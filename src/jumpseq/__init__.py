@@ -39,7 +39,6 @@ from .extension import (
     MonomialExtension,
     ToroidalForm,
     build_dual_sequences,
-    chunk_descend,
     classify_toroidal_form,
     discrete_branch_report,
     ladder,

@@ -39,8 +39,7 @@ divisible by neither coordinate and U a product of pulled-back factors
 factor c^e_Y (a residue is never zero).  The strict transform
 f(forward) / X^e_X is a local unit exactly when e_Y = 0 and g(0, 0) is
 nonzero.  Its value is value(f) - e_X * value(X): value(f) is computed by
-the engine in the original ring and value(X) from the values of X's
-factors.
+the engine in the original ring, and value(X) is the chart's first value.
 """
 
 from __future__ import annotations
@@ -120,31 +119,27 @@ def _compose(maps, step):
                  for f in maps)
 
 
-_UNSET = object()
-
-
 class Factor:
     """A polynomial factor of the chart parameters of one chain.
 
-    Its value and initial form, (sigma, coefficient, exponent vector) as
-    :func:`jumpseq.engine.initial_form` gives them, are computed on first
-    use from the sequence the chain is walked along, and kept; the form
-    is None when the value lies beyond the spec depth.
+    ``form`` is its value and initial form, (sigma, coefficient, exponent
+    vector) as :func:`jumpseq.engine.initial_form` gives them in the
+    sequence the chain is walked along, computed when the factor is made;
+    it is None when the value lies beyond the spec depth.
     """
 
-    __slots__ = ("poly", "_form")
+    __slots__ = ("poly", "form")
 
-    def __init__(self, poly: BivarPoly):
+    def __init__(self, poly: BivarPoly, js: JumpingSequence):
         self.poly = poly
-        self._form = _UNSET
+        try:
+            self.form = initial_form(poly, js)
+        except InsufficientDepthError:
+            self.form = None
 
-    def form(self, js: JumpingSequence):
-        if self._form is _UNSET:
-            try:
-                self._form = initial_form(self.poly, js)
-            except InsufficientDepthError:
-                self._form = None
-        return self._form
+    @property
+    def value(self) -> Optional[Fraction]:
+        return None if self.form is None else self.form[0]
 
 
 def monomial_form(factors, exps, js: JumpingSequence):
@@ -156,7 +151,7 @@ def monomial_form(factors, exps, js: JumpingSequence):
     out = [0] * (js.depth + 2)
     for f, n in zip(factors, exps):
         if n:
-            v, c, a = f.form(js)
+            v, c, a = f.form
             val += n * v
             coeff = coeff * c ** n
             for j, x in enumerate(a):
@@ -176,11 +171,11 @@ class Chart:
     factors are the chain's two initial parameters and one new factor per
     closing, and every chart of a chain shares their :class:`Factor`
     objects.  The first current parameter is the exceptional one at every
-    free ring.  ``chunk_pos`` counts steps inside the current Euclidean
-    chunk and ``chunk_pq`` is the value ratio that chunk traverses;
-    ``residues`` collects the constants c used at the chunk closings
-    passed so far.  ``previous`` is the chart one step back, whose forward
-    map :attr:`forward` reuses.
+    free ring.  ``values`` are the values of the two parameters, the
+    second None beyond the spec depth.  ``chunk_pos`` counts steps inside
+    the current Euclidean chunk and ``chunk_pq`` is the value ratio that
+    chunk traverses.  ``previous`` is the chart one step back, whose
+    forward map :attr:`forward` reuses.
     """
 
     field: GroundField
@@ -192,7 +187,6 @@ class Chart:
     step_index: int
     chunk_pos: int
     chunk_pq: Optional[Tuple[int, int]]
-    residues: tuple = ()
     steps: tuple = ()
     previous: Optional["Chart"] = dataclass_field(default=None, repr=False, compare=False)
 
@@ -229,21 +223,22 @@ class Chart:
         }
 
 
-def initial_chart(field: GroundField, values: Tuple[Fraction, Fraction],
+def initial_chart(js: JumpingSequence,
                   forward: Optional[Tuple[BivarPoly, BivarPoly]] = None,
                   backward: Optional[Tuple[BivarPoly, BivarPoly]] = None) -> Chart:
-    """The chart at the start of a chain: ``forward`` gives the original
-    parameters in the chart coordinates (default x, y) and ``backward``
-    the chart parameters in the original ring (default u, v), which
-    become the chain's first two factors."""
+    """The chart at the start of a chain walked along ``js``: ``forward``
+    gives the original parameters in the chart coordinates (default x, y)
+    and ``backward`` the chart parameters in the original ring (default
+    T_0, T_1), which become the chain's first two factors and give the
+    chart its values."""
     if forward is None:
-        forward = BivarPoly.gens(field, ("x", "y"))
+        forward = BivarPoly.gens(js.field, ("x", "y"))
     if backward is None:
-        backward = BivarPoly.gens(field, ("u", "v"))
-    values = (Fraction(values[0]), Fraction(values[1]) if values[1] is not None else None)
-    r = Fraction(values[1]) / values[0]
-    return Chart(field, forward, tuple(Factor(b) for b in backward), ((1, 0), (0, 1)),
-                 values, True, 0, 0, (r.numerator, r.denominator), ())
+        backward = js.T[:2]
+    factors = tuple(Factor(b, js) for b in backward)
+    vU, vV = (f.value for f in factors)
+    pq = None if vV is None else (vV / vU).as_integer_ratio()
+    return Chart(js.field, forward, factors, ((1, 0), (0, 1)), (vU, vV), True, 0, 0, pq)
 
 
 def _chunk_flags(chunk_pq: Tuple[int, int], pos: int) -> bool:
@@ -300,20 +295,17 @@ def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
             P = P * f.poly ** n
         elif n < 0:
             Q = Q * f.poly ** -n
-    new = Factor(P - Q.scale(c))
+    new = Factor(P - Q.scale(c), js)
     den = tuple(min(n, 0) for n in ratio)  # 1/Q
-    form = new.form(js)
-    if form is None:  # the value needs the defining pair beyond the spec depth
+    if new.value is None:  # the value needs the defining pair beyond the spec depth
         vY = new_pq = None
     else:
-        vY = form[0] + monomial_form(chart.factors, den, js)[0]
-        r = vY / vU
-        new_pq = (r.numerator, r.denominator)
+        vY = new.value + monomial_form(chart.factors, den, js)[0]
+        new_pq = (vY / vU).as_integer_ratio()
     return replace(chart, steps=chart.steps + (("C", c),), previous=chart,
                    factors=chart.factors + (new,), params=(eU + (0,), den + (1,)),
                    values=(vU, vY), free=True,
-                   step_index=chart.step_index + 1, chunk_pos=0,
-                   chunk_pq=new_pq, residues=chart.residues + (c,))
+                   step_index=chart.step_index + 1, chunk_pos=0, chunk_pq=new_pq)
 
 
 def _strip(g):
@@ -331,9 +323,10 @@ def pull_back(f: BivarPoly, chart: Chart):
     """Pull f back to the chart one step at a time, stripping the
     coordinate monomial after each step.
 
-    Returns (e_X, e_Y, unit, g) with f(forward) = X^e_X * Y^e_Y * U * g,
-    where U is a polynomial unit with U(0, 0) = ``unit`` and g, in integer
-    form (see :mod:`jumpseq.poly`), is divisible by neither X nor Y.
+    Returns (e_X, e_Y, c, k) with f(forward) = X^e_X * Y^e_Y * U * g,
+    where U is a polynomial unit, g is divisible by neither X nor Y,
+    c = U(0, 0) * g(0, 0), nonzero exactly when g is a local unit, and k
+    is the order of g(0, Y).
     """
     if f.is_zero():
         raise ValueError("strict transform of the zero polynomial")
@@ -355,14 +348,10 @@ def pull_back(f: BivarPoly, chart: Chart):
         g, a, b = _strip(_step(g, step, p))
         e_x += a
         e_y += b
-    return e_x, e_y, unit, g
-
-
-def constant_term(g, fld: GroundField):
-    """The constant term of the integer form ``g`` as an element of ``fld``."""
     terms, den = g
-    c = terms.get((0, 0), 0)
-    return Fp(c, fld.characteristic) if fld.characteristic else Fraction(c, den)
+    g0 = terms.get((0, 0), 0)
+    g0 = Fp(g0, p) if p else Fraction(g0, den)
+    return e_x, e_y, unit * g0, min(j for i, j in terms if i == 0)
 
 
 def strict_transform(f: BivarPoly, chart: Chart):
@@ -373,19 +362,17 @@ def strict_transform(f: BivarPoly, chart: Chart):
     exceptional coordinate X (the first current parameter), and
     c = g(0, 0), which is nonzero exactly when g is a local unit.
     """
-    e_x, e_y, unit, g = pull_back(f, chart)
-    fld = chart.field
-    return e_x, (unit * constant_term(g, fld) if e_y == 0 else fld.zero)
+    e_x, e_y, c, _ = pull_back(f, chart)
+    return e_x, (c if e_y == 0 else chart.field.zero)
 
 
 def value_in_original(f: BivarPoly, m: int, chart: Chart, js: JumpingSequence) -> Fraction:
     """The value of the strict transform g of f, where f(forward) = X^m * g.
 
-    ``f`` lies in the original ring, so value(g) = value(f) - m * value(X)
-    with value(X) summed from the engine's values of X's factors,
-    independently of the ``values`` the chart carries.
+    ``f`` lies in the original ring, so value(g) = value(f) - m * value(X),
+    with value(X) the chart's first value.
     """
-    return value(f, js) - m * monomial_form(chart.factors, chart.params[0], js)[0]
+    return value(f, js) - m * chart.values[0]
 
 
 def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List[dict]:
@@ -416,7 +403,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         )
     x, y = BivarPoly.gens(fld, ("x", "y"))
     fwd = (x, y + corr.subs(x, y))
-    chart = initial_chart(fld, (Fraction(1), ind.betabar[1]), fwd, (H[0], H[1]))
+    chart = initial_chart(js, fwd, (H[0], H[1]))
 
     def nbar(m: int, j: int) -> int:
         # n_{i_m, i_j} with i_0 = 0
@@ -471,9 +458,8 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
 
         # residue cross-check lambda_{i_l} = c_l * t_l, with t_l computed
         # from the unit constant terms at level l-1; c_l is the residue of
-        # the closing at step kbar_l (chunks of q = 1 pairs close too, so
-        # residues holds more entries than levels)
-        c_l = chart.residues[-1]
+        # the closing at step kbar_l, the last step taken
+        c_l = chart.steps[-1][1]
         tau = fld.one
         for j in range(0, l - 1):
             tau = tau * consts[j] ** nbar(l - 1, j)

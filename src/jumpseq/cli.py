@@ -31,7 +31,6 @@ from .errors import InsufficientDepthError, JumpseqError
 from .euclid import bezout, euclid_data
 from .extension import (
     MonomialExtension,
-    _ladder,
     build_dual_sequences,
     classify_toroidal_form,
     discrete_branch_report,
@@ -145,7 +144,7 @@ def cmd_euclid(args):
 def cmd_blowup(args):
     spec = _load_spec(args.spec)
     js = build_jumping_sequence(spec)
-    chart = initial_chart(spec.field, (Fraction(1), js.beta[1]))
+    chart = initial_chart(js)
     charts = [chart]
     for _ in range(args.steps):
         chart = single_quadratic_transform(chart, js=js)
@@ -209,12 +208,14 @@ def cmd_classify(args):
         report = {"form": form, "discrete_branch": discrete_branch_report(ext)}
     else:
         down = build_jumping_sequence(spec)
-        cert = _ladder(ext, down=down)
+        ind = extract_independent(down)
+        if ind.levels == 0:
+            raise UsageError("classify needs an independent index (some q_i > 1); the spec has none")
+        cert = ladder(ext, down=down)
         if cert.outcome.get("kind") == "contradiction":
             _emit({"outcome": cert.outcome}, args)
             return EXIT_CONTRADICTION
-        minimal = extract_independent(down).pbar[0] != 1
-        form = classify_toroidal_form({}, cert.outcome, minimal)
+        form = classify_toroidal_form({}, cert.outcome, ind.pbar[0] != 1)
         report = {"form": form, "ladder": cert}
     _emit(report, args)
     return EXIT_OK

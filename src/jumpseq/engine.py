@@ -392,24 +392,12 @@ class TExpansion:
             _check_size(out)
         return BivarPoly(fld, out, vars)
 
-    def _num(self, exps: Tuple[int, ...]) -> int:
-        return sum(map(mul, exps, self.js.weights))
-
     @cached_property
     def nums(self) -> Tuple[int, ...]:
         """Per term, Q_N times its exact value (pure term) or its strict
         lower bound (term involving T_M); see :attr:`JumpingSequence.weights`."""
-        return tuple(self._num(exps) for _, exps in self.terms)
-
-    def term_value(self, exps: Tuple[int, ...]) -> Optional[Fraction]:
-        """Exact value of a pure term; None when the term involves T_M."""
-        if exps[self.M]:
-            return None
-        return Fraction(self._num(exps), self.js.Q[-1])
-
-    def term_lower_bound(self, exps: Tuple[int, ...]) -> Fraction:
-        """A strict lower bound for a term involving T_M."""
-        return Fraction(self._num(exps), self.js.Q[-1])
+        weights = self.js.weights
+        return tuple(sum(map(mul, exps, weights)) for _, exps in self.terms)
 
     def to_json(self):
         fld = self.js.field

@@ -12,15 +12,14 @@ class EuclidData:
     """The division chain r_0 = p, r_1 = q, r_{i-1} = f_i r_i + r_{i+1}.
 
     ``N`` is the number of divisions until the remainder hits zero,
-    ``f`` the successive quotients, ``F`` their partial sums and
-    ``epsilon`` the total F_N = f_1 + ... + f_N.
+    ``f`` the successive quotients and ``epsilon`` their sum
+    f_1 + ... + f_N.
     """
 
     p: int
     q: int
     N: int
     f: List[int] = field(default_factory=list)
-    F: List[int] = field(default_factory=list)
     epsilon: int = 0
 
 
@@ -34,12 +33,7 @@ def euclid_data(p: int, q: int) -> EuclidData:
     while r1 > 0:
         f.append(r0 // r1)
         r0, r1 = r1, r0 % r1
-    F = []
-    total = 0
-    for fi in f:
-        total += fi
-        F.append(total)
-    return EuclidData(p=p, q=q, N=len(f), f=f, F=F, epsilon=total)
+    return EuclidData(p=p, q=q, N=len(f), f=f, epsilon=sum(f))
 
 
 def epsilon(p: int, q: int) -> int:

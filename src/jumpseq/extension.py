@@ -1,5 +1,5 @@
 """The extension side: dual jumping sequences under u = x^t * delta, v = y,
-chunk descent, the stable-form ladder and the toroidal classifier.
+the stable-form ladder and the toroidal classifier.
 
 The ladder is the certificate of the stable form: rung by rung it checks
 u_i = x_i^t * delta_i along the R- and S-chains.  The R-side parameters
@@ -26,7 +26,6 @@ from typing import Optional, Tuple
 
 from .blowup import (
     Chart,
-    constant_term,
     initial_chart,
     monomial_form,
     pull_back,
@@ -43,7 +42,7 @@ from .engine import (
     graded_residue,
 )
 from .errors import InvalidSpecError
-from .euclid import bezout, epsilon
+from .euclid import epsilon
 from .fields import GroundField
 from .poly import BivarPoly
 
@@ -175,52 +174,6 @@ def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# chunk descent
-# ---------------------------------------------------------------------------
-
-
-def chunk_descend(t: int, p_prime: int, q_prime: int, characteristic: int,
-                  c_prime=None, fld: Optional[GroundField] = None) -> dict:
-    """Arithmetic of one chunk descent from upstairs data (p', q').
-
-    With g = gcd(t, p'), t~ = t/g the downstairs chunk traverses
-    (p, q) = (p'/g, q'*t~); the residues relate by c = (c')^{t~} and the
-    p-adic split t~ = char^n * t' governs the shape of the new second
-    parameter.  The Bezout identity q'*t*a - p'*b = g is checked exactly.
-    """
-    if gcd(p_prime, q_prime) != 1:
-        raise ValueError("(p', q') must be coprime")
-    g = gcd(t, p_prime)
-    t_tilde = t // g
-    p = p_prime // g
-    q = q_prime * t_tilde
-    a, b = bezout(p, q)
-    if q_prime * t * a - p_prime * b != g:
-        raise ArithmeticError("Bezout identity q'*t*a - p'*b = g fails for (a, b) = (%d, %d)"
-                              % (a, b))
-    n = 0
-    t_rest = t_tilde
-    if characteristic > 0:
-        while t_rest % characteristic == 0:
-            t_rest //= characteristic
-            n += 1
-    out = {
-        "g": g,
-        "t_tilde": t_tilde,
-        "p": p,
-        "q": q,
-        "a": a,
-        "b": b,
-        "n": n,
-        "t_prime": t_rest,
-        "stable": g == t,
-    }
-    if c_prime is not None and fld is not None:
-        out["c"] = fld.render(fld(c_prime) ** t_tilde)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # rung certificates
 # ---------------------------------------------------------------------------
 
@@ -228,7 +181,7 @@ def chunk_descend(t: int, p_prime: int, q_prime: int, characteristic: int,
 def _pulled_factors(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> dict:
     """Each factor of the R-chart with a nonzero exponent in either
     parameter, pulled upstairs through u = x^t * delta, v = y and then
-    into the S-chart step by step: {k: (a, b, unit, g)} as
+    into the S-chart step by step: {k: (a, b, c, order)} as
     :func:`~jumpseq.blowup.pull_back` gives it for factor k."""
     sub = ext.substitution()
     eU, eV = chart_R.params
@@ -239,22 +192,24 @@ def _pulled_factors(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> d
 def _split(exps, pulled, fld):
     """A parameter prod_k F_k^{e_k} pulled back factor by factor, as
     num / den with num the factors of positive exponent and den those of
-    negative exponent.  Returns (a, b, c) for num and for den: with
+    negative exponent.  Returns (a, b, c, order) for num and for den: with
     num = X^a Y^b U g, c = U(0, 0) * g(0, 0), nonzero exactly when g is a
-    local unit.  The exponents add up and the constants multiply, since
-    pull_back of a product is the product of the pull-backs."""
+    local unit, and order that of g(0, Y).  The exponents and orders add
+    up and the constants multiply, since pull_back of a product is the
+    product of the pull-backs."""
     out = []
     for sign in (1, -1):
-        a = b = 0
+        a = b = order = 0
         const = fld.one
         for k, e in enumerate(exps):
             e *= sign
             if e > 0:
-                ak, bk, unit, g = pulled[k]
+                ak, bk, ck, ok = pulled[k]
                 a += e * ak
                 b += e * bk
-                const = const * (unit * constant_term(g, fld)) ** e
-        out.append((a, b, const))
+                const = const * ck ** e
+                order += e * ok
+        out.append((a, b, const, order))
     return out
 
 
@@ -268,7 +223,7 @@ def _stable_unit(ext: MonomialExtension, exps, pulled: dict):
     Delta = u_i / X^t is certified as a ratio of local units: a - a' = t,
     b = b', and g and g' have nonzero constant terms.  Its constant is
     then the ratio of theirs."""
-    (a, b, c), (a2, b2, c2) = _split(exps, pulled, ext.field)
+    (a, b, c, _), (a2, b2, c2, _) = _split(exps, pulled, ext.field)
     if a - a2 != ext.t or b != b2 or not c or not c2:
         return None
     return c / c2
@@ -285,16 +240,13 @@ def _second_param_certificate(exps, pulled: dict, fld: GroundField) -> dict:
     the origin, and the restriction of num to the exceptional locus (first
     coordinate = 0) has order exactly 1 in the second coordinate.  With
     num = X^a Y^b U g and den = X^a' Y^b' U' g', the cancelled monomial is
-    X^min(a, a') Y^min(b, b'); the order of g on X = 0 is the sum of its
-    factors' orders.
+    X^min(a, a') Y^min(b, b'); on X = 0 the unit U has order 0, so num
+    has order b + order(g(0, Y)) there.
     """
-    (a, b, c), (a2, b2, c2) = _split(exps, pulled, fld)
+    (a, b, c, order), (a2, b2, c2, _) = _split(exps, pulled, fld)
     da, db = a - min(a, a2), b - min(b, b2)  # num's monomial after cancelling
     den_unit = a2 <= a and b2 <= b and bool(c2)
     vanishes = da > 0 or db > 0 or not c
-    # on X = 0 the unit U has order 0 and g keeps the terms free of X
-    order = sum(e * min(j for i, j in pulled[k][3][0] if i == 0)
-                for k, e in enumerate(exps) if e > 0)
     order_one = da == 0 and db + order == 1
     return {
         "den_unit": den_unit,
@@ -332,13 +284,8 @@ class LadderCertificate:
         return {"rungs": list(self.rungs), "outcome": self.outcome, "ok": self.ok}
 
 
-def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertificate:
-    """Walk the chunk-wise ladder of the stable form (see :func:`_ladder`)."""
-    return _ladder(ext, depth)
-
-
-def _ladder(ext: MonomialExtension, depth: Optional[int] = None,
-            down: Optional[JumpingSequence] = None) -> LadderCertificate:
+def ladder(ext: MonomialExtension, depth: Optional[int] = None,
+           down: Optional[JumpingSequence] = None) -> LadderCertificate:
     """Walk the chunk-wise ladder of the stable form.
 
     Rung i (0-based) certifies the stable relation u_i = x_i^t * delta_i,
@@ -378,11 +325,8 @@ def _ladder(ext: MonomialExtension, depth: Optional[int] = None,
     up = duals.up
 
     fld = ext.field
-    chart_R = initial_chart(fld, (Fraction(1), down.beta[1]),
-                            forward=BivarPoly.gens(fld, ("U", "V")))
-    chart_S = initial_chart(fld, (Fraction(1), up.beta[1]),
-                            forward=BivarPoly.gens(fld, ("X", "Y")),
-                            backward=BivarPoly.gens(fld, ("x", "y")))
+    chart_R = initial_chart(down, forward=BivarPoly.gens(fld, ("U", "V")))
+    chart_S = initial_chart(up, forward=BivarPoly.gens(fld, ("X", "Y")))
 
     rungs = []
     for i in range(depth):

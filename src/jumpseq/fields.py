@@ -30,6 +30,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of n, also past the interpreter's limit on
+    int-to-string conversion: made in chunks of 600 digits, fewer than the
+    least limit it accepts."""
+    m, chunks = abs(n), []
+    while m:
+        m, r = divmod(m, 10 ** 600)
+        chunks.append("%0600d" % r)
+    return "-" * (n < 0) + ("".join(reversed(chunks)).lstrip("0") or "0")
+
+
 class Fp:
     """An element of the prime field with ``p`` elements.
 
@@ -194,7 +205,11 @@ class GroundField:
         """Canonical decimal string: ``num/den`` over Q, ``0 <= c < p`` over F_p."""
         if self.kind == "rationals":
             f = self(e)
-            return "%d/%d" % (f.numerator, f.denominator) if f.denominator != 1 else str(f.numerator)
+            try:
+                return str(f)
+            except ValueError:  # more digits than str() may make
+                den = "/" + _digits(f.denominator) if f.denominator != 1 else ""
+                return _digits(f.numerator) + den
         return str(self(e).val)
 
     def parse(self, s: str):

@@ -171,8 +171,7 @@ def chunk_transform(p: int, q: int, c, chart: Chart, js) -> ChunkResult:
         new_pq = (r.numerator, r.denominator)
     except InsufficientDepthError:
         vY = new_pq = None
-    factors = tuple(Factor(f) for f in (new_u.num, new_u.den, new_v.num, new_v.den))
+    factors = tuple(Factor(f, js) for f in (new_u.num, new_u.den, new_v.num, new_v.den))
     closed = Chart(fld, new_forward, factors, ((1, -1, 0, 0), (0, 0, 1, -1)), (vU, vY),
-                   True, chart.step_index + epsilon(p, q), 0, new_pq,
-                   chart.residues + (fld(c),))
+                   True, chart.step_index + epsilon(p, q), 0, new_pq)
     return ChunkResult(closed, a, b, fld(c))

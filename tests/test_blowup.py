@@ -35,14 +35,15 @@ def random_lambdas(rng, spec):
             else rng.randint(1, fld.characteristic - 1)) for _ in spec.pairs))
 
 
-def test_initial_chart():
-    ch = initial_chart(QQ, (Fraction(1), Fraction(3, 2)))
+def test_initial_chart(js_a):
+    ch = initial_chart(js_a)
     assert ch.step_index == 0 and ch.free
+    assert ch.values == (Fraction(1), Fraction(3, 2))
     assert ch.chunk_pq == (3, 2)
 
 
 def test_single_steps_spec_a(js_a):
-    ch = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
+    ch = initial_chart(js_a)
     ch = single_quadratic_transform(ch, js=js_a)
     assert ch.values == (Fraction(1), Fraction(1, 2))
     assert ch.free  # position 1 <= f_1 = 1
@@ -54,11 +55,11 @@ def test_single_steps_spec_a(js_a):
     assert ch.free and ch.chunk_pos == 0
     assert ch.values == (Fraction(1, 2), Fraction(5, 6))
     assert ch.chunk_pq == (5, 3)
-    assert ch.residues == (QQ(1),)
+    assert ch.steps[-1] == ("C", QQ(1))
 
 
 def test_chunk_closed_form_matches_steps(js_a):
-    ch0 = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
+    ch0 = initial_chart(js_a)
     res = chunk_transform(3, 2, 1, ch0, js=js_a)
     stepped = ch0
     for _ in range(euclid_data(3, 2).epsilon):
@@ -82,13 +83,13 @@ def test_chunk_closed_form_matches_steps(js_a):
 def test_closing_off_epsilon_raises(js_a):
     """A chunk that closes before epsilon is rejected explicitly, also
     under python -O, before any residue is computed."""
-    ch = replace(initial_chart(QQ, (Fraction(1), Fraction(1))), chunk_pq=(3, 2))
+    ch = replace(initial_chart(js_a, backward=(js_a.T[0], js_a.T[0])), chunk_pq=(3, 2))
     with pytest.raises(InvalidSpecError):
         single_quadratic_transform(ch, js=js_a)
 
 
 def test_chunk_validates_ratio(js_a):
-    ch0 = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
+    ch0 = initial_chart(js_a)
     with pytest.raises(ValueError):
         chunk_transform(5, 3, 1, ch0, js=js_a)
 
@@ -96,7 +97,7 @@ def test_chunk_validates_ratio(js_a):
 def test_freeness_pattern_3_2(js_a):
     """free at positions 1..f_1 and at epsilon, not free in between."""
     ed = euclid_data(3, 2)
-    ch = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
+    ch = initial_chart(js_a)
     flags = []
     for _ in range(ed.epsilon):
         ch = single_quadratic_transform(ch, js=js_a)
@@ -108,7 +109,7 @@ def test_freeness_pattern_3_2(js_a):
 def test_last_chunk_value_unknown(js_a):
     """After the final certifiable chunk the new second value is unknown
     rather than guessed."""
-    ch = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
+    ch = initial_chart(js_a)
     for _ in range(7):  # epsilon(3,2) + epsilon(5,3)
         ch = single_quadratic_transform(ch, js=js_a)
     assert ch.values[0] == Fraction(1, 6)
@@ -118,7 +119,7 @@ def test_last_chunk_value_unknown(js_a):
 
 
 def test_strict_transform(js_a):
-    ch0 = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
+    ch0 = initial_chart(js_a)
     ch = chunk_transform(3, 2, 1, ch0, js=js_a).chart
     m, c = strict_transform(js_a.T[2], ch)
     # T_2 = v^2 - u^3 pulls back to X^6 ((Y+1)^4 - (Y+1)^3)
@@ -179,16 +180,13 @@ def _chain(name):
     sequence (the ladder's S chain)."""
     if name == "spec-a-R":
         js = build_jumping_sequence(load_spec("spec-a.json"))
-        return js, initial_chart(QQ, (Fraction(1), js.beta[1]),
-                                 forward=BivarPoly.gens(QQ, ("U", "V")))
+        return js, initial_chart(js, forward=BivarPoly.gens(QQ, ("U", "V")))
     if name == "tower":
         js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
-        return js, initial_chart(QQ, (Fraction(1), js.beta[1]))
+        return js, initial_chart(js)
     one = BivarPoly.const(QQ, 1, ("x", "y"))
     js = build_dual_sequences(MonomialExtension(5, one, load_spec("spec-a.json"))).up
-    return js, initial_chart(QQ, (Fraction(1), js.beta[1]),
-                             forward=BivarPoly.gens(QQ, ("X", "Y")),
-                             backward=BivarPoly.gens(QQ, ("x", "y")))
+    return js, initial_chart(js, forward=BivarPoly.gens(QQ, ("X", "Y")))
 
 
 # spec-a's R chain is walked to its end; the tower and the S chain stop
@@ -218,18 +216,18 @@ def test_chain_charts_inverse_and_values(name, steps, compared):
 def test_charts_inverse_detects_mutated_closing(js_a):
     """A closing whose new factor uses a residue other than the one in the
     forward map fails the inverse check."""
-    ch = initial_chart(QQ, (Fraction(1), js_a.beta[1]))
+    ch = initial_chart(js_a)
     for _ in range(2):
         ch = single_quadratic_transform(ch, js=js_a)
     closed = single_quadratic_transform(ch, js=js_a)
-    c = closed.residues[-1]
+    c = closed.steps[-1][1]
     bu, bv = backward(ch)
     ratio = bv / bu
 
     def closing(c):
         # V/U - c as the quotient of two new factors
-        factors = closed.factors[:-1] + (Factor(ratio.num - ratio.den.scale(c)),
-                                         Factor(ratio.den))
+        factors = closed.factors[:-1] + (Factor(ratio.num - ratio.den.scale(c), js_a),
+                                         Factor(ratio.den, js_a))
         zeros = (0,) * (len(factors) - 2)
         return replace(closed, factors=factors,
                        params=(closed.params[0] + (0,), zeros + (1, -1)))
@@ -252,7 +250,7 @@ def test_closings_match_engine_on_backward_parameters(seed, fld):
     or of the oracle."""
     rng = random.Random(seed)
     js = build_jumping_sequence(random_lambdas(rng, random_spec(rng, fld)))
-    chart = initial_chart(fld, (Fraction(1), js.beta[1]))
+    chart = initial_chart(js)
     while chart.values[1] is not None:
         try:
             prev, chart = chart, single_quadratic_transform(chart, js=js)
@@ -319,7 +317,7 @@ def test_stepwise_strict_transform_matches_expanded_forward(seed, fld):
     js = build_jumping_sequence(spec)
     fs = list(js.T[1:js.depth + 1]) + [random_poly(rng, fld, max_deg=6, max_terms=3)]
     X, Y = BivarPoly.gens(fld, ("x", "y"))
-    chart = initial_chart(fld, (Fraction(1), js.beta[1]))
+    chart = initial_chart(js)
     while chart.values[1] is not None and max(len(g.terms) for g in chart.forward) <= 100:
         try:
             prev, chart = chart, single_quadratic_transform(chart, js=js)

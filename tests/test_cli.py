@@ -138,6 +138,42 @@ def test_blowup_beyond_depth_exit_3(capsys):
     assert data["error"] == "insufficient-depth" and data["extra_depth"] == 1
 
 
+def test_blowup_depth_zero(capsys, tmp_path):
+    """With no pairs the first chart's second value lies beyond the spec
+    depth: it renders as null, and a step exits 3."""
+    spec = tmp_path / "depth0.json"
+    spec.write_text(json.dumps({"field": {"kind": "prime", "p": 101}, "pairs": [],
+                                "lambdas": [], "units": []}))
+    code, out, _ = run(capsys, "blowup", str(spec), "--steps", "0")
+    assert code == 0 and json.loads(out)["charts"][0]["values"] == ["1", None]
+    code, out, _ = run(capsys, "blowup", str(spec), "--steps", "1")
+    assert code == 3 and json.loads(out)["error"] == "insufficient-depth"
+
+
+def test_classify_without_independent_index_exit_64(capsys, tmp_path):
+    """A nondiscrete spec whose q_i are all 1 has no pbar_1 to decide
+    minimality by."""
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"t": 6, "spec": {
+        "field": {"kind": "prime", "p": 101}, "pairs": [[4, 1]], "lambdas": ["2"],
+        "units": ["1"]}}))
+    code, out, err = run(capsys, "classify", str(ext))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "independent index" in err
+
+
+def test_monoidal_constant_past_digit_limit_exit_64(capsys, tmp_path):
+    """Over Q this walk meets unit constants with more digits than str()
+    makes; they render, and the walk goes on until it stops at TERM_LIMIT."""
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps({"field": {"kind": "rationals"},
+                                "pairs": [[5, 4], [3, 5], [6, 1], [7, 2]],
+                                "lambdas": ["-2/3", "1/3", "1", "1/3"]}))
+    code, out, err = run(capsys, "monoidal", str(spec))
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and "TERM_LIMIT" in err
+
+
 def test_blowup_negative_steps_exit_64(capsys):
     code, out, err = run(capsys, "blowup", SPEC_A, "--steps", "-1")
     assert code == 64 and out == ""

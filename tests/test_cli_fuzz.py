@@ -1,0 +1,91 @@
+"""Fuzz the command line in process: random small specs and extensions
+through every subcommand end in a documented exit code (0, 2, 3 or 64),
+with no exception escaping ``main`` and a JSON report on stdout for the
+codes that write one."""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
+
+from hypothesis import example, given, settings, strategies as st
+
+from jumpseq.cli import main
+
+#: (p, q) with p <= 5 and q <= 4, and the coprime ones, which a spec needs
+PAIRS = [(p, q) for p in range(1, 6) for q in range(1, 5)]
+COPRIME = [(p, q) for p, q in PAIRS if gcd(p, q) == 1]
+#: nondiscrete, the mode of most specs, three times as often as discrete
+MODES = ["nondiscrete"] * 3 + ["discrete"]
+FIELDS = [{"kind": "rationals"}] + [{"kind": "prime", "p": p} for p in (2, 3, 5, 101)]
+LAMBDAS = ["0", "1", "2", "-1", "1/2", "-2/3"]
+UNITS = ["1", {"terms": [{"e": [0, 0], "c": "1"}, {"e": [1, 0], "c": "2"}]}]
+DELTAS = ["1"] + [{"vars": ["x", "y"], "terms": [{"e": [0, 0], "c": "1"}, {"e": e, "c": "1"}]}
+                  for e in ([1, 0], [2, 1], [0, 1])]
+COMMANDS = ["genseq", "eval", "expand", "euclid", "blowup", "monoidal", "dual", "ladder",
+            "verify", "classify"]
+
+#: a nondiscrete spec whose q_i are all 1: no independent index to classify by
+ALL_Q_ONE = {"t": 6, "spec": {"field": {"kind": "prime", "p": 101}, "pairs": [[4, 1]],
+                              "lambdas": ["2"], "units": ["1"]}}
+#: a monoidal walk over Q whose unit constants pass str()'s digit limit
+LONG_CONSTANTS = {"field": {"kind": "rationals"}, "pairs": [[5, 4], [3, 5], [6, 1], [7, 2]],
+                  "lambdas": ["-2/3", "1/3", "1", "1/3"], "units": ["1", "1", "1", "1"]}
+
+
+@st.composite
+def requests(draw):
+    """A command with its input files: ``spec``, ``poly`` and ``ext`` are
+    written as JSON files and passed in that order, then ``args``."""
+    command = draw(st.sampled_from(COMMANDS))
+    if command == "euclid":
+        return {"command": command, "args": [str(draw(st.integers(0, 9))) for _ in "pq"]}
+    extension = command in ("dual", "ladder", "classify")
+    n = draw(st.integers(0, 3))
+    spec = {"field": draw(st.sampled_from(FIELDS)),
+            "pairs": [list(draw(st.sampled_from(COPRIME) | st.sampled_from(PAIRS)))
+                      for _ in range(n)],
+            "lambdas": [draw(st.sampled_from(LAMBDAS)) for _ in range(n)],
+            # an extension needs trivial downstairs units
+            "units": [draw(st.sampled_from(UNITS[:1] if extension else UNITS))
+                      for _ in range(n)],
+            "mode": draw(st.sampled_from(MODES))}
+    if extension:
+        return {"command": command, "ext": {"t": draw(st.integers(1, 9)),
+                                             "delta": draw(st.sampled_from(DELTAS)),
+                                             "spec": spec}}
+    request = {"command": command, "spec": spec, "args": []}
+    if command in ("eval", "expand"):
+        terms = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                        st.sampled_from(LAMBDAS)),
+                              max_size=3, unique_by=lambda t: t[:2]))
+        request["poly"] = {"terms": [{"e": [a, b], "c": c} for a, b, c in terms]}
+    elif command == "blowup":
+        request["args"] = ["--steps", str(draw(st.integers(0, 6)))]
+    elif command == "verify":
+        request["args"] = ["--deg-bound", "3"]
+    return request
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(requests())
+@example({"command": "classify", "ext": ALL_Q_ONE})
+@example({"command": "monoidal", "spec": LONG_CONSTANTS})
+def test_cli_exits_with_a_documented_code(request):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [request["command"]]
+        for key in ("spec", "poly", "ext"):
+            if key in request:
+                argv.append(os.path.join(tmp, key + ".json"))
+                with open(argv[-1], "w") as fh:
+                    json.dump(request[key], fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + request.get("args", []))
+    assert code in (0, 2, 3, 64), (argv, code, err.getvalue())
+    if code != 64:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().startswith(("error:", "input error:", "usage:")), err.getvalue()

@@ -12,7 +12,6 @@ from jumpseq.errors import DivisibilityError, InvalidSpecError, ResourceLimitErr
 from jumpseq.extension import (
     MonomialExtension,
     build_dual_sequences,
-    chunk_descend,
     classify_toroidal_form,
     discrete_branch_report,
     first_gcd_failure,
@@ -109,40 +108,6 @@ def test_duals_require_trivial_downstairs_units():
 
 
 # ---------------------------------------------------------------------------
-# chunk descent arithmetic
-# ---------------------------------------------------------------------------
-
-
-def test_chunk_descend_stable():
-    out = chunk_descend(5, 15, 2, 0, c_prime=2, fld=QQ)
-    assert out["g"] == 5 and out["t_tilde"] == 1
-    assert (out["p"], out["q"]) == (3, 2)
-    assert out["stable"]
-    assert out["c"] == "2"  # c = (c')^1
-
-
-def test_chunk_descend_partial():
-    out = chunk_descend(4, 2, 1, 2, c_prime=3, fld=prime_field(7))
-    assert out["g"] == 2 and out["t_tilde"] == 2
-    assert (out["p"], out["q"]) == (1, 2)
-    assert (out["n"], out["t_prime"]) == (1, 1)
-    assert not out["stable"]
-    assert out["c"] == "2"  # 3^2 = 9 = 2 mod 7
-
-
-def test_chunk_descend_bezout_identity():
-    for t, pp, qq in [(5, 15, 2), (3, 9, 4), (7, 5, 3), (2, 6, 5)]:
-        out = chunk_descend(t, pp, qq, 0)
-        assert qq * t * out["a"] - pp * out["b"] == out["g"]
-
-
-def test_chunk_descend_rejects_wrong_bezout_pair(monkeypatch):
-    monkeypatch.setattr(extension, "bezout", lambda p, q: (1, 1))
-    with pytest.raises(ArithmeticError):
-        chunk_descend(5, 15, 2, 0)
-
-
-# ---------------------------------------------------------------------------
 # the ladder
 # ---------------------------------------------------------------------------
 
@@ -217,14 +182,13 @@ def test_ladder_resource_limit_propagates(spec_a, monkeypatch):
 def test_stable_unit_needs_equal_Y_exponents(spec_a):
     """u_i = x * y upstairs with t = 1 pulls back to X * Y in the initial
     S-chart: the X-exponents differ by t, but Delta = Y is not a unit."""
-    fld = QQ
     ext = mk_ext(spec_a, 1)
-    u, v = BivarPoly.gens(fld, ("u", "v"))
-    chart_S = initial_chart(fld, (Fraction(1), Fraction(3, 2)),
-                            forward=BivarPoly.gens(fld, ("X", "Y")), backward=XY(fld))
+    duals = build_dual_sequences(ext)
+    u, v = duals.down.T[:2]
+    chart_S = initial_chart(duals.up, forward=BivarPoly.gens(QQ, ("X", "Y")))
 
     def stable_unit(u_i):
-        chart_R = initial_chart(fld, (Fraction(1), Fraction(3, 2)), backward=(u_i, v))
+        chart_R = initial_chart(duals.down, backward=(u_i, v))
         pulled = extension._pulled_factors(ext, chart_R, chart_S)
         return extension._stable_unit(ext, chart_R.params[0], pulled)
 

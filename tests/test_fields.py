@@ -18,6 +18,18 @@ def test_rationals_render_parse_roundtrip():
         assert QQ.render(QQ.parse(s)) == s
 
 
+def test_rationals_render_past_digit_limit():
+    """Numerators and denominators with more digits than str() makes
+    render exactly."""
+    digits = "".join(str(k % 10) for k in range(1, 5001))
+    n = 0
+    for d in digits:
+        n = 10 * n + int(d)
+    assert QQ.render(Fraction(-n, 7)) == "-%s/7" % digits
+    assert QQ.render(Fraction(1, n)) == "1/" + digits
+    assert QQ.render(Fraction(n * 10 ** 600)) == digits + "0" * 600
+
+
 def test_prime_field_arithmetic():
     F = prime_field(7)
     a, b = F(3), F(5)

@@ -16,7 +16,6 @@ import io
 import json
 import pathlib
 import sys
-from fractions import Fraction
 
 import jumpseq
 import jumpseq.poly
@@ -79,7 +78,7 @@ def test_chain_walk_never_substitutes(js_a, monkeypatch):
     calls = []
     subs = jumpseq.BivarPoly.subs
     monkeypatch.setattr(jumpseq.BivarPoly, "subs", lambda *a: calls.append(a) or subs(*a))
-    chart = blowup.initial_chart(jumpseq.QQ, (Fraction(1), js_a.beta[1]))
+    chart = blowup.initial_chart(js_a)
     kinds = []
     while chart.values[1] is not None:
         chart = blowup.single_quadratic_transform(chart, js=js_a)

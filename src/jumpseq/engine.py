@@ -608,6 +608,12 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     depth gets ``"pass": None`` and the witness "value not certified at
     this depth".  The semigroup is enumerated only up to the largest
     sigma compared, however large gamma_max is.
+
+    A certified record's ``pass`` follows from the value computation and
+    cannot be false today: :func:`_min_pure_term` has already refused any
+    expansion with a term below sigma, so the smallest term is sigma and
+    every gamma listed is at most sigma.  The check is not independent of
+    the value it reports.
     """
     import random
 

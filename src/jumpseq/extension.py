@@ -295,10 +295,12 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
     the dual sequences check out.  On the first index M with
     gcd(t, q_M) != 1 the walk stops with the contradiction witness (M, l, g).
     ``depth`` (1 to the spec depth; default the spec depth) is the number
-    of rungs; ``down`` is the downstairs sequence when the caller has
-    built it.
+    of rungs, so a spec with no pairs is refused; ``down`` is the
+    downstairs sequence when the caller has built it.
     """
     spec = ext.base_spec
+    if not spec.depth:
+        raise InvalidSpecError("the ladder needs a spec with at least one pair")
     if depth is None:
         depth = spec.depth
     if not 1 <= depth <= spec.depth:

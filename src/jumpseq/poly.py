@@ -13,8 +13,8 @@ before, while the results of the ring operations are stored as they are.
 Zero coefficients are dropped and :data:`TERM_LIMIT` is checked on every
 polynomial it stores.
 
-Products with many term pairs, every substitution and every division by
-a polynomial monic in the second variable run their inner loops on plain
+Every ring operation, every substitution and every division by a
+polynomial monic in the second variable run their inner loops on plain
 ints: residues mod p over F_p, numerators over one common denominator
 over Q.  Each operand is converted once on entry and the result once on
 exit, through the constructor, so stored coefficients stay
@@ -56,12 +56,6 @@ from .fields import Fp, GroundField
 #: Hard ceiling on the number of stored terms in any single polynomial.
 #: Substitution can blow degrees up; we fail loudly rather than thrash.
 TERM_LIMIT = 10_000
-
-#: Products with at least this many term pairs run on integers (see
-#: :func:`_imul`).  Below it, converting the operands and the result costs
-#: more than the loop saves: on CPython 3.11 the two loops take the same
-#: time at about 9 pairs over Q and about 16 over F_101.
-_INT_MUL_PAIRS = 16
 
 
 def _check_size(terms):
@@ -146,19 +140,8 @@ class BivarPoly:
         if other is NotImplemented:
             return NotImplemented
         self._check_compat(other)
-        out = dict(self.terms)
-        get = out.get
-        for e, c in other.terms.items():
-            s = get(e)
-            if s is None:
-                out[e] = c
-                continue
-            s = s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return BivarPoly(self.field, out, self.vars)
+        p = self.field.characteristic
+        return _from_int(self.field, _iadd(_to_int(self), _to_int(other), p), self.vars)
 
     __radd__ = __add__
 
@@ -182,43 +165,20 @@ class BivarPoly:
         if other is NotImplemented:
             return NotImplemented
         self._check_compat(other)
-        if len(self.terms) * len(other.terms) >= _INT_MUL_PAIRS:
-            p = self.field.characteristic
-            return _from_int(self.field, _imul(_to_int(self), _to_int(other), p), self.vars)
-        out = {}
-        get = out.get
-        other_terms = other.terms.items()
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other_terms:
-                e = (a1 + a2, b1 + b2)
-                s = get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                    continue
-                s = s + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return BivarPoly(self.field, out, self.vars)
+        p = self.field.characteristic
+        return _from_int(self.field, _imul(_to_int(self), _to_int(other), p), self.vars)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        out = BivarPoly.const(self.field, 1, self.vars)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        p = self.field.characteristic
+        return _from_int(self.field, _ipow(_to_int(self), e, p), self.vars)
 
     def scale(self, c) -> "BivarPoly":
-        c = self.field(c)
-        return BivarPoly(self.field, {e: c * cc for e, cc in self.terms.items()}, self.vars)
+        p = self.field.characteristic
+        return _from_int(self.field, _iscale(_to_int(self), self.field(c), p), self.vars)
 
     def _as_poly(self, x):
         if isinstance(x, BivarPoly):
@@ -228,9 +188,11 @@ class BivarPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BivarPoly.const(self.field, other, self.vars)
-        if not isinstance(other, BivarPoly):
+        try:
+            other = self._as_poly(other)
+        except (TypeError, ValueError):  # a scalar the field cannot hold
+            return False
+        if other is NotImplemented:
             return NotImplemented
         return self.field == other.field and self.terms == other.terms
 
@@ -347,7 +309,7 @@ class BivarPoly:
 
 # ---- integer inner loops ------------------------------------------------
 #
-# Products, substitutions and divisions in v run on plain ints.  The
+# Ring operations, substitutions and divisions in v run on plain ints.  The
 # integer form of a polynomial is a pair (terms, den): a dict from exponent
 # pairs to ints and a positive int denominator.  Over F_p den is 1 and the
 # ints are the residues in [0, p); over Q the coefficient of e is
@@ -428,7 +390,10 @@ def _iscale(x, c, p):
 
 
 def _ipow(x, e: int, p):
-    """``x ** e`` by the same squarings as :meth:`BivarPoly.__pow__`."""
+    """``x ** e`` by repeated squaring: the result takes the current
+    square for each set bit of ``e``, low bit first, and the base is
+    squared only while a higher bit remains, so each product is checked
+    against :data:`TERM_LIMIT` in that order."""
     out = _ONE
     base = x
     while e:

@@ -365,6 +365,18 @@ def test_bad_depth_exit_64(capsys, tmp_path, cmd, depth):
     assert "equal length" not in err
 
 
+@pytest.mark.parametrize("depth", [[], ["--depth", "1"]], ids=["default", "depth-1"])
+def test_ladder_without_pairs_exit_64(capsys, tmp_path, depth):
+    """A spec with no pairs gives the ladder no rung: the message says so
+    instead of naming the empty range of depths 1 to 0."""
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({"t": 3, "spec": {"field": {"kind": "rationals"}, "pairs": [],
+                                                 "lambdas": [], "units": []}}))
+    code, out, err = run(capsys, "ladder", str(path), *depth)
+    assert code == 64 and out == ""
+    assert err == "error: the ladder needs a spec with at least one pair\n"
+
+
 def test_dual_depth_zero_runs(capsys, tmp_path):
     code, out, _ = run(capsys, "dual", write_ext(tmp_path, 5, SPEC_A), "--depth", "0")
     assert code == 0 and json.loads(out)["ok"] is True

@@ -84,6 +84,17 @@ def test_element_of_another_prime_field_is_rejected():
         P({(0, 1): 1}, fld=F101) + Fp(3, 7)
 
 
+def test_equality_reads_scalars_as_arithmetic_does():
+    """A polynomial equals a scalar exactly when it is that constant, with
+    the scalar coerced as + and * coerce it; a scalar the field cannot hold
+    compares unequal instead of raising."""
+    F5 = prime_field(5)
+    one = BivarPoly.const(F5, 1)
+    assert one == Fp(1, 5) and one == 6 and one != Fp(2, 5)
+    assert one != Fraction(1, 2) and one != Fp(1, 7)
+    assert BivarPoly.const(QQ, 1) != Fp(1, 5)
+
+
 def test_mixed_variables_are_rejected():
     """(u, v) and (x, y) polynomials do not add, multiply or divide, while
     subs maps (u, v) onto (x, y) by design."""

@@ -1,10 +1,11 @@
 """Differential tests of the polynomial kernel against sympy.
 
-Products, substitutions and both division routines are compared with
-sympy's polynomial arithmetic over Q and over F_101 on small random
-polynomials, and products and substitutions again at sizes where they
-run on integers (20 to 80 terms, each operand over Q with its own
-denominators).
+Every ring operation (``+``, ``-``, ``*``, ``**`` and ``scale``),
+substitutions and both division routines are compared with sympy's
+polynomial arithmetic over Q and over F_101 on small random polynomials,
+and the ring operations and substitutions again on large ones (20 to 80
+terms, each operand over Q with its own denominators).  Ring operations
+must also store coefficients of the field's element type.
 """
 
 from fractions import Fraction
@@ -12,7 +13,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import jumpseq.poly
 from jumpseq.errors import DivisibilityError, ResourceLimitError
 from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import TERM_LIMIT, BivarPoly, divmod_in_v, exact_divide
@@ -72,11 +72,33 @@ def from_sympy(P, fld, gens=(U, V)) -> BivarPoly:
     return BivarPoly(fld, terms)
 
 
+def assert_typed(f, fld):
+    assert {type(c) for c in f.terms.values()} <= {fld.element_type}
+
+
+def check_ring_ops(f, g, e, c):
+    """``f + g``, ``f - g``, ``f ** e`` and ``f.scale(c)`` against sympy."""
+    fld = f.field
+    F, G = to_sympy(f), to_sympy(g)
+    C = to_sympy(BivarPoly.const(fld, c))
+    for ours, theirs in ((f + g, F + G), (f - g, F - G), (f ** e, F ** e),
+                         (f.scale(c), F * C)):
+        assert ours == from_sympy(theirs, fld)
+        assert_typed(ours, fld)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), fields)
 def test_mul_matches_sympy(data, fld):
     f, g = data.draw(polys(fld)), data.draw(polys(fld))
     assert f * g == from_sympy(to_sympy(f) * to_sympy(g), fld)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), fields, st.integers(0, 4))
+def test_ring_operations_match_sympy(data, fld, e):
+    f, g = data.draw(polys(fld)), data.draw(polys(fld))
+    check_ring_ops(f, g, e, data.draw(coeffs(fld)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,7 +175,17 @@ def expected_subs(f, first, second):
 def test_large_mul_matches_sympy(data, fld):
     f = data.draw(large_polys(fld, 20, 80, 12))
     g = data.draw(large_polys(fld, 20, 80, 12))
-    assert f * g == from_sympy(to_sympy(f) * to_sympy(g), fld)
+    product = f * g
+    assert product == from_sympy(to_sympy(f) * to_sympy(g), fld)
+    assert_typed(product, fld)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data(), fields, st.integers(0, 4))
+def test_large_ring_operations_match_sympy(data, fld, e):
+    f = data.draw(large_polys(fld, 20, 80, 12))
+    g = data.draw(large_polys(fld, 20, 80, 12))
+    check_ring_ops(f, g, e, data.draw(coeffs(fld)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -167,18 +199,14 @@ def test_large_subs_matches_sympy(data, fld):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), fields, st.integers(2, 6), st.integers(2, 6))
-def test_products_agree_across_the_crossover(data, fld, n, m):
-    """The object loop and the integer loop give the same terms, with the
-    same coefficient types, on products with 4 to 36 term pairs."""
+def test_products_of_4_to_36_term_pairs_match_sympy(data, fld, n, m):
+    """Most products the library forms are this small; they agree with
+    sympy and store coefficients of the field's element type."""
     f = data.draw(large_polys(fld, n, n, 4))
     g = data.draw(large_polys(fld, m, m, 4))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jumpseq.poly, "_INT_MUL_PAIRS", 0)
-        by_int = f * g
-        mp.setattr(jumpseq.poly, "_INT_MUL_PAIRS", n * m + 1)
-        by_objects = f * g
-    assert by_int.terms == by_objects.terms
-    assert {type(c) for c in by_int.terms.values()} <= {fld.element_type}
+    product = f * g
+    assert product == from_sympy(to_sympy(f) * to_sympy(g), fld)
+    assert_typed(product, fld)
 
 
 def test_subs_checks_term_limit_on_intermediate_powers():

@@ -7,7 +7,8 @@ the blow-up chain keeps its cost model: walks that render no chart never
 compose a forward map, a pull-back never substitutes, rendering a walk
 composes each step once, and no certificate forms a backward rational
 expression or asks the engine for a residue.  ``verify`` writes each polynomial's
-witness once, so its report stays small.
+witness once, so its report stays small.  The polynomial kernel has one
+loop per ring operation, on integer forms.
 """
 
 import ast
@@ -54,6 +55,24 @@ def test_library_has_no_assert():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.relative_to(ROOT), node.lineno))
     assert found == []
+
+
+def test_ring_operations_run_on_integer_forms(monkeypatch):
+    """A 1x1 product, a sum, a difference, a power and ``scale`` each go
+    through their integer helper in ``jumpseq.poly``, over Q and F_101."""
+    calls = []
+    for name in ("_iadd", "_imul", "_ipow", "_iscale"):
+        helper = getattr(jumpseq.poly, name)
+        monkeypatch.setattr(jumpseq.poly, name,
+                            lambda *a, _name=name, _helper=helper: calls.append(_name) or _helper(*a))
+    for fld in (jumpseq.QQ, jumpseq.prime_field(101)):
+        u, v = jumpseq.BivarPoly.gens(fld)
+        for op, helper in ((lambda: u * v, "_imul"), (lambda: u + v, "_iadd"),
+                           (lambda: u - v, "_iadd"), (lambda: (u + v) ** 3, "_ipow"),
+                           (lambda: v.scale(2), "_iscale")):
+            calls.clear()
+            op()
+            assert helper in calls, (fld, helper, calls)
 
 
 def test_certificates_never_compose_forward_maps(spec_a, monkeypatch):

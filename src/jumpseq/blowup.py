@@ -1,8 +1,8 @@
 """Quadratic transforms along a valuation: charts, chunks, strict transforms.
 
-A :class:`Chart` records one local model in the blow-up chain as an
-initial map and the elementary steps taken since.  In the current
-parameters (U, V) a step is one of:
+Every chain starts at :func:`initial_chart`, whose coordinates (x, y) are
+the original parameters (u, v), and a :class:`Chart` is the chart before
+it and one elementary step.  In the current parameters (U, V) a step is:
 
 * A, when value(U) < value(V): new parameters (U, V/U), substitution
   U -> X, V -> X*Y;
@@ -18,11 +18,11 @@ one step, and cached, so a walk that never renders a chart never
 composes it.
 
 Backward, the current parameters are monomials in the factors of their
-chain: the two initial parameters and, from each closing, one factor
-N = P - c*Q, where V/U = P/Q with P and Q products of earlier factors
-(Spivakovsky's monomial form of the chart parameters).  A chart keeps U
-and V as integer exponent vectors over that tuple of factors, so A and B
-subtract one vector from the other and form no polynomial.  Each factor
+chain: u, v and, from each closing, one factor N = P - c*Q, where
+V/U = P/Q with P and Q products of earlier factors (Spivakovsky's
+monomial form of the chart parameters).  A chart keeps U and V as integer
+exponent vectors over that tuple of factors, so A and B subtract one
+vector from the other and form no polynomial.  Each factor
 is expanded by the engine once, for its value and its initial form in
 the graded algebra of the valuation (:class:`Factor`).  Values of
 monomials in the factors add up, and their initial forms multiply, so a
@@ -56,10 +56,6 @@ from .engine import IndependentData, JumpingSequence, graded_residue, initial_fo
 from .fields import Fp, GroundField
 from . import poly
 from .poly import BivarPoly, _from_int, _reduce, _to_int
-
-#: the non-closing steps; a closing step is the pair ("C", c)
-STEP_A = ("A", None)
-STEP_B = ("B", None)
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -142,14 +138,16 @@ class Factor:
         return None if self.form is None else self.form[0]
 
 
-def monomial_form(factors, exps, js: JumpingSequence):
+def monomial_form(chart: Chart, exps):
     """The value and the initial form (coefficient, exponent vector over
-    T_0 .. T_M) of prod_k factors[k]^exps[k]: values add up, and initial
+    T_0 .. T_M) of prod_k F_k^exps[k] over the factors F_k of ``chart``,
+    in the sequence its chain is walked along: values add up, and initial
     forms multiply."""
+    js = chart.js
     val = Fraction(0)
     coeff = js.field.one
     out = [0] * (js.depth + 2)
-    for f, n in zip(factors, exps):
+    for f, n in zip(chart.factors, exps):
         if n:
             v, c, a = f.form
             val += n * v
@@ -161,56 +159,64 @@ def monomial_form(factors, exps, js: JumpingSequence):
 
 @dataclass(frozen=True)
 class Chart:
-    """A local chart after ``step_index`` quadratic transforms.
+    """A local chart after ``step_index`` quadratic transforms along ``js``.
 
-    ``initial`` expresses the original parameters as polynomials in the
-    chart coordinates before ``steps``, the elementary steps taken since
-    (``STEP_A``, ``STEP_B`` or ``("C", c)``); :attr:`forward` is their
-    composition.  The current parameters are the monomials
+    Past :func:`initial_chart` a chart is ``step`` (``("A", None)``,
+    ``("B", None)`` or ``("C", c)``) taken from ``previous``; :attr:`steps`
+    lists the steps since the start.  The current parameters are the monomials
     prod_k factors[k]^e_k for the two exponent vectors ``params``; the
-    factors are the chain's two initial parameters and one new factor per
-    closing, and every chart of a chain shares their :class:`Factor`
-    objects.  The first current parameter is the exceptional one at every
+    factors are u, v and one new factor per closing, and every chart of a
+    chain shares their :class:`Factor` objects.  The first current parameter is the exceptional one at every
     free ring.  ``values`` are the values of the two parameters, the
     second None beyond the spec depth.  ``chunk_pos`` counts steps inside
     the current Euclidean chunk and ``chunk_pq`` is the value ratio that
-    chunk traverses.  ``previous`` is the chart one step back, whose
-    forward map :attr:`forward` reuses.
+    chunk traverses.
     """
 
-    field: GroundField
-    initial: Tuple[BivarPoly, BivarPoly]
+    js: JumpingSequence = dataclass_field(repr=False, compare=False)
     factors: Tuple[Factor, ...]
     params: Tuple[Tuple[int, ...], Tuple[int, ...]]
     values: Tuple[Fraction, Optional[Fraction]]
-    free: bool
     step_index: int
     chunk_pos: int
     chunk_pq: Optional[Tuple[int, int]]
-    steps: tuple = ()
+    step: Optional[tuple] = None
     previous: Optional["Chart"] = dataclass_field(default=None, repr=False, compare=False)
+
+    @property
+    def field(self) -> GroundField:
+        return self.js.field
+
+    @property
+    def free(self) -> bool:
+        """Free at a chunk's start and steps 1 .. f_1 (it closes at epsilon)."""
+        return self.chunk_pos == 0 or self.chunk_pos <= euclid_data(*self.chunk_pq).f[0]
+
+    @property
+    def steps(self) -> list:
+        """The elementary steps from the initial chart to this one."""
+        steps = []
+        chart = self
+        while chart.previous is not None:
+            steps.append(chart.step)
+            chart = chart.previous
+        return steps[::-1]
 
     @cached_property
     def forward(self) -> Tuple[BivarPoly, BivarPoly]:
         """The original parameters as polynomials in the chart coordinates.
 
-        Composed from the nearest earlier chart whose forward map is
-        cached, one step per chart, and cached on every chart on the way
-        (in the slot this property caches into), so rendering every chart
-        of a walk composes each step once."""
+        Composed from the nearest earlier chart whose forward map is cached,
+        or from (x, y), one step per chart, and cached on every chart on the
+        way, so rendering every chart of a walk composes each step once."""
         pending = []
         chart = self
         while "forward" not in vars(chart) and chart.previous is not None:
             pending.append(chart)
             chart = chart.previous
-        maps = vars(chart).get("forward")
-        if maps is None:  # a chart made without a previous one
-            maps = chart.initial
-            for step in chart.steps:
-                maps = _compose(maps, step)
-            vars(chart)["forward"] = maps
+        maps = vars(chart).get("forward") or BivarPoly.gens(self.field, ("x", "y"))
         for ch in reversed(pending):
-            maps = _compose(maps, ch.steps[-1])
+            maps = _compose(maps, ch.step)
             vars(ch)["forward"] = maps
         return maps
 
@@ -223,33 +229,18 @@ class Chart:
         }
 
 
-def initial_chart(js: JumpingSequence,
-                  forward: Optional[Tuple[BivarPoly, BivarPoly]] = None,
-                  backward: Optional[Tuple[BivarPoly, BivarPoly]] = None) -> Chart:
-    """The chart at the start of a chain walked along ``js``: ``forward``
-    gives the original parameters in the chart coordinates (default x, y)
-    and ``backward`` the chart parameters in the original ring (default
-    T_0, T_1), which become the chain's first two factors and give the
-    chart its values."""
-    if forward is None:
-        forward = BivarPoly.gens(js.field, ("x", "y"))
-    if backward is None:
-        backward = js.T[:2]
-    factors = tuple(Factor(b, js) for b in backward)
+def initial_chart(js: JumpingSequence) -> Chart:
+    """The chart every chain walked along ``js`` starts at: its coordinates
+    (x, y) are the original parameters (u, v), and T_0 = u and T_1 = v are
+    the chain's first two factors, which give the chart its values."""
+    factors = tuple(Factor(T, js) for T in js.T[:2])
     vU, vV = (f.value for f in factors)
     pq = None if vV is None else (vV / vU).as_integer_ratio()
-    return Chart(js.field, forward, factors, ((1, 0), (0, 1)), (vU, vV), True, 0, 0, pq)
+    return Chart(js, factors, ((1, 0), (0, 1)), (vU, vV), 0, 0, pq)
 
 
-def _chunk_flags(chunk_pq: Tuple[int, int], pos: int) -> bool:
-    """Freeness from chunk position: free at steps 0..f_1 and at epsilon."""
-    p, q = chunk_pq
-    ed = euclid_data(p, q)
-    return pos <= ed.f[0] or pos == ed.epsilon
-
-
-def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
-    """One quadratic transform along the valuation.
+def single_quadratic_transform(chart: Chart) -> Chart:
+    """One quadratic transform along the valuation of the chart's sequence.
 
     At a chunk-closing (equal values) step the residue constant comes
     from the initial forms of the chart's factors, and the new second
@@ -268,28 +259,26 @@ def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
 
     if vU != vV:
         if vU < vV:  # new parameters (U, V/U)
-            step = STEP_A
+            step = ("A", None)
             new_params = (eU, tuple(b - a for a, b in zip(eU, eV)))
             new_values = (vU, vV - vU)
         else:  # new parameters (U/V, V)
-            step = STEP_B
+            step = ("B", None)
             new_params = (tuple(a - b for a, b in zip(eU, eV)), eV)
             new_values = (vU - vV, vV)
-        return replace(chart, steps=chart.steps + (step,), previous=chart,
-                       params=new_params, values=new_values,
-                       free=_chunk_flags(chart.chunk_pq, pos),
-                       step_index=chart.step_index + 1, chunk_pos=pos)
+        return replace(chart, step=step, previous=chart, params=new_params,
+                       values=new_values, step_index=chart.step_index + 1, chunk_pos=pos)
 
     # equal values: the chunk closes with a residue translation
     eps = epsilon(*chart.chunk_pq)
     if pos != eps:
         raise InvalidSpecError("chunk %s closed at step %d, expected epsilon = %d"
                                % (chart.chunk_pq, pos, eps))
+    js = chart.js
     ratio = tuple(b - a for a, b in zip(eU, eV))  # V/U = P/Q
-    _, coeff, exps = monomial_form(chart.factors, ratio, js)
+    _, coeff, exps = monomial_form(chart, ratio)
     c = graded_residue(coeff, exps, js)
-    fld = chart.field
-    P = Q = BivarPoly.const(fld, 1, chart.factors[0].poly.vars)
+    P = Q = BivarPoly.const(js.field, 1, chart.factors[0].poly.vars)
     for f, n in zip(chart.factors, ratio):
         if n > 0:
             P = P * f.poly ** n
@@ -300,12 +289,12 @@ def single_quadratic_transform(chart: Chart, js: JumpingSequence) -> Chart:
     if new.value is None:  # the value needs the defining pair beyond the spec depth
         vY = new_pq = None
     else:
-        vY = new.value + monomial_form(chart.factors, den, js)[0]
+        vY = new.value + monomial_form(chart, den)[0]
         new_pq = (vY / vU).as_integer_ratio()
-    return replace(chart, steps=chart.steps + (("C", c),), previous=chart,
+    return replace(chart, step=("C", c), previous=chart,
                    factors=chart.factors + (new,), params=(eU + (0,), den + (1,)),
-                   values=(vU, vY), free=True,
-                   step_index=chart.step_index + 1, chunk_pos=0, chunk_pq=new_pq)
+                   values=(vU, vY), step_index=chart.step_index + 1, chunk_pos=0,
+                   chunk_pq=new_pq)
 
 
 def _strip(g):
@@ -320,8 +309,8 @@ def _strip(g):
 
 
 def pull_back(f: BivarPoly, chart: Chart):
-    """Pull f back to the chart one step at a time, stripping the
-    coordinate monomial after each step.
+    """Pull f back from (u, v) to the chart one step at a time, stripping
+    the coordinate monomial after each step.
 
     Returns (e_X, e_Y, c, k) with f(forward) = X^e_X * Y^e_Y * U * g,
     where U is a polynomial unit, g is divisible by neither X nor Y,
@@ -332,8 +321,6 @@ def pull_back(f: BivarPoly, chart: Chart):
         raise ValueError("strict transform of the zero polynomial")
     fld = chart.field
     p = fld.characteristic
-    if chart.initial != BivarPoly.gens(fld):
-        f = f.subs(*chart.initial)
     g, e_x, e_y = _strip(_to_int(f))
     unit = fld.one
     for step in chart.steps:
@@ -366,13 +353,13 @@ def strict_transform(f: BivarPoly, chart: Chart):
     return e_x, (c if e_y == 0 else chart.field.zero)
 
 
-def value_in_original(f: BivarPoly, m: int, chart: Chart, js: JumpingSequence) -> Fraction:
+def value_in_original(f: BivarPoly, m: int, chart: Chart) -> Fraction:
     """The value of the strict transform g of f, where f(forward) = X^m * g.
 
     ``f`` lies in the original ring, so value(g) = value(f) - m * value(X),
     with value(X) the chart's first value.
     """
-    return value(f, js) - m * chart.values[0]
+    return value(f, chart.js) - m * chart.values[0]
 
 
 def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List[dict]:
@@ -386,24 +373,17 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
     transform of H_{l+1} with its value value(H_{l+1}) - m * value(u_l),
     and the residue cross-check lambda_{i_l} = c_l * t_l, where t_l comes
     from the unit constants of the factorizations at level l-1.
+
+    The chain starts at (u, v); the ring sequence is intrinsic, so the
+    chunks of the pairs with q = 1 before i_1 reach (u, H_1 / u^k), the
+    second coordinate shifted by h(X) with h(0) = 0 where some
+    delta_j(u) != 1, which moves no exponent, order or constant term.
     """
     if L > ind.levels:
         raise ValueError("spec depth provides only %d independent levels" % ind.levels)
     fld = js.field
     H = [js.T[0]] + [js.T[il] for il in ind.indices]
-
-    # the starting system of parameters is (u, H_1); this chart is
-    # polynomial only when H_1 - v depends on u alone
-    if ind.levels == 0:
-        raise ValueError("monoidal sequence requires at least one independent index")
-    corr = js.T[1] - H[1]  # v - H_1
-    if any(b != 0 for (_, b) in corr.terms):
-        raise InvalidSpecError(
-            "initial parameter H_1 requires corrections depending on u alone"
-        )
-    x, y = BivarPoly.gens(fld, ("x", "y"))
-    fwd = (x, y + corr.subs(x, y))
-    chart = initial_chart(js, fwd, (H[0], H[1]))
+    chart = initial_chart(js)
 
     def nbar(m: int, j: int) -> int:
         # n_{i_m, i_j} with i_0 = 0
@@ -417,7 +397,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
     consts = [fld.one]
     for l in range(1, L + 1):
         while chart.step_index < ind.kbar[l]:
-            chart = single_quadratic_transform(chart, js=js)
+            chart = single_quadratic_transform(chart)
         rec = {"level": l, "step": chart.step_index}
         rec["u_value"] = chart.values[0]
         rec["u_value_ok"] = chart.values[0] == Fraction(1, ind.Qbar[l])
@@ -444,7 +424,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
             m, const = strict_transform(H[l + 1], chart)
             expected_m = ind.Qbar[l] * ind.qbar[l - 1] * ind.betabar[l]
             mono_exp = sum(nbar(l, j) * ind.Qbar[l] * ind.betabar[j] for j in range(l))
-            vg = value_in_original(H[l + 1], m, chart, js)
+            vg = value_in_original(H[l + 1], m, chart)
             expected_v = Fraction(ind.pbar[l], ind.qbar[l]) / ind.Qbar[l]
             rec["v_strict"] = {
                 "exceptional_exponent": m,
@@ -459,7 +439,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         # residue cross-check lambda_{i_l} = c_l * t_l, with t_l computed
         # from the unit constant terms at level l-1; c_l is the residue of
         # the closing at step kbar_l, the last step taken
-        c_l = chart.steps[-1][1]
+        c_l = chart.step[1]
         tau = fld.one
         for j in range(0, l - 1):
             tau = tau * consts[j] ** nbar(l - 1, j)

@@ -147,7 +147,7 @@ def cmd_blowup(args):
     chart = initial_chart(js)
     charts = [chart]
     for _ in range(args.steps):
-        chart = single_quadratic_transform(chart, js=js)
+        chart = single_quadratic_transform(chart)
         charts.append(chart)
     _emit({"charts": charts}, args)
     return EXIT_OK

@@ -256,13 +256,14 @@ def _second_param_certificate(exps, pulled: dict, fld: GroundField) -> dict:
     }
 
 
-def _rung_residue(js: JumpingSequence, i: int, chart: Chart):
+def _rung_residue(i: int, chart: Chart):
     """The residue of v^{q_i} / u^{p_i} for the admissible pair entering
-    chunk i: u the first parameter of ``chart`` and
-    v = T_i / prod_j T_j^{n_{i-1,j}}, read off the initial forms
+    chunk i of the chart's sequence: u the first parameter of ``chart``
+    and v = T_i / prod_j T_j^{n_{i-1,j}}, read off the initial forms
     (:func:`~jumpseq.engine.graded_residue`)."""
+    js = chart.js
     q, p = js.q(i), js.p(i)
-    _, coeff, exps = monomial_form(chart.factors, [-p * e for e in chart.params[0]], js)
+    _, coeff, exps = monomial_form(chart, [-p * e for e in chart.params[0]])
     exps[i] += q
     for j, n in enumerate(js.n[i - 1]):
         exps[j] -= q * n
@@ -327,8 +328,8 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
     up = duals.up
 
     fld = ext.field
-    chart_R = initial_chart(down, forward=BivarPoly.gens(fld, ("U", "V")))
-    chart_S = initial_chart(up, forward=BivarPoly.gens(fld, ("X", "Y")))
+    chart_R = initial_chart(down)
+    chart_S = initial_chart(up)
 
     rungs = []
     for i in range(depth):
@@ -339,10 +340,10 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
             # ring sequence (one blow-up per step) is intrinsic
             target_R = chart_R.step_index + epsilon(down.p(i), down.q(i))
             while chart_R.step_index < target_R:
-                chart_R = single_quadratic_transform(chart_R, js=down)
+                chart_R = single_quadratic_transform(chart_R)
             target_S = chart_S.step_index + epsilon(up.p(i), up.q(i))
             while chart_S.step_index < target_S:
-                chart_S = single_quadratic_transform(chart_S, js=up)
+                chart_S = single_quadratic_transform(chart_S)
         rec = {"i": i, "t": t,
                "step_R": chart_R.step_index, "step_S": chart_S.step_index}
         if i == 0:
@@ -357,11 +358,12 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
             rec["residue_match"] = True
         else:
             rec["second_param"] = _second_param_certificate(chart_R.params[1], pulled, fld)
-            # goodchunk residue compatibility: t~ = 1, so c_i = c'_i; both
-            # residues are taken on the admissible parameters entering the
-            # chunk (the strict-transform second parameter)
-            c = _rung_residue(down, i, prev_R)
-            c_prime = _rung_residue(up, i, prev_S)
+            # goodchunk residue compatibility c_i = c'_i, both taken on the
+            # admissible parameters entering the chunk; it leaves out a power
+            # of the stable unit's constant, so lambda_1 != 1 fails a rung
+            # (ROADMAP: ladder residues that carry the unit constants)
+            c = _rung_residue(i, prev_R)
+            c_prime = _rung_residue(i, prev_S)
             rec["residue_match"] = c == c_prime
             rec["c"] = fld.render(c)
         # the rung value ratio belongs to the admissible pair
@@ -369,7 +371,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
         # transform of T'_{i+1}
         m, _ = strict_transform(up.T[i + 1], chart_S)
         vx = chart_S.values[0]
-        vg = value_in_original(up.T[i + 1], m, chart_S, up)
+        vg = value_in_original(up.T[i + 1], m, chart_S)
         ratio = Fraction(vg) / vx
         rec["x_value_ok"] = vx == Fraction(1, up.Q[i])
         rec["exceptional_exponent"] = m

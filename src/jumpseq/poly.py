@@ -194,7 +194,8 @@ class BivarPoly:
             return False
         if other is NotImplemented:
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        return (self.field == other.field and self.vars == other.vars
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.field, frozenset(self.terms.items())))

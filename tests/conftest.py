@@ -1,7 +1,7 @@
 """Shared fixtures: the two reference specs, a deterministic spec battery,
 small polynomial helpers, and the chart oracles: the expanded forward
 map, the backward parameters as rational expressions and the
-closed-form chunk chart.
+closed form of a chunk.
 
 The random specs and polynomials come from ``scripts/run_battery.py``, so
 the tests and the battery draw from one generator."""
@@ -16,7 +16,6 @@ from math import gcd
 
 import pytest
 
-from jumpseq.blowup import Chart, Factor
 from jumpseq.engine import ValuationSpec, build_jumping_sequence, extract_independent, value
 from jumpseq.errors import InsufficientDepthError
 from jumpseq.euclid import bezout, epsilon
@@ -117,13 +116,19 @@ def backward(chart):
     return tuple(out)
 
 
+def maps_inverse(forward, back) -> bool:
+    """Whether the backward parameters ``back`` pull back through the
+    forward map to the chart coordinates: b.num(forward) == C * b.den(forward)
+    for each backward parameter b and coordinate C."""
+    coords = BivarPoly.gens(forward[0].field, forward[0].vars)
+    return all(b.num.subs(*forward) == C * b.den.subs(*forward)
+               for b, C in zip(back, coords))
+
+
 def charts_inverse(chart) -> bool:
-    """Whether the backward parameters pull back through the forward map
-    to the chart coordinates: b.num(forward) == C * b.den(forward) for
-    each backward parameter b and coordinate C."""
-    coords = BivarPoly.gens(chart.field, chart.forward[0].vars)
-    return all(b.num.subs(*chart.forward) == C * b.den.subs(*chart.forward)
-               for b, C in zip(backward(chart), coords))
+    """:func:`maps_inverse` for a chart's forward map and its backward
+    parameters."""
+    return maps_inverse(chart.forward, backward(chart))
 
 
 def rat_value(r, js):
@@ -133,21 +138,26 @@ def rat_value(r, js):
 
 @dataclass(frozen=True)
 class ChunkResult:
-    chart: Chart
+    """The closed form of one chunk: the forward map, the backward
+    parameters as rational expressions, their values (the second None
+    beyond the spec depth), the step index and the Bezout exponents."""
+    forward: tuple
+    backward: tuple
+    values: tuple
+    step_index: int
     a: int
     b: int
     c: object
 
 
-def chunk_transform(p: int, q: int, c, chart: Chart, js) -> ChunkResult:
-    """The closed-form chart after one full Euclidean chunk, the
+def chunk_transform(p: int, q: int, c, chart) -> ChunkResult:
+    """The closed form after one full Euclidean chunk from ``chart``, the
     independent oracle for the stepwise walk.
 
     From permissible parameters (x, y) with value ratio p/q the chunk
     ends in parameters (X, Y) with x = X^q (Y+c)^b, y = X^p (Y+c)^a
     where a*q - b*p = 1, a <= p, b < q.  The new parameters are
-    U^a / V^b and V^q / U^p - c as rational expressions, and the chart
-    keeps each as the quotient of two factors.
+    U^a / V^b and V^q / U^p - c as rational expressions.
     """
     if gcd(p, q) != 1:
         raise ValueError("chunk_transform requires coprime (p, q)")
@@ -164,14 +174,9 @@ def chunk_transform(p: int, q: int, c, chart: Chart, js) -> ChunkResult:
     new_forward = (fu.subs(sub_x, sub_y), fv.subs(sub_x, sub_y))
     new_u = bu ** a / bv ** b
     new_v = (bv ** q / bu ** p).sub_scalar(c)
-    vU = chart.values[0] / q
     try:
-        vY = rat_value(new_v, js)
-        r = vY / vU
-        new_pq = (r.numerator, r.denominator)
+        vY = rat_value(new_v, chart.js)
     except InsufficientDepthError:
-        vY = new_pq = None
-    factors = tuple(Factor(f, js) for f in (new_u.num, new_u.den, new_v.num, new_v.den))
-    closed = Chart(fld, new_forward, factors, ((1, -1, 0, 0), (0, 0, 1, -1)), (vU, vY),
-                   True, chart.step_index + epsilon(p, q), 0, new_pq)
-    return ChunkResult(closed, a, b, fld(c))
+        vY = None
+    return ChunkResult(new_forward, (new_u, new_v), (chart.values[0] / q, vY),
+                       chart.step_index + epsilon(p, q), a, b, fld(c))

@@ -23,7 +23,7 @@ from jumpseq.extension import MonomialExtension, build_dual_sequences, \
 from jumpseq.fields import QQ
 from jumpseq.poly import BivarPoly
 
-from conftest import charts_inverse, chunk_transform, make_spec, random_poly
+from conftest import charts_inverse, chunk_transform, make_spec, maps_inverse, random_poly
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -161,18 +161,18 @@ def test_criterion_4_chunk_equivalence(p, q):
     js = build_jumping_sequence(spec)
     ed = euclid_data(p, q)
     ch0 = initial_chart(js)
-    res = chunk_transform(p, q, 1, ch0, js=js)
+    res = chunk_transform(p, q, 1, ch0)
     stepped = ch0
     flags = []
     for _ in range(ed.epsilon):
-        stepped = single_quadratic_transform(stepped, js=js)
+        stepped = single_quadratic_transform(stepped)
         flags.append(stepped.free)
-    assert charts_inverse(res.chart) and charts_inverse(stepped)
-    assert res.chart.forward == stepped.forward
-    assert res.chart.values == stepped.values
-    assert res.chart.step_index == stepped.step_index == ed.epsilon
+    assert maps_inverse(res.forward, res.backward) and charts_inverse(stepped)
+    assert res.forward == stepped.forward
+    assert res.values == stepped.values
+    assert res.step_index == stepped.step_index == ed.epsilon
     # value of the exceptional coordinate drops by exactly q
-    assert res.chart.values[0] == Fraction(1, q)
+    assert res.values[0] == Fraction(1, q)
     # freeness pattern: free at 1..f_1 and at epsilon, not free in between
     expected = [pos <= ed.f[0] or pos == ed.epsilon
                 for pos in range(1, ed.epsilon + 1)]

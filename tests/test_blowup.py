@@ -22,8 +22,8 @@ from jumpseq.fields import Fp, QQ, prime_field
 from jumpseq.poly import BivarPoly, eval_rat
 
 from conftest import (FIELDS, backward, charts_inverse, chunk_transform,
-                      expanded_strict_transform, load_spec, make_spec, random_poly,
-                      random_spec, rat_value)
+                      expanded_strict_transform, load_spec, make_spec, maps_inverse,
+                      random_poly, random_spec, rat_value)
 
 
 def random_lambdas(rng, spec):
@@ -44,38 +44,38 @@ def test_initial_chart(js_a):
 
 def test_single_steps_spec_a(js_a):
     ch = initial_chart(js_a)
-    ch = single_quadratic_transform(ch, js=js_a)
+    ch = single_quadratic_transform(ch)
     assert ch.values == (Fraction(1), Fraction(1, 2))
     assert ch.free  # position 1 <= f_1 = 1
-    ch = single_quadratic_transform(ch, js=js_a)
+    ch = single_quadratic_transform(ch)
     assert ch.values == (Fraction(1, 2), Fraction(1, 2))
     assert not ch.free  # interior of the chunk
-    ch = single_quadratic_transform(ch, js=js_a)
+    ch = single_quadratic_transform(ch)
     # the chunk closes: residue 1, new ratio 5/3
     assert ch.free and ch.chunk_pos == 0
     assert ch.values == (Fraction(1, 2), Fraction(5, 6))
     assert ch.chunk_pq == (5, 3)
-    assert ch.steps[-1] == ("C", QQ(1))
+    assert ch.step == ("C", QQ(1))
+    assert ch.steps == [("A", None), ("B", None), ("C", QQ(1))]
 
 
 def test_chunk_closed_form_matches_steps(js_a):
     ch0 = initial_chart(js_a)
-    res = chunk_transform(3, 2, 1, ch0, js=js_a)
+    closed = chunk_transform(3, 2, 1, ch0)
     stepped = ch0
     for _ in range(euclid_data(3, 2).epsilon):
-        stepped = single_quadratic_transform(stepped, js=js_a)
-    closed = res.chart
-    assert charts_inverse(closed) and charts_inverse(stepped)
+        stepped = single_quadratic_transform(stepped)
+    assert maps_inverse(closed.forward, closed.backward) and charts_inverse(stepped)
     assert closed.forward == stepped.forward
     assert closed.values == stepped.values
     assert closed.step_index == stepped.step_index
-    assert closed.free == stepped.free
+    assert stepped.free  # a closed chunk ends at a free ring
     # closed form: u = X^2 (Y+1), v = X^3 (Y+1)^2 with bezout(3,2) = (2,1)
     X, Y = BivarPoly.gens(QQ, ("x", "y"))
     shift = Y + BivarPoly.const(QQ, 1, ("x", "y"))
     assert closed.forward[0] == X ** 2 * shift
     assert closed.forward[1] == X ** 3 * shift ** 2
-    assert (res.a, res.b) == (2, 1)
+    assert (closed.a, closed.b) == (2, 1)
     # value of the exceptional parameter drops by the factor q
     assert closed.values[0] == Fraction(1, 2)
 
@@ -83,15 +83,16 @@ def test_chunk_closed_form_matches_steps(js_a):
 def test_closing_off_epsilon_raises(js_a):
     """A chunk that closes before epsilon is rejected explicitly, also
     under python -O, before any residue is computed."""
-    ch = replace(initial_chart(js_a, backward=(js_a.T[0], js_a.T[0])), chunk_pq=(3, 2))
+    ch = replace(initial_chart(js_a), values=(Fraction(1), Fraction(1)))
+    assert ch.chunk_pq == (3, 2)
     with pytest.raises(InvalidSpecError):
-        single_quadratic_transform(ch, js=js_a)
+        single_quadratic_transform(ch)
 
 
 def test_chunk_validates_ratio(js_a):
     ch0 = initial_chart(js_a)
     with pytest.raises(ValueError):
-        chunk_transform(5, 3, 1, ch0, js=js_a)
+        chunk_transform(5, 3, 1, ch0)
 
 
 def test_freeness_pattern_3_2(js_a):
@@ -100,7 +101,7 @@ def test_freeness_pattern_3_2(js_a):
     ch = initial_chart(js_a)
     flags = []
     for _ in range(ed.epsilon):
-        ch = single_quadratic_transform(ch, js=js_a)
+        ch = single_quadratic_transform(ch)
         flags.append(ch.free)
     expected = [pos <= ed.f[0] or pos == ed.epsilon for pos in range(1, ed.epsilon + 1)]
     assert flags == expected
@@ -111,21 +112,22 @@ def test_last_chunk_value_unknown(js_a):
     rather than guessed."""
     ch = initial_chart(js_a)
     for _ in range(7):  # epsilon(3,2) + epsilon(5,3)
-        ch = single_quadratic_transform(ch, js=js_a)
+        ch = single_quadratic_transform(ch)
     assert ch.values[0] == Fraction(1, 6)
     assert ch.values[1] is None and ch.chunk_pq is None
     with pytest.raises(InsufficientDepthError):
-        single_quadratic_transform(ch, js=js_a)
+        single_quadratic_transform(ch)
 
 
 def test_strict_transform(js_a):
-    ch0 = initial_chart(js_a)
-    ch = chunk_transform(3, 2, 1, ch0, js=js_a).chart
+    ch = initial_chart(js_a)
+    for _ in range(euclid_data(3, 2).epsilon):
+        ch = single_quadratic_transform(ch)
     m, c = strict_transform(js_a.T[2], ch)
     # T_2 = v^2 - u^3 pulls back to X^6 ((Y+1)^4 - (Y+1)^3)
     assert m == 6
     assert c == 0  # not a local unit
-    assert value_in_original(js_a.T[2], m, ch, js_a) == Fraction(23, 6) - 6 * Fraction(1, 2)
+    assert value_in_original(js_a.T[2], m, ch) == Fraction(23, 6) - 6 * Fraction(1, 2)
 
 
 def test_monoidal_spec_a(js_a, ind_a):
@@ -180,13 +182,12 @@ def _chain(name):
     sequence (the ladder's S chain)."""
     if name == "spec-a-R":
         js = build_jumping_sequence(load_spec("spec-a.json"))
-        return js, initial_chart(js, forward=BivarPoly.gens(QQ, ("U", "V")))
-    if name == "tower":
+    elif name == "tower":
         js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
-        return js, initial_chart(js)
-    one = BivarPoly.const(QQ, 1, ("x", "y"))
-    js = build_dual_sequences(MonomialExtension(5, one, load_spec("spec-a.json"))).up
-    return js, initial_chart(js, forward=BivarPoly.gens(QQ, ("X", "Y")))
+    else:
+        one = BivarPoly.const(QQ, 1, ("x", "y"))
+        js = build_dual_sequences(MonomialExtension(5, one, load_spec("spec-a.json"))).up
+    return js, initial_chart(js)
 
 
 # spec-a's R chain is walked to its end; the tower and the S chain stop
@@ -201,7 +202,7 @@ def test_chain_charts_inverse_and_values(name, steps, compared):
     evaluating the strict transform at the backward expressions."""
     js, chart = _chain(name)
     for _ in range(steps):
-        chart = single_quadratic_transform(chart, js=js)
+        chart = single_quadratic_transform(chart)
         assert charts_inverse(chart), "step %d" % chart.step_index
         if chart.step_index > compared:
             continue
@@ -209,7 +210,7 @@ def test_chain_charts_inverse_and_values(name, steps, compared):
             g, m = expanded_strict_transform(f, chart)
             assert strict_transform(f, chart) == (m, g.constant_term())
             r = eval_rat(g, *backward(chart))
-            assert value_in_original(f, m, chart, js) == rat_value(r, js), \
+            assert value_in_original(f, m, chart) == rat_value(r, js), \
                 "step %d" % chart.step_index
 
 
@@ -218,9 +219,9 @@ def test_charts_inverse_detects_mutated_closing(js_a):
     forward map fails the inverse check."""
     ch = initial_chart(js_a)
     for _ in range(2):
-        ch = single_quadratic_transform(ch, js=js_a)
-    closed = single_quadratic_transform(ch, js=js_a)
-    c = closed.steps[-1][1]
+        ch = single_quadratic_transform(ch)
+    closed = single_quadratic_transform(ch)
+    c = closed.step[1]
     bu, bv = backward(ch)
     ratio = bv / bu
 
@@ -253,7 +254,7 @@ def test_closings_match_engine_on_backward_parameters(seed, fld):
     chart = initial_chart(js)
     while chart.values[1] is not None:
         try:
-            prev, chart = chart, single_quadratic_transform(chart, js=js)
+            prev, chart = chart, single_quadratic_transform(chart)
         except ResourceLimitError as e:
             assert "TERM_LIMIT" in str(e)
             break
@@ -261,7 +262,7 @@ def test_closings_match_engine_on_backward_parameters(seed, fld):
             bu, bv = backward(chart)
             if max(len(f.terms) for r in (bu, bv) for f in (r.num, r.den)) > 200:
                 break
-            kind, c = chart.steps[-1]
+            kind, c = chart.step
             if kind == "C":
                 pu, pv = backward(prev)
                 ratio = pv / pu
@@ -320,7 +321,7 @@ def test_stepwise_strict_transform_matches_expanded_forward(seed, fld):
     chart = initial_chart(js)
     while chart.values[1] is not None and max(len(g.terms) for g in chart.forward) <= 100:
         try:
-            prev, chart = chart, single_quadratic_transform(chart, js=js)
+            prev, chart = chart, single_quadratic_transform(chart)
         except ResourceLimitError as e:
             assert "exceeds TERM_LIMIT" in str(e)
             break
@@ -329,7 +330,7 @@ def test_stepwise_strict_transform_matches_expanded_forward(seed, fld):
         except ResourceLimitError as e:  # the oracle's composed map (seed 4280)
             assert "exceeds TERM_LIMIT" in str(e)
             break
-        kind, c = chart.steps[-1]
+        kind, c = chart.step
         sub = {"A": (X, X * Y), "B": (X * Y, Y)}.get(kind) or (X, X * (Y + c))
         assert forward == tuple(g.subs(*sub) for g in prev.forward)
         deg = max(g.deg_u() + g.deg_v() for g in chart.forward)

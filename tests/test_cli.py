@@ -129,6 +129,26 @@ def test_blowup(capsys):
     assert charts[3]["free"] is True and charts[3]["values"] == ["1/2", "5/6"]
 
 
+def test_monoidal_charts_are_blowup_charts(capsys, tmp_path):
+    """On (2,1),(1,2),(3,2) over Q with delta_1 = 1 + u, whose chain first
+    walks the chunk of a pair with q = 1, each monoidal level renders the
+    chart ``blowup`` reaches at the level's step (4 and 7)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "field": {"kind": "rationals"}, "pairs": [[2, 1], [1, 2], [3, 2]],
+        "lambdas": ["1", "1", "1"], "mode": "nondiscrete",
+        "units": [{"vars": ["u", "v"], "terms": [{"e": [0, 0], "c": "1"},
+                                                 {"e": [1, 0], "c": "1"}]}, "1", "1"]}))
+    code, out, _ = run(capsys, "monoidal", str(spec))
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    assert [lvl["step"] for lvl in levels] == [4, 7]
+    for lvl in levels:
+        code, out, _ = run(capsys, "blowup", str(spec), "--steps", str(lvl["step"]))
+        assert code == 0
+        assert lvl["chart"] == json.loads(out)["charts"][-1]
+
+
 def test_blowup_beyond_depth_exit_3(capsys):
     # spec-a certifies 7 steps (epsilon(3,2) + epsilon(5,3)); the 8th
     # needs the value of the next second parameter

@@ -27,6 +27,12 @@ rows render three spec-a requests as text; both were recorded before the
 CLI dropped its report copy and the ladder wrote x_i^t as X^t.  With
 delta = 1 + x + x^2 y the upstairs T'_2 is not monic in y, so those rows
 pin the exit-64 message.
+
+The ``q1`` rows run ``monoidal`` and ``blowup --steps 7`` on
+(2,1),(1,2),(3,2) with trivial units, over Q and over F_101 (``F101-q1``):
+the chain first walks the chunk of a pair with q = 1.  They were recorded
+while ``monoidal`` still started its chain at (u, H_1) through a
+correction map.
 """
 
 import contextlib
@@ -60,6 +66,10 @@ DELTAS = {
     "1+x+x^2y": {"vars": ["x", "y"], "terms": [
         {"e": [0, 0], "c": "1"}, {"e": [1, 0], "c": "1"}, {"e": [2, 1], "c": "1"}]},
 }
+
+#: (2,1),(1,2),(3,2) with trivial units: its first pair has q = 1
+Q1_SPEC = {"field": {"kind": "rationals"}, "pairs": [[2, 1], [1, 2], [3, 2]],
+           "lambdas": ["1", "1", "1"], "units": ["1", "1", "1"], "mode": "nondiscrete"}
 
 #: requests on spec-a rendered with ``--format text``
 TEXT_REQUESTS = {"monoidal a": ["monoidal"], "ladder a t=5": ["ladder"],
@@ -154,6 +164,10 @@ GOLDEN = {
     'expand Qfrac-a poly': '1b16c29a8aef7c2addd723a78c54bebd8c06f211b73afa76aaf449260a450209',
     'monoidal Qfrac-a': '5b91c101253feef59d81379ff808965f5ec08e0f667e6705eb4db211c3a138c6',
     'verify Qfrac-a --samples 5': '8346c69372985d215a03e086e3b47a7a6e48f5d75dc197423f8a5b33e50ae0c5',
+    'monoidal q1': '2cd5c81e7e90d11d10e70012e4656c16296825f260db3590073ca9d6b2f86b8c',
+    'blowup q1 --steps 7': '219ba5eb393adf63d29f361a8deafcaee113690564d23e0244a27842f02e3fcb',
+    'monoidal F101-q1': '1c5d30ea9cb7d67a2cb76cf8ace222f617319b870c96938fe2b31b1ce3d4174a',
+    'blowup F101-q1 --steps 7': '302e90ba6791e201782d43fc7fc2349a2e770d75e663aef47fd6cf32dbfb412c',
     'monoidal a --format text': '9e529ee0ae109462f420eeb2e5c2bfbdf1e94dde68ad890ba12bb64932c42660',
     'ladder a t=5 --format text': '88958696c50fdf79e4ba518ad7348944bd87cfda3a5cd8b17d745b9c566f6d6c',
     'verify a --format text': 'e3767847af9f8850c2f8fb30b033cd1c8c4819809d0c9785d01b5dcb97f139a1',
@@ -209,6 +223,12 @@ def _requests(tmp):
             ext = tmp / ("ext-%s-%d.json" % (name, t))
             ext.write_text(json.dumps({"t": t, "delta": "1", "spec": spec}))
             reqs.append(("ladder %s t=%d" % (name, t), ["ladder", ext]))
+    for name, spec in (("q1", Q1_SPEC),
+                       ("F101-q1", dict(Q1_SPEC, field={"kind": "prime", "p": 101}))):
+        path = tmp / ("spec-%s.json" % name)
+        path.write_text(json.dumps(spec))
+        reqs += [("monoidal %s" % name, ["monoidal", path]),
+                 ("blowup %s --steps 7" % name, ["blowup", path, "--steps", "7"])]
     for label, argv in TEXT_REQUESTS.items():
         target = tmp / ("ext-a-5.json" if argv[0] == "ladder" else "spec-a.json")
         reqs.append((label + " --format text",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jumpseq import extension
-from jumpseq.blowup import initial_chart
+from jumpseq.blowup import Factor, initial_chart
 from jumpseq.errors import DivisibilityError, InvalidSpecError, ResourceLimitError
 from jumpseq.extension import (
     MonomialExtension,
@@ -185,10 +185,11 @@ def test_stable_unit_needs_equal_Y_exponents(spec_a):
     ext = mk_ext(spec_a, 1)
     duals = build_dual_sequences(ext)
     u, v = duals.down.T[:2]
-    chart_S = initial_chart(duals.up, forward=BivarPoly.gens(QQ, ("X", "Y")))
+    chart_S = initial_chart(duals.up)
 
     def stable_unit(u_i):
-        chart_R = initial_chart(duals.down, backward=(u_i, v))
+        chart_R = replace(initial_chart(duals.down),
+                          factors=(Factor(u_i, duals.down), Factor(v, duals.down)))
         pulled = extension._pulled_factors(ext, chart_R, chart_S)
         return extension._stable_unit(ext, chart_R.params[0], pulled)
 

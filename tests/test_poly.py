@@ -95,6 +95,16 @@ def test_equality_reads_scalars_as_arithmetic_does():
     assert BivarPoly.const(QQ, 1) != Fp(1, 5)
 
 
+def test_equality_reads_variable_names():
+    """u and x are different polynomials, as u + x refuses to mix them;
+    the same names compare equal."""
+    u, _ = BivarPoly.gens(QQ)
+    x, _ = BivarPoly.gens(QQ, ("x", "y"))
+    assert u != x and not u == x
+    assert BivarPoly.const(QQ, 1) != BivarPoly.const(QQ, 1, ("x", "y"))
+    assert x == BivarPoly.gens(QQ, ("x", "y"))[0]
+
+
 def test_mixed_variables_are_rejected():
     """(u, v) and (x, y) polynomials do not add, multiply or divide, while
     subs maps (u, v) onto (x, y) by design."""

@@ -4,11 +4,13 @@ The benchmark's tracer (``perfbench/spans.py``) wraps library functions by
 name, so deleting or renaming one of them breaks ``--trace 1``; every
 certificate check must survive ``python -O``, which strips ``assert``; and
 the blow-up chain keeps its cost model: walks that render no chart never
-compose a forward map, a pull-back never substitutes, rendering a walk
-composes each step once, and no certificate forms a backward rational
-expression or asks the engine for a residue.  ``verify`` writes each polynomial's
-witness once, so its report stays small.  The polynomial kernel has one
-loop per ring operation, on integer forms.
+compose a forward map, a pull-back never substitutes, a monoidal sequence
+starts at (u, v) and substitutes nowhere (also across a chunk of a pair
+with q = 1), rendering a walk composes each step once, and no certificate
+forms a backward rational expression or asks the engine for a residue.
+``verify`` writes each polynomial's witness once, so its report stays
+small.  The polynomial kernel has one loop per ring operation, on integer
+forms.
 """
 
 import ast
@@ -17,6 +19,7 @@ import io
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 import jumpseq
 import jumpseq.poly
@@ -100,11 +103,27 @@ def test_chain_walk_never_substitutes(js_a, monkeypatch):
     chart = blowup.initial_chart(js_a)
     kinds = []
     while chart.values[1] is not None:
-        chart = blowup.single_quadratic_transform(chart, js=js_a)
-        kinds.append(chart.steps[-1][0])
+        chart = blowup.single_quadratic_transform(chart)
+        kinds.append(chart.step[0])
         for f in js_a.T[1:3]:
             blowup.strict_transform(f, chart)
     assert kinds == ["A", "B", "C", "A", "B", "A", "C"]
+    assert calls == []
+
+
+def test_monoidal_never_substitutes(monkeypatch):
+    """``monoidal_sequence`` on (2,1),(1,2),(3,2), with delta = 1 and with
+    delta_1 = 1 + u, calls ``BivarPoly.subs`` nowhere: its chain starts at
+    (u, v), not at (u, H_1) through a correction map."""
+    calls = []
+    subs = jumpseq.BivarPoly.subs
+    monkeypatch.setattr(jumpseq.BivarPoly, "subs", lambda *a: calls.append(a) or subs(*a))
+    u, _ = jumpseq.BivarPoly.gens(jumpseq.QQ)
+    spec = make_spec(jumpseq.QQ, [(2, 1), (1, 2), (3, 2)])
+    for units in (spec.units, (u + 1,) + spec.units[1:]):
+        js = build_jumping_sequence(replace(spec, units=units))
+        ind = extract_independent(js)
+        assert all(r["pass"] for r in blowup.monoidal_sequence(js, ind, ind.levels))
     assert calls == []
 
 

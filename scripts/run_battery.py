@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from jumpseq.blowup import monoidal_sequence
-from jumpseq.cli import _json_default
+from jumpseq.cli import _dumps
 from jumpseq.engine import (
     ValuationSpec,
     build_jumping_sequence,
@@ -189,7 +189,7 @@ def main(argv=None):
               "seconds": round(time.time() - started, 3)}
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2, default=_json_default)
+            fh.write(_dumps(report))
         print("report written to", args.out)
     return 0
 

@@ -197,8 +197,9 @@ class BivarPoly:
         return (self.field == other.field and self.vars == other.vars
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
+    def __hash__(self):  # a constant equals its coefficient, so it hashes as that
+        return hash(self.constant_term() if self.terms.keys() <= {(0, 0)}
+                    else (self.field, frozenset(self.terms.items())))
 
     # ---- substitution --------------------------------------------------
 

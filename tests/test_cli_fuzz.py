@@ -1,7 +1,9 @@
 """Fuzz the command line in process: random small specs and extensions
 through every subcommand end in a documented exit code (0, 2, 3 or 64),
 with no exception escaping ``main`` and a JSON report on stdout for the
-codes that write one."""
+codes that write one.  A third of the requests also run with
+``--format text``, which must render that report, and a third with
+``--out FILE``, which must hold the bytes stdout holds without it."""
 
 import io
 import json
@@ -12,7 +14,7 @@ from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
-from jumpseq.cli import main
+from jumpseq.cli import _render_text, main
 
 #: (p, q) with p <= 5 and q <= 4, and the coprime ones, which a spec needs
 PAIRS = [(p, q) for p in range(1, 6) for q in range(1, 5)]
@@ -26,6 +28,8 @@ DELTAS = ["1"] + [{"vars": ["x", "y"], "terms": [{"e": [0, 0], "c": "1"}, {"e": 
                   for e in ([1, 0], [2, 1], [0, 1])]
 COMMANDS = ["genseq", "eval", "expand", "euclid", "blowup", "monoidal", "dual", "ladder",
             "verify", "classify"]
+#: how the report is written: JSON on stdout, text on stdout, JSON to a file
+OUTPUTS = ["stdout", "text", "file"]
 
 #: a nondiscrete spec whose q_i are all 1: no independent index to classify by
 ALL_Q_ONE = {"t": 6, "spec": {"field": {"kind": "prime", "p": 101}, "pairs": [[4, 1]],
@@ -33,6 +37,13 @@ ALL_Q_ONE = {"t": 6, "spec": {"field": {"kind": "prime", "p": 101}, "pairs": [[4
 #: a monoidal walk over Q whose unit constants pass str()'s digit limit
 LONG_CONSTANTS = {"field": {"kind": "rationals"}, "pairs": [[5, 4], [3, 5], [6, 1], [7, 2]],
                   "lambdas": ["-2/3", "1/3", "1", "1/3"], "units": ["1", "1", "1", "1"]}
+#: spec-a's pairs; a ladder with t = 2 on it ends in a contradiction (exit 2)
+SPEC_A = {"field": {"kind": "rationals"}, "pairs": [[3, 2], [5, 3]], "lambdas": ["1", "1"],
+          "units": ["1", "1"], "mode": "nondiscrete"}
+#: a value past the depth of a spec with no pairs (exit 3)
+NO_PAIRS = {"field": {"kind": "prime", "p": 5}, "pairs": [], "lambdas": [], "units": [],
+            "mode": "nondiscrete"}
+DEEP_POLY = {"terms": [{"e": [1, 1], "c": "1"}]}
 
 
 @st.composite
@@ -69,11 +80,23 @@ def requests(draw):
     return request
 
 
+def _run(argv):
+    """Exit code, stdout and stderr of ``main(argv)`` run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(requests())
-@example({"command": "classify", "ext": ALL_Q_ONE})
-@example({"command": "monoidal", "spec": LONG_CONSTANTS})
-def test_cli_exits_with_a_documented_code(request):
+@given(requests(), st.sampled_from(OUTPUTS))
+@example({"command": "classify", "ext": ALL_Q_ONE}, "stdout")
+@example({"command": "monoidal", "spec": LONG_CONSTANTS}, "stdout")
+@example({"command": "ladder", "ext": {"t": 2, "delta": "1", "spec": SPEC_A}}, "text")
+@example({"command": "ladder", "ext": {"t": 2, "delta": "1", "spec": SPEC_A}}, "file")
+@example({"command": "eval", "spec": NO_PAIRS, "poly": DEEP_POLY}, "text")
+@example({"command": "eval", "spec": NO_PAIRS, "poly": DEEP_POLY}, "file")
+def test_cli_exits_with_a_documented_code(request, output):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [request["command"]]
         for key in ("spec", "poly", "ext"):
@@ -81,11 +104,25 @@ def test_cli_exits_with_a_documented_code(request):
                 argv.append(os.path.join(tmp, key + ".json"))
                 with open(argv[-1], "w") as fh:
                     json.dump(request[key], fh)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv + request.get("args", []))
-    assert code in (0, 2, 3, 64), (argv, code, err.getvalue())
+        argv += request.get("args", [])
+        code, out, err = _run(argv)
+        if output == "text":
+            text = _run(argv + ["--format", "text"])
+            # the exit-3 report is JSON whatever the format
+            rendered = _render_text(json.loads(out)) if code in (0, 2) else out
+            assert text == (code, rendered, err), argv
+        elif output == "file":
+            target = os.path.join(tmp, "report")
+            to_file = _run(argv + ["--out", target])
+            written = ""
+            if os.path.exists(target):
+                with open(target, "rb") as fh:
+                    written = fh.read().decode()
+            # the report goes to the file; the exit-3 report still to stdout
+            assert (to_file[0], to_file[1] + written, to_file[2]) == (code, out, err), argv
+            assert code not in (0, 2) or (written == out and to_file[1] == ""), argv
+    assert code in (0, 2, 3, 64), (argv, code, err)
     if code != 64:
-        json.loads(out.getvalue())
+        json.loads(out)
     else:
-        assert err.getvalue().startswith(("error:", "input error:", "usage:")), err.getvalue()
+        assert err.startswith(("error:", "input error:", "usage:")), err

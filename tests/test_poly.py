@@ -95,6 +95,23 @@ def test_equality_reads_scalars_as_arithmetic_does():
     assert BivarPoly.const(QQ, 1) != Fp(1, 5)
 
 
+def test_constant_hashes_as_the_scalar_it_equals():
+    """A polynomial of at most a constant term hashes as its coefficient,
+    the zero polynomial as the field's zero, so sets and dict keys agree
+    with ``==``."""
+    for c in (0, 1, Fraction(3, 2)):
+        const = BivarPoly.const(QQ, c)
+        assert const == c and hash(const) == hash(c)
+        assert len({const, c}) == 1 and {c: "scalar"}[const] == "scalar"
+    assert hash(P({})) == hash(QQ.zero)
+    F5 = prime_field(5)
+    assert hash(BivarPoly.const(F5, 1)) == hash(Fp(1, 5))
+    assert len({BivarPoly.const(F5, 1), Fp(1, 5)}) == 1
+    assert hash(BivarPoly.const(F5, 0)) == hash(F5.zero)
+    u, v = BivarPoly.gens(QQ)
+    assert len({u + 1, u + 1, 1 + u, v}) == 2
+
+
 def test_equality_reads_variable_names():
     """u and x are different polynomials, as u + x refuses to mix them;
     the same names compare equal."""

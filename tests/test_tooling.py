@@ -10,7 +10,8 @@ with q = 1), rendering a walk composes each step once, and no certificate
 forms a backward rational expression or asks the engine for a residue.
 ``verify`` writes each polynomial's witness once, so its report stays
 small.  The polynomial kernel has one loop per ring operation, on integer
-forms.
+forms.  Reports are encoded by ``cli._dumps``, never by the stdlib's
+pure-Python indent encoder.
 """
 
 import ast
@@ -27,6 +28,7 @@ from jumpseq import blowup, cli, engine, extension
 from jumpseq.engine import build_jumping_sequence, extract_independent
 
 from conftest import make_spec
+import run_battery  # conftest puts scripts/ on the path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -173,3 +175,40 @@ def test_verify_report_emits_each_witness_once():
     checks = json.loads(out.getvalue())["checks"]
     assert len(checks) == len({r["inputs"] for r in checks}) == 44
     assert len(out.getvalue().encode()) < 100_000
+
+
+def test_reports_skip_the_stdlib_indent_encoder(monkeypatch, tmp_path):
+    """Reports go through ``cli._dumps``: with ``indent`` the stdlib turns
+    its C encoder off for the generator-based ``_make_iterencode``, which
+    no CLI report, exit-3 error report or battery report may reach.  No
+    module names the former ``default`` hook or asks ``json`` to indent."""
+    calls = []
+    make = json.encoder._make_iterencode
+    monkeypatch.setattr(json.encoder, "_make_iterencode",
+                        lambda *a, **k: calls.append(a) or make(*a, **k))
+    json.dumps([1], indent=2)
+    assert calls, "the spy does not see the stdlib's indent encoder"
+    calls.clear()
+    spec_a = ROOT / "specs" / "spec-a.json"
+    t3 = tmp_path / "t3.json"  # T_3 of spec-a: no certified value at depth 2
+    t3.write_text(json.dumps(build_jumping_sequence(make_spec(jumpseq.QQ, [(3, 2), (5, 3)]))
+                             .T[3].to_json()))
+    for argv, code in ((["verify", spec_a, "--samples", "3"], 0), (["monoidal", spec_a], 0),
+                       (["eval", spec_a, t3], 3)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([str(a) for a in argv]) == code
+        json.loads(out.getvalue())
+    report = tmp_path / "battery.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_battery.main(["--random-specs", "0", "--polys-per-spec", "2",
+                                 "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["seed"] == 0
+    assert calls == []
+    for path in sorted((ROOT / "src" / "jumpseq").rglob("*.py")) + sorted(
+            (ROOT / "scripts").glob("*.py")):
+        source = path.read_text()
+        assert "_json_default" not in source, path
+        for node in ast.walk(ast.parse(source, str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dump", "dumps"):
+                assert "indent" not in {k.arg for k in node.keywords}, (path, node.lineno)

@@ -132,6 +132,21 @@ def test_resubstitute_checks_the_running_sum(js_a):
     assert len(TExpansion(js_a, terms[:TERM_LIMIT]).resubstitute().terms) == TERM_LIMIT
 
 
+def test_resubstitute_checks_the_running_sum_mod_p(spec_a):
+    """Over F_3 the running sum is taken mod p: 1 + 2 on u^0 v^0 cancels
+    only mod 3, so the term count drops back below TERM_LIMIT and one
+    more monomial fits before the sum passes it."""
+    F3 = prime_field(3)
+    js = build_jumping_sequence(make_spec(F3, spec_a.pairs))
+    side = 101
+    cells = [(F3(1), (a, b, 0, 0)) for a in range(side) for b in range(side)]
+    terms = (*cells[:TERM_LIMIT], (F3(2), (0, 0, 0, 0)), *cells[TERM_LIMIT:TERM_LIMIT + 2])
+    out = TExpansion(js, terms[:-1]).resubstitute()
+    assert len(out.terms) == TERM_LIMIT and (0, 0) not in out.terms
+    with pytest.raises(ResourceLimitError, match="polynomial with %d terms" % (TERM_LIMIT + 1)):
+        TExpansion(js, terms).resubstitute()
+
+
 def test_resubstitute_drops_cancelled_terms(js_a):
     # u^3 + T_2 - v^2 = u^3 + (v^2 - u^3) - v^2 = 0 on spec-a
     terms = ((QQ(1), (3, 0, 0, 0)), (QQ(1), (0, 0, 1, 0)), (QQ(-1), (0, 2, 0, 0)))

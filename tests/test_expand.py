@@ -4,8 +4,9 @@
 representation has the most to get wrong: over Q with jumping
 polynomials whose integer forms have denominators above 1, and over
 small prime fields.  Each expansion must be in standard form (every
-interior exponent a_i below q_i) and must give back f through the
-object-path ``TExpansion.resubstitute``.
+interior exponent a_i below q_i) and must give back f through
+``TExpansion.resubstitute``, which sympy checks on its own in
+``test_resubstitute_oracle.py``.
 """
 
 import pytest

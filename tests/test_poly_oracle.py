@@ -51,7 +51,7 @@ def monic_in_v(draw, fld):
 def to_sympy(f: BivarPoly, gens=(U, V)):
     """``f`` as a sympy Poly in ``gens``, which name (u, v) in some order."""
     order = [(U, V).index(g) for g in gens]
-    if f.field is QQ:
+    if not f.field.characteristic:
         terms = {tuple(e[i] for i in order): sympy.Rational(c.numerator, c.denominator)
                  for e, c in f.terms.items()}
         return sympy.Poly.from_dict(terms or {(0, 0): 0}, *gens, domain="QQ")
@@ -64,7 +64,7 @@ def from_sympy(P, fld, gens=(U, V)) -> BivarPoly:
     order = [gens.index(g) for g in (U, V)]
     terms = {}
     for mono, c in P.terms():
-        if fld is QQ:
+        if not fld.characteristic:
             c = Fraction(int(c.p), int(c.q))
         else:
             c = int(c) % fld.characteristic

@@ -10,8 +10,9 @@ with q = 1), rendering a walk composes each step once, and no certificate
 forms a backward rational expression or asks the engine for a residue.
 ``verify`` writes each polynomial's witness once, so its report stays
 small.  The polynomial kernel has one loop per ring operation, on integer
-forms.  Reports are encoded by ``cli._dumps``, never by the stdlib's
-pure-Python indent encoder.
+forms, and the round trip of an expansion stays in that form.  Reports
+are encoded by ``cli._dumps``, never by the stdlib's pure-Python indent
+encoder.
 """
 
 import ast
@@ -78,6 +79,22 @@ def test_ring_operations_run_on_integer_forms(monkeypatch):
             calls.clear()
             op()
             assert helper in calls, (fld, helper, calls)
+
+
+def test_resubstitute_runs_on_integer_forms(js_a, monkeypatch):
+    """``TExpansion.resubstitute`` multiplies no polynomials and constructs
+    exactly one, its result."""
+    u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
+    f = (u + v) ** 5 + js_a.T[2] * js_a.T[3] * u
+    exp = engine.expand(f, js_a)
+    calls = []
+    for name in ("__init__", "__mul__", "__pow__"):
+        method = getattr(jumpseq.BivarPoly, name)
+        monkeypatch.setattr(jumpseq.BivarPoly, name,
+                            lambda *a, _name=name, _method=method: calls.append(_name) or _method(*a))
+    out = exp.resubstitute()
+    assert calls == ["__init__"]
+    assert out == f
 
 
 def test_certificates_never_compose_forward_maps(spec_a, monkeypatch):

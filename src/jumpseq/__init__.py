@@ -21,7 +21,6 @@ from .engine import (
     expand,
     extract_independent,
     residue,
-    rewrite_in_independent,
     value,
     verify_generating_sequence,
     verify_minimality,

@@ -12,10 +12,9 @@ it and one elementary step.  In the current parameters (U, V) a step is:
   of V/U the new parameters are (U, V/U - c) and the substitution is
   U -> X, V -> X*(Y + c).
 
-The forward map (the original parameters as polynomials in the current
-ones) is composed on first use from the previous chart's forward map and
-one step, and cached, so a walk that never renders a chart never
-composes it.
+Composed, the substitutions give the forward map, the original parameters
+as polynomials in the chart coordinates.  Nothing here forms it: a chart
+is written as its steps and the exponent vectors below.
 
 Backward, the current parameters are monomials in the factors of their
 chain: u, v and, from each closing, one factor N = P - c*Q, where
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from typing import List, Optional, Tuple
 
@@ -55,7 +53,7 @@ from .euclid import epsilon, euclid_data
 from .engine import IndependentData, JumpingSequence, graded_residue, initial_form, value
 from .fields import Fp, GroundField
 from . import poly
-from .poly import BivarPoly, _from_int, _reduce, _to_int
+from .poly import BivarPoly, _reduce, _to_int
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -107,12 +105,6 @@ def _step(x, step, p):
             out = _reduce(out, 1, p)[0]
             get = out.get
     return _reduce(out, den * d ** top, p)
-
-
-def _compose(maps, step):
-    """A pair of polynomials composed with one elementary step."""
-    return tuple(_from_int(f.field, _step(_to_int(f), step, f.field.characteristic), f.vars)
-                 for f in maps)
 
 
 class Factor:
@@ -202,27 +194,15 @@ class Chart:
             chart = chart.previous
         return steps[::-1]
 
-    @cached_property
-    def forward(self) -> Tuple[BivarPoly, BivarPoly]:
-        """The original parameters as polynomials in the chart coordinates.
-
-        Composed from the nearest earlier chart whose forward map is cached,
-        or from (x, y), one step per chart, and cached on every chart on the
-        way, so rendering every chart of a walk composes each step once."""
-        pending = []
-        chart = self
-        while "forward" not in vars(chart) and chart.previous is not None:
-            pending.append(chart)
-            chart = chart.previous
-        maps = vars(chart).get("forward") or BivarPoly.gens(self.field, ("x", "y"))
-        for ch in reversed(pending):
-            maps = _compose(maps, ch.step)
-            vars(ch)["forward"] = maps
-        return maps
-
     def to_json(self):
+        """The chart as it is held: its step word since :func:`initial_chart`
+        ("A", "B", "C(<c>)"), the exponent vectors of its parameters over the
+        chain's factors (which a report writes once, not per chart), its
+        values, whether it is free and its step index."""
+        render = self.field.render
         return {
-            "forward": [f.to_json() for f in self.forward],
+            "steps": [kind if c is None else "C(%s)" % render(c) for kind, c in self.steps],
+            "params": [list(e) for e in self.params],
             "values": [str(v) if v is not None else None for v in self.values],
             "free": self.free,
             "step": self.step_index,

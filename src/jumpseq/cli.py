@@ -179,7 +179,7 @@ def cmd_blowup(args):
     for _ in range(args.steps):
         chart = single_quadratic_transform(chart)
         charts.append(chart)
-    _emit({"charts": charts}, args)
+    _emit({"charts": charts, "factors": [f.poly for f in chart.factors]}, args)
     return EXIT_OK
 
 
@@ -194,7 +194,8 @@ def cmd_monoidal(args):
         raise UsageError("--depth %d: the spec provides independent levels 1 to %d"
                          % (depth, ind.levels))
     report = monoidal_sequence(js, ind, depth)
-    _emit({"levels": report, "pass": all(r["pass"] for r in report)}, args)
+    _emit({"levels": report, "factors": [f.poly for f in report[-1]["chart"].factors],
+           "pass": all(r["pass"] for r in report)}, args)
     return EXIT_OK
 
 

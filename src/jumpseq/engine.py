@@ -714,43 +714,3 @@ def verify_minimality(ind: IndependentData, k: int) -> dict:
     others = [b for j, b in enumerate(ind.betabar) if j != k]
     witness = semigroup_member(target, others)
     return {"index": k, "minimal": witness is None, "witness": witness}
-
-
-# ---------------------------------------------------------------------------
-# rewriting T_k in the independent polynomials H_l
-# ---------------------------------------------------------------------------
-
-
-def rewrite_in_independent(k: int, js: JumpingSequence, ind: IndependentData) -> dict:
-    """Express T_k as H_l plus correction terms in H-monomials.
-
-    H_0 = u and H_l = T_{i_l}.  Valid whenever some independent index
-    i_l >= k exists within depth; every correction term has value >= beta_k
-    and the identity is verified by exact resubstitution.
-    """
-    hi = [l for l, il in enumerate(ind.indices, start=1) if il >= k]
-    if not hi:
-        raise InsufficientDepthError("no independent index >= %d within spec depth" % k)
-    l = hi[0]
-    fld = js.field
-    H = [js.T[0]] + [js.T[il] for il in ind.indices]
-    target = ind.indices[l - 1]
-    terms = []  # (lambda, delta, exponents over H_0..H_{levels})
-    acc = H[l]
-    for ip in range(target - 1, k - 1, -1):
-        # q_{ip} = 1 for these indices, so T_{ip+1} = T_{ip} - lambda*delta*prod
-        if js.q(ip) != 1:
-            raise InvalidSpecError("index %d lies between independent indices but q_%d = %d"
-                                   % (ip, ip, js.q(ip)))
-        row = js.n[ip]
-        exps = [row[0]] + [row[il] if il < len(row) else 0 for il in ind.indices]
-        mono = BivarPoly.const(fld, js.spec.lambdas[ip - 1], js.T[0].vars) * js.spec.units[ip - 1]
-        for j, e in zip([js.T[0]] + [js.T[il] for il in ind.indices], exps):
-            if e:
-                mono = mono * j ** e
-        acc = acc + mono
-        terms.append({"lambda": fld.render(js.spec.lambdas[ip - 1]),
-                      "exponents": exps})
-    if acc != js.T[k]:
-        raise InvalidSpecError("H-monomial rewriting failed to reproduce T_%d" % k)
-    return {"k": k, "level": l, "terms": terms, "identity_checked": True}

@@ -44,8 +44,10 @@ def _digits(n: int) -> str:
 class Fp:
     """An element of the prime field with ``p`` elements.
 
-    Arithmetic coerces plain integers, so ``Fp(3, 7) + 5`` works and
-    ``Fp(0, 7) == 0`` is true.
+    Arithmetic coerces plain integers, so ``Fp(3, 7) + 5`` works.  Equality
+    does not: an element would equal every int of its residue class, which
+    no hash can follow, so ``Fp(0, 7) == 0`` is false and ``bool`` tests for
+    zero.
     """
 
     __slots__ = ("val", "p")
@@ -119,8 +121,6 @@ class Fp:
     def __eq__(self, other):
         if isinstance(other, Fp):
             return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
         return NotImplemented
 
     def __hash__(self):

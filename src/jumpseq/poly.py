@@ -197,7 +197,10 @@ class BivarPoly:
         return (self.field == other.field and self.vars == other.vars
                 and self.terms == other.terms)
 
-    def __hash__(self):  # a constant equals its coefficient, so it hashes as that
+    def __hash__(self):
+        # A constant equals its coefficient, so it hashes as that.  Over F_p
+        # it also equals every int of its residue class, which no hash can
+        # follow, so a constant there must not share a set or dict with ints.
         return hash(self.constant_term() if self.terms.keys() <= {(0, 0)}
                     else (self.field, frozenset(self.terms.items())))
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the two reference specs, a deterministic spec battery,
 small polynomial helpers, and the chart oracles: the expanded forward
-map, the backward parameters as rational expressions and the
+map, composed from a chart's steps by substitution (the library holds
+no forward map), the backward parameters as rational expressions and the
 closed form of a chunk.
 
 The random specs and polynomials come from ``scripts/run_battery.py``, so
@@ -90,11 +91,36 @@ def battery(spec_a, spec_b):
     return specs
 
 
-def expanded_strict_transform(f, chart):
+def compose_step(forward, step):
+    """A forward map (a pair of polynomials in x, y) composed with one
+    elementary step by substitution: (x, xy) for A, (xy, y) for B and
+    (x, x(y + c)) for C(c)."""
+    X, Y = BivarPoly.gens(forward[0].field, forward[0].vars)
+    kind, c = step
+    sub = {"A": (X, X * Y), "B": (X * Y, Y)}.get(kind) or (X, X * (Y + c))
+    return tuple(g.subs(*sub) for g in forward)
+
+
+def forward_map(field, steps):
+    """The forward map of a chain after ``steps``: the original parameters
+    as polynomials in the chart coordinates (x, y), composed from (x, y)
+    one step at a time by :func:`compose_step`."""
+    forward = BivarPoly.gens(field, ("x", "y"))
+    for step in steps:
+        forward = compose_step(forward, step)
+    return forward
+
+
+def chart_forward(chart):
+    """:func:`forward_map` of a chart's steps."""
+    return forward_map(chart.field, chart.steps)
+
+
+def expanded_strict_transform(f, forward):
     """The strict transform through the expanded forward map, the oracle
     for the stepwise pull-back: (g, m) with f(forward) = X^m * g and g not
     divisible by X."""
-    pulled = f.subs(*chart.forward)
+    pulled = f.subs(*forward)
     m = min(a for a, _ in pulled.terms)
     g = BivarPoly(pulled.field, {(a - m, b): c for (a, b), c in pulled.terms.items()},
                   pulled.vars)
@@ -126,9 +152,9 @@ def maps_inverse(forward, back) -> bool:
 
 
 def charts_inverse(chart) -> bool:
-    """:func:`maps_inverse` for a chart's forward map and its backward
-    parameters."""
-    return maps_inverse(chart.forward, backward(chart))
+    """:func:`maps_inverse` for the oracle forward map of a chart and its
+    backward parameters."""
+    return maps_inverse(chart_forward(chart), backward(chart))
 
 
 def rat_value(r, js):
@@ -165,7 +191,7 @@ def chunk_transform(p: int, q: int, c, chart) -> ChunkResult:
         raise ValueError("chart value ratio is %s, expected (%d, %d)" % (chart.chunk_pq, p, q))
     fld = chart.field
     a, b = bezout(p, q)
-    fu, fv = chart.forward
+    fu, fv = chart_forward(chart)
     bu, bv = backward(chart)
     X, Y = BivarPoly.gens(fld, fu.vars)
     shift = BivarPoly(fld, {(0, 0): fld(c), (0, 1): fld.one}, X.vars)  # Y + c

@@ -7,6 +7,10 @@ import sys
 import pytest
 
 from jumpseq.cli import main
+from jumpseq.fields import GroundField
+from jumpseq.poly import BivarPoly, RatExpr
+
+from conftest import forward_map, maps_inverse
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -132,7 +136,9 @@ def test_blowup(capsys):
 def test_monoidal_charts_are_blowup_charts(capsys, tmp_path):
     """On (2,1),(1,2),(3,2) over Q with delta_1 = 1 + u, whose chain first
     walks the chunk of a pair with q = 1, each monoidal level renders the
-    chart ``blowup`` reaches at the level's step (4 and 7)."""
+    chart ``blowup`` reaches at the level's step (4 and 7), over the same
+    factors: ``blowup``'s are a prefix of ``monoidal``'s, and the chart's
+    exponent vectors index all of them."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "field": {"kind": "rationals"}, "pairs": [[2, 1], [1, 2], [3, 2]],
@@ -141,12 +147,91 @@ def test_monoidal_charts_are_blowup_charts(capsys, tmp_path):
                                                  {"e": [1, 0], "c": "1"}]}, "1", "1"]}))
     code, out, _ = run(capsys, "monoidal", str(spec))
     assert code == 0
-    levels = json.loads(out)["levels"]
-    assert [lvl["step"] for lvl in levels] == [4, 7]
-    for lvl in levels:
+    report = json.loads(out)
+    assert [lvl["step"] for lvl in report["levels"]] == [4, 7]
+    for lvl in report["levels"]:
         code, out, _ = run(capsys, "blowup", str(spec), "--steps", str(lvl["step"]))
         assert code == 0
-        assert lvl["chart"] == json.loads(out)["charts"][-1]
+        blown = json.loads(out)
+        assert lvl["chart"] == blown["charts"][-1]
+        n = len(blown["factors"])
+        assert report["factors"][:n] == blown["factors"]
+        assert [len(e) for e in lvl["chart"]["params"]] == [n, n]
+
+
+def test_monoidal_report_past_forward_map_size(capsys, tmp_path):
+    """On (2,3),(1,3),(5,2),(3,2) over Q with lambda = (1,3,3,2) the report
+    of all four levels is written: each chart as its steps and exponent
+    vectors over the chain's nine factors (1 068 terms in all), where the
+    composed forward map of level 4 has more than 10 000 terms.  Level 4's
+    pass is not asserted: its residue check leaves out unit constants."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "field": {"kind": "rationals"}, "pairs": [[2, 3], [1, 3], [5, 2], [3, 2]],
+        "lambdas": ["1", "3", "3", "2"], "units": ["1", "1", "1", "1"]}))
+    code, out, err = run(capsys, "monoidal", str(spec))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    levels = report["levels"]
+    assert [lvl["level"] for lvl in levels] == [1, 2, 3, 4]
+    assert [lvl["pass"] for lvl in levels[:3]] == [True] * 3
+    n = len(report["factors"])
+    assert n == 9 and sum(len(f["terms"]) for f in report["factors"]) == 1068
+    assert all(len(e) <= n for lvl in levels for e in lvl["chart"]["params"])
+    assert [len(e) for e in levels[-1]["chart"]["params"]] == [n, n]
+
+
+#: spec-a over F_101 with lambdas 3 and 7, and (2,1),(1,2),(3,2) over Q and
+#: F_101, whose chain first walks the chunk of a pair with q = 1
+ROUND_TRIP_SPECS = {
+    "a": None,
+    "F101-a": {"field": {"kind": "prime", "p": 101}, "lambdas": ["3", "7"]},
+    "q1": {"pairs": [[2, 1], [1, 2], [3, 2]], "lambdas": ["1", "1", "1"],
+           "units": ["1", "1", "1"]},
+    "F101-q1": {"field": {"kind": "prime", "p": 101}, "pairs": [[2, 1], [1, 2], [3, 2]],
+                "lambdas": ["1", "1", "1"], "units": ["1", "1", "1"]},
+}
+
+
+def _replayed_step(fld, word):
+    """A rendered step ("A", "B" or "C(<c>)") as the chart holds it."""
+    if word in ("A", "B"):
+        return word, None
+    assert word.startswith("C(") and word.endswith(")"), word
+    return "C", fld.parse(word[2:-1])
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["blowup", "--steps", "7"], "a"), (["blowup", "--steps", "7"], "F101-a"),
+    (["blowup", "--steps", "7"], "q1"), (["monoidal"], "a"), (["monoidal"], "F101-q1")],
+    ids=["blowup-a", "blowup-F101-a", "blowup-q1", "monoidal-a", "monoidal-F101-q1"])
+def test_rendered_chart_round_trip(capsys, tmp_path, argv, name):
+    """A rendered chart still carries the whole chart: U and V rebuilt from
+    the report's ``factors`` and the chart's ``params`` are inverse to the
+    oracle forward map of its replayed ``steps``."""
+    spec = dict(_spec_a(), **(ROUND_TRIP_SPECS[name] or {}))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    report = json.loads(out)
+    fld = GroundField.from_json(spec["field"])
+    factors = [BivarPoly.from_json(fld, f) for f in report["factors"]]
+    charts = report.get("charts") or [lvl["chart"] for lvl in report["levels"]]
+    one = BivarPoly.const(fld, 1)
+    for chart in charts:
+        steps = [_replayed_step(fld, w) for w in chart["steps"]]
+        assert len(steps) == chart["step"]
+        params = []
+        for exps in chart["params"]:
+            num = den = one
+            for f, e in zip(factors, exps):
+                if e > 0:
+                    num = num * f ** e
+                elif e < 0:
+                    den = den * f ** -e
+            params.append(RatExpr(num, den))
+        assert maps_inverse(forward_map(fld, steps), params), (name, chart["step"])
 
 
 def test_blowup_beyond_depth_exit_3(capsys):
@@ -182,16 +267,20 @@ def test_classify_without_independent_index_exit_64(capsys, tmp_path):
     assert err.startswith("error:") and "independent index" in err
 
 
-def test_monoidal_constant_past_digit_limit_exit_64(capsys, tmp_path):
+def test_monoidal_constant_past_digit_limit_renders(capsys, tmp_path):
     """Over Q this walk meets unit constants with more digits than str()
-    makes; they render, and the walk goes on until it stops at TERM_LIMIT."""
+    makes (4 300 by default); they render, and all three levels are
+    written."""
     spec = tmp_path / "long.json"
     spec.write_text(json.dumps({"field": {"kind": "rationals"},
                                 "pairs": [[5, 4], [3, 5], [6, 1], [7, 2]],
                                 "lambdas": ["-2/3", "1/3", "1", "1/3"]}))
     code, out, err = run(capsys, "monoidal", str(spec))
-    assert code == 64 and out == ""
-    assert err.startswith("error:") and "TERM_LIMIT" in err
+    assert code == 0 and err == ""
+    levels = json.loads(out)["levels"]
+    assert len(levels) == 3
+    longest = max((h["unit_constant"] for h in levels[-1]["H_factorizations"]), key=len)
+    assert len(longest) > 4300 and longest.lstrip("-").replace("/", "").isdigit()
 
 
 def test_blowup_negative_steps_exit_64(capsys):

@@ -13,7 +13,6 @@ from jumpseq.engine import (
     exponent_solve,
     extract_independent,
     residue,
-    rewrite_in_independent,
     semigroup_below,
     semigroup_member,
     value,
@@ -253,41 +252,6 @@ def test_minimality_redundant_h0():
     assert out["witness"] == {0: 2}  # 1 = 2 * (1/2)
 
 
-# ---------------------------------------------------------------------------
-# rewriting in the independent polynomials
-# ---------------------------------------------------------------------------
-
-
-def test_rewrite_trivial_for_independent(js_a, ind_a):
-    out = rewrite_in_independent(2, js_a, ind_a)
-    assert out["identity_checked"] and out["terms"] == []
-
-
-def test_rewrite_with_intermediate_index():
-    js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
-    ind = extract_independent(js)
-    out = rewrite_in_independent(2, js, ind)
-    assert out["identity_checked"]
-    assert len(out["terms"]) == 1
-
-
-def test_rewrite_rejects_tampered_sequence():
-    js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
-    ind = extract_independent(js)
-    T = list(js.T)
-    T[2] = T[2] + BivarPoly.const(QQ, 1)
-    with pytest.raises(InvalidSpecError):
-        rewrite_in_independent(2, replace(js, T=tuple(T)), ind)
-
-
-def test_rewrite_rejects_skipped_independent_index():
-    # dropping i_1 = 1 leaves q_1 = 2 between k = 1 and the next index 3
-    js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
-    ind = extract_independent(js)
-    with pytest.raises(InvalidSpecError):
-        rewrite_in_independent(1, js, replace(ind, indices=(3,)))
-
-
 def test_independent_rejects_chunk_length_mismatch(monkeypatch):
     real = engine.euclid_data
 
@@ -299,12 +263,6 @@ def test_independent_rejects_chunk_length_mismatch(monkeypatch):
     monkeypatch.setattr(engine, "euclid_data", off_by_one)
     with pytest.raises(InvalidSpecError):
         extract_independent(js)
-
-
-def test_rewrite_discrete_insufficient(js_b):
-    ind = extract_independent(js_b)
-    with pytest.raises(InsufficientDepthError):
-        rewrite_in_independent(1, js_b, ind)
 
 
 # ---------------------------------------------------------------------------

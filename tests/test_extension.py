@@ -22,7 +22,7 @@ from jumpseq.euclid import epsilon
 from jumpseq.engine import residue
 from jumpseq.poly import BivarPoly, RatExpr, exact_divide
 
-from conftest import FIELDS, backward, make_spec, random_spec
+from conftest import FIELDS, backward, chart_forward, make_spec, random_spec
 
 
 def XY(fld=QQ):
@@ -197,10 +197,10 @@ def test_stable_unit_needs_equal_Y_exponents(spec_a):
     assert stable_unit(u * (u + 2)) == 2
 
 
-def expanded_rung(ext, chart_R, chart_S):
+def expanded_rung(ext, chart_R, forward_S):
     """``delta_unit``, ``delta_constant`` and ``second_param`` of a rung
-    through the expanded forward map of the S-chart, the oracle for the
-    stepwise certificates.
+    through the expanded forward map ``forward_S`` of the S-chart, the
+    oracle for the stepwise certificates.
 
     Delta is the exact quotient u_i(forward) / X^t when there is one, as
     the ladder computed it before; when the quotient is not a polynomial,
@@ -211,7 +211,7 @@ def expanded_rung(ext, chart_R, chart_S):
 
     def in_chart(r):
         up = RatExpr(r.num.subs(*sub), r.den.subs(*sub))
-        return RatExpr(up.num.subs(*chart_S.forward), up.den.subs(*chart_S.forward))
+        return RatExpr(up.num.subs(*forward_S), up.den.subs(*forward_S))
 
     bu, bv = backward(chart_R)
     u = in_chart(bu)
@@ -292,7 +292,7 @@ def test_rungs_match_expanded_forward(spec_a, fld, t):
     cert, rungs = rungs_with_charts(mk_ext(spec, t, one_plus_x(fld)))
     assert cert.ok and rungs
     for rung, (ext, chart_R, chart_S) in rungs:
-        assert rung_fields(rung) == expanded_rung(ext, chart_R, chart_S)
+        assert rung_fields(rung) == expanded_rung(ext, chart_R, chart_forward(chart_S))
     assert [(r["c"], r["residue_match"]) for r, _ in rungs] == \
         rung_residues(rungs[0][1][0], cert, rungs)
 
@@ -307,9 +307,10 @@ def test_stable_unit_beyond_exact_division():
                                            one_plus_x(fld)))
     assert cert.ok
     rung, (ext, chart_R, chart_S) = rungs[-1]
-    assert rung["delta_unit"] and rung_fields(rung) == expanded_rung(ext, chart_R, chart_S)
+    forward_S = chart_forward(chart_S)
+    assert rung["delta_unit"] and rung_fields(rung) == expanded_rung(ext, chart_R, forward_S)
     u_i = backward(chart_R)[0]
-    num, den = (f.subs(*ext.substitution()).subs(*chart_S.forward) for f in (u_i.num, u_i.den))
+    num, den = (f.subs(*ext.substitution()).subs(*forward_S) for f in (u_i.num, u_i.den))
     with pytest.raises(DivisibilityError):
         exact_divide(num, den * BivarPoly.monomial(fld, 3, 0, 1, den.vars))
 
@@ -335,11 +336,12 @@ def test_ladder_rungs_match_expanded_forward(seed, fld, t):
     except ResourceLimitError:
         assume(False)
     for n, (rung, (ext, chart_R, chart_S)) in enumerate(rungs):
-        deg = max(f.deg_u() + f.deg_v() for f in chart_S.forward)
+        forward_S = chart_forward(chart_S)
+        deg = max(f.deg_u() + f.deg_v() for f in forward_S)
         if deg * t * max(r.num.deg_u() + r.num.deg_v() for r in backward(chart_R)) > 3000:
             break
         try:
-            expected = expanded_rung(ext, chart_R, chart_S)
+            expected = expanded_rung(ext, chart_R, forward_S)
             residues = rung_residues(ext, cert, rungs[:n + 1])[-1]
         except ResourceLimitError:  # the stepwise rung got past the oracle's limit
             break

@@ -88,3 +88,14 @@ def test_cross_field_elements_rejected():
     with pytest.raises(ValueError):
         F11(Fp(3, 7))
     assert F7(Fp(3, 7)) == F7(3)
+
+
+def test_prime_field_elements_never_equal_ints():
+    """An element of F_p is equal to no int, since it cannot hash as every
+    int of its residue class: Fp(1, 5) equals neither 1 nor 6, and sets and
+    dict keys keep it apart from both."""
+    one = Fp(1, 5)
+    assert one != 1 and one != 6 and 1 != one
+    assert not Fp(0, 7) and Fp(0, 7) != 0
+    assert len({one, 1, 6}) == 3 and {1: "int"}.get(one) is None
+    assert one == prime_field(5)(6) and one + 5 == one

@@ -3,11 +3,11 @@
 The benchmark's tracer (``perfbench/spans.py``) wraps library functions by
 name, so deleting or renaming one of them breaks ``--trace 1``; every
 certificate check must survive ``python -O``, which strips ``assert``; and
-the blow-up chain keeps its cost model: walks that render no chart never
-compose a forward map, a pull-back never substitutes, a monoidal sequence
-starts at (u, v) and substitutes nowhere (also across a chunk of a pair
-with q = 1), rendering a walk composes each step once, and no certificate
-forms a backward rational expression or asks the engine for a residue.
+the blow-up chain keeps its cost model: a pull-back never substitutes, a
+monoidal sequence starts at (u, v) and substitutes nowhere (also across a
+chunk of a pair with q = 1), a rendered chart is its steps and exponent
+vectors, never a composed forward map, and no certificate forms a
+backward rational expression or asks the engine for a residue.
 ``verify`` writes each polynomial's witness once, so its report stays
 small.  The polynomial kernel has one loop per ring operation, on integer
 forms, and the round trip of an expansion stays in that form.  Reports
@@ -97,21 +97,6 @@ def test_resubstitute_runs_on_integer_forms(js_a, monkeypatch):
     assert out == f
 
 
-def test_certificates_never_compose_forward_maps(spec_a, monkeypatch):
-    """``ladder`` and a ``monoidal_sequence`` whose charts are not rendered
-    read no chart's forward map."""
-    def forward(chart):
-        raise AssertionError("forward map of step %d composed" % chart.step_index)
-
-    monkeypatch.setattr(blowup.Chart, "forward", property(forward))
-    x, _ = jumpseq.BivarPoly.gens(jumpseq.QQ, ("x", "y"))
-    delta = jumpseq.BivarPoly.const(jumpseq.QQ, 1, ("x", "y")) + x
-    assert extension.ladder(jumpseq.MonomialExtension(5, delta, spec_a)).ok
-    js = build_jumping_sequence(spec_a)
-    ind = extract_independent(js)
-    assert all(r["pass"] for r in blowup.monoidal_sequence(js, ind, ind.levels))
-
-
 def test_chain_walk_never_substitutes(js_a, monkeypatch):
     """Along spec-a's chain neither a step nor the strict transforms of
     T_1 and T_2 at each chart call ``BivarPoly.subs``: A and B relabel
@@ -171,15 +156,20 @@ def test_certificates_never_form_backward_expressions(spec_a, monkeypatch):
         assert extension.ladder(jumpseq.MonomialExtension(5, delta, spec)).ok
 
 
-def test_rendering_composes_each_step_once(monkeypatch):
-    """``blowup --steps 7`` composes one step per rendered chart, not the
-    whole chain for each chart."""
+def test_rendering_composes_no_forward_map(monkeypatch):
+    """``blowup --steps 7`` renders every chart without a single step
+    composition or substitution: a chart is written as its step word and
+    its exponent vectors over the chain's factors."""
     calls = []
-    compose = blowup._compose
-    monkeypatch.setattr(blowup, "_compose", lambda *a: calls.append(a) or compose(*a))
-    with contextlib.redirect_stdout(io.StringIO()):
+    step, subs = blowup._step, jumpseq.BivarPoly.subs
+    monkeypatch.setattr(blowup, "_step", lambda *a: calls.append("_step") or step(*a))
+    monkeypatch.setattr(jumpseq.BivarPoly, "subs", lambda *a: calls.append("subs") or subs(*a))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert cli.main(["blowup", str(ROOT / "specs" / "spec-a.json"), "--steps", "7"]) == 0
-    assert len(calls) == 7
+    assert json.loads(out.getvalue())["charts"][-1]["steps"] == ["A", "B", "C(1)", "A", "B",
+                                                                 "A", "C(1)"]
+    assert calls == []
 
 
 def test_verify_report_emits_each_witness_once():

@@ -634,8 +634,8 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     """Check that T-monomial expansions witness value-ideal membership.
 
     Every monomial u^a v^b of total degree <= deg_bound, and optionally
-    ``samples`` random polynomials, is expanded once, which gives its
-    value sigma.  Its record lists in ``gammas`` the semigroup values
+    ``samples`` random polynomials, gets its expansion and its value
+    sigma.  Its record lists in ``gammas`` the semigroup values
     0 < gamma <= min(gamma_max, sigma), ascending, carries the expansion
     once as ``witness``, and passes when every term of the expansion has
     value >= gammas[-1] (the smallest term numerator over Q_N is compared,
@@ -645,6 +645,21 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     this depth".  The semigroup is enumerated only up to the largest
     sigma compared, however large gamma_max is.
 
+    Only the powers v^b are expanded, each once per call, when the first
+    monomial in the (a, b) order of the records needs it; every u^a v^b
+    record is derived from v^b's.  Multiplying a standard expansion by
+    u^a = T_0^a keeps it standard (a_0 is unbounded), and the standard
+    expansion is unique, so the expansion of u^a v^b is that of v^b with
+    every a_0 raised by a.  Every term numerator over Q_N then rises by
+    a * w_0 = a * Q_N: sigma and the smallest term value rise by a, and the
+    pure/mixed split, the distinct-pure-values check and the check for a
+    mixed term below the minimum come out the same.  So a v^b that is
+    certified, uncertified or raises ArithmeticError does the same for
+    every u^a v^b, and the first monomial that raises raises as it would
+    if expanded itself.  Expansion divides by T_i monic in v over k[u], so
+    its intermediate forms are u^a times those of v^b and hit
+    ``TERM_LIMIT`` alike.  Samples are expanded one by one.
+
     A certified record's ``pass`` follows from the value computation and
     cannot be false today: :func:`_min_pure_term` has already refused any
     expansion with a term below sigma, so the smallest term is sigma and
@@ -653,37 +668,50 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     """
     import random
 
-    polys = [("u^%d v^%d" % (a, b), BivarPoly.monomial(js.field, a, b, 1, ("u", "v")))
-             for a in range(deg_bound + 1) for b in range(deg_bound + 1 - a) if a or b]
-    rng = random.Random(seed)
-    for s in range(samples):
-        f = _random_poly(js.field, rng, max_deg=6, max_terms=5)
-        if not f.is_zero():
-            polys.append(("sample %d" % s, f))
+    fld = js.field
+    QN = js.Q[-1]
 
-    expanded = []  # (label, expansion, sigma), expansion None when uncertified
-    for label, f in polys:
+    def certify(f):
+        """(sigma, smallest term value, rendered terms) of f's expansion,
+        or None when its value is not certified at the spec's depth."""
         try:
             exp = expand(f, js)
             sigma, _, _ = _min_pure_term(exp)
         except InsufficientDepthError:
-            exp = sigma = None
-        expanded.append((label, exp, sigma))
-    largest = max((sigma for _, exp, sigma in expanded if exp is not None), default=0)
+            return None
+        return (sigma, Fraction(min(exp.nums), QN),
+                [(fld.render(c), exps) for c, exps in exp.terms])
+
+    # (label, certified data or None, a): the data is v^b's for u^a v^b
+    expanded = []
+    v_powers = {}
+    for a in range(deg_bound + 1):
+        for b in range(deg_bound + 1 - a):
+            if a or b:
+                if b not in v_powers:
+                    v_powers[b] = certify(BivarPoly.monomial(fld, 0, b, 1, ("u", "v")))
+                expanded.append(("u^%d v^%d" % (a, b), v_powers[b], a))
+    rng = random.Random(seed)
+    for s in range(samples):
+        f = _random_poly(fld, rng, max_deg=6, max_terms=5)
+        if not f.is_zero():
+            expanded.append(("sample %d" % s, certify(f), 0))
+    largest = max((data[0] + a for _, data, a in expanded if data is not None), default=0)
     bound = min(Fraction(gamma_max), largest)
     gammas = [g for g in semigroup_below(list(js.beta), bound) if g > 0]
 
     report = []
-    for label, exp, sigma in expanded:
-        if exp is None:
+    for label, data, a in expanded:
+        if data is None:
             report.append({"check": "membership", "inputs": label,
                            "witness": "value not certified at this depth", "pass": None})
             continue
-        below = gammas[:bisect_right(gammas, sigma)]
+        sigma, low, terms = data
+        below = gammas[:bisect_right(gammas, sigma + a)]
         if below:
-            low = Fraction(min(exp.nums), js.Q[-1])
+            witness = {"terms": [{"c": c, "e": [exps[0] + a, *exps[1:]]} for c, exps in terms]}
             report.append({"check": "membership", "inputs": label, "gammas": below,
-                           "witness": exp.to_json(), "pass": low >= below[-1]})
+                           "witness": witness, "pass": low + a >= below[-1]})
     return report
 
 

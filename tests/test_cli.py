@@ -512,6 +512,21 @@ def test_verify_summary_counts_uncertified(capsys, tmp_path):
     assert [r["inputs"] for r in data["checks"] if r["pass"] is None] == ["sample 0"]
 
 
+def test_verify_expands_nothing_no_monomial_needs(capsys, tmp_path):
+    """With delta_1 = 1 + v^2, T_2 is not monic in v and any expansion is
+    refused.  ``--deg-bound 0`` has no monomial, so nothing is expanded,
+    not even v^0; ``--deg-bound 1`` expands v and exits 64."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "field": {"kind": "rationals"}, "pairs": [[3, 2], [5, 3]], "lambdas": ["1", "1"],
+        "units": [{"terms": [{"e": [0, 0], "c": "1"}, {"e": [0, 2], "c": "1"}]}, "1"]}))
+    code, out, _ = run(capsys, "verify", str(spec), "--deg-bound", "0")
+    assert code == 0 and json.loads(out)["checks"] == []
+    code, out, err = run(capsys, "verify", str(spec), "--deg-bound", "1")
+    assert code == 64 and out == ""
+    assert err.startswith("error: T_2 is not monic in v")
+
+
 def test_duplicate_exponent_exit_64(capsys, tmp_path):
     """2v^2 - u^3 written with v^2 split over two terms is refused rather
     than read as the last term alone (v^2 - u^3)."""

@@ -91,12 +91,23 @@ class Small(enum.IntEnum):
     TWO = 2
 
 
+class Count(int):
+    pass
+
+
+class Ratio(Fraction):
+    pass
+
+
 def test_encoder_matches_stdlib_on_edge_values():
     Pair = collections.namedtuple("Pair", "a b")
     for obj in ([], {}, [[]], {"a": {}}, (), float("nan"), [float("inf"), -float("inf")],
                 -0.0, 1e300, {None: 1}, {True: 1}, {False: [1]}, {2.5: "x"}, {-7: None},
                 {Small.TWO: Small.TWO}, collections.OrderedDict(b=1, a=2), Pair(1, [2]),
-                type("S", (str,), {})("sub\n"), [Fraction(-3, 7), Fp(8, 5)], 10 ** 200):
+                type("S", (str,), {})("sub\n"), [Fraction(-3, 7), Fp(8, 5)], 10 ** 200,
+                # lists of ints are one join only when every entry is exactly an int
+                [0], (4, -1, 10 ** 30), [1, True, 2], [True, 1], [3, Small.TWO],
+                [Count(4), 5], [5, Count(4)], [1, "a", None], [Ratio(1, 3), 2]):
         assert cli._dumps(obj) == stdlib(obj), obj
 
 

@@ -28,6 +28,9 @@ DELTAS = ["1"] + [{"vars": ["x", "y"], "terms": [{"e": [0, 0], "c": "1"}, {"e": 
                   for e in ([1, 0], [2, 1], [0, 1])]
 COMMANDS = ["genseq", "eval", "expand", "euclid", "blowup", "monoidal", "dual", "ladder",
             "verify", "classify"]
+#: ``verify --gamma-max`` values, from one below every semigroup value to one
+#: past every value a small request compares
+GAMMA_MAX = ["0", "1/2", "5", "100"]
 #: how the report is written: JSON on stdout, text on stdout, JSON to a file
 OUTPUTS = ["stdout", "text", "file"]
 
@@ -76,7 +79,10 @@ def requests(draw):
     elif command == "blowup":
         request["args"] = ["--steps", str(draw(st.integers(0, 6)))]
     elif command == "verify":
-        request["args"] = ["--deg-bound", "3"]
+        request["args"] = ["--deg-bound", str(draw(st.integers(0, 5))),
+                           "--samples", str(draw(st.integers(0, 3))),
+                           "--seed", str(draw(st.integers(0, 99))),
+                           "--gamma-max", draw(st.sampled_from(GAMMA_MAX))]
     return request
 
 

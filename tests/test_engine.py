@@ -283,10 +283,53 @@ def test_verify_generating_smoke(js_a):
         assert r["gammas"][-1] <= min(Fraction(3), value(_monomial(r["inputs"]), js_a))
 
 
-def _monomial(label):
+def _monomial(label, fld=QQ):
     """The monomial of a ``verify`` record labelled "u^a v^b"."""
     a, b = (int(part.split("^")[1]) for part in label.split())
-    return BivarPoly.monomial(QQ, a, b, 1, ("u", "v"))
+    return BivarPoly.monomial(fld, a, b, 1, ("u", "v"))
+
+
+@pytest.mark.parametrize("fld, pairs, gamma_max, deg_bound", [
+    (QQ, [(3, 2), (5, 3)], "5", 8),
+    (QQ, [(3, 2), (4, 1), (5, 3)], "100", 6),
+    (prime_field(2), [(1, 2), (3, 2)], "5", 7),
+    (prime_field(3), [(1, 2), (3, 2)], "1/2", 5),
+    (prime_field(3), [(2, 3), (3, 2)], "7/3", 6),
+    (prime_field(101), [(2, 3), (3, 2)], "5", 8),
+    # no pairs: every v^b with b > 0 involves T_M = T_1, so only u^a is certified
+    (prime_field(2), [], "5", 4),
+])
+def test_verify_derived_records_match_expansions(fld, pairs, gamma_max, deg_bound):
+    """Every monomial record, derived from its v-power's expansion, holds
+    the witness, gammas and pass that expanding and valuing the monomial
+    itself gives, in the (a, b) order of the monomials."""
+    js = build_jumping_sequence(make_spec(fld, pairs))
+    gamma_max = Fraction(gamma_max)
+    report = verify_generating_sequence(js, gamma_max, deg_bound)
+    expected = []
+    for a in range(deg_bound + 1):
+        for b in range(deg_bound + 1 - a):
+            if not (a or b):
+                continue
+            label = "u^%d v^%d" % (a, b)
+            f = _monomial(label, fld)
+            try:
+                sigma = value(f, js)
+            except InsufficientDepthError:
+                expected.append({"check": "membership", "inputs": label, "pass": None,
+                                 "witness": "value not certified at this depth"})
+                continue
+            gammas = [g for g in semigroup_below(list(js.beta), min(gamma_max, sigma)) if g > 0]
+            if gammas:
+                exp = expand(f, js)
+                low = Fraction(min(exp.nums), js.Q[-1])
+                expected.append({"check": "membership", "inputs": label, "gammas": gammas,
+                                 "witness": exp.to_json(), "pass": low >= gammas[-1]})
+    assert report == expected
+    assert report
+    if not pairs:
+        assert any(r["pass"] is None for r in report)
+        assert any(r["pass"] is True for r in report)
 
 
 def test_verify_uncertified_is_not_pass():

@@ -8,9 +8,10 @@ monoidal sequence starts at (u, v) and substitutes nowhere (also across a
 chunk of a pair with q = 1), a rendered chart is its steps and exponent
 vectors, never a composed forward map, and no certificate forms a
 backward rational expression or asks the engine for a residue.
-``verify`` writes each polynomial's witness once, so its report stays
-small.  The polynomial kernel has one loop per ring operation, on integer
-forms, and the round trip of an expansion stays in that form.  Reports
+``verify`` expands each power of v once, not each monomial, and writes
+each polynomial's witness once, so its report stays small.  The
+polynomial kernel has one loop per ring operation, on integer forms, and
+the round trip of an expansion stays in that form.  Reports
 are encoded by ``cli._dumps``, never by the stdlib's pure-Python indent
 encoder.
 """
@@ -182,6 +183,21 @@ def test_verify_report_emits_each_witness_once():
     checks = json.loads(out.getvalue())["checks"]
     assert len(checks) == len({r["inputs"] for r in checks}) == 44
     assert len(out.getvalue().encode()) < 100_000
+
+
+def test_verify_expands_each_v_power_once(monkeypatch):
+    """A monomial record costs no expansion of its own: ``verify`` on
+    spec-a expands v^1 .. v^8 and v^0 once each, in the order the
+    monomials first need them, then each sample."""
+    expanded = []
+    expand = engine.expand
+    monkeypatch.setattr(engine, "expand", lambda f, js: expanded.append(f) or expand(f, js))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", str(ROOT / "specs" / "spec-a.json"), "--samples", "3"]) == 0
+    assert [f.to_json()["terms"] for f in expanded[:9]] == [
+        [{"c": "1", "e": [0, b]}] for b in (*range(1, 9), 0)]
+    assert len(expanded) == 9 + 3
 
 
 def test_reports_skip_the_stdlib_indent_encoder(monkeypatch, tmp_path):

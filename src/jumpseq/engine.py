@@ -20,19 +20,20 @@ only for a value that is returned or reported.
 
 Expansions run on integer forms too (see :mod:`jumpseq.poly`).  A
 sequence converts T_0 .. T_M into integer form once
-(:attr:`JumpingSequence.T_int`) and T_1 .. T_M from there into divisor
-rows, at its first expansion (:attr:`JumpingSequence.T_rows`);
-:func:`expand` converts f once, takes its digits level by level with the
-integer division :func:`jumpseq.poly._idivmod_v`, which checks every
-quotient and remainder against ``TERM_LIMIT``, and makes a field element
-only for each output coefficient.  The round trip
+(:attr:`JumpingSequence.T_int`) and T_2 .. T_M from there into divisor
+rows, at its first expansion (:attr:`JumpingSequence.T_rows`).
+:func:`expand` converts f once.  Each level i >= 2 takes all the T_i-adic
+digits of its input in one row pass, :func:`jumpseq.poly._idivisions_v`,
+which checks every quotient and remainder against ``TERM_LIMIT``.
+T_1 = v, so level 1 divides nothing: the v-adic digits of a level-2 digit
+are its own v-degree rows, and each of its terms is an output term.  A
+field element is made only for each output coefficient.  The round trip
 :meth:`TExpansion.resubstitute` stays in integer form as well: its
 powers, term products and running sum are integer forms, each checked
 against ``TERM_LIMIT``, and only its result becomes a polynomial.
-Expansion needs every T_i monic in the second
-variable; a unit that breaks this (for instance an extension's
-delta = 1 + y) is reported as :class:`InvalidSpecError` at the first
-expansion.
+Expansion needs every T_i monic in the second variable; a unit that
+breaks this (for instance an extension's delta = 1 + y) is reported as
+:class:`InvalidSpecError` at the first expansion.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Tuple
@@ -48,8 +49,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
 from .fields import Fp, GroundField
-from .poly import (BivarPoly, _ONE, _check_size, _from_int, _idivmod_v, _imul, _ipow, _to_int,
-                   _v_rows)
+from .poly import (BivarPoly, _ONE, _check_size, _from_int, _idivisions_v, _imul, _ipow,
+                   _to_int, _v_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +231,19 @@ class JumpingSequence:
 
     @cached_property
     def T_rows(self) -> tuple:
-        """T_1 .. T_M as integer-row divisors (:func:`jumpseq.poly._v_rows`)
-        for :func:`expand`, made from :attr:`T_int` at the first expansion;
-        raises :class:`InvalidSpecError` when some T_i is not monic in the
-        second variable, which a unit involving that variable can cause.
+        """T_2 .. T_M as integer-row divisors (:func:`jumpseq.poly._v_rows`)
+        for :func:`expand`, made from :attr:`T_int` at the first expansion.
+        :func:`expand` reads level 1 off the v-degree rows, so T_1 must be
+        the second variable itself, which an explicit check confirms
+        (ArithmeticError otherwise).  Raises :class:`InvalidSpecError` when
+        some T_i is not monic in the second variable, which a unit
+        involving that variable can cause.
         """
+        if self.T_int[1] != ({(0, 1): 1}, 1):
+            raise ArithmeticError("T_1 = %s is not the second variable, so expansions "
+                                  "cannot read level 1 off the v-degree rows" % self.T[1])
         out = []
-        for i, x in enumerate(self.T_int[1:], start=1):
+        for i, x in enumerate(self.T_int[2:], start=2):
             rows = _v_rows(x)
             if rows is None:
                 v = self.T[0].vars[1]
@@ -444,48 +451,39 @@ class TExpansion:
         }
 
 
-def _v_digits(x, divide) -> list:
-    """g-adic digits of the integer form x, where divide(x) returns the
-    quotient and remainder by g: x = sum digits[k] * g^k."""
-    digits = []
-    while x[0]:
-        x, r = divide(x)
-        digits.append(r)
-    return digits
-
-
 def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
     """The standard-form expansion of f in the T-monomials of ``js``.
 
-    f is converted to its integer form once; the digits of every level are
-    integer forms (:func:`jumpseq.poly._idivmod_v` by the cached
-    :attr:`JumpingSequence.T_rows`), and a field element is made only for
-    each output coefficient.
+    f is converted to its integer form once.  Level i >= 2 takes the
+    T_i-adic digits of its input in one row pass
+    (:func:`jumpseq.poly._idivisions_v` by :attr:`JumpingSequence.T_rows`)
+    and hands each nonzero digit to level i - 1.  T_1 = v, so the v-adic
+    digits of a level-2 digit (at depth 0, of f itself) are its own
+    v-degree rows: each of its terms c * u^a * v^b is the output term
+    (c, (a, b, a_2, ..., a_M)), and no level divides by v.  A level takes
+    all its digits before it expands any, so ``TERM_LIMIT`` is checked in
+    the order of the levels.  A field element is made only for each
+    output coefficient.
     """
     if f.is_zero():
         raise ValueError("cannot expand the zero polynomial")
     f._check_compat(js.T[0])
-    M = js.depth + 1
-    fld = js.field
-    p = fld.characteristic
-    divide = [partial(_idivmod_v, g=g, p=p) for g in js.T_rows]
+    divisors = js.T_rows
+    p = js.field.characteristic
     terms: List[Tuple[object, Tuple[int, ...]]] = []
 
     def rec(x, level: int, suffix: Tuple[int, ...]):
-        if level == 0:
-            # x lies in k[u]; split into u-monomials
+        if level == 1:
             xt, den = x
-            for (a, b), c in sorted(xt.items()):
-                if b != 0:
-                    raise ArithmeticError("level-0 digit %s is not in k[u]"
-                                          % _from_int(fld, x, f.vars))
-                terms.append((Fp(c, p) if p else Fraction(c, den), (a,) + suffix))
+            for (a, b), c in xt.items():
+                terms.append((Fp(c, p) if p else Fraction(c, den), (a, b) + suffix))
             return
-        for k, digit in enumerate(_v_digits(x, divide[level - 1])):
+        digits = [r for _, _, r in _idivisions_v(x, divisors[level - 2], p)]
+        for k, digit in enumerate(digits):
             if digit[0]:
                 rec(digit, level - 1, (k,) + suffix)
 
-    rec(_to_int(f), M, ())
+    rec(_to_int(f), js.depth + 1, ())
     terms.sort(key=lambda t: t[1])
     return TExpansion(js, tuple(terms))
 

@@ -21,12 +21,16 @@ exit, through the constructor, so stored coefficients stay
 ``Fraction``/``Fp``.  :meth:`BivarPoly.subs` keeps its powers and Horner
 steps in that integer form, and each of those intermediates is checked
 against :data:`TERM_LIMIT` after dropping zeros, at the same points and
-with the same message as a stored polynomial.  :func:`divmod_in_v` is a
-thin wrapper around :func:`_idivmod_v`, which divides on the v-degree
-rows of the integer form and checks each quotient and remainder; the
-rows it updates in place while it divides are plain dicts and are not
-checked.  The T-adic expansion of :mod:`jumpseq.engine` calls
-:func:`_idivmod_v` directly, so its digits never become polynomials.
+with the same message as a stored polynomial.  Division by a divisor
+monic in the second variable has one implementation, :func:`_idivisions_v`: it scatters
+the dividend into v-degree rows once and divides them in place again and
+again, each quotient kept as rows and divided next, so the remainders are
+the digits of the dividend in powers of the divisor.  It checks each
+quotient and then each remainder against :data:`TERM_LIMIT`; the rows it
+updates in place while it divides are plain dicts and are not checked.
+:func:`divmod_in_v` takes its first division; the T-adic expansion of
+:mod:`jumpseq.engine` takes all of them, so its digits never become
+polynomials.
 
 Ring operations and :func:`divmod_in_v` refuse operands over different
 fields or in different variables (``ValueError``); :meth:`BivarPoly.subs`
@@ -35,8 +39,8 @@ maps the variables of a polynomial onto those of its arguments.
 The two public division routines:
 
 * :func:`divmod_in_v` divides by a polynomial that is monic in the second
-  variable, the division that standard-form expansions peel off (they
-  call its integer core directly);
+  variable, the division that standard-form expansions repeat (they call
+  its integer core directly);
 * :func:`exact_divide` performs a division that the caller claims is
   exact, and raises :class:`DivisibilityError` with the offending
   remainder otherwise.  No certificate divides: strict transforms and
@@ -58,11 +62,13 @@ from .fields import Fp, GroundField
 TERM_LIMIT = 10_000
 
 
+def _size_error(n):
+    return ResourceLimitError("polynomial with %d terms exceeds TERM_LIMIT=%d" % (n, TERM_LIMIT))
+
+
 def _check_size(terms):
     if len(terms) > TERM_LIMIT:
-        raise ResourceLimitError(
-            "polynomial with %d terms exceeds TERM_LIMIT=%d" % (len(terms), TERM_LIMIT)
-        )
+        raise _size_error(len(terms))
 
 
 class BivarPoly:
@@ -411,7 +417,7 @@ def _ipow(x, e: int, p):
 
 
 def _v_rows(x):
-    """The integer form ``x`` prepared as a divisor for :func:`_idivmod_v`.
+    """The integer form ``x`` prepared as a divisor for :func:`_idivisions_v`.
 
     Returns ``(m, tail, den)``: ``m = deg_v(x)``, the rows of the
     numerators of ``v^m - x`` as ``{b: [(a, c)]}``, and the denominator of
@@ -428,59 +434,77 @@ def _v_rows(x):
     return (m, tail, den) if lead == [(0, den)] else None
 
 
-def _idivmod_v(x, g, p):
-    """Quotient and remainder of the integer form ``x`` by a divisor monic
-    in the second variable, given by its rows ``g`` (see :func:`_v_rows`).
+def _idivisions_v(x, g, p):
+    """Repeated division of the integer form ``x`` by a divisor monic in
+    the second variable, given by its rows ``g`` (see :func:`_v_rows`):
+    ``x = q_0*g + r_0``, ``q_0 = q_1*g + r_1``, ... until a quotient is
+    zero, so the remainders are the g-adic digits of ``x``.  Yields
+    ``(q_k, den_k, r_k)`` per division: the quotient as v-degree rows
+    ``{b: {a: c}}`` of numerators over ``den_k``, valid only until the next
+    division, which divides those rows in place, and the remainder as a
+    normalised integer form.  ``x`` is scattered into rows once.
 
-    One downward pass over the v-degree rows of ``x`` moves each row at or
-    above ``m = deg_v(g)`` into the quotient and subtracts it times
-    ``g - v^m`` in place.  The rows are not reduced while they are
-    updated; over F_p a row is reduced mod p when it is taken.  Over Q the
-    rows are numerators over the denominator of ``x``.  When ``g`` has a
-    denominator D > 1, its leading numerator is D, so ``x`` is first
-    scaled by D^k (k the number of quotient rows) and each taken row then
-    divides exactly by D.  The quotient and then the remainder are
-    normalised and checked against :data:`TERM_LIMIT`; when deg_v(x) < m
-    the quotient is zero and the remainder is ``x`` itself, checked again.
+    A division moves each row at or above ``m = deg_v(g)`` into the
+    quotient, top row first, and subtracts it times ``g - v^m`` from the
+    rows below.  The rows are not reduced while they are updated; over F_p
+    a row is reduced mod p when it is taken.  Over Q the rows are
+    numerators over a common denominator.  When ``g`` has a denominator
+    D > 1, its leading numerator is D, so the rows are first scaled by D^k
+    (k the number of quotient rows) and each taken row then divides
+    exactly by D.  The quotient is checked against :data:`TERM_LIMIT`, and
+    then the remainder is normalised and checked (:func:`_reduce`); a
+    quotient is never normalised, since only its digits are kept.  When
+    deg_v(x) < m, ``x`` is not scattered: the one division yields a zero
+    quotient and ``x`` itself, checked again, as the remainder.
     """
     m, tail, gd = g
     xt, den = x
     if not xt or max(map(_second, xt)) < m:
         _check_size(xt)
-        return _ZERO, x
-    rows = {}  # rows of the running remainder: {b: {a: c}}
+        yield {}, den, x
+        return
+    rows = {}
     for (a, b), c in xt.items():
         rows.setdefault(b, {})[a] = c
-    top = max(rows)
-    if gd != 1:
-        scale = gd ** (top - m + 1)
-        den *= scale
-        rows = {b: {a: c * scale for a, c in row.items()} for b, row in rows.items()}
-    q = {}
-    for b in range(top, m - 1, -1):
-        row = rows.pop(b, None)
-        if not row:
-            continue
-        if p:
-            row = {a: r for a, c in row.items() if (r := c % p)}
-        else:
-            row = {a: c for a, c in row.items() if c}
-        if not row:
-            continue
-        s = b - m
-        for a, c in row.items():
-            q[(a, s)] = c
-        if gd != 1:
-            row = {a: c // gd for a, c in row.items()}
-        for gb, gcol in tail.items():
-            target = rows.setdefault(gb + s, {})
-            get = target.get
-            for a, c in row.items():
-                for ga, gc in gcol:
-                    e = a + ga
-                    target[e] = get(e, 0) + c * gc
-    r = {(a, b): c for b, row in rows.items() for a, c in row.items()}
-    return _reduce(q, den, p), _reduce(r, den, p)
+    tail = list(tail.items())
+    while True:
+        q = {}
+        top = max(rows)
+        if top >= m:
+            if gd != 1:
+                scale = gd ** (top - m + 1)
+                den *= scale
+                rows = {b: {a: c * scale for a, c in row.items()} for b, row in rows.items()}
+            size = 0
+            for b in range(top, m - 1, -1):
+                row = rows.pop(b, None)
+                if not row:
+                    continue
+                if p:
+                    row = {a: r for a, c in row.items() if (r := c % p)}
+                else:
+                    row = {a: c for a, c in row.items() if c}
+                if not row:
+                    continue
+                s = b - m
+                q[s] = row
+                size += len(row)
+                if gd != 1:
+                    row = {a: c // gd for a, c in row.items()}
+                for gb, gcol in tail:
+                    target = rows.setdefault(gb + s, {})
+                    get = target.get
+                    for a, c in row.items():
+                        for ga, gc in gcol:
+                            e = a + ga
+                            target[e] = get(e, 0) + c * gc
+            if size > TERM_LIMIT:
+                raise _size_error(size)
+        yield q, den, _reduce({(a, b): c for b, row in rows.items() for a, c in row.items()},
+                              den, p)
+        if not q:
+            return
+        rows = q
 
 
 # ---- univariate helpers (polynomials in the first variable only) --------
@@ -522,8 +546,8 @@ def divmod_in_v(f: BivarPoly, g: BivarPoly):
     """Divide ``f`` by ``g`` where ``g`` is monic in the second variable.
 
     Returns ``(quotient, remainder)`` with ``deg_v(remainder) < deg_v(g)``
-    and ``f == quotient*g + remainder`` exactly.  The division itself runs
-    on integer forms (:func:`_idivmod_v`).
+    and ``f == quotient*g + remainder`` exactly.  The division itself is
+    the first one of :func:`_idivisions_v`, on integer forms.
     """
     f._check_compat(g)
     if g.is_zero():
@@ -531,8 +555,9 @@ def divmod_in_v(f: BivarPoly, g: BivarPoly):
     rows = _v_rows(_to_int(g))
     if rows is None:
         raise ValueError("divisor is not monic in %s" % g.vars[1])
-    q, r = _idivmod_v(_to_int(f), rows, f.field.characteristic)
-    return _from_int(f.field, q, f.vars), _from_int(f.field, r, f.vars)
+    q, den, r = next(_idivisions_v(_to_int(f), rows, f.field.characteristic))
+    q = {(a, b): c for b, row in q.items() for a, c in row.items()}
+    return _from_int(f.field, (q, den), f.vars), _from_int(f.field, r, f.vars)
 
 
 def exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:

@@ -186,10 +186,14 @@ def test_residue_requires_equal_values(js_a):
 # under python -O.
 
 
-def test_expand_rejects_level0_digit_with_v(js_a, monkeypatch):
-    monkeypatch.setattr(engine, "_v_digits", lambda f, g: [f])
-    with pytest.raises(ArithmeticError):
-        expand(U_V()[1], js_a)
+def test_expand_rejects_t1_other_than_v(js_a):
+    """Expansion reads level 1 off the v-degree rows, which is the
+    v-adic expansion only when T_1 = v: a hand-built sequence whose T_1 is
+    v + u, still monic in v, is refused before any division."""
+    u, v = U_V()
+    bad = type(js_a)(js_a.spec, (u, v + u) + js_a.T[2:], js_a.beta, js_a.Q, js_a.n)
+    with pytest.raises(ArithmeticError, match="T_1 = u \\+ v is not the second variable"):
+        expand(v, bad)
 
 
 def test_min_pure_term_rejects_equal_pure_values(js_a):

@@ -6,8 +6,13 @@ polynomials whose integer forms have denominators above 1, and over
 small prime fields.  Each expansion must be in standard form (every
 interior exponent a_i below q_i) and must give back f through
 ``TExpansion.resubstitute``, which sympy checks on its own in
-``test_resubstitute_oracle.py``.
+``test_resubstitute_oracle.py``.  It must also equal, term for term and
+in order, the expansion that sympy's ``div`` takes level by level, down
+to the division by T_1 = v that ``expand`` replaces by reading the
+v-degree rows.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +22,8 @@ from jumpseq.engine import ValuationSpec, build_jumping_sequence, expand
 from jumpseq.errors import ResourceLimitError
 from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import BivarPoly, _to_int
+
+from test_poly_oracle import U, V, sympy, to_sympy
 
 
 def _sequence(fld, pairs, lambdas, delta_1="1"):
@@ -47,11 +54,22 @@ def test_fractional_tower_has_denominators():
     assert [_to_int(t)[1] for t in js.T] == [1, 1, 7, 686]
 
 
+#: depth 0 (M = 1): T_1 = v is the last level, so the expansion of f is
+#: read off its terms
+DEPTH0 = build_jumping_sequence(ValuationSpec(QQ, (), (), ()))
+
+
 @st.composite
 def cases(draw):
-    """A sequence and f = u^s * (small polynomial) + c * (product of up to
-    three T_j), so that expansions reach every level and cancel terms."""
+    """A sequence and a polynomial drawn by :func:`polys_for`."""
     js = draw(st.sampled_from(list(SEQUENCES.values())))
+    return js, draw(polys_for(js))
+
+
+@st.composite
+def polys_for(draw, js):
+    """f = u^s * (small polynomial) + c * (product of up to three T_j), so
+    that expansions reach every level and cancel terms."""
     fld, M = js.field, js.depth + 1
     if not fld.characteristic:
         coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool).map(QQ)
@@ -67,7 +85,7 @@ def cases(draw):
         for j in factors:
             mono = mono * js.T[j]
         f = f + mono
-    return js, f
+    return f
 
 
 @settings(max_examples=120, deadline=None)
@@ -85,6 +103,46 @@ def test_expansion_is_standard_and_round_trips(case):
     vectors = [e for _, e in exp.terms]
     assert vectors == sorted(set(vectors))
     assert exp.resubstitute() == f
+
+
+def sympy_expand(f, js):
+    """The T-adic expansion of f by sympy alone: at each level from M down
+    to 1, ``sympy.div`` by T_level (in k[u][v], so gens (v, u)) until the
+    quotient is zero, each nonzero remainder expanded at the level below,
+    and the level-0 digits, which lie in k[u], split into u-monomials.
+    Returns (coefficient, exponent vector) sorted by exponent vector, with
+    coefficients as ``Fraction`` over Q and residues in [0, p) over F_p."""
+    p = js.field.characteristic
+    T = [to_sympy(t, (V, U)) for t in js.T]
+    terms = []
+
+    def rec(x, level, suffix):
+        if level == 0:
+            for (b, a), c in x.terms():
+                assert b == 0, "a level-0 digit involves v"
+                terms.append((int(c) % p if p else Fraction(int(c.p), int(c.q)), (a,) + suffix))
+            return
+        k = 0
+        while not x.is_zero:
+            x, r = sympy.div(x, T[level])
+            if not r.is_zero:
+                rec(r, level - 1, (k,) + suffix)
+            k += 1
+
+    rec(to_sympy(f, (V, U)), js.depth + 1, ())
+    return sorted(terms, key=lambda t: t[1])
+
+
+@pytest.mark.parametrize("js", [*SEQUENCES.values(), DEPTH0], ids=[*SEQUENCES, "Q-depth0"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_expand_matches_sympy_div(js, data):
+    f = data.draw(polys_for(js))
+    if f.is_zero():
+        return
+    p = js.field.characteristic
+    got = [(c.val if p else c, e) for c, e in expand(f, js).terms]
+    assert got == sympy_expand(f, js)
 
 
 @pytest.mark.parametrize("fld, terms", [(QQ, 59), (prime_field(3), 40)], ids=["QQ", "F3"])

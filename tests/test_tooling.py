@@ -9,7 +9,8 @@ chunk of a pair with q = 1), a rendered chart is its steps and exponent
 vectors, never a composed forward map, and no certificate forms a
 backward rational expression or asks the engine for a residue.
 ``verify`` expands each power of v once, not each monomial, and writes
-each polynomial's witness once, so its report stays small.  The
+each polynomial's witness once, so its report stays small; ``expand``
+never divides by T_1 = v.  The
 polynomial kernel has one loop per ring operation, on integer forms, and
 the round trip of an expansion stays in that form.  Reports
 are encoded by ``cli._dumps``, never by the stdlib's pure-Python indent
@@ -198,6 +199,19 @@ def test_verify_expands_each_v_power_once(monkeypatch):
     assert [f.to_json()["terms"] for f in expanded[:9]] == [
         [{"c": "1", "e": [0, b]}] for b in (*range(1, 9), 0)]
     assert len(expanded) == 9 + 3
+
+
+def test_expand_never_divides_by_v(js_a, monkeypatch):
+    """``expand`` reads level 1 off the v-degree rows of each level-2
+    digit: on spec-a, (u + v + 1)^8 runs the division loop only by T_2 and
+    T_3 (v-degrees 2 and 6), never by T_1 = v."""
+    degrees = []
+    divide = engine._idivisions_v
+    monkeypatch.setattr(engine, "_idivisions_v",
+                        lambda x, g, p: degrees.append(g[0]) or divide(x, g, p))
+    u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
+    engine.expand((u + v + 1) ** 8, js_a)
+    assert degrees and set(degrees) == {2, 6}
 
 
 def test_reports_skip_the_stdlib_indent_encoder(monkeypatch, tmp_path):

@@ -18,10 +18,14 @@ numerator per term (:attr:`TExpansion.nums`), and values, residues and
 the generating-sequence checks compare those ints; a ``Fraction`` is made
 only for a value that is returned or reported.
 
-Expansions run on integer forms too (see :mod:`jumpseq.poly`).  A
-sequence converts T_0 .. T_M into integer form once
-(:attr:`JumpingSequence.T_int`) and T_2 .. T_M from there into divisor
-rows, at its first expansion (:attr:`JumpingSequence.T_rows`).
+The tower is built on integer forms (see :mod:`jumpseq.poly`):
+:func:`build_jumping_sequence` forms each T_{i+1} from the integer forms
+of the T_j, with lambda_i * delta_i scaled once and the factors u^{n_{i,0}}
+and v^{n_{i,1}} applied as exponent shifts, makes each T_i a polynomial
+once and keeps the integer forms (:attr:`JumpingSequence.T_int`); the
+value relation behind each n_i is solved on integer numerators
+(:func:`exponent_solve`).  A sequence turns T_2 .. T_M into divisor rows
+at its first expansion (:attr:`JumpingSequence.T_rows`).
 :func:`expand` converts f once.  Each level i >= 2 takes all the T_i-adic
 digits of its input in one row pass, :func:`jumpseq.poly._idivisions_v`,
 which checks every quotient and remainder against ``TERM_LIMIT``.
@@ -49,8 +53,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
 from .fields import Fp, GroundField
-from .poly import (BivarPoly, _ONE, _check_size, _from_int, _idivisions_v, _imul, _ipow,
-                   _to_int, _v_rows)
+from .poly import (BivarPoly, _ONE, _check_size, _from_int, _iadd, _idivisions_v, _imul,
+                   _ipow, _iscale, _to_int, _v_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +155,20 @@ def exponent_solve(i: int, beta: List[Fraction], q: List[int], Q: List[int]) -> 
     the nonnegative integer n_{i,0}.  ``beta``/``q``/``Q`` are indexed so
     that beta[j], q[j], Q[j] carry the subscript-j data (q[0]/Q[0] unused
     except Q[0] = 1).
+
+    The relation is solved on integer numerators over D, the lcm of Q_i
+    and the denominators of beta_1 .. beta_i, which is Q_i itself for the
+    values of a spec: a remainder r/D lies in (1/Q_{j-1})Z exactly when D
+    divides r * Q_{j-1}.
     """
-    rem = Fraction(q[i]) * beta[i]
+    D = lcm(Q[i], *(b.denominator for b in beta[1:i + 1]))
+    w = [b.numerator * (D // b.denominator) for b in beta[:i + 1]]
+    rem = q[i] * w[i]
     n = [0] * i
     for j in range(i - 1, 0, -1):
         found = None
         for cand in range(q[j]):
-            t = rem - cand * beta[j]
-            if (t * Q[j - 1]).denominator == 1:
+            if (rem - cand * w[j]) * Q[j - 1] % D == 0:
                 found = cand
                 break
         if found is None:
@@ -166,13 +176,13 @@ def exponent_solve(i: int, beta: List[Fraction], q: List[int], Q: List[int]) -> 
                 "no exponent n_{%d,%d} in [0, %d) satisfies the value relation" % (i, j, q[j])
             )
         n[j] = found
-        rem -= found * beta[j]
-    if rem.denominator != 1 or rem < 0:
+        rem -= found * w[j]
+    if rem % D or rem < 0:
         raise InvalidSpecError(
             "value relation at level %d leaves n_{%d,0} = %s, not a nonnegative integer"
-            % (i, i, rem)
+            % (i, i, Fraction(rem, D))
         )
-    n[0] = int(rem)
+    n[0] = rem // D
     return tuple(n)
 
 
@@ -224,9 +234,11 @@ class JumpingSequence:
 
     @cached_property
     def T_int(self) -> tuple:
-        """T_0 .. T_M in integer form (see :mod:`jumpseq.poly`), converted
-        once per sequence; :attr:`T_rows` and
-        :meth:`TExpansion.resubstitute` read them."""
+        """T_0 .. T_M in integer form (see :mod:`jumpseq.poly`);
+        :attr:`T_rows` and :meth:`TExpansion.resubstitute` read them.
+        :func:`build_jumping_sequence` computes the tower in this form and
+        stores it here, so a built sequence never converts its own T_i; a
+        sequence made otherwise converts T once, at the first read."""
         return tuple(map(_to_int, self.T))
 
     @cached_property
@@ -265,9 +277,24 @@ class JumpingSequence:
 
 
 def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v")) -> JumpingSequence:
+    """The jumping sequence of ``spec`` in the variables ``vars``.
+
+    The tower is computed on integer forms (see :mod:`jumpseq.poly`).  At
+    level i, with n_i = exponent_solve(i, ...), the product
+    prod_{j >= 2} T_j^{n_{i,j}} is formed with :func:`jumpseq.poly._ipow`
+    and :func:`jumpseq.poly._imul`, then T_i^{q_i}; -lambda_i * delta_i is
+    scaled once and multiplied by u^{n_{i,0}} * v^{n_{i,1}} as an exponent
+    shift, and T_{i+1} is one :func:`jumpseq.poly._iadd`.  Every product,
+    power and sum is checked against ``TERM_LIMIT`` in the order the
+    polynomial arithmetic checks it, and a monomial factor cannot raise.
+    Each T_i with i >= 2 becomes a polynomial once, and the integer forms
+    are kept as :attr:`JumpingSequence.T_int`.  The T_i need not be monic
+    in the second variable here; the first expansion checks that
+    (:attr:`JumpingSequence.T_rows`).
+    """
     fld = spec.field
     d = spec.depth
-    u, v = BivarPoly.gens(fld, vars)
+    char = fld.characteristic
 
     q = [0] + [pq[1] for pq in spec.pairs]      # q[i] = q_i
     p = [0] + [pq[0] for pq in spec.pairs]
@@ -282,18 +309,28 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
         else:
             beta.append(q[i - 1] * beta[i - 1] + Fraction(p[i], q[i]) / Q[i - 1])
 
-    T = [u, v]
+    T_int = [({(1, 0): 1}, 1), ({(0, 1): 1}, 1)]
     n_rows: List[Tuple[int, ...]] = [()]  # leading pad so n_rows[i] carries subscript i
     for i in range(1, d + 1):
         row = exponent_solve(i, beta, q, Q)
         n_rows.append(row)
-        prod = BivarPoly.const(fld, 1, vars)
-        for j, e in enumerate(row):
-            if e:
-                prod = prod * T[j] ** e
-        T.append(T[i] ** q[i] - prod.scale(spec.lambdas[i - 1]) * spec.units[i - 1])
+        prod = None
+        for j in range(2, i):
+            if row[j]:
+                pw = _ipow(T_int[j], row[j], char)
+                prod = pw if prod is None else _imul(prod, pw, char)
+        power = _ipow(T_int[i], q[i], char)
+        a, b = row[0], (row[1] if i > 1 else 0)
+        ct, cd = _iscale(_to_int(spec.units[i - 1]), -fld(spec.lambdas[i - 1]), char)
+        tail = ({(ea + a, eb + b): c for (ea, eb), c in ct.items()}, cd)
+        if prod is not None:
+            tail = _imul(prod, tail, char)
+        T_int.append(_iadd(power, tail, char))
 
-    return JumpingSequence(spec, tuple(T), tuple(beta), tuple(Q), tuple(n_rows))
+    T = BivarPoly.gens(fld, vars) + tuple(_from_int(fld, x, vars) for x in T_int[2:])
+    js = JumpingSequence(spec, T, tuple(beta), tuple(Q), tuple(n_rows))
+    js.__dict__["T_int"] = tuple(T_int)  # the cached_property, filled
+    return js
 
 
 # ---------------------------------------------------------------------------

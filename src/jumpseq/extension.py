@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Tuple
 
@@ -73,6 +74,11 @@ class MonomialExtension:
 
     def substitution(self) -> Tuple[BivarPoly, BivarPoly]:
         """(x^t * delta, y): the images of u and v in the upstairs ring."""
+        return self._substitution
+
+    @cached_property
+    def _substitution(self) -> Tuple[BivarPoly, BivarPoly]:
+        # formed once per extension: every ladder rung pulls factors through it
         x, y = BivarPoly.gens(self.field, ("x", "y"))
         return (x ** self.t * self.delta, y)
 

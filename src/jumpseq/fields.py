@@ -8,6 +8,7 @@ inverses, which is all the rest of the library needs.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -15,18 +16,41 @@ from functools import cached_property
 from .errors import InvalidSpecError
 
 
+#: The first 13 primes.  Miller-Rabin to these bases decides primality
+#: exactly below :data:`_MR_BOUND` (Sorenson and Webster, "Strong
+#: pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether ``n`` is prime, by deterministic Miller-Rabin.  An ``n`` at
+    or past :data:`_MR_BOUND`, where these bases no longer decide, raises
+    :class:`InvalidSpecError`."""
+    if n >= _MR_BOUND:
+        raise InvalidSpecError("field characteristic %d is too large: primality is decided "
+                               "only below %d" % (n, _MR_BOUND))
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor up to sqrt(n)
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -239,7 +263,8 @@ class GroundField:
         if kind == "prime":
             p = obj.get("p")
             if isinstance(p, str) and p.isdigit():
-                p = int(p)
+                with suppress(ValueError):  # past the digit limit of int(): refused below
+                    p = int(p)
             if type(p) is not int or not _is_prime(p):
                 raise InvalidSpecError("field characteristic %r is not a prime" % (p,))
             return cls("prime", p)

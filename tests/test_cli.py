@@ -354,8 +354,11 @@ def test_bad_polynomial_shape_exit_64(capsys, tmp_path, poly):
 
 
 @pytest.mark.parametrize("field", [{"kind": "bogus"}, {"kind": "prime", "p": 6},
-                                   {"kind": "prime", "p": 10.5}, "rationals"],
-                         ids=["unknown-kind", "p-not-prime", "p-float", "not-an-object"])
+                                   {"kind": "prime", "p": 10.5}, "rationals",
+                                   {"kind": "prime", "p": 10 ** 29 + 319},
+                                   {"kind": "prime", "p": "7" * 5000}],
+                         ids=["unknown-kind", "p-not-prime", "p-float", "not-an-object",
+                              "p-30-digit-prime", "p-past-int-digit-limit"])
 def test_bad_field_exit_64(capsys, tmp_path, field):
     with open(SPEC_A) as fh:
         spec = dict(json.load(fh), field=field)

@@ -23,7 +23,10 @@ COPRIME = [(p, q) for p, q in PAIRS if gcd(p, q) == 1]
 MODES = ["nondiscrete"] * 3 + ["discrete"]
 FIELDS = [{"kind": "rationals"}] + [{"kind": "prime", "p": p} for p in (2, 3, 5, 101)]
 LAMBDAS = ["0", "1", "2", "-1", "1/2", "-2/3"]
-UNITS = ["1", {"terms": [{"e": [0, 0], "c": "1"}, {"e": [1, 0], "c": "2"}]}]
+#: units 1, 1 + 2u, 1 + v and 1 + uv; a unit involving v can leave some T_i not
+#: monic in v, which the first expansion refuses (exit 64)
+UNITS = ["1"] + [{"terms": [{"e": [0, 0], "c": "1"}, {"e": e, "c": c}]}
+                 for e, c in (([1, 0], "2"), ([0, 1], "1"), ([1, 1], "1"))]
 DELTAS = ["1"] + [{"vars": ["x", "y"], "terms": [{"e": [0, 0], "c": "1"}, {"e": e, "c": "1"}]}
                   for e in ([1, 0], [2, 1], [0, 1])]
 COMMANDS = ["genseq", "eval", "expand", "euclid", "blowup", "monoidal", "dual", "ladder",
@@ -47,6 +50,9 @@ SPEC_A = {"field": {"kind": "rationals"}, "pairs": [[3, 2], [5, 3]], "lambdas": 
 NO_PAIRS = {"field": {"kind": "prime", "p": 5}, "pairs": [], "lambdas": [], "units": [],
             "mode": "nondiscrete"}
 DEEP_POLY = {"terms": [{"e": [1, 1], "c": "1"}]}
+#: T_2 = v - u(1 + v) is not monic in v, so expanding anything exits 64
+NOT_MONIC = {"field": {"kind": "rationals"}, "pairs": [[1, 1]], "lambdas": ["1"],
+             "units": [UNITS[2]], "mode": "nondiscrete"}
 
 
 @st.composite
@@ -102,6 +108,7 @@ def _run(argv):
 @example({"command": "ladder", "ext": {"t": 2, "delta": "1", "spec": SPEC_A}}, "file")
 @example({"command": "eval", "spec": NO_PAIRS, "poly": DEEP_POLY}, "text")
 @example({"command": "eval", "spec": NO_PAIRS, "poly": DEEP_POLY}, "file")
+@example({"command": "expand", "spec": NOT_MONIC, "poly": DEEP_POLY}, "stdout")
 def test_cli_exits_with_a_documented_code(request, output):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [request["command"]]

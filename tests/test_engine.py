@@ -88,6 +88,22 @@ def test_exponent_solve_oracles(js_a):
     assert exponent_solve(2, beta, q, Q) == (10, 1)
 
 
+@pytest.mark.parametrize("i, beta, q, Q, message", [
+    (2, ["1", "3/2", "23/5"], [0, 2, 3], [1, 2, 6],
+     "no exponent n_{2,1} in [0, 2) satisfies the value relation"),
+    (2, ["1", "3/2", "1/6"], [0, 2, 3], [1, 2, 6],
+     "value relation at level 2 leaves n_{2,0} = -1, not a nonnegative integer"),
+    (1, ["1", "1/2"], [0, 3], [1, 3],
+     "value relation at level 1 leaves n_{1,0} = 3/2, not a nonnegative integer"),
+])
+def test_exponent_solve_refuses_unsolvable_relations(i, beta, q, Q, message):
+    """Values no spec gives: a denominator outside Q_i, a remainder below
+    zero and one that is not an integer each raise with their message."""
+    with pytest.raises(InvalidSpecError) as err:
+        exponent_solve(i, [Fraction(b) for b in beta], q, Q)
+    assert str(err.value) == message
+
+
 def test_tower_sequence():
     js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
     # beta_2 = 2*(3/2) + (1/2)(4/1) = 5; beta_3 = 1*5 + (1/2)(5/3) = 35/6

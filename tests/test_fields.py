@@ -1,9 +1,11 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from jumpseq.errors import InvalidSpecError, JumpseqError
-from jumpseq.fields import Fp, GroundField, QQ, prime_field
+from jumpseq.fields import Fp, GroundField, QQ, _MR_BOUND, _is_prime, prime_field
 
 
 def test_rationals_coercion():
@@ -81,6 +83,35 @@ def test_invalid_fields_rejected():
         GroundField("prime", 6)
     with pytest.raises(ValueError):
         GroundField("reals", 0)
+
+
+def test_primality_is_decided_fast_and_exactly():
+    """Miller-Rabin on the first 13 prime bases: 2^61 - 1 is accepted in
+    well under a second (trial division took about 80 s); 2^61 + 1, the
+    Carmichael numbers 561 and 41041 and the least strong pseudoprimes to
+    the first 9 and the first 12 prime bases are refused; below 20 000 and
+    on random numbers up to the bound the answer is sympy's."""
+    sympy = pytest.importorskip("sympy")
+    start = time.perf_counter()
+    assert GroundField.from_json({"kind": "prime", "p": 2 ** 61 - 1}).characteristic == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.1
+    for n in (2 ** 61 + 1, 561, 41041, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            GroundField("prime", n)
+        with pytest.raises(InvalidSpecError, match="not a prime"):
+            GroundField.from_json({"kind": "prime", "p": n})
+    assert [n for n in range(-2, 20000) if _is_prime(n) != sympy.isprime(n)] == []
+    rng = random.Random(0)
+    for n in [rng.randrange(_MR_BOUND) for _ in range(300)] + [_MR_BOUND - 168]:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_primality_refused_past_bound():
+    """At or past the bound below which the 13 bases decide primality, a
+    field is refused as bad input, prime or not."""
+    for n in (_MR_BOUND, 10 ** 29 + 319):
+        with pytest.raises(InvalidSpecError, match="too large"):
+            GroundField.from_json({"kind": "prime", "p": n})
 
 
 def test_cross_field_elements_rejected():

@@ -12,7 +12,8 @@ backward rational expression or asks the engine for a residue.
 each polynomial's witness once, so its report stays small; ``expand``
 never divides by T_1 = v.  The
 polynomial kernel has one loop per ring operation, on integer forms, and
-the round trip of an expansion stays in that form.  Reports
+the round trip of an expansion and the build of the tower stay in that
+form.  Reports
 are encoded by ``cli._dumps``, never by the stdlib's pure-Python indent
 encoder.
 """
@@ -97,6 +98,35 @@ def test_resubstitute_runs_on_integer_forms(js_a, monkeypatch):
     out = exp.resubstitute()
     assert calls == ["__init__"]
     assert out == f
+
+
+def test_build_runs_on_integer_forms(monkeypatch):
+    """``build_jumping_sequence`` over Q and F_101, with lambda != 1 and a
+    unit in u, multiplies, raises to a power, adds and scales no
+    polynomial: it constructs one per T_i (T_0 and T_1 are the
+    generators), keeps the tower's integer forms as ``T_int`` and never
+    converts one of its own T_i back to integer form."""
+    specs = []
+    for fld in (jumpseq.QQ, jumpseq.prime_field(101)):
+        u, _ = jumpseq.BivarPoly.gens(fld)
+        spec = make_spec(fld, [(3, 2), (4, 1), (5, 3), (2, 3)], lambdas=[fld(2)] * 4)
+        specs.append(replace(spec, units=spec.units[:2] + (u + 1,) + spec.units[3:]))
+    calls, converted = [], []
+    for name in ("__init__", "__mul__", "__pow__", "__add__", "scale"):
+        method = getattr(jumpseq.BivarPoly, name)
+        monkeypatch.setattr(jumpseq.BivarPoly, name,
+                            lambda *a, _name=name, _method=method: calls.append(_name) or _method(*a))
+    to_int = engine._to_int
+    monkeypatch.setattr(engine, "_to_int", lambda f: converted.append(f) or to_int(f))
+    for spec in specs:
+        calls.clear()
+        converted.clear()
+        js = build_jumping_sequence(spec)
+        assert calls == ["__init__"] * len(js.T)
+        assert "T_int" in vars(js)
+        assert js.T_int == tuple(map(to_int, js.T))
+        assert js.T_rows
+        assert not any(f is t for f in converted for t in js.T)
 
 
 def test_chain_walk_never_substitutes(js_a, monkeypatch):

@@ -53,7 +53,7 @@ from .euclid import epsilon, euclid_data
 from .engine import IndependentData, JumpingSequence, graded_residue, initial_form, value
 from .fields import Fp, GroundField
 from . import poly
-from .poly import BivarPoly, _reduce, _to_int
+from .poly import BivarPoly, _ratio, _reduce
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -82,7 +82,7 @@ def _step(x, step, p):
     # X^a Y^b -> X^(a+b) (Y + n/d)^b over the common denominator d^top;
     # rows[b] holds the nonzero multipliers of Y^k in d^top (Y + n/d)^b,
     # over F_p reduced mod p as they are made (d = 1 there)
-    n, d = (c.val, 1) if p else (c.numerator, c.denominator)
+    n, d = _ratio(c, p)
     top = max(b for _, b in terms)
     rows = {}
     out = {}
@@ -301,7 +301,7 @@ def pull_back(f: BivarPoly, chart: Chart):
         raise ValueError("strict transform of the zero polynomial")
     fld = chart.field
     p = fld.characteristic
-    g, e_x, e_y = _strip(_to_int(f))
+    g, e_x, e_y = _strip(f.form)
     unit = fld.one
     for step in chart.steps:
         kind, c = step

@@ -123,9 +123,18 @@ def _render_text(data, indent=0) -> str:
     return "%s%s" % (pad, data)
 
 
+class _InputError(Exception):
+    """An input file that ``json`` cannot read: malformed JSON, text that
+    cannot be decoded, or an integer literal past the interpreter's limit
+    on int-from-string conversion (a plain ValueError)."""
+
+
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:
+            raise _InputError(e) from None
 
 
 def _load_spec(path) -> ValuationSpec:
@@ -365,7 +374,7 @@ def main(argv=None) -> int:
         sys.stdout.write(_dumps({"error": "insufficient-depth", "message": str(e),
                                  "extra_depth": e.extra_depth}) + "\n")
         return EXIT_DEPTH
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, _InputError, KeyError) as e:
         sys.stderr.write("input error: %s\n" % e)
         return EXIT_USAGE
     except JumpseqError as e:

@@ -18,15 +18,14 @@ numerator per term (:attr:`TExpansion.nums`), and values, residues and
 the generating-sequence checks compare those ints; a ``Fraction`` is made
 only for a value that is returned or reported.
 
-The tower is built on integer forms (see :mod:`jumpseq.poly`):
-:func:`build_jumping_sequence` forms each T_{i+1} from the integer forms
-of the T_j, with lambda_i * delta_i scaled once and the factors u^{n_{i,0}}
-and v^{n_{i,1}} applied as exponent shifts, makes each T_i a polynomial
-once and keeps the integer forms (:attr:`JumpingSequence.T_int`); the
-value relation behind each n_i is solved on integer numerators
-(:func:`exponent_solve`).  A sequence turns T_2 .. T_M into divisor rows
-at its first expansion (:attr:`JumpingSequence.T_rows`).
-:func:`expand` converts f once.  Each level i >= 2 takes all the T_i-adic
+Polynomials are computed on their integer forms (see :mod:`jumpseq.poly`).
+:func:`build_jumping_sequence` forms each T_{i+1} from the forms of the
+T_j, with lambda_i * delta_i scaled once and the factors u^{n_{i,0}} and
+v^{n_{i,1}} applied as exponent shifts, and wraps each form as a
+polynomial; the value relation behind each n_i is solved on integer
+numerators (:func:`exponent_solve`).  A sequence turns T_2 .. T_M into
+divisor rows at its first expansion (:attr:`JumpingSequence.T_rows`).
+:func:`expand` reads the form of f.  Each level i >= 2 takes all the T_i-adic
 digits of its input in one row pass, :func:`jumpseq.poly._idivisions_v`,
 which checks every quotient and remainder against ``TERM_LIMIT``.
 T_1 = v, so level 1 divides nothing: the v-adic digits of a level-2 digit
@@ -34,7 +33,7 @@ are its own v-degree rows, and each of its terms is an output term.  A
 field element is made only for each output coefficient.  The round trip
 :meth:`TExpansion.resubstitute` stays in integer form as well: its
 powers, term products and running sum are integer forms, each checked
-against ``TERM_LIMIT``, and only its result becomes a polynomial.
+against ``TERM_LIMIT``, and its result is wrapped as it is.
 Expansion needs every T_i monic in the second variable; a unit that
 breaks this (for instance an extension's delta = 1 + y) is reported as
 :class:`InvalidSpecError` at the first expansion.
@@ -53,8 +52,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
 from .fields import Fp, GroundField
-from .poly import (BivarPoly, _ONE, _check_size, _from_int, _iadd, _idivisions_v, _imul,
-                   _ipow, _iscale, _to_int, _v_rows)
+from .poly import (BivarPoly, _ONE, _check_size, _iadd, _idivisions_v, _imul, _ipow,
+                   _iscale, _ratio, _reduce, _v_rows, _wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -233,30 +232,22 @@ class JumpingSequence:
         return tuple(w)
 
     @cached_property
-    def T_int(self) -> tuple:
-        """T_0 .. T_M in integer form (see :mod:`jumpseq.poly`);
-        :attr:`T_rows` and :meth:`TExpansion.resubstitute` read them.
-        :func:`build_jumping_sequence` computes the tower in this form and
-        stores it here, so a built sequence never converts its own T_i; a
-        sequence made otherwise converts T once, at the first read."""
-        return tuple(map(_to_int, self.T))
-
-    @cached_property
     def T_rows(self) -> tuple:
         """T_2 .. T_M as integer-row divisors (:func:`jumpseq.poly._v_rows`)
-        for :func:`expand`, made from :attr:`T_int` at the first expansion.
+        for :func:`expand`, made from their integer forms at the first
+        expansion.
         :func:`expand` reads level 1 off the v-degree rows, so T_1 must be
         the second variable itself, which an explicit check confirms
         (ArithmeticError otherwise).  Raises :class:`InvalidSpecError` when
         some T_i is not monic in the second variable, which a unit
         involving that variable can cause.
         """
-        if self.T_int[1] != ({(0, 1): 1}, 1):
+        if self.T[1].form != ({(0, 1): 1}, 1):
             raise ArithmeticError("T_1 = %s is not the second variable, so expansions "
                                   "cannot read level 1 off the v-degree rows" % self.T[1])
         out = []
-        for i, x in enumerate(self.T_int[2:], start=2):
-            rows = _v_rows(x)
+        for i, t in enumerate(self.T[2:], start=2):
+            rows = _v_rows(t.form)
             if rows is None:
                 v = self.T[0].vars[1]
                 raise InvalidSpecError(
@@ -287,8 +278,8 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
     shift, and T_{i+1} is one :func:`jumpseq.poly._iadd`.  Every product,
     power and sum is checked against ``TERM_LIMIT`` in the order the
     polynomial arithmetic checks it, and a monomial factor cannot raise.
-    Each T_i with i >= 2 becomes a polynomial once, and the integer forms
-    are kept as :attr:`JumpingSequence.T_int`.  The T_i need not be monic
+    Each T_i is its integer form, wrapped as a polynomial without a
+    conversion (:func:`jumpseq.poly._wrap`).  The T_i need not be monic
     in the second variable here; the first expansion checks that
     (:attr:`JumpingSequence.T_rows`).
     """
@@ -309,7 +300,7 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
         else:
             beta.append(q[i - 1] * beta[i - 1] + Fraction(p[i], q[i]) / Q[i - 1])
 
-    T_int = [({(1, 0): 1}, 1), ({(0, 1): 1}, 1)]
+    forms = [({(1, 0): 1}, 1), ({(0, 1): 1}, 1)]
     n_rows: List[Tuple[int, ...]] = [()]  # leading pad so n_rows[i] carries subscript i
     for i in range(1, d + 1):
         row = exponent_solve(i, beta, q, Q)
@@ -317,20 +308,18 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
         prod = None
         for j in range(2, i):
             if row[j]:
-                pw = _ipow(T_int[j], row[j], char)
+                pw = _ipow(forms[j], row[j], char)
                 prod = pw if prod is None else _imul(prod, pw, char)
-        power = _ipow(T_int[i], q[i], char)
+        power = _ipow(forms[i], q[i], char)
         a, b = row[0], (row[1] if i > 1 else 0)
-        ct, cd = _iscale(_to_int(spec.units[i - 1]), -fld(spec.lambdas[i - 1]), char)
+        ct, cd = _iscale(spec.units[i - 1].form, *_ratio(-fld(spec.lambdas[i - 1]), char), char)
         tail = ({(ea + a, eb + b): c for (ea, eb), c in ct.items()}, cd)
         if prod is not None:
             tail = _imul(prod, tail, char)
-        T_int.append(_iadd(power, tail, char))
+        forms.append(_iadd(power, tail, char))
 
-    T = BivarPoly.gens(fld, vars) + tuple(_from_int(fld, x, vars) for x in T_int[2:])
-    js = JumpingSequence(spec, T, tuple(beta), tuple(Q), tuple(n_rows))
-    js.__dict__["T_int"] = tuple(T_int)  # the cached_property, filled
-    return js
+    T = tuple(_wrap(fld, x, tuple(vars)) for x in forms)
+    return JumpingSequence(spec, T, tuple(beta), tuple(Q), tuple(n_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +407,25 @@ class TExpansion:
     def resubstitute(self) -> BivarPoly:
         """The polynomial sum of coeff * prod_j T_j^{a_j} over the terms.
 
-        Runs on integer forms (:attr:`JumpingSequence.T_int`): each power
-        T_j^e is formed once per call and each term's product with
+        Runs on the integer forms of the T_j: each power T_j^e is formed
+        once per call and each term's product with
         :func:`jumpseq.poly._imul`.  The terms are added into one running
         dict of numerators over a common denominator (residues mod p over
         F_p), rescaled by the lcm when a term's denominator does not divide
         it.  The running sum drops zeros and is checked against TERM_LIMIT
-        after each term, as a sum of polynomials would be; only the result
-        is made a polynomial.  A term whose coefficient is zero is skipped
+        after each term, as a sum of polynomials would be; it is normalised
+        once, at the end (:func:`jumpseq.poly._reduce`).  A term whose
+        coefficient is zero is skipped
         before its powers are formed, so it cannot raise.
 
         The sum is taken in place rather than as ``poly._iadd(acc,
-        poly._iscale(mono, c, p), p)``, which copies and renormalises the
+        poly._iscale(mono, n, d, p), p)``, which copies and renormalises the
         running sum for every term: that form made expand-oracle about 6 %
         slower in ``ops_per_s`` (8 of 8 alternating 10 s pairs).
         """
         js = self.js
-        fld, T = js.field, js.T_int
+        fld = js.field
+        T = [t.form for t in js.T]
         p = fld.characteristic
         powers = {}
         out, den = {}, 1
@@ -470,7 +461,7 @@ class TExpansion:
                 else:
                     del out[k]
             _check_size(out)
-        return _from_int(fld, (out, den), js.T[0].vars)
+        return _wrap(fld, _reduce(out, den, p), js.T[0].vars)
 
     @cached_property
     def nums(self) -> Tuple[int, ...]:
@@ -491,7 +482,7 @@ class TExpansion:
 def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
     """The standard-form expansion of f in the T-monomials of ``js``.
 
-    f is converted to its integer form once.  Level i >= 2 takes the
+    Runs on the integer form of f.  Level i >= 2 takes the
     T_i-adic digits of its input in one row pass
     (:func:`jumpseq.poly._idivisions_v` by :attr:`JumpingSequence.T_rows`)
     and hands each nonzero digit to level i - 1.  T_1 = v, so the v-adic
@@ -520,7 +511,7 @@ def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
             if digit[0]:
                 rec(digit, level - 1, (k,) + suffix)
 
-    rec(_to_int(f), js.depth + 1, ())
+    rec(f.form, js.depth + 1, ())
     terms.sort(key=lambda t: t[1])
     return TExpansion(js, tuple(terms))
 

@@ -27,9 +27,9 @@ def _is_prime(n: int) -> bool:
     """Whether ``n`` is prime, by deterministic Miller-Rabin.  An ``n`` at
     or past :data:`_MR_BOUND`, where these bases no longer decide, raises
     :class:`InvalidSpecError`."""
-    if n >= _MR_BOUND:
-        raise InvalidSpecError("field characteristic %d is too large: primality is decided "
-                               "only below %d" % (n, _MR_BOUND))
+    if n >= _MR_BOUND:  # n may be past the digit limit of str(), so give its size
+        raise InvalidSpecError("field characteristic of %d bits is too large: primality is "
+                               "decided only below %d" % (n.bit_length(), _MR_BOUND))
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -256,7 +256,8 @@ class GroundField:
     def from_json(cls, obj) -> "GroundField":
         """A field from input data: ``{"kind": "rationals"}`` or
         ``{"kind": "prime", "p": <prime>}``; anything else raises
-        :class:`InvalidSpecError`."""
+        :class:`InvalidSpecError`.  Primality is decided once, by the
+        constructor, whose refusal of a composite is mapped here."""
         kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind == "rationals":
             return cls("rationals", 0)
@@ -265,9 +266,10 @@ class GroundField:
             if isinstance(p, str) and p.isdigit():
                 with suppress(ValueError):  # past the digit limit of int(): refused below
                     p = int(p)
-            if type(p) is not int or not _is_prime(p):
-                raise InvalidSpecError("field characteristic %r is not a prime" % (p,))
-            return cls("prime", p)
+            if type(p) is int:
+                with suppress(ValueError):  # not a prime: refused below
+                    return cls("prime", p)
+            raise InvalidSpecError("field characteristic %r is not a prime" % (p,))
         raise InvalidSpecError("unknown field %r: the kind must be \"rationals\" or \"prime\"" % (obj,))
 
 

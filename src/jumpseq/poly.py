@@ -1,51 +1,38 @@
 """Sparse exact bivariate polynomials over a ground field.
 
-A :class:`BivarPoly` is a map from exponent pairs ``(a, b)`` to nonzero
-field coefficients, together with a pair of variable labels.  Everything
-is immutable in spirit: operations return fresh polynomials and never
-mutate their inputs.
+A :class:`BivarPoly` is a polynomial in a pair of variable labels, stored
+as one integer form ``form = (terms, den)``: a dict from exponent pairs
+``(a, b)`` to nonzero ints over a positive int denominator.  Over F_p the
+ints are the residues in [0, p) and den is 1; over Q den is the lcm of
+the coefficients' denominators, so no factor is common to den and all the
+numerators; zero is ``({}, 1)``.  Each polynomial has exactly one form,
+which equality, hashing, degrees and the constant term read.  Operations
+return fresh polynomials and never mutate their inputs or a form.
 
-The constructor is the only way a polynomial is made.  It coerces a
-coefficient through ``field(c)`` unless it already is an element of the
-field (a ``Fraction`` over Q, an ``Fp`` of the same p over F_p), so ints,
-strings and elements of another prime field are converted or rejected as
-before, while the results of the ring operations are stored as they are.
-Zero coefficients are dropped and :data:`TERM_LIMIT` is checked on every
-polynomial it stores.
+``BivarPoly(field, terms, vars)`` makes a polynomial from outside data:
+it coerces every coefficient through ``field(c)`` (ints, strings and
+elements of another prime field are converted or rejected), drops zeros
+and checks :data:`TERM_LIMIT`.  The ring operations, substitution and
+the divisions run on integer forms, each helper normalising its result
+and checking it against :data:`TERM_LIMIT` (:func:`_reduce`), and wrap
+the result through :func:`_wrap`, which makes no field element.
+:attr:`BivarPoly.terms`, the ``Fraction``/``Fp`` coefficients, is a
+read-only view made at its first read, for rendering and outside callers.
 
-Every ring operation, every substitution and every division by a
-polynomial monic in the second variable run their inner loops on plain
-ints: residues mod p over F_p, numerators over one common denominator
-over Q.  Each operand is converted once on entry and the result once on
-exit, through the constructor, so stored coefficients stay
-``Fraction``/``Fp``.  :meth:`BivarPoly.subs` keeps its powers and Horner
-steps in that integer form, and each of those intermediates is checked
-against :data:`TERM_LIMIT` after dropping zeros, at the same points and
-with the same message as a stored polynomial.  Division by a divisor
-monic in the second variable has one implementation, :func:`_idivisions_v`: it scatters
-the dividend into v-degree rows once and divides them in place again and
-again, each quotient kept as rows and divided next, so the remainders are
-the digits of the dividend in powers of the divisor.  It checks each
-quotient and then each remainder against :data:`TERM_LIMIT`; the rows it
-updates in place while it divides are plain dicts and are not checked.
-:func:`divmod_in_v` takes its first division; the T-adic expansion of
-:mod:`jumpseq.engine` takes all of them, so its digits never become
-polynomials.
-
-Ring operations and :func:`divmod_in_v` refuse operands over different
-fields or in different variables (``ValueError``); :meth:`BivarPoly.subs`
-maps the variables of a polynomial onto those of its arguments.
-
-The two public division routines:
-
-* :func:`divmod_in_v` divides by a polynomial that is monic in the second
-  variable, the division that standard-form expansions repeat (they call
-  its integer core directly);
-* :func:`exact_divide` performs a division that the caller claims is
-  exact, and raises :class:`DivisibilityError` with the offending
-  remainder otherwise.  No certificate divides: strict transforms and
-  the ladder's stable unit only strip monomials and compare constant
-  terms (see :mod:`jumpseq.blowup`).
+Division by a divisor monic in the second variable has one
+implementation, :func:`_idivisions_v`: it scatters the dividend into
+v-degree rows once and divides them in place again and again, each
+quotient kept as rows and divided next, so the remainders are the digits
+of the dividend in powers of the divisor.  It checks each quotient and
+then each remainder against :data:`TERM_LIMIT`; the rows it updates in
+place are not checked.  :func:`divmod_in_v` takes its first division; the
+T-adic expansion of :mod:`jumpseq.engine` takes all of them.
+:func:`exact_divide` performs a division that the caller claims is exact
+and raises :class:`DivisibilityError` with the remainder otherwise; no
+certificate divides (see :mod:`jumpseq.blowup`).  Ring operations and
+:func:`divmod_in_v` refuse operands over different fields or in
+different variables (``ValueError``); :meth:`BivarPoly.subs` maps the
+variables of a polynomial onto those of its arguments.
 """
 
 from __future__ import annotations
@@ -53,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import DivisibilityError, InvalidSpecError, ResourceLimitError
 from .fields import Fp, GroundField
@@ -72,22 +60,24 @@ def _check_size(terms):
 
 
 class BivarPoly:
-    __slots__ = ("field", "vars", "terms")
+    __slots__ = ("field", "vars", "form", "_view")
 
     def __init__(self, field: GroundField, terms=None, vars=("u", "v")):
-        self.field = field
-        self.vars = tuple(vars)
         clean = {}
         if terms:
-            etype = field.element_type
-            p = field.characteristic
             for (a, b), c in terms.items():
-                if type(c) is not etype or (p and c.p != p):
-                    c = field(c)
+                c = field(c)
                 if c:
                     clean[(int(a), int(b))] = c
         _check_size(clean)
-        self.terms = clean
+        self.field = field
+        self.vars = tuple(vars)
+        if field.characteristic:
+            self.form = {e: c.val for e, c in clean.items()}, 1
+        else:
+            den = lcm(*[c.denominator for c in clean.values()])
+            self.form = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den
+        self._view = None
 
     # ---- constructors -------------------------------------------------
 
@@ -97,11 +87,11 @@ class BivarPoly:
 
     @classmethod
     def const(cls, field, c, vars=("u", "v")):
-        return cls(field, {(0, 0): field(c)}, vars)
+        return cls(field, {(0, 0): c}, vars)
 
     @classmethod
     def monomial(cls, field, a, b, c=1, vars=("u", "v")):
-        return cls(field, {(a, b): field(c)}, vars)
+        return cls(field, {(a, b): c}, vars)
 
     @classmethod
     def gens(cls, field, vars=("u", "v")):
@@ -110,28 +100,39 @@ class BivarPoly:
 
     # ---- structure ----------------------------------------------------
 
+    @property
+    def terms(self):
+        """The coefficients as a read-only ``{(a, b): Fraction | Fp}`` map,
+        made from :attr:`form` at the first read and kept; for rendering
+        and for outside callers, since the library computes on the form."""
+        if self._view is None:
+            terms, den = self.form
+            p = self.field.characteristic
+            self._view = ({e: Fp(c, p) for e, c in terms.items()} if p
+                          else {e: Fraction(c, den) for e, c in terms.items()})
+        return MappingProxyType(self._view)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.form[0]
 
     def constant_term(self):
-        return self.terms.get((0, 0), self.field.zero)
+        terms, den = self.form
+        p = self.field.characteristic
+        c = terms.get((0, 0), 0)
+        return Fp(c, p) if p else Fraction(c, den)
 
     def deg_v(self) -> int:
         """Degree in the second variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(b for _, b in self.terms)
+        return max((b for _, b in self.form[0]), default=-1)
 
     def deg_u(self) -> int:
-        if not self.terms:
-            return -1
-        return max(a for a, _ in self.terms)
+        return max((a for a, _ in self.form[0]), default=-1)
 
     def v_coefficient(self, b: int) -> "BivarPoly":
         """The coefficient of v^b, as a polynomial in the first variable."""
-        return BivarPoly(
-            self.field, {(a, 0): c for (a, bb), c in self.terms.items() if bb == b}, self.vars
-        )
+        terms, den = self.form
+        row = {(a, 0): c for (a, bb), c in terms.items() if bb == b}
+        return _wrap(self.field, _reduce(row, den, self.field.characteristic), self.vars)
 
     # ---- ring operations ----------------------------------------------
 
@@ -147,12 +148,12 @@ class BivarPoly:
             return NotImplemented
         self._check_compat(other)
         p = self.field.characteristic
-        return _from_int(self.field, _iadd(_to_int(self), _to_int(other), p), self.vars)
+        return _wrap(self.field, _iadd(self.form, other.form, p), self.vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivarPoly(self.field, {e: -c for e, c in self.terms.items()}, self.vars)
+        return _wrap(self.field, _iscale(self.form, -1, 1, self.field.characteristic), self.vars)
 
     def __sub__(self, other):
         other = self._as_poly(other)
@@ -172,7 +173,7 @@ class BivarPoly:
             return NotImplemented
         self._check_compat(other)
         p = self.field.characteristic
-        return _from_int(self.field, _imul(_to_int(self), _to_int(other), p), self.vars)
+        return _wrap(self.field, _imul(self.form, other.form, p), self.vars)
 
     __rmul__ = __mul__
 
@@ -180,11 +181,11 @@ class BivarPoly:
         if e < 0:
             raise ValueError("negative polynomial power")
         p = self.field.characteristic
-        return _from_int(self.field, _ipow(_to_int(self), e, p), self.vars)
+        return _wrap(self.field, _ipow(self.form, e, p), self.vars)
 
     def scale(self, c) -> "BivarPoly":
         p = self.field.characteristic
-        return _from_int(self.field, _iscale(_to_int(self), self.field(c), p), self.vars)
+        return _wrap(self.field, _iscale(self.form, *_ratio(self.field(c), p), p), self.vars)
 
     def _as_poly(self, x):
         if isinstance(x, BivarPoly):
@@ -201,14 +202,16 @@ class BivarPoly:
         if other is NotImplemented:
             return NotImplemented
         return (self.field == other.field and self.vars == other.vars
-                and self.terms == other.terms)
+                and self.form == other.form)
 
     def __hash__(self):
         # A constant equals its coefficient, so it hashes as that.  Over F_p
         # it also equals every int of its residue class, which no hash can
         # follow, so a constant there must not share a set or dict with ints.
-        return hash(self.constant_term() if self.terms.keys() <= {(0, 0)}
-                    else (self.field, frozenset(self.terms.items())))
+        terms, den = self.form
+        if terms.keys() <= {(0, 0)}:
+            return hash(self.constant_term())
+        return hash((self.field, frozenset(terms.items()), den))
 
     # ---- substitution --------------------------------------------------
 
@@ -218,22 +221,25 @@ class BivarPoly:
         Exact; the result lives in the variables of the arguments.  Uses
         Horner evaluation in the second variable with cached powers of the
         first to keep intermediate blow-up in check.  Every power, product
-        and sum is formed in integer form (see :func:`_imul`) and checked
-        against :data:`TERM_LIMIT`; only the result is made a polynomial.
+        and sum is formed in integer form (see :func:`_imul`), with the
+        numerators of this polynomial as integer scalars, and checked
+        against :data:`TERM_LIMIT`; the result is divided by this
+        polynomial's denominator once, at the end.
         """
         if self.field != first.field:  # the variables are mapped, not shared
             raise ValueError("mixed coefficient fields")
         first._check_compat(second)
         field = self.field
         out_vars = first.vars
-        if not self.terms:
-            return BivarPoly.zero(field, out_vars)
+        terms, den = self.form
+        if not terms:
+            return _wrap(field, _ZERO, out_vars)
         p = field.characteristic
         # group by exponent of the second variable
         by_b = {}
-        for (a, b), c in self.terms.items():
+        for (a, b), c in terms.items():
             by_b.setdefault(b, {})[a] = c
-        x, y = _to_int(first), _to_int(second)
+        x, y = first.form, second.form
         # Horner in `second`, with powers of `first` computed on demand
         pow_cache = {0: _ONE}
 
@@ -251,7 +257,7 @@ class BivarPoly:
         for b in sorted(by_b, reverse=True):
             coeff = _ZERO
             for a, c in by_b[b].items():
-                coeff = _iadd(coeff, _iscale(first_pow(a), c, p), p)
+                coeff = _iadd(coeff, _iscale(first_pow(a), c, 1, p), p)
             if prev_b is None:
                 result = coeff
             else:
@@ -259,7 +265,9 @@ class BivarPoly:
             prev_b = b
         if prev_b:
             result = _imul(result, _ipow(y, prev_b, p), p)
-        return _from_int(field, result, out_vars)
+        if den != 1:
+            result = _reduce(result[0], result[1] * den, p)
+        return _wrap(field, result, out_vars)
 
     # ---- serialization -------------------------------------------------
 
@@ -320,32 +328,30 @@ class BivarPoly:
 
 # ---- integer inner loops ------------------------------------------------
 #
-# Ring operations, substitutions and divisions in v run on plain ints.  The
-# integer form of a polynomial is a pair (terms, den): a dict from exponent
-# pairs to ints and a positive int denominator.  Over F_p den is 1 and the
-# ints are the residues in [0, p); over Q the coefficient of e is
-# terms[e] / den, with no factor common to den and all the numerators.
-# Each helper drops zero coefficients (after reducing mod p) and checks
-# TERM_LIMIT on its result, as the constructor does for every polynomial.
+# Each helper works on integer forms (terms, den) as BivarPoly stores them,
+# drops zeros (after reducing mod p), normalises den and checks TERM_LIMIT
+# on its result, which :func:`_wrap` then takes as it is.
 
 _ONE = ({(0, 0): 1}, 1)
 _ZERO = ({}, 1)
 _second = itemgetter(1)
 
 
-def _to_int(f: BivarPoly):
-    if f.field.characteristic:
-        return {e: c.val for e, c in f.terms.items()}, 1
-    den = lcm(*[c.denominator for c in f.terms.values()])
-    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
+def _wrap(field: GroundField, form, vars) -> BivarPoly:
+    """The polynomial whose integer form is the normalised ``form``; the
+    one constructor of computed results, which makes no field element and
+    checks nothing."""
+    f = object.__new__(BivarPoly)
+    f.field = field
+    f.vars = vars
+    f.form = form
+    f._view = None
+    return f
 
 
-def _from_int(field: GroundField, x, vars) -> BivarPoly:
-    terms, den = x
-    p = field.characteristic
-    if p:
-        return BivarPoly(field, {e: Fp(c, p) for e, c in terms.items()}, vars)
-    return BivarPoly(field, {e: Fraction(c, den) for e, c in terms.items()}, vars)
+def _ratio(c, p):
+    """The field element ``c`` as ints ``(n, d)`` for :func:`_iscale`."""
+    return (c.val, 1) if p else (c.numerator, c.denominator)
 
 
 def _reduce(terms, den, p):
@@ -390,13 +396,10 @@ def _iadd(x, y, p):
     return _reduce(out, den, p)
 
 
-def _iscale(x, c, p):
-    """The integer form ``x`` times the field element ``c``."""
+def _iscale(x, n, d, p):
+    """The integer form ``x`` times n/d, for ints n and d > 0 (d = 1 over
+    F_p; see :func:`_ratio`)."""
     xt, xd = x
-    if p:
-        n, d = c.val, 1
-    else:
-        n, d = c.numerator, c.denominator
     return _reduce({e: v * n for e, v in xt.items()}, xd * d, p)
 
 
@@ -507,38 +510,6 @@ def _idivisions_v(x, g, p):
         rows = q
 
 
-# ---- univariate helpers (polynomials in the first variable only) --------
-
-
-def _u_divmod(f: BivarPoly, g: BivarPoly):
-    """Division in k[u] for polynomials with no second-variable part."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    field = f.field
-    q = {}
-    rem = dict(f.terms)
-    dg = g.deg_u()
-    lead_g = g.terms[(dg, 0)]
-    while rem:
-        dr = max(a for a, _ in rem)
-        if dr < dg:
-            break
-        c = rem[(dr, 0)] / lead_g
-        q[(dr - dg, 0)] = c
-        for (a, _), gc in g.terms.items():
-            e = (a + dr - dg, 0)
-            s = rem.get(e)
-            s = -c * gc if s is None else s - c * gc
-            if s:
-                rem[e] = s
-            else:
-                del rem[e]
-    return (
-        BivarPoly(field, q, f.vars),
-        BivarPoly(field, rem, f.vars),
-    )
-
-
 # ---- public division routines ------------------------------------------
 
 
@@ -547,41 +518,51 @@ def divmod_in_v(f: BivarPoly, g: BivarPoly):
 
     Returns ``(quotient, remainder)`` with ``deg_v(remainder) < deg_v(g)``
     and ``f == quotient*g + remainder`` exactly.  The division itself is
-    the first one of :func:`_idivisions_v`, on integer forms.
+    the first one of :func:`_idivisions_v`, on integer forms; its quotient
+    rows are normalised here.
     """
     f._check_compat(g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    rows = _v_rows(_to_int(g))
+    rows = _v_rows(g.form)
     if rows is None:
         raise ValueError("divisor is not monic in %s" % g.vars[1])
-    q, den, r = next(_idivisions_v(_to_int(f), rows, f.field.characteristic))
-    q = {(a, b): c for b, row in q.items() for a, c in row.items()}
-    return _from_int(f.field, (q, den), f.vars), _from_int(f.field, r, f.vars)
+    p = f.field.characteristic
+    q, den, r = next(_idivisions_v(f.form, rows, p))
+    q = _reduce({(a, b): c for b, row in q.items() for a, c in row.items()}, den, p)
+    return _wrap(f.field, q, f.vars), _wrap(f.field, r, f.vars)
 
 
 def exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:
-    """Return ``f / g``, raising :class:`DivisibilityError` if inexact."""
+    """Return ``f / g``, raising :class:`DivisibilityError` if inexact.
+
+    Each step divides the leading term of the remainder by that of g, in
+    the (deg_v, deg_u) order, and subtracts the quotient term times g.
+    With one divisor the remainder reaches zero exactly when g divides f,
+    so the first leading term that g's does not divide raises, carrying
+    that remainder.
+    """
+    f._check_compat(g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    field = f.field
-    if f.is_zero():
-        return BivarPoly.zero(field, f.vars)
-    dg = g.deg_v()
-    lead_g = g.v_coefficient(dg)
-    q = BivarPoly.zero(field, f.vars)
-    r = f
-    while not r.is_zero():
-        dr = r.deg_v()
-        if dr < dg:
-            raise DivisibilityError("inexact bivariate division", remainder=r)
-        qc, rc = _u_divmod(r.v_coefficient(dr), lead_g)
-        if not rc.is_zero():
-            raise DivisibilityError("inexact bivariate division", remainder=r)
-        shift = BivarPoly(field, {(a, dr - dg): c for (a, _), c in qc.terms.items()}, f.vars)
-        q = q + shift
-        r = r - shift * g
-    return q
+    p = f.field.characteristic
+    order = lambda t: (t[0][1], t[0][0])  # a term ((a, b), c) by (deg_v, deg_u)
+    (ga, gb), gc = max(g.form[0].items(), key=order)
+    neg_g = _iscale(g.form, -1, 1, p)
+    q, r = _ZERO, f.form
+    while r[0]:
+        (a, b), c = max(r[0].items(), key=order)
+        if a < ga or b < gb:
+            raise DivisibilityError("inexact bivariate division",
+                                    remainder=_wrap(f.field, r, f.vars))
+        if p:
+            t = {(a - ga, b - gb): c * pow(gc, -1, p) % p}, 1
+        else:  # (c / den_r) / (gc / den_g)
+            x = Fraction(c * g.form[1], r[1] * gc)
+            t = {(a - ga, b - gb): x.numerator}, x.denominator
+        q = _iadd(q, t, p)
+        r = _iadd(r, _imul(t, neg_g, p), p)
+    return _wrap(f.field, q, f.vars)
 
 
 # ---- rational expressions ----------------------------------------------
@@ -633,11 +614,14 @@ class RatExpr:
 
 def eval_rat(f: BivarPoly, rx: RatExpr, ry: RatExpr) -> RatExpr:
     """Evaluate f at rational-expression arguments for its two variables."""
-    one = BivarPoly.const(rx.num.field, 1, rx.num.vars)
-    out = RatExpr(BivarPoly.zero(rx.num.field, rx.num.vars), one)
-    for (a, b), c in sorted(f.terms.items()):
-        term = RatExpr(one.scale(c), one) * rx ** a * ry ** b
-        out = out + term
+    fld, vars = rx.num.field, rx.num.vars
+    p = fld.characteristic
+    one = BivarPoly.const(fld, 1, vars)
+    out = RatExpr(BivarPoly.zero(fld, vars), one)
+    terms, den = f.form
+    for (a, b), c in sorted(terms.items()):
+        coeff = _wrap(fld, _reduce({(0, 0): c}, den, p), vars)
+        out = out + RatExpr(coeff, one) * rx ** a * ry ** b
     return out
 
 
@@ -645,11 +629,13 @@ def _strip_common_monomial(num: BivarPoly, den: BivarPoly):
     """Cancel the largest monomial u^a v^b dividing both sides."""
     if num.is_zero():
         return num, BivarPoly.const(den.field, 1, den.vars)
-    a = min(min(e[0] for e in num.terms), min(e[0] for e in den.terms))
-    b = min(min(e[1] for e in num.terms), min(e[1] for e in den.terms))
+    a = min(e[0] for f in (num, den) for e in f.form[0])
+    b = min(e[1] for f in (num, den) for e in f.form[0])
     if a == 0 and b == 0:
         return num, den
-    shift = lambda p: BivarPoly(
-        p.field, {(e0 - a, e1 - b): c for (e0, e1), c in p.terms.items()}, p.vars
-    )
+
+    def shift(f):
+        terms, d = f.form
+        return _wrap(f.field, ({(e0 - a, e1 - b): c for (e0, e1), c in terms.items()}, d), f.vars)
+
     return shift(num), shift(den)

@@ -297,6 +297,22 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "genseq", str(bad))[0] == 64
 
 
+def test_oversized_json_integer_exit_64(capsys, tmp_path):
+    """A JSON integer literal with more digits than the interpreter turns
+    into an int (4 300) is an input error, exit 64 without a traceback: a
+    spec whose "p" has 5 001 digits, and an extension whose "t" has."""
+    big = "1" * 5001
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(_spec_a(), field={"kind": "prime", "p": 0}))
+                    .replace('"p": 0', '"p": ' + big))
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"t": 0, "spec": _spec_a()}).replace('"t": 0', '"t": ' + big))
+    for argv in (["genseq", spec], ["monoidal", spec], ["ladder", ext], ["classify", ext]):
+        code, out, err = run(capsys, argv[0], str(argv[1]))
+        assert code == 64 and out == ""
+        assert err.startswith("input error:") and "digits" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["euclid", "4", "2"],
     ["euclid", "0", "3"],

@@ -21,7 +21,7 @@ from jumpseq import poly
 from jumpseq.engine import ValuationSpec, build_jumping_sequence, expand
 from jumpseq.errors import ResourceLimitError
 from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly, _to_int
+from jumpseq.poly import BivarPoly
 
 from test_poly_oracle import U, V, sympy, to_sympy
 
@@ -51,7 +51,7 @@ def test_fractional_tower_has_denominators():
     """The Q tower divides by T_2 and T_3 whose integer forms have
     denominators 7 and 686, so the scaled division path runs."""
     js = SEQUENCES["Q-frac"]
-    assert [_to_int(t)[1] for t in js.T] == [1, 1, 7, 686]
+    assert [t.form[1] for t in js.T] == [1, 1, 7, 686]
 
 
 #: depth 0 (M = 1): T_1 = v is the last level, so the expansion of f is

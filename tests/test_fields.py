@@ -114,6 +114,30 @@ def test_primality_refused_past_bound():
             GroundField.from_json({"kind": "prime", "p": n})
 
 
+def test_primality_is_decided_once(monkeypatch):
+    """``from_json`` leaves primality to the constructor, so a prime spec
+    costs one Miller-Rabin run, and a composite one is refused after one."""
+    import jumpseq.fields as fields
+    calls = []
+    monkeypatch.setattr(fields, "_is_prime", lambda n: calls.append(n) or _is_prime(n))
+    assert GroundField.from_json({"kind": "prime", "p": 2 ** 61 - 1}).characteristic == 2 ** 61 - 1
+    assert calls == [2 ** 61 - 1]
+    calls.clear()
+    with pytest.raises(InvalidSpecError, match="not a prime"):
+        GroundField.from_json({"kind": "prime", "p": 561})
+    assert calls == [561]
+
+
+def test_huge_characteristic_refused_without_decimal():
+    """p = 10^5000 has more digits than str() makes, so the refusal gives
+    its size in bits rather than p itself, from the constructor as from
+    input data."""
+    for make in (lambda n: GroundField("prime", n),
+                 lambda n: GroundField.from_json({"kind": "prime", "p": n})):
+        with pytest.raises(InvalidSpecError, match="16610 bits is too large"):
+            make(10 ** 5000)
+
+
 def test_cross_field_elements_rejected():
     F7, F11 = prime_field(7), prime_field(11)
     with pytest.raises(ValueError):

@@ -11,9 +11,9 @@ backward rational expression or asks the engine for a residue.
 ``verify`` expands each power of v once, not each monomial, and writes
 each polynomial's witness once, so its report stays small; ``expand``
 never divides by T_1 = v.  The
-polynomial kernel has one loop per ring operation, on integer forms, and
-the round trip of an expansion and the build of the tower stay in that
-form.  Reports
+polynomial kernel has one loop per ring operation, on integer forms; a
+polynomial is its integer form, and no computation reads the
+``Fraction``/``Fp`` view of its terms, which is made for output.  Reports
 are encoded by ``cli._dumps``, never by the stdlib's pure-Python indent
 encoder.
 """
@@ -84,49 +84,36 @@ def test_ring_operations_run_on_integer_forms(monkeypatch):
             assert helper in calls, (fld, helper, calls)
 
 
-def test_resubstitute_runs_on_integer_forms(js_a, monkeypatch):
-    """``TExpansion.resubstitute`` multiplies no polynomials and constructs
-    exactly one, its result."""
-    u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
-    f = (u + v) ** 5 + js_a.T[2] * js_a.T[3] * u
-    exp = engine.expand(f, js_a)
-    calls = []
-    for name in ("__init__", "__mul__", "__pow__"):
-        method = getattr(jumpseq.BivarPoly, name)
-        monkeypatch.setattr(jumpseq.BivarPoly, name,
-                            lambda *a, _name=name, _method=method: calls.append(_name) or _method(*a))
-    out = exp.resubstitute()
-    assert calls == ["__init__"]
-    assert out == f
-
-
-def test_build_runs_on_integer_forms(monkeypatch):
-    """``build_jumping_sequence`` over Q and F_101, with lambda != 1 and a
-    unit in u, multiplies, raises to a power, adds and scales no
-    polynomial: it constructs one per T_i (T_0 and T_1 are the
-    generators), keeps the tower's integer forms as ``T_int`` and never
-    converts one of its own T_i back to integer form."""
-    specs = []
+def test_computations_make_no_terms_view(spec_a, monkeypatch):
+    """A polynomial is its integer form, and ``BivarPoly.terms`` is a view
+    made for output: over Q and F_101, with lambda = 2, a unit 1 + u/2 and
+    operands with denominators, no tower build, ring operation, ``subs``,
+    ``divmod_in_v``, ``exact_divide``, ``expand`` or ``resubstitute``
+    reads it, nor a ``monoidal_sequence`` or a ``ladder`` (t = 5,
+    delta = 1 + x) on spec-a."""
+    reads = []
+    view = jumpseq.BivarPoly.terms
+    monkeypatch.setattr(jumpseq.BivarPoly, "terms",
+                        property(lambda f: reads.append(f) or view.fget(f)))
     for fld in (jumpseq.QQ, jumpseq.prime_field(101)):
-        u, _ = jumpseq.BivarPoly.gens(fld)
+        u, v = jumpseq.BivarPoly.gens(fld)
+        half = jumpseq.BivarPoly.const(fld, jumpseq.QQ("1/2") if fld is jumpseq.QQ else 51)
         spec = make_spec(fld, [(3, 2), (4, 1), (5, 3), (2, 3)], lambdas=[fld(2)] * 4)
-        specs.append(replace(spec, units=spec.units[:2] + (u + 1,) + spec.units[3:]))
-    calls, converted = [], []
-    for name in ("__init__", "__mul__", "__pow__", "__add__", "scale"):
-        method = getattr(jumpseq.BivarPoly, name)
-        monkeypatch.setattr(jumpseq.BivarPoly, name,
-                            lambda *a, _name=name, _method=method: calls.append(_name) or _method(*a))
-    to_int = engine._to_int
-    monkeypatch.setattr(engine, "_to_int", lambda f: converted.append(f) or to_int(f))
-    for spec in specs:
-        calls.clear()
-        converted.clear()
+        spec = replace(spec, units=spec.units[:2] + (1 + half * u,) + spec.units[3:])
         js = build_jumping_sequence(spec)
-        assert calls == ["__init__"] * len(js.T)
-        assert "T_int" in vars(js)
-        assert js.T_int == tuple(map(to_int, js.T))
-        assert js.T_rows
-        assert not any(f is t for f in converted for t in js.T)
+        f = half * (u + v) ** 3 - u * v + (-v).scale(3) + 1
+        q, r = jumpseq.divmod_in_v(f * js.T[2] + u, js.T[2])
+        assert (q, r) == (f, u)
+        assert jumpseq.exact_divide(f * js.T[3], js.T[3]) == f
+        assert f.subs(u + half, v * u) != f
+        assert engine.expand(f * js.T[4], js).resubstitute() == f * js.T[4]
+    js = build_jumping_sequence(spec_a)
+    ind = extract_independent(js)
+    assert all(r["pass"] for r in blowup.monoidal_sequence(js, ind, ind.levels))
+    x, _ = jumpseq.BivarPoly.gens(jumpseq.QQ, ("x", "y"))
+    assert extension.ladder(jumpseq.MonomialExtension(5, x + 1, spec_a)).ok
+    assert reads == []
+    assert len(f.terms) == 7 and reads == [f]
 
 
 def test_chain_walk_never_substitutes(js_a, monkeypatch):

@@ -84,6 +84,49 @@ def test_ring_operations_run_on_integer_forms(monkeypatch):
             assert helper in calls, (fld, helper, calls)
 
 
+def test_resubstitute_runs_on_integer_forms(js_a, monkeypatch):
+    """``TExpansion.resubstitute`` multiplies no polynomials, constructs
+    none from terms, and wraps exactly one integer form, its result."""
+    u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
+    f = (u + v) ** 5 + js_a.T[2] * js_a.T[3] * u
+    exp = engine.expand(f, js_a)
+    calls = []
+    for name in ("__init__", "__mul__", "__pow__"):
+        method = getattr(jumpseq.BivarPoly, name)
+        monkeypatch.setattr(jumpseq.BivarPoly, name,
+                            lambda *a, _name=name, _method=method: calls.append(_name) or _method(*a))
+    wrap = engine._wrap
+    monkeypatch.setattr(engine, "_wrap", lambda *a: calls.append("_wrap") or wrap(*a))
+    out = exp.resubstitute()
+    assert calls == ["_wrap"]
+    assert out == f
+
+
+def test_build_runs_on_integer_forms(monkeypatch):
+    """``build_jumping_sequence`` over Q and F_101, with lambda != 1 and a
+    unit in u, multiplies, raises to a power, adds, scales and constructs
+    no polynomial: it wraps one integer form per T_i (T_0 and T_1 are the
+    generators) and leaves ``T_rows`` to the first expansion."""
+    specs = []
+    for fld in (jumpseq.QQ, jumpseq.prime_field(101)):
+        u, _ = jumpseq.BivarPoly.gens(fld)
+        spec = make_spec(fld, [(3, 2), (4, 1), (5, 3), (2, 3)], lambdas=[fld(2)] * 4)
+        specs.append(replace(spec, units=spec.units[:2] + (u + 1,) + spec.units[3:]))
+    calls = []
+    for name in ("__init__", "__mul__", "__pow__", "__add__", "scale"):
+        method = getattr(jumpseq.BivarPoly, name)
+        monkeypatch.setattr(jumpseq.BivarPoly, name,
+                            lambda *a, _name=name, _method=method: calls.append(_name) or _method(*a))
+    wrap = engine._wrap
+    monkeypatch.setattr(engine, "_wrap", lambda *a: calls.append("_wrap") or wrap(*a))
+    for spec in specs:
+        calls.clear()
+        js = build_jumping_sequence(spec)
+        assert calls == ["_wrap"] * len(js.T)
+        assert "T_rows" not in vars(js)
+        assert js.T_rows
+
+
 def test_computations_make_no_terms_view(spec_a, monkeypatch):
     """A polynomial is its integer form, and ``BivarPoly.terms`` is a view
     made for output: over Q and F_101, with lambda = 2, a unit 1 + u/2 and

@@ -21,29 +21,35 @@ chain: u, v and, from each closing, one factor N = P - c*Q, where
 V/U = P/Q with P and Q products of earlier factors (Spivakovsky's
 monomial form of the chart parameters).  A chart keeps U and V as integer
 exponent vectors over that tuple of factors, so A and B subtract one
-vector from the other and form no polynomial.  Each factor
-is expanded by the engine once, for its value and its initial form in
-the graded algebra of the valuation (:class:`Factor`).  Values of
-monomials in the factors add up, and their initial forms multiply, so a
-closing takes its residue c from the initial forms
+vector from the other and form no polynomial.  Each factor carries its
+value and its initial form in the graded algebra of the valuation
+(:class:`Factor`): those of u = T_0 and v = T_1 are read off the
+sequence, and the engine expands each closing factor once, when it is
+made.  Values of monomials in the factors add up, and their initial
+forms multiply, so a closing takes its residue c from the initial forms
 (:func:`jumpseq.engine.graded_residue`) and forms P and Q only to build
-the new factor; the new second value is value(N) - value(Q).
+the new factor, on integer forms: the powers of u and v are exponent
+shifts, and only the closing factors are raised and multiplied.  The new
+second value is value(N) - value(Q).
 
-A strict transform is pulled back one step at a time.  A and B relabel
-exponents and C is the only real substitution.  After each step the
-monomial X^a Y^b is stripped, so f(forward) = X^e_X Y^e_Y U g with g
-divisible by neither coordinate and U a product of pulled-back factors
-(Y + c)^e, a unit.  A maps (e_X, e_Y) to (e_X + e_Y, e_Y), B to
-(e_X, e_X + e_Y), and C(c) to (e_X + e_Y, 0) while U(0, 0) gains the
-factor c^e_Y (a residue is never zero).  The strict transform
+A strict transform is pulled back along the chart's steps.  Each maximal
+run of A and B steps is one unimodular exponent map, (a, b) -> (a + b, b)
+for A and (a, b) -> (a, a + b) for B composed, and C is the only real
+substitution.  After each run and each C the monomial X^a Y^b is
+stripped, which commutes with monomial maps, so f(forward) =
+X^e_X Y^e_Y U g with g divisible by neither coordinate and U a product
+of pulled-back factors (Y + c)^e, a unit.  A run maps (e_X, e_Y) as it
+maps exponents, and C(c) maps it to (e_X + e_Y, 0) while U(0, 0) gains
+the factor c^e_Y (a residue is never zero).  The strict transform
 f(forward) / X^e_X is a local unit exactly when e_Y = 0 and g(0, 0) is
-nonzero.  Its value is value(f) - e_X * value(X): value(f) is computed by
-the engine in the original ring, and value(X) is the chart's first value.
+nonzero.  Its value is value(f) - e_X * value(X), with value(X) the
+chart's first value; the certificates transform only sequence elements
+T_j, whose value is beta_j.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import comb
 from typing import List, Optional, Tuple
@@ -53,7 +59,7 @@ from .euclid import epsilon, euclid_data
 from .engine import IndependentData, JumpingSequence, graded_residue, initial_form, value
 from .fields import Fp, GroundField
 from . import poly
-from .poly import BivarPoly, _ratio, _reduce
+from .poly import BivarPoly, _ONE, _iadd, _imul, _ipow, _iscale, _ratio, _reduce, _wrap
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -69,16 +75,10 @@ def _binom_mod(n: int, k: int, p: int) -> int:
     return out
 
 
-def _step(x, step, p):
-    """The integer form ``x`` (see :mod:`jumpseq.poly`) composed with one
-    elementary step: x(X, X*Y) for A, x(X*Y, Y) for B and x(X, X*(Y + c))
-    for C(c).  A and B only relabel exponents."""
+def _step(x, c, p):
+    """The integer form ``x`` (see :mod:`jumpseq.poly`) composed with the
+    closing step C(c): x(X, X*(Y + c))."""
     terms, den = x
-    kind, c = step
-    if kind == "A":
-        return {(a + b, b): v for (a, b), v in terms.items()}, den
-    if kind == "B":
-        return {(a, a + b): v for (a, b), v in terms.items()}, den
     # X^a Y^b -> X^(a+b) (Y + n/d)^b over the common denominator d^top;
     # rows[b] holds the nonzero multipliers of Y^k in d^top (Y + n/d)^b,
     # over F_p reduced mod p as they are made (d = 1 there)
@@ -111,19 +111,18 @@ class Factor:
     """A polynomial factor of the chart parameters of one chain.
 
     ``form`` is its value and initial form, (sigma, coefficient, exponent
-    vector) as :func:`jumpseq.engine.initial_form` gives them in the
-    sequence the chain is walked along, computed when the factor is made;
-    it is None when the value lies beyond the spec depth.
+    vector over T_0 .. T_M) in the graded algebra of the sequence the
+    chain is walked along, or None when the value lies beyond the spec
+    depth.  The maker supplies it: :func:`initial_chart` reads those of
+    T_0 and T_1 off the sequence, and a closing takes its new factor's
+    from :func:`jumpseq.engine.initial_form`.
     """
 
     __slots__ = ("poly", "form")
 
-    def __init__(self, poly: BivarPoly, js: JumpingSequence):
+    def __init__(self, poly: BivarPoly, form):
         self.poly = poly
-        try:
-            self.form = initial_form(poly, js)
-        except InsufficientDepthError:
-            self.form = None
+        self.form = form
 
     @property
     def value(self) -> Optional[Fraction]:
@@ -212,11 +211,42 @@ class Chart:
 def initial_chart(js: JumpingSequence) -> Chart:
     """The chart every chain walked along ``js`` starts at: its coordinates
     (x, y) are the original parameters (u, v), and T_0 = u and T_1 = v are
-    the chain's first two factors, which give the chart its values."""
-    factors = tuple(Factor(T, js) for T in js.T[:2])
+    the chain's first two factors, which give the chart its values.
+
+    Their initial forms are read off the sequence, not expanded:
+    (1, 1, e_0) for u and (beta_1, 1, e_1) for v, None at depth 0, where
+    T_1 = T_M has no certified value.  When q_1 = 1, e_1 is not a standard
+    exponent vector (the engine's initial form of v is then
+    lambda_1 * delta_1(0) * in(u)^p_1), but
+    :func:`jumpseq.engine.graded_residue` reduces it through that defining
+    relation, so every residue comes out the same.  A
+    sequence that the closings could not expand in (some T_i not monic in
+    the second variable) is refused here, as at any expansion
+    (:attr:`JumpingSequence.T_rows`).
+    """
+    js.T_rows  # raises for a sequence the closings could not expand in
+    one = js.field.one
+    e = [tuple(int(k == j) for k in range(js.depth + 2)) for j in (0, 1)]
+    forms = ((js.beta[0], one, e[0]), (js.beta[1], one, e[1]) if js.depth else None)
+    factors = tuple(Factor(T, form) for T, form in zip(js.T, forms))
     vU, vV = (f.value for f in factors)
     pq = None if vV is None else (vV / vU).as_integer_ratio()
     return Chart(js, factors, ((1, 0), (0, 1)), (vU, vV), 0, 0, pq)
+
+
+def _product(factors, exps, p):
+    """The integer form of prod_k F_k^e_k over the ``factors`` F_k with
+    e_k > 0.  F_0 and F_1 are the chart coordinates of the initial chart,
+    so their powers are one exponent shift; only the closing factors are
+    raised and multiplied, in order."""
+    out = _ONE
+    for f, n in zip(factors[2:], exps[2:]):
+        if n > 0:
+            pw = _ipow(f.poly.form, n, p)
+            out = pw if out is _ONE else _imul(out, pw, p)
+    a, b = max(exps[0], 0), max(exps[1], 0)
+    terms, den = out
+    return {(i + a, j + b): v for (i, j), v in terms.items()}, den
 
 
 def single_quadratic_transform(chart: Chart) -> Chart:
@@ -235,46 +265,46 @@ def single_quadratic_transform(chart: Chart) -> Chart:
             "step %d: the value of the second parameter lies beyond the spec depth"
             % (chart.step_index + 1))
     eU, eV = chart.params
+    js = chart.js
+    index = chart.step_index + 1
     pos = chart.chunk_pos + 1
 
     if vU != vV:
         if vU < vV:  # new parameters (U, V/U)
             step = ("A", None)
-            new_params = (eU, tuple(b - a for a, b in zip(eU, eV)))
-            new_values = (vU, vV - vU)
+            params = (eU, tuple(b - a for a, b in zip(eU, eV)))
+            values = (vU, vV - vU)
         else:  # new parameters (U/V, V)
             step = ("B", None)
-            new_params = (tuple(a - b for a, b in zip(eU, eV)), eV)
-            new_values = (vU - vV, vV)
-        return replace(chart, step=step, previous=chart, params=new_params,
-                       values=new_values, step_index=chart.step_index + 1, chunk_pos=pos)
+            params = (tuple(a - b for a, b in zip(eU, eV)), eV)
+            values = (vU - vV, vV)
+        return Chart(js, chart.factors, params, values, index, pos, chart.chunk_pq,
+                     step, chart)
 
     # equal values: the chunk closes with a residue translation
     eps = epsilon(*chart.chunk_pq)
     if pos != eps:
         raise InvalidSpecError("chunk %s closed at step %d, expected epsilon = %d"
                                % (chart.chunk_pq, pos, eps))
-    js = chart.js
     ratio = tuple(b - a for a, b in zip(eU, eV))  # V/U = P/Q
     _, coeff, exps = monomial_form(chart, ratio)
     c = graded_residue(coeff, exps, js)
-    P = Q = BivarPoly.const(js.field, 1, chart.factors[0].poly.vars)
-    for f, n in zip(chart.factors, ratio):
-        if n > 0:
-            P = P * f.poly ** n
-        elif n < 0:
-            Q = Q * f.poly ** -n
-    new = Factor(P - Q.scale(c), js)
+    p = js.field.characteristic
+    P = _product(chart.factors, ratio, p)
+    Q = _product(chart.factors, [-n for n in ratio], p)
+    N = _wrap(js.field, _iadd(P, _iscale(Q, *_ratio(-c, p), p), p), js.T[0].vars)
+    try:
+        new = Factor(N, initial_form(N, js))
+    except InsufficientDepthError:  # the value needs the pair beyond the spec depth
+        new = Factor(N, None)
     den = tuple(min(n, 0) for n in ratio)  # 1/Q
-    if new.value is None:  # the value needs the defining pair beyond the spec depth
+    if new.value is None:
         vY = new_pq = None
     else:
         vY = new.value + monomial_form(chart, den)[0]
         new_pq = (vY / vU).as_integer_ratio()
-    return replace(chart, step=("C", c), previous=chart,
-                   factors=chart.factors + (new,), params=(eU + (0,), den + (1,)),
-                   values=(vU, vY), step_index=chart.step_index + 1, chunk_pos=0,
-                   chunk_pq=new_pq)
+    return Chart(js, chart.factors + (new,), (eU + (0,), den + (1,)), (vU, vY), index, 0,
+                 new_pq, ("C", c), chart)
 
 
 def _strip(g):
@@ -288,9 +318,29 @@ def _strip(g):
     return g, a, b
 
 
+def _runs(steps):
+    """The ``steps`` with each maximal run of A and B steps composed into
+    one unimodular exponent map: ``("C", c)`` for a closing and
+    ``("map", (rx, ry))`` for a run, which sends the exponents (a, b) to
+    (rx . (a, b), ry . (a, b)).  A adds the second row to the first and B
+    the first to the second."""
+    out = []
+    for kind, c in steps:
+        if kind == "C":
+            out.append((kind, c))
+            continue
+        if not out or out[-1][0] == "C":
+            out.append(("map", ((1, 0), (0, 1))))
+        rx, ry = out[-1][1]
+        both = (rx[0] + ry[0], rx[1] + ry[1])
+        out[-1] = ("map", (both, ry) if kind == "A" else (rx, both))
+    return out
+
+
 def pull_back(f: BivarPoly, chart: Chart):
-    """Pull f back from (u, v) to the chart one step at a time, stripping
-    the coordinate monomial after each step.
+    """Pull f back from (u, v) to the chart: each run of A and B steps is
+    one exponent map and each C one substitution, and the coordinate
+    monomial is stripped after each.
 
     Returns (e_X, e_Y, c, k) with f(forward) = X^e_X * Y^e_Y * U * g,
     where U is a polynomial unit, g is divisible by neither X nor Y,
@@ -303,16 +353,17 @@ def pull_back(f: BivarPoly, chart: Chart):
     p = fld.characteristic
     g, e_x, e_y = _strip(f.form)
     unit = fld.one
-    for step in chart.steps:
-        kind, c = step
-        if kind == "A":
-            e_x += e_y
-        elif kind == "B":
-            e_y += e_x
-        else:
-            unit = unit * c ** e_y
+    for kind, x in _runs(chart.steps):
+        if kind == "C":
+            unit = unit * x ** e_y
             e_x, e_y = e_x + e_y, 0
-        g, a, b = _strip(_step(g, step, p))
+            g, a, b = _strip(_step(g, x, p))
+        else:
+            (xa, xb), (ya, yb) = x
+            e_x, e_y = xa * e_x + xb * e_y, ya * e_x + yb * e_y
+            terms, den = g
+            g, a, b = _strip(({(xa * i + xb * j, ya * i + yb * j): v
+                               for (i, j), v in terms.items()}, den))
         e_x += a
         e_y += b
     terms, den = g
@@ -337,7 +388,10 @@ def value_in_original(f: BivarPoly, m: int, chart: Chart) -> Fraction:
     """The value of the strict transform g of f, where f(forward) = X^m * g.
 
     ``f`` lies in the original ring, so value(g) = value(f) - m * value(X),
-    with value(X) the chart's first value.
+    with value(f) from the engine and value(X) the chart's first value.
+    The certificates do not call it: they transform only sequence
+    elements T_j, whose value is beta_j by construction.  It stays as the
+    tests' oracle for that shortcut.
     """
     return value(f, chart.js) - m * chart.values[0]
 
@@ -350,7 +404,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
     exceptional parameter (expected 1/Qbar_l), the factorizations
     H_j = u_l^{Qbar_l betabar_j} * unit for j <= l (unit certified by a
     nonzero constant term after exact exponent stripping), the strict
-    transform of H_{l+1} with its value value(H_{l+1}) - m * value(u_l),
+    transform of H_{l+1} with its value betabar_{l+1} - m * value(u_l),
     and the residue cross-check lambda_{i_l} = c_l * t_l, where t_l comes
     from the unit constants of the factorizations at level l-1.
 
@@ -404,7 +458,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
             m, const = strict_transform(H[l + 1], chart)
             expected_m = ind.Qbar[l] * ind.qbar[l - 1] * ind.betabar[l]
             mono_exp = sum(nbar(l, j) * ind.Qbar[l] * ind.betabar[j] for j in range(l))
-            vg = value_in_original(H[l + 1], m, chart)
+            vg = ind.betabar[l + 1] - m * chart.values[0]  # betabar_{l+1} = value(H_{l+1})
             expected_v = Fraction(ind.pbar[l], ind.qbar[l]) / ind.Qbar[l]
             rec["v_strict"] = {
                 "exceptional_exponent": m,

@@ -32,7 +32,6 @@ from .blowup import (
     pull_back,
     single_quadratic_transform,
     strict_transform,
-    value_in_original,
 )
 from .engine import (
     JumpingSequence,
@@ -374,10 +373,10 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
             rec["c"] = fld.render(c)
         # the rung value ratio belongs to the admissible pair
         # (x_i, y_i = v_i): the exceptional chain parameter and the strict
-        # transform of T'_{i+1}
+        # transform of T'_{i+1}, whose value is beta'_{i+1} - m * value(x_i)
         m, _ = strict_transform(up.T[i + 1], chart_S)
         vx = chart_S.values[0]
-        vg = value_in_original(up.T[i + 1], m, chart_S)
+        vg = up.beta[i + 1] - m * vx
         ratio = Fraction(vg) / vx
         rec["x_value_ok"] = vx == Fraction(1, up.Q[i])
         rec["exceptional_exponent"] = m

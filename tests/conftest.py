@@ -1,8 +1,9 @@
 """Shared fixtures: the two reference specs, a deterministic spec battery,
 small polynomial helpers, and the chart oracles: the expanded forward
 map, composed from a chart's steps by substitution (the library holds
-no forward map), the backward parameters as rational expressions and the
-closed form of a chunk.
+no forward map), the backward parameters as rational expressions, a
+closing's new factor rebuilt with polynomial arithmetic and the closed
+form of a chunk.
 
 The random specs and polynomials come from ``scripts/run_battery.py``, so
 the tests and the battery draw from one generator."""
@@ -140,6 +141,22 @@ def backward(chart):
                 r = r * RatExpr.from_poly(f.poly) ** e
         out.append(r)
     return tuple(out)
+
+
+def closing_factor(chart):
+    """The new factor N = P - c*Q of the closing that made ``chart``,
+    rebuilt with ``BivarPoly`` powers, products and ``scale`` over the
+    factor polynomials of the chart before it, where V/U = P/Q there: the
+    oracle for the closing's integer-form product."""
+    prev = chart.previous
+    _, c = chart.step
+    P = Q = BivarPoly.const(chart.field, 1, prev.factors[0].poly.vars)
+    for f, a, b in zip(prev.factors, *prev.params):
+        if b > a:
+            P = P * f.poly ** (b - a)
+        elif a > b:
+            Q = Q * f.poly ** (a - b)
+    return P - Q.scale(c)
 
 
 def maps_inverse(forward, back) -> bool:

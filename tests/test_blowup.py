@@ -14,7 +14,8 @@ from jumpseq.blowup import (
     strict_transform,
     value_in_original,
 )
-from jumpseq.engine import build_jumping_sequence, extract_independent, residue
+from jumpseq.engine import (build_jumping_sequence, extract_independent, graded_residue,
+                            initial_form, residue, value)
 from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLimitError
 from jumpseq.euclid import euclid_data
 from jumpseq.extension import MonomialExtension, build_dual_sequences
@@ -22,8 +23,8 @@ from jumpseq.fields import Fp, QQ, prime_field
 from jumpseq.poly import BivarPoly, eval_rat
 
 from conftest import (FIELDS, backward, chart_forward, charts_inverse, chunk_transform,
-                      compose_step, expanded_strict_transform, load_spec, make_spec,
-                      maps_inverse, random_poly, random_spec, rat_value)
+                      closing_factor, compose_step, expanded_strict_transform, load_spec,
+                      make_spec, maps_inverse, random_poly, random_spec, rat_value)
 
 
 def random_lambdas(rng, spec):
@@ -40,6 +41,51 @@ def test_initial_chart(js_a):
     assert ch.step_index == 0 and ch.free
     assert ch.values == (Fraction(1), Fraction(3, 2))
     assert ch.chunk_pq == (3, 2)
+
+
+def with_units(spec, lambdas):
+    """``spec`` with the nonzero ``lambdas`` (1 where the field makes one
+    zero) and every unit 1 + u, so that lambda_i * delta_i(0) and the
+    higher terms of delta_i enter the tower."""
+    fld = spec.field
+    u, _ = BivarPoly.gens(fld)
+    return replace(spec, lambdas=tuple(fld(c) or fld.one for c in lambdas[:spec.depth]),
+                   units=tuple(u + 1 for _ in spec.pairs))
+
+
+#: towers whose sequence elements the chain takes as known: spec-b's pairs
+#: and the golden q1 spec's (2,1),(1,2),(3,2) have q_1 = 1, the tower has
+#: q_2 = 1, spec-a has none, and with no pairs T_1 = T_M has no value
+KNOWN_FORM_PAIRS = [((2, 1), (3, 1)), ((2, 1), (1, 2), (3, 2)), ((3, 2), (4, 1), (5, 3)),
+                    ((3, 2), (5, 3)), ()]
+
+
+@pytest.mark.parametrize("pairs", KNOWN_FORM_PAIRS, ids=str)
+@pytest.mark.parametrize("fld", [QQ, prime_field(2), prime_field(3), prime_field(101)],
+                         ids=["QQ", "F2", "F3", "F101"])
+def test_sequence_elements_have_known_initial_forms(fld, pairs):
+    """The chain reads the value and initial form of a sequence element
+    T_j, j <= N, instead of expanding it: value(T_j) = beta_j, and the
+    engine's initial form agrees with (beta_j, 1, e_j) in the graded
+    algebra, the graded residue of their quotient being 1 (the forms
+    differ where q_j = 1).  ``initial_chart`` gives T_0 and T_1 exactly
+    those forms, and T_1 none at depth 0, where the engine cannot value
+    it either."""
+    mode = "discrete" if pairs and all(q == 1 for _, q in pairs) else "nondiscrete"
+    js = build_jumping_sequence(with_units(make_spec(fld, pairs, mode), (2, 3, 5)))
+    chart = initial_chart(js)
+    N = js.depth
+    for j in range(N + 1):
+        e = tuple(int(k == j) for k in range(N + 2))
+        sigma, coeff, exps = initial_form(js.T[j], js)
+        assert sigma == value(js.T[j], js) == js.beta[j]
+        assert graded_residue(fld.one / coeff, [a - b for a, b in zip(e, exps)], js) == fld.one
+        if j < 2:
+            assert chart.factors[j].form == (js.beta[j], fld.one, e)
+    if N == 0:
+        assert chart.factors[1].form is None and chart.values[1] is None
+        with pytest.raises(InsufficientDepthError):
+            initial_form(js.T[1], js)
 
 
 def test_single_steps_spec_a(js_a):
@@ -229,8 +275,8 @@ def test_charts_inverse_detects_mutated_closing(js_a):
 
     def closing(c):
         # V/U - c as the quotient of two new factors
-        factors = closed.factors[:-1] + (Factor(ratio.num - ratio.den.scale(c), js_a),
-                                         Factor(ratio.den, js_a))
+        factors = closed.factors[:-1] + (Factor(ratio.num - ratio.den.scale(c), None),
+                                         Factor(ratio.den, None))
         zeros = (0,) * (len(factors) - 2)
         return replace(closed, factors=factors,
                        params=(closed.params[0] + (0,), zeros + (1, -1)))
@@ -280,6 +326,39 @@ def test_closings_match_engine_on_backward_parameters(seed, fld):
             break
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS))
+def test_closing_factors_match_polynomial_products(seed, fld):
+    """Along a random chain with random lambdas and every unit 1 + u, each
+    closing's new factor equals N = P - c*Q rebuilt with polynomial
+    powers, products and ``scale`` (:func:`conftest.closing_factor`), and
+    carries the engine's initial form of N, None where the engine cannot
+    value it.  Expanding a factor gets slow with its size, so the walk
+    stops at a factor of more than 100 terms, before its form is
+    compared, or at a TERM_LIMIT error."""
+    rng = random.Random(seed)
+    spec = random_lambdas(rng, random_spec(rng, fld))
+    js = build_jumping_sequence(with_units(spec, spec.lambdas))
+    chart = initial_chart(js)
+    while chart.values[1] is not None:
+        try:
+            chart = single_quadratic_transform(chart)
+            if chart.step[0] != "C":
+                continue
+            new = chart.factors[-1]
+            assert new.poly == closing_factor(chart), "%s step %d" % (spec.pairs, chart.step_index)
+            if len(new.poly.form[0]) > 100:
+                break
+            try:
+                form = initial_form(new.poly, js)
+            except InsufficientDepthError:
+                form = None
+            assert new.form == form
+        except ResourceLimitError as e:
+            assert "TERM_LIMIT" in str(e)
+            break
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_step_rows_mod_p_match_integer_rows(p):
     """A closing step over F_p makes its rows of (Y + c)^b mod p (Lucas'
@@ -290,8 +369,8 @@ def test_step_rows_mod_p_match_integer_rows(p):
         terms = {(rng.randint(0, 5), rng.randint(0, 3 * p * p)): rng.randint(1, p - 1)
                  for _ in range(rng.randint(1, 6))}
         c = rng.randint(1, p - 1)
-        got = _step((terms, 1), ("C", Fp(c, p)), p)
-        over_z, den = _step((terms, 1), ("C", Fraction(c)), 0)
+        got = _step((terms, 1), Fp(c, p), p)
+        over_z, den = _step((terms, 1), Fraction(c), 0)
         assert den == 1
         assert got == ({e: r for e, v in over_z.items() if (r := v % p)}, 1)
 
@@ -315,7 +394,31 @@ def test_stepwise_strict_transform_matches_expanded_forward(seed, fld):
     oracle's forward map past it (seed 4280), after comparing every chart
     reached."""
     rng = random.Random(seed)
-    spec = random_lambdas(rng, random_spec(rng, fld))
+    _check_stepwise_strict_transforms(random_lambdas(rng, random_spec(rng, fld)), rng)
+
+
+#: pairs whose chunks are long runs of A or of B steps: epsilon(1, 7) = 7
+#: is six B steps and a closing, epsilon(7, 2) = 5 three A steps, one B
+#: and a closing
+LONG_RUN_PAIRS = [((1, 7), (7, 2)), ((7, 2), (1, 7)), ((1, 7), (5, 3)), ((7, 2), (2, 7))]
+
+
+@pytest.mark.parametrize("pairs", LONG_RUN_PAIRS, ids=str)
+@pytest.mark.parametrize("fld", [QQ, prime_field(3), prime_field(101)], ids=["QQ", "F3", "F101"])
+def test_stepwise_strict_transform_matches_expanded_forward_on_long_runs(fld, pairs):
+    """:func:`test_stepwise_strict_transform_matches_expanded_forward` on
+    chains whose A and B steps come in long runs, each pulled back as one
+    exponent map, with lambda = 2, 3 and every unit 1 + u."""
+    spec = with_units(make_spec(fld, pairs), (2, 3))
+    _check_stepwise_strict_transforms(spec, random.Random(str(pairs)))
+
+
+def _check_stepwise_strict_transforms(spec, rng):
+    """Walk the chain of ``spec`` and compare, at every chart, the
+    stepwise strict transforms of T_1 .. T_N and of one random polynomial
+    drawn from ``rng`` with the expanded forward map's, within the limits
+    the hypothesis test above describes."""
+    fld = spec.field
     js = build_jumping_sequence(spec)
     fs = list(js.T[1:js.depth + 1]) + [random_poly(rng, fld, max_deg=6, max_terms=3)]
     chart = initial_chart(js)

@@ -3,7 +3,10 @@ through every subcommand end in a documented exit code (0, 2, 3 or 64),
 with no exception escaping ``main`` and a JSON report on stdout for the
 codes that write one.  A third of the requests also run with
 ``--format text``, which must render that report, and a third with
-``--out FILE``, which must hold the bytes stdout holds without it."""
+``--out FILE``, which must hold the bytes stdout holds without it.
+Malformed inputs (a top level that is not an object, pairs, lambdas,
+units, primes, exponents t and deltas of the wrong shape or value) and
+out-of-range ``--depth`` arguments are held to the same rule."""
 
 import io
 import json
@@ -100,6 +103,62 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+#: one malformed stand-in per entry, by the spec field it replaces ("top"
+#: replaces the whole spec); each is drawn into an otherwise valid request
+BAD_SPEC = {
+    "top": [[], "spec", 3, None, [SPEC_A]],
+    "field": [{"kind": "prime", "p": p} for p in (4, 1, 0, -7, "5", "x", 2.5, None, True)]
+    + [{"kind": "prime"}, {"kind": "reals"}, "rationals", None],
+    "pairs": ["3,2", None, {"p": 3}, [3, 2], [[3]], [[3, 2, 1]], [["3", 2]], [[3.0, 2]],
+              [[True, 1]], [[-3, 2]], [[0, 1]], [[4, 2]]],
+    "lambdas": ["1", None, [1, 1], [None, "1"], ["abc", "1"], ["1/0", "1"], [["1"], "1"],
+                ["0", "1"], [], ["1", "1", "1"]],
+    "units": ["1", None, [1, 1], [None, "1"], [{"terms": "x"}, "1"],
+              [{"terms": [{"e": [0], "c": "1"}]}, "1"], [{"terms": [{"e": [0, 0], "c": "2"}]}, "1"],
+              [{"vars": ["x", "y"], "terms": [{"e": [0, 0], "c": "1"}]}, "1"], []],
+}
+#: malformed stand-ins in an extension: its top level, t and delta; delta
+#: 1 + y is a unit involving the second variable, and the others do not
+#: have constant term 1
+BAD_EXT = {
+    "top": [[], "ext", 5, None],
+    "t": [0, -1, "5", 2.0, None],
+    "delta": [DELTAS[3], {"vars": ["x", "y"], "terms": [{"e": [0, 0], "c": "2"}]}, "2", "0",
+              {"vars": ["x", "y"], "terms": [{"e": [1, 0], "c": "1"}]}],
+}
+#: --depth arguments: below, at the edge of and past every spec's range,
+#: and not an integer
+DEPTHS = ["0", "-3", "x", "99"]
+
+
+@st.composite
+def malformed_requests(draw):
+    """A request on spec-a's pairs over Q or F_101 with one malformed
+    spec or extension entry, or none, and for ``monoidal``, ``dual`` and
+    ``ladder`` possibly a ``--depth`` from :data:`DEPTHS`."""
+    command = draw(st.sampled_from(["genseq", "blowup", "monoidal", "verify", "dual", "ladder",
+                                    "classify"]))
+    spec = dict(SPEC_A, field=draw(st.sampled_from([FIELDS[0], FIELDS[-1]])))
+    extension = command in ("dual", "ladder", "classify")
+    key = draw(st.sampled_from(["valid"] + sorted(BAD_SPEC) + (sorted(BAD_EXT) if extension
+                                                                else [])))
+    if key == "top":
+        spec = draw(st.sampled_from(BAD_SPEC["top"] + (BAD_EXT["top"] if extension else [])))
+    elif key in BAD_SPEC:
+        spec[key] = draw(st.sampled_from(BAD_SPEC[key]))
+    args = []
+    if command in ("monoidal", "dual", "ladder") and draw(st.booleans()):
+        args = ["--depth", draw(st.sampled_from(DEPTHS))]
+    if not extension:
+        return {"command": command, "spec": spec, "args": args}
+    ext = {"t": 5, "delta": "1", "spec": spec}
+    if key in ("t", "delta"):
+        ext[key] = draw(st.sampled_from(BAD_EXT[key]))
+    elif key == "top" and spec in BAD_EXT["top"]:
+        ext = spec
+    return {"command": command, "ext": ext, "args": args}
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(requests(), st.sampled_from(OUTPUTS))
 @example({"command": "classify", "ext": ALL_Q_ONE}, "stdout")
@@ -110,6 +169,19 @@ def _run(argv):
 @example({"command": "eval", "spec": NO_PAIRS, "poly": DEEP_POLY}, "file")
 @example({"command": "expand", "spec": NOT_MONIC, "poly": DEEP_POLY}, "stdout")
 def test_cli_exits_with_a_documented_code(request, output):
+    _check_request(request, output)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(malformed_requests(), st.sampled_from(OUTPUTS))
+@example({"command": "genseq", "spec": dict(SPEC_A, field="rationals"), "args": []}, "stdout")
+def test_malformed_requests_exit_with_a_documented_code(request, output):
+    _check_request(request, output)
+
+
+def _check_request(request, output):
+    """Run ``request`` as :func:`requests` describes it, with its report
+    written as ``output`` says, and check the exit code and the output."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [request["command"]]
         for key in ("spec", "poly", "ext"):

@@ -189,7 +189,7 @@ def test_stable_unit_needs_equal_Y_exponents(spec_a):
 
     def stable_unit(u_i):
         chart_R = replace(initial_chart(duals.down),
-                          factors=(Factor(u_i, duals.down), Factor(v, duals.down)))
+                          factors=(Factor(u_i, None), Factor(v, None)))
         pulled = extension._pulled_factors(ext, chart_R, chart_S)
         return extension._stable_unit(ext, chart_R.params[0], pulled)
 

@@ -6,8 +6,9 @@ certificate check must survive ``python -O``, which strips ``assert``; and
 the blow-up chain keeps its cost model: a pull-back never substitutes, a
 monoidal sequence starts at (u, v) and substitutes nowhere (also across a
 chunk of a pair with q = 1), a rendered chart is its steps and exponent
-vectors, never a composed forward map, and no certificate forms a
-backward rational expression or asks the engine for a residue.
+vectors, never a composed forward map, no certificate forms a
+backward rational expression or asks the engine for a residue or a
+value, and a chain expands only its closing factors.
 ``verify`` expands each power of v once, not each monomial, and writes
 each polynomial's witness once, so its report stays small; ``expand``
 never divides by T_1 = v.  The
@@ -216,6 +217,53 @@ def test_certificates_never_form_backward_expressions(spec_a, monkeypatch):
         ind = extract_independent(js)
         assert all(r["pass"] for r in blowup.monoidal_sequence(js, ind, ind.levels))
         assert extension.ladder(jumpseq.MonomialExtension(5, delta, spec)).ok
+
+
+def test_chains_expand_only_closing_factors(monkeypatch):
+    """A chain reads the initial forms of T_0 and T_1 off its sequence, and
+    a certificate takes beta_j as the value of the sequence element T_j
+    it transforms, so ``monoidal_sequence`` and ``ladder`` (t = 5,
+    delta = 1 + x) call ``engine.expand`` once per closing factor of the
+    chains they walk, on that factor, and ``engine.value`` never: on
+    spec-a's pairs and the tower (3,2),(4,1),(5,3), over Q and F_101 with
+    lambda = 2, 3, 2."""
+    expanded = []
+    expand = engine.expand
+    monkeypatch.setattr(engine, "expand", lambda f, js: expanded.append(f) or expand(f, js))
+
+    def refuse(*args):
+        raise AssertionError("engine value asked")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "jumpseq":
+            for attr, val in list(vars(module).items()):
+                if val is engine.value:
+                    monkeypatch.setattr(module, attr, refuse)
+
+    def closing_factors(js, steps):
+        chart = blowup.initial_chart(js)
+        while chart.step_index < steps:
+            chart = blowup.single_quadratic_transform(chart)
+        return [f.poly for f in chart.factors[2:]]
+
+    for fld in (jumpseq.QQ, jumpseq.prime_field(101)):
+        x, _ = jumpseq.BivarPoly.gens(fld, ("x", "y"))
+        for pairs in ([(3, 2), (5, 3)], [(3, 2), (4, 1), (5, 3)]):
+            spec = make_spec(fld, pairs, lambdas=[fld(c) for c in (2, 3, 2)[:len(pairs)]])
+            js = build_jumping_sequence(spec)
+            ind = extract_independent(js)
+            expanded.clear()
+            chart = blowup.monoidal_sequence(js, ind, ind.levels)[-1]["chart"]
+            assert len(expanded) == len(chart.factors) - 2 > 0
+            assert all(f is g.poly for f, g in zip(expanded, chart.factors[2:]))
+            ext = jumpseq.MonomialExtension(5, x + 1, spec)
+            expanded.clear()
+            last = extension.ladder(ext).rungs[-1]
+            walked = expanded[:]
+            factors = (closing_factors(js, last["step_R"])
+                       + closing_factors(extension.build_dual_sequences(ext).up, last["step_S"]))
+            assert len(walked) == len(factors) > 0
+            assert sorted(map(str, walked)) == sorted(map(str, factors))
 
 
 def test_rendering_composes_no_forward_map(monkeypatch):

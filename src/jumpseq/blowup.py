@@ -28,83 +28,39 @@ sequence, and the engine expands each closing factor once, when it is
 made.  Values of monomials in the factors add up, and their initial
 forms multiply, so a closing takes its residue c from the initial forms
 (:func:`jumpseq.engine.graded_residue`) and forms P and Q only to build
-the new factor, on integer forms: the powers of u and v are exponent
-shifts, and only the closing factors are raised and multiplied.  The new
+the new factor, with the form operations of :mod:`jumpseq.poly`, which
+alone reads an integer form: the powers of u and v are one exponent
+shift, and only the closing factors are raised and multiplied.  The new
 second value is value(N) - value(Q).
 
 A strict transform is pulled back along the chart's steps.  Each maximal
-run of A and B steps is one unimodular exponent map, (a, b) -> (a + b, b)
-for A and (a, b) -> (a, a + b) for B composed, and C is the only real
-substitution.  After each run and each C the monomial X^a Y^b is
-stripped, which commutes with monomial maps, so f(forward) =
-X^e_X Y^e_Y U g with g divisible by neither coordinate and U a product
-of pulled-back factors (Y + c)^e, a unit.  A run maps (e_X, e_Y) as it
-maps exponents, and C(c) maps it to (e_X + e_Y, 0) while U(0, 0) gains
-the factor c^e_Y (a residue is never zero).  The strict transform
-f(forward) / X^e_X is a local unit exactly when e_Y = 0 and g(0, 0) is
-nonzero.  Its value is value(f) - e_X * value(X), with value(X) the
-chart's first value; the certificates transform only sequence elements
-T_j, whose value is beta_j.
+run of A and B steps is one unimodular exponent map,
+(a, b) -> (a + b, b) for A and (a, b) -> (a, a + b) for B composed, and
+C is the only real substitution (:func:`jumpseq.poly._translate`).
+After each run and each C the monomial X^a Y^b is stripped, which
+commutes with monomial maps, so f(forward) = X^e_X Y^e_Y U g with g
+divisible by neither coordinate and U a product of pulled-back factors
+(Y + c)^e, a unit.  A run maps (e_X, e_Y) as it maps exponents, and C(c)
+maps it to (e_X + e_Y, 0) while U(0, 0) gains the factor c^e_Y (a
+residue is never zero).  The strict transform f(forward) / X^e_X is a
+local unit exactly when e_Y = 0 and g(0, 0) is nonzero.  Its value is
+value(f) - e_X * value(X), with value(X) the chart's first value; the
+certificates transform only sequence elements T_j, whose value is
+beta_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import comb
 from typing import List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import epsilon, euclid_data
 from .engine import IndependentData, JumpingSequence, graded_residue, initial_form, value
-from .fields import Fp, GroundField
-from . import poly
-from .poly import BivarPoly, _ONE, _iadd, _imul, _ipow, _iscale, _ratio, _reduce, _wrap
-
-
-def _binom_mod(n: int, k: int, p: int) -> int:
-    """comb(n, k) mod p for a prime p, by Lucas' theorem: the product of
-    the binomials of the base-p digits."""
-    out = 1
-    while k:
-        n, a = divmod(n, p)
-        k, b = divmod(k, p)
-        if b > a:
-            return 0
-        out = out * comb(a, b) % p
-    return out
-
-
-def _step(x, c, p):
-    """The integer form ``x`` (see :mod:`jumpseq.poly`) composed with the
-    closing step C(c): x(X, X*(Y + c))."""
-    terms, den = x
-    # X^a Y^b -> X^(a+b) (Y + n/d)^b over the common denominator d^top;
-    # rows[b] holds the nonzero multipliers of Y^k in d^top (Y + n/d)^b,
-    # over F_p reduced mod p as they are made (d = 1 there)
-    n, d = _ratio(c, p)
-    top = max(b for _, b in terms)
-    rows = {}
-    out = {}
-    get = out.get
-    for (a, b), v in terms.items():
-        row = rows.get(b)
-        if row is None:
-            row = rows[b] = []
-            for k in range(b + 1):
-                if p:
-                    m = _binom_mod(b, k, p) * pow(n, b - k, p) % p
-                else:
-                    m = comb(b, k) * n ** (b - k) * d ** (top - b + k)
-                if m:
-                    row.append((k, m))
-        for k, m in row:
-            e = (a + b, k)
-            out[e] = get(e, 0) + v * m
-        if len(out) > poly.TERM_LIMIT:  # drop cancelled terms; raise if still over
-            out = _reduce(out, 1, p)[0]
-            get = out.get
-    return _reduce(out, den * d ** top, p)
+from .fields import GroundField
+from .poly import (BivarPoly, _at_origin, _iadd, _iscale, _map, _product, _ratio, _shift, _strip,
+                   _translate, _wrap)
 
 
 class Factor:
@@ -234,21 +190,6 @@ def initial_chart(js: JumpingSequence) -> Chart:
     return Chart(js, factors, ((1, 0), (0, 1)), (vU, vV), 0, 0, pq)
 
 
-def _product(factors, exps, p):
-    """The integer form of prod_k F_k^e_k over the ``factors`` F_k with
-    e_k > 0.  F_0 and F_1 are the chart coordinates of the initial chart,
-    so their powers are one exponent shift; only the closing factors are
-    raised and multiplied, in order."""
-    out = _ONE
-    for f, n in zip(factors[2:], exps[2:]):
-        if n > 0:
-            pw = _ipow(f.poly.form, n, p)
-            out = pw if out is _ONE else _imul(out, pw, p)
-    a, b = max(exps[0], 0), max(exps[1], 0)
-    terms, den = out
-    return {(i + a, j + b): v for (i, j), v in terms.items()}, den
-
-
 def single_quadratic_transform(chart: Chart) -> Chart:
     """One quadratic transform along the valuation of the chart's sequence.
 
@@ -290,8 +231,9 @@ def single_quadratic_transform(chart: Chart) -> Chart:
     _, coeff, exps = monomial_form(chart, ratio)
     c = graded_residue(coeff, exps, js)
     p = js.field.characteristic
-    P = _product(chart.factors, ratio, p)
-    Q = _product(chart.factors, [-n for n in ratio], p)
+    forms = [f.poly.form for f in chart.factors]
+    P = _shift(_product(forms, ratio, p), max(ratio[0], 0), max(ratio[1], 0))
+    Q = _shift(_product(forms, [-n for n in ratio], p), max(-ratio[0], 0), max(-ratio[1], 0))
     N = _wrap(js.field, _iadd(P, _iscale(Q, *_ratio(-c, p), p), p), js.T[0].vars)
     try:
         new = Factor(N, initial_form(N, js))
@@ -305,17 +247,6 @@ def single_quadratic_transform(chart: Chart) -> Chart:
         new_pq = (vY / vU).as_integer_ratio()
     return Chart(js, chart.factors + (new,), (eU + (0,), den + (1,)), (vU, vY), index, 0,
                  new_pq, ("C", c), chart)
-
-
-def _strip(g):
-    """Strip the largest coordinate monomial X^a Y^b from the nonzero
-    integer form ``g``; returns the quotient, a and b."""
-    terms, den = g
-    a = min(a for a, _ in terms)
-    b = min(b for _, b in terms)
-    if a or b:
-        g = {(i - a, j - b): v for (i, j), v in terms.items()}, den
-    return g, a, b
 
 
 def _runs(steps):
@@ -339,8 +270,9 @@ def _runs(steps):
 
 def pull_back(f: BivarPoly, chart: Chart):
     """Pull f back from (u, v) to the chart: each run of A and B steps is
-    one exponent map and each C one substitution, and the coordinate
-    monomial is stripped after each.
+    one exponent map (:func:`jumpseq.poly._map`) and each C one
+    substitution (:func:`jumpseq.poly._translate`), and the coordinate
+    monomial is stripped after each (:func:`jumpseq.poly._strip`).
 
     Returns (e_X, e_Y, c, k) with f(forward) = X^e_X * Y^e_Y * U * g,
     where U is a polynomial unit, g is divisible by neither X nor Y,
@@ -357,19 +289,15 @@ def pull_back(f: BivarPoly, chart: Chart):
         if kind == "C":
             unit = unit * x ** e_y
             e_x, e_y = e_x + e_y, 0
-            g, a, b = _strip(_step(g, x, p))
+            g, a, b = _strip(_translate(g, x, p))
         else:
             (xa, xb), (ya, yb) = x
             e_x, e_y = xa * e_x + xb * e_y, ya * e_x + yb * e_y
-            terms, den = g
-            g, a, b = _strip(({(xa * i + xb * j, ya * i + yb * j): v
-                               for (i, j), v in terms.items()}, den))
+            g, a, b = _strip(_map(g, *x))
         e_x += a
         e_y += b
-    terms, den = g
-    g0 = terms.get((0, 0), 0)
-    g0 = Fp(g0, p) if p else Fraction(g0, den)
-    return e_x, e_y, unit * g0, min(j for i, j in terms if i == 0)
+    g0, k = _at_origin(g, p)
+    return e_x, e_y, unit * g0, k
 
 
 def strict_transform(f: BivarPoly, chart: Chart):

@@ -253,11 +253,10 @@ def cmd_classify(args):
         form = classify_toroidal_form({"discrete": True})
         report = {"form": form, "discrete_branch": discrete_branch_report(ext)}
     else:
-        down = build_jumping_sequence(spec)
-        ind = extract_independent(down)
+        ind = extract_independent(ext.down)
         if ind.levels == 0:
             raise UsageError("classify needs an independent index (some q_i > 1); the spec has none")
-        cert = ladder(ext, down=down)
+        cert = ladder(ext)
         if cert.outcome.get("kind") == "contradiction":
             _emit({"outcome": cert.outcome}, args)
             return EXIT_CONTRADICTION

@@ -18,10 +18,10 @@ numerator per term (:attr:`TExpansion.nums`), and values, residues and
 the generating-sequence checks compare those ints; a ``Fraction`` is made
 only for a value that is returned or reported.
 
-Polynomials are computed on their integer forms (see :mod:`jumpseq.poly`).
+Polynomials are computed on integer forms (see :mod:`jumpseq.poly`).
 :func:`build_jumping_sequence` forms each T_{i+1} from the forms of the
 T_j, with lambda_i * delta_i scaled once and the factors u^{n_{i,0}} and
-v^{n_{i,1}} applied as exponent shifts, and wraps each form as a
+v^{n_{i,1}} applied as one exponent shift, and wraps each form as a
 polynomial; the value relation behind each n_i is solved on integer
 numerators (:func:`exponent_solve`).  A sequence turns T_2 .. T_M into
 divisor rows at its first expansion (:attr:`JumpingSequence.T_rows`).
@@ -51,9 +51,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
-from .fields import Fp, GroundField
-from .poly import (BivarPoly, _ONE, _check_size, _iadd, _idivisions_v, _imul, _ipow,
-                   _iscale, _ratio, _reduce, _v_rows, _wrap)
+from .fields import GroundField
+from .poly import (BivarPoly, _ONE, _check_size, _element, _iadd, _idivisions_v, _imul, _ipow,
+                   _iscale, _product, _ratio, _reduce, _shift, _v_rows, _wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +272,11 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
 
     The tower is computed on integer forms (see :mod:`jumpseq.poly`).  At
     level i, with n_i = exponent_solve(i, ...), the product
-    prod_{j >= 2} T_j^{n_{i,j}} is formed with :func:`jumpseq.poly._ipow`
-    and :func:`jumpseq.poly._imul`, then T_i^{q_i}; -lambda_i * delta_i is
-    scaled once and multiplied by u^{n_{i,0}} * v^{n_{i,1}} as an exponent
-    shift, and T_{i+1} is one :func:`jumpseq.poly._iadd`.  Every product,
+    prod_{j >= 2} T_j^{n_{i,j}} is formed by :func:`jumpseq.poly._product`,
+    then T_i^{q_i}; -lambda_i * delta_i is scaled once and shifted by
+    u^{n_{i,0}} * v^{n_{i,1}} (:func:`jumpseq.poly._shift`), multiplied by
+    the product only when some n_{i,j} with j >= 2 is positive, and
+    T_{i+1} is one :func:`jumpseq.poly._iadd`.  Every product,
     power and sum is checked against ``TERM_LIMIT`` in the order the
     polynomial arithmetic checks it, and a monomial factor cannot raise.
     Each T_i is its integer form, wrapped as a polynomial without a
@@ -305,16 +306,11 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
     for i in range(1, d + 1):
         row = exponent_solve(i, beta, q, Q)
         n_rows.append(row)
-        prod = None
-        for j in range(2, i):
-            if row[j]:
-                pw = _ipow(forms[j], row[j], char)
-                prod = pw if prod is None else _imul(prod, pw, char)
+        prod = _product(forms, row, char)
         power = _ipow(forms[i], q[i], char)
-        a, b = row[0], (row[1] if i > 1 else 0)
-        ct, cd = _iscale(spec.units[i - 1].form, *_ratio(-fld(spec.lambdas[i - 1]), char), char)
-        tail = ({(ea + a, eb + b): c for (ea, eb), c in ct.items()}, cd)
-        if prod is not None:
+        tail = _iscale(spec.units[i - 1].form, *_ratio(-fld(spec.lambdas[i - 1]), char), char)
+        tail = _shift(tail, row[0], row[1] if i > 1 else 0)
+        if prod is not _ONE:
             tail = _imul(prod, tail, char)
         forms.append(_iadd(power, tail, char))
 
@@ -504,7 +500,7 @@ def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
         if level == 1:
             xt, den = x
             for (a, b), c in xt.items():
-                terms.append((Fp(c, p) if p else Fraction(c, den), (a, b) + suffix))
+                terms.append((_element(c, den, p), (a, b) + suffix))
             return
         digits = [r for _, _, r in _idivisions_v(x, divisors[level - 2], p)]
         for k, digit in enumerate(digits):

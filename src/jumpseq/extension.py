@@ -71,6 +71,12 @@ class MonomialExtension:
     def field(self) -> GroundField:
         return self.base_spec.field
 
+    @cached_property
+    def down(self) -> JumpingSequence:
+        """The downstairs jumping sequence of ``base_spec``, built once per
+        extension: the dual sequences and every ladder read it."""
+        return build_jumping_sequence(self.base_spec)
+
     def substitution(self) -> Tuple[BivarPoly, BivarPoly]:
         """(x^t * delta, y): the images of u and v in the upstairs ring."""
         return self._substitution
@@ -102,8 +108,6 @@ class MonomialExtension:
 
 @dataclass(frozen=True)
 class DualSequences:
-    ext: MonomialExtension
-    down: JumpingSequence
     up: Optional[JumpingSequence]
     ok: bool
     failing_index: Optional[int]
@@ -127,15 +131,14 @@ def first_gcd_failure(t: int, pairs, upto: Optional[int] = None) -> Optional[int
     return None
 
 
-def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None,
-                         down: Optional[JumpingSequence] = None) -> DualSequences:
+def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> DualSequences:
     """Build the upstairs jumping sequence and verify it against the
     downstairs one term by term, up to depth ``k`` (0 to the spec depth;
     default the spec depth).
 
     Requires trivial downstairs units.  When gcd(t, Q_k) != 1 the result
-    carries the first failing index instead of an upstairs sequence.
-    ``down`` is the downstairs sequence when the caller has built it.
+    carries the first failing index instead of an upstairs sequence.  The
+    downstairs sequence is the extension's own (:attr:`MonomialExtension.down`).
     """
     spec = ext.base_spec
     fld = ext.field
@@ -148,11 +151,10 @@ def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None,
     if any(u != one for u in spec.units):
         raise InvalidSpecError("dual sequences require trivial downstairs units")
 
-    if down is None:
-        down = build_jumping_sequence(spec)
+    down = ext.down
     M = first_gcd_failure(ext.t, spec.pairs, upto=k)
     if M is not None:
-        return DualSequences(ext, down, None, False, M)
+        return DualSequences(None, False, M)
 
     up_pairs = tuple((ext.t * p, q) for p, q in spec.pairs[:k])
     up_units = tuple(ext.delta ** down.n[i][0] for i in range(1, k + 1))
@@ -175,7 +177,7 @@ def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None,
             ok = ok and row["pq_ok"] and row["beta_ok"] and row["n_ok"]
         ok = ok and identical
         table.append(row)
-    return DualSequences(ext, down, up, ok, None, tuple(table))
+    return DualSequences(up, ok, None, tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +292,7 @@ class LadderCertificate:
         return {"rungs": list(self.rungs), "outcome": self.outcome, "ok": self.ok}
 
 
-def ladder(ext: MonomialExtension, depth: Optional[int] = None,
-           down: Optional[JumpingSequence] = None) -> LadderCertificate:
+def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertificate:
     """Walk the chunk-wise ladder of the stable form.
 
     Rung i (0-based) certifies the stable relation u_i = x_i^t * delta_i,
@@ -301,8 +302,9 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
     the dual sequences check out.  On the first index M with
     gcd(t, q_M) != 1 the walk stops with the contradiction witness (M, l, g).
     ``depth`` (1 to the spec depth; default the spec depth) is the number
-    of rungs, so a spec with no pairs is refused; ``down`` is the
-    downstairs sequence when the caller has built it.
+    of rungs, so a spec with no pairs is refused.  The downstairs sequence
+    is the extension's own (:attr:`MonomialExtension.down`), built once
+    however many ladders and dual sequences read it.
     """
     spec = ext.base_spec
     if not spec.depth:
@@ -313,8 +315,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
         raise InvalidSpecError("ladder depth %d: the spec provides depths 1 to %d"
                                % (depth, spec.depth))
     t = ext.t
-    if down is None:
-        down = build_jumping_sequence(spec)
+    down = ext.down
     ind = extract_independent(down)
 
     M = first_gcd_failure(t, spec.pairs, upto=depth)
@@ -329,7 +330,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None,
                    "pbar_prime": pbar_prime}
         return LadderCertificate((), outcome, False)
 
-    duals = build_dual_sequences(ext, depth, down)
+    duals = build_dual_sequences(ext, depth)
     up = duals.up
 
     fld = ext.field

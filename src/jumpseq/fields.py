@@ -162,30 +162,28 @@ class Fp:
 
 @dataclass(frozen=True)
 class GroundField:
-    """The coefficient field: ``rationals`` or a prime field.
+    """The coefficient field: the rationals or a prime field, fixed by its
+    characteristic, 0 for the rationals and the prime p otherwise.
 
-    ``characteristic`` is 0 for the rationals and the prime p otherwise.
     Calling the field coerces ints, Fractions, strings and existing
     elements into field elements; over F_p a string may be a fraction
     ``"a/b"``, read as a * b^-1.  ``zero``, ``one`` and ``element_type``
     (``Fraction`` or ``Fp``) are computed once per field object.
     """
 
-    kind: str
-    characteristic: int = 0
+    characteristic: int
 
     def __post_init__(self):
-        if self.kind == "rationals":
-            if self.characteristic != 0:
-                raise ValueError("rationals have characteristic 0")
-        elif self.kind == "prime":
-            if not _is_prime(self.characteristic):
-                raise ValueError("characteristic %r is not prime" % (self.characteristic,))
-        else:
-            raise ValueError("unknown field kind %r" % (self.kind,))
+        if self.characteristic and not _is_prime(self.characteristic):
+            raise ValueError("characteristic %r is not prime" % (self.characteristic,))
+
+    @property
+    def kind(self) -> str:
+        """``"rationals"`` or ``"prime"``, as the JSON form names the field."""
+        return "prime" if self.characteristic else "rationals"
 
     def __call__(self, x):
-        if self.kind == "rationals":
+        if not self.characteristic:
             if isinstance(x, Fraction):
                 return x
             if isinstance(x, int):
@@ -223,11 +221,11 @@ class GroundField:
 
     @cached_property
     def element_type(self) -> type:
-        return Fraction if self.kind == "rationals" else Fp
+        return Fp if self.characteristic else Fraction
 
     def render(self, e) -> str:
         """Canonical decimal string: ``num/den`` over Q, ``0 <= c < p`` over F_p."""
-        if self.kind == "rationals":
+        if not self.characteristic:
             f = self(e)
             try:
                 return str(f)
@@ -248,7 +246,7 @@ class GroundField:
             raise InvalidSpecError("cannot read %r as a field element: %s" % (s, e)) from None
 
     def to_json(self):
-        if self.kind == "rationals":
+        if not self.characteristic:
             return {"kind": "rationals"}
         return {"kind": "prime", "p": self.characteristic}
 
@@ -260,21 +258,21 @@ class GroundField:
         constructor, whose refusal of a composite is mapped here."""
         kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind == "rationals":
-            return cls("rationals", 0)
+            return cls(0)
         if kind == "prime":
             p = obj.get("p")
             if isinstance(p, str) and p.isdigit():
                 with suppress(ValueError):  # past the digit limit of int(): refused below
                     p = int(p)
-            if type(p) is int:
+            if type(p) is int and p:  # GroundField(0) is the rationals
                 with suppress(ValueError):  # not a prime: refused below
-                    return cls("prime", p)
+                    return cls(p)
             raise InvalidSpecError("field characteristic %r is not a prime" % (p,))
         raise InvalidSpecError("unknown field %r: the kind must be \"rationals\" or \"prime\"" % (obj,))
 
 
-QQ = GroundField("rationals", 0)
+QQ = GroundField(0)
 
 
 def prime_field(p: int) -> GroundField:
-    return GroundField("prime", p)
+    return GroundField(p)

@@ -19,6 +19,13 @@ the result through :func:`_wrap`, which makes no field element.
 :attr:`BivarPoly.terms`, the ``Fraction``/``Fp`` coefficients, is a
 read-only view made at its first read, for rendering and outside callers.
 
+This module alone reads an integer form; the tower, the expansion and the
+blow-up chain use its form operations: :func:`_shift` (times u^a v^b),
+:func:`_map` (a unimodular monomial map), :func:`_strip` (remove the
+largest monomial factor), :func:`_product` (a power product),
+:func:`_translate` (a closing step, x(u, u*(v + c))), :func:`_at_origin`
+(constant term and order on u = 0) and :func:`_element` (a coefficient).
+
 Division by a divisor monic in the second variable has one
 implementation, :func:`_idivisions_v`: it scatters the dividend into
 v-degree rows once and divides them in place again and again, each
@@ -38,7 +45,7 @@ variables of a polynomial onto those of its arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -108,8 +115,7 @@ class BivarPoly:
         if self._view is None:
             terms, den = self.form
             p = self.field.characteristic
-            self._view = ({e: Fp(c, p) for e, c in terms.items()} if p
-                          else {e: Fraction(c, den) for e, c in terms.items()})
+            self._view = {e: _element(c, den, p) for e, c in terms.items()}
         return MappingProxyType(self._view)
 
     def is_zero(self) -> bool:
@@ -117,9 +123,7 @@ class BivarPoly:
 
     def constant_term(self):
         terms, den = self.form
-        p = self.field.characteristic
-        c = terms.get((0, 0), 0)
-        return Fp(c, p) if p else Fraction(c, den)
+        return _element(terms.get((0, 0), 0), den, self.field.characteristic)
 
     def deg_v(self) -> int:
         """Degree in the second variable; -1 for the zero polynomial."""
@@ -419,6 +423,85 @@ def _ipow(x, e: int, p):
     return out
 
 
+def _element(c, den, p):
+    """The form coefficient ``c`` over ``den`` as an ``Fp`` or a ``Fraction``."""
+    return Fp(c, p) if p else Fraction(c, den)
+
+
+def _shift(x, a, b):
+    """The integer form ``x`` times u^a v^b; a negative exponent divides,
+    so u^-a v^-b must divide ``x``.  ``x`` itself when a = b = 0."""
+    if not (a or b):
+        return x
+    terms, den = x
+    return {(i + a, j + b): c for (i, j), c in terms.items()}, den
+
+
+def _map(x, rx, ry):
+    """The integer form ``x`` under the unimodular monomial map that sends
+    u^i v^j to u^(rx . (i, j)) v^(ry . (i, j))."""
+    (xa, xb), (ya, yb) = rx, ry
+    terms, den = x
+    return {(xa * i + xb * j, ya * i + yb * j): c for (i, j), c in terms.items()}, den
+
+
+def _strip(x):
+    """The nonzero integer form ``x`` with its largest monomial factor
+    u^a v^b removed: returns the quotient, a and b."""
+    terms = x[0]
+    a = min(i for i, _ in terms)
+    b = min(j for _, j in terms)
+    return _shift(x, -a, -b), a, b
+
+
+def _at_origin(x, p):
+    """The constant term of the integer form ``x`` as a field element and
+    the order of x(0, v), which u must not divide."""
+    terms, den = x
+    return _element(terms.get((0, 0), 0), den, p), min(j for i, j in terms if i == 0)
+
+
+def _product(forms, exps, p):
+    """prod_k forms[k]^exps[k] over k >= 2 with exps[k] > 0, in order, or
+    :data:`_ONE` when there is none; ``forms[0]`` and ``forms[1]`` are u and
+    v, whose powers the caller applies as one :func:`_shift`."""
+    out = _ONE
+    for x, n in zip(forms[2:], exps[2:]):
+        if n > 0:
+            pw = _ipow(x, n, p)
+            out = pw if out is _ONE else _imul(out, pw, p)
+    return out
+
+
+def _translate(x, c, p):
+    """The nonzero integer form ``x`` composed with a closing step,
+    x(u, u*(v + c)) for the field element c = n/d (d = 1 over F_p).
+
+    u^a v^b becomes u^(a+b) (v + n/d)^b over the common denominator d^top,
+    top = deg_v(x): v^k gets comb(b, k) * n^(b-k) * d^(top-b+k), made once
+    per b and reduced by :func:`_reduce`.  Past :data:`TERM_LIMIT` the
+    running sum is reduced, and raises only if it is still over.
+    """
+    terms, den = x
+    n, d = _ratio(c, p)
+    top = max(b for _, b in terms)
+    rows = {}
+    out = {}
+    get = out.get
+    for (a, b), v in terms.items():
+        row = rows.get(b)
+        if row is None:
+            row = rows[b] = _reduce({k: comb(b, k) * n ** (b - k) * d ** (top - b + k)
+                                     for k in range(b + 1)}, 1, p)[0].items()
+        for k, m in row:
+            e = (a + b, k)
+            out[e] = get(e, 0) + v * m
+        if len(out) > TERM_LIMIT:
+            out = _reduce(out, 1, p)[0]
+            get = out.get
+    return _reduce(out, den * d ** top, p)
+
+
 def _v_rows(x):
     """The integer form ``x`` prepared as a divisor for :func:`_idivisions_v`.
 
@@ -629,13 +712,7 @@ def _strip_common_monomial(num: BivarPoly, den: BivarPoly):
     """Cancel the largest monomial u^a v^b dividing both sides."""
     if num.is_zero():
         return num, BivarPoly.const(den.field, 1, den.vars)
-    a = min(e[0] for f in (num, den) for e in f.form[0])
-    b = min(e[1] for f in (num, den) for e in f.form[0])
-    if a == 0 and b == 0:
-        return num, den
-
-    def shift(f):
-        terms, d = f.form
-        return _wrap(f.field, ({(e0 - a, e1 - b): c for (e0, e1), c in terms.items()}, d), f.vars)
-
-    return shift(num), shift(den)
+    (x, xa, xb), (y, ya, yb) = _strip(num.form), _strip(den.form)
+    a, b = min(xa, ya), min(xb, yb)
+    return (_wrap(num.field, _shift(x, xa - a, xb - b), num.vars),
+            _wrap(den.field, _shift(y, ya - a, yb - b), den.vars))

@@ -218,7 +218,7 @@ def test_criterion_6_relationship(spec_a, t):
         duals = build_dual_sequences(ext)
         assert duals.ok, "t=%d delta=%s" % (t, delta)
         sub = ext.substitution()
-        up, down = duals.up, duals.down
+        up, down = duals.up, ext.down
         for i in range(1, spec_a.depth + 2):
             assert down.T[i].subs(*sub) == up.T[i]
         for i in range(1, spec_a.depth + 1):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from jumpseq.blowup import (
     Factor,
-    _step,
     initial_chart,
     monoidal_sequence,
     single_quadratic_transform,
@@ -20,7 +19,7 @@ from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLim
 from jumpseq.euclid import euclid_data
 from jumpseq.extension import MonomialExtension, build_dual_sequences
 from jumpseq.fields import Fp, QQ, prime_field
-from jumpseq.poly import BivarPoly, eval_rat
+from jumpseq.poly import BivarPoly, _translate, eval_rat
 
 from conftest import (FIELDS, backward, chart_forward, charts_inverse, chunk_transform,
                       closing_factor, compose_step, expanded_strict_transform, load_spec,
@@ -361,16 +360,16 @@ def test_closing_factors_match_polynomial_products(seed, fld):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_step_rows_mod_p_match_integer_rows(p):
-    """A closing step over F_p makes its rows of (Y + c)^b mod p (Lucas'
-    binomials, modular powers); they agree with the rows over Z reduced
-    mod p, for exponents with several base-p digits."""
+    """A closing step over F_p makes its rows of (Y + c)^b reduced mod p;
+    they agree with the rows over Z reduced mod p, for exponents with
+    several base-p digits."""
     rng = random.Random(p)
     for _ in range(20):
         terms = {(rng.randint(0, 5), rng.randint(0, 3 * p * p)): rng.randint(1, p - 1)
                  for _ in range(rng.randint(1, 6))}
         c = rng.randint(1, p - 1)
-        got = _step((terms, 1), Fp(c, p), p)
-        over_z, den = _step((terms, 1), Fraction(c), 0)
+        got = _translate((terms, 1), Fp(c, p), p)
+        over_z, den = _translate((terms, 1), Fraction(c), 0)
         assert den == 1
         assert got == ({e: r for e, v in over_z.items() if (r := v % p)}, 1)
 

@@ -89,7 +89,7 @@ def test_duals_substitution_identity(spec_a):
     duals = build_dual_sequences(ext)
     sub = ext.substitution()
     for i in range(1, spec_a.depth + 2):
-        assert duals.down.T[i].subs(*sub) == duals.up.T[i]
+        assert ext.down.T[i].subs(*sub) == duals.up.T[i]
 
 
 def test_duals_gcd_failure(spec_a):
@@ -146,10 +146,22 @@ def test_ladder_fails_with_dual_sequences(spec_a, monkeypatch):
     when every rung passes."""
     build = extension.build_dual_sequences
     monkeypatch.setattr(extension, "build_dual_sequences",
-                        lambda ext, k=None, down=None: replace(build(ext, k, down), ok=False))
+                        lambda ext, k=None: replace(build(ext, k), ok=False))
     cert = ladder(mk_ext(spec_a, 5), depth=1)
     assert all(r["pass"] for r in cert.rungs)
     assert cert.outcome == {"kind": "toroidal"} and not cert.ok
+
+
+def test_ladders_share_the_downstairs_sequence(spec_a, monkeypatch):
+    """An extension builds its downstairs sequence once: two ladders on
+    one extension build it once and the upstairs sequence twice."""
+    calls = []
+    build = extension.build_jumping_sequence
+    monkeypatch.setattr(extension, "build_jumping_sequence",
+                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    ext = mk_ext(spec_a, 5, one_plus_x())
+    assert ladder(ext).ok and ladder(ext).ok
+    assert len(calls) == 3
 
 
 def test_ladder_rung_without_unit(spec_a, monkeypatch):
@@ -184,11 +196,11 @@ def test_stable_unit_needs_equal_Y_exponents(spec_a):
     S-chart: the X-exponents differ by t, but Delta = Y is not a unit."""
     ext = mk_ext(spec_a, 1)
     duals = build_dual_sequences(ext)
-    u, v = duals.down.T[:2]
+    u, v = ext.down.T[:2]
     chart_S = initial_chart(duals.up)
 
     def stable_unit(u_i):
-        chart_R = replace(initial_chart(duals.down),
+        chart_R = replace(initial_chart(ext.down),
                           factors=(Factor(u_i, None), Factor(v, None)))
         pulled = extension._pulled_factors(ext, chart_R, chart_S)
         return extension._stable_unit(ext, chart_R.params[0], pulled)
@@ -275,7 +287,7 @@ def rung_residues(ext, cert, rungs):
     out = []
     for prev, (rung, (_, chart_R, chart_S)) in zip(cert.rungs, rungs):
         i = rung["i"]
-        c = expanded_rung_residue(duals.down, i, chart_at(chart_R, prev["step_R"]))
+        c = expanded_rung_residue(ext.down, i, chart_at(chart_R, prev["step_R"]))
         c_prime = expanded_rung_residue(duals.up, i, chart_at(chart_S, prev["step_S"]))
         out.append((ext.field.render(c), c == c_prime))
     return out

@@ -80,9 +80,7 @@ def test_field_json_roundtrip():
 
 def test_invalid_fields_rejected():
     with pytest.raises(ValueError):
-        GroundField("prime", 6)
-    with pytest.raises(ValueError):
-        GroundField("reals", 0)
+        GroundField(6)
 
 
 def test_primality_is_decided_fast_and_exactly():
@@ -97,7 +95,7 @@ def test_primality_is_decided_fast_and_exactly():
     assert time.perf_counter() - start < 0.1
     for n in (2 ** 61 + 1, 561, 41041, 3825123056546413051, 318665857834031151167461):
         with pytest.raises(ValueError):
-            GroundField("prime", n)
+            GroundField(n)
         with pytest.raises(InvalidSpecError, match="not a prime"):
             GroundField.from_json({"kind": "prime", "p": n})
     assert [n for n in range(-2, 20000) if _is_prime(n) != sympy.isprime(n)] == []
@@ -132,7 +130,7 @@ def test_huge_characteristic_refused_without_decimal():
     """p = 10^5000 has more digits than str() makes, so the refusal gives
     its size in bits rather than p itself, from the constructor as from
     input data."""
-    for make in (lambda n: GroundField("prime", n),
+    for make in (lambda n: GroundField(n),
                  lambda n: GroundField.from_json({"kind": "prime", "p": n})):
         with pytest.raises(InvalidSpecError, match="16610 bits is too large"):
             make(10 ** 5000)

@@ -271,8 +271,10 @@ def test_rendering_composes_no_forward_map(monkeypatch):
     composition or substitution: a chart is written as its step word and
     its exponent vectors over the chain's factors."""
     calls = []
-    step, subs = blowup._step, jumpseq.BivarPoly.subs
-    monkeypatch.setattr(blowup, "_step", lambda *a: calls.append("_step") or step(*a))
+    translate, subs = jumpseq.poly._translate, jumpseq.BivarPoly.subs
+    assert blowup._translate is translate  # the name the chain looks up
+    monkeypatch.setattr(blowup, "_translate",
+                        lambda *a: calls.append("_translate") or translate(*a))
     monkeypatch.setattr(jumpseq.BivarPoly, "subs", lambda *a: calls.append("subs") or subs(*a))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -129,7 +129,7 @@ def test_upstairs_tower_matches_sympy_rebuild(fld):
         t = rng.choice([t for t in range(1, 8) if all(gcd(t, q) == 1 for _, q in pairs)])
         base = make_spec(fld, pairs, lambdas=[random_lambda(rng, fld) for _ in pairs])
         delta = random_unit(rng, fld, ("x", "y"))
-        duals = build_dual_sequences(MonomialExtension(t, delta, base))
-        up = duals.up
-        assert up.spec.units == tuple(delta ** n[0] for n in duals.down.n[1:])
+        ext = MonomialExtension(t, delta, base)
+        up = build_dual_sequences(ext).up
+        assert up.spec.units == tuple(delta ** n[0] for n in ext.down.n[1:])
         check_tower(up.spec, up)

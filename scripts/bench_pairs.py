@@ -12,7 +12,10 @@ correctness and operation counts, each side's median and quartiles per
 metric, the change-to-parent ratio of the medians, the pairs the change
 won (ties count for neither), whether the change's median is worse than
 the parent's by more than the metric's relative bound (``beyond_bound``),
-and the per-layer metrics of the traced runs.
+each side's median and quartiles of attempted operations and their
+ratio (``attempted``: a faster side attempts more operations in the same
+time, and its peak RSS grows with them), and the per-layer metrics of
+the traced runs.
 
 A workload's pairs are ``sound`` when every run of both sides reported
 correct output, both sides gave the same output digest in every pair and
@@ -98,7 +101,10 @@ def aggregate(pairs, end_to_end, traced=None):
     side that ran first and each side's metrics, output digest and outcome
     (``<side>_correct``, ``<side>_attempted``, ``<side>_failed``);
     ``end_to_end`` is ``BENCHMARK.json``'s list of metrics; ``traced``
-    maps each side to its per-layer metrics."""
+    maps each side to its per-layer metrics.  Beside the end-to-end
+    comparisons it gives each side's spread of ``attempted`` operations and
+    the ratio of their medians, since a run's peak RSS grows with the
+    operations it attempts."""
     failed_share = {side: sum(p[side + "_failed"] for p in pairs)
                     / sum(p[side + "_attempted"] for p in pairs) for side in SIDES}
     out = {
@@ -109,6 +115,9 @@ def aggregate(pairs, end_to_end, traced=None):
     }
     out["sound"] = sound = (out["all_correct"] and out["digests_equal"]
                             and failed_share["change"] <= failed_share["parent"])
+    attempted = {side: spread([p[side + "_attempted"] for p in pairs]) for side in SIDES}
+    attempted["ratio"] = attempted["change"]["median"] / attempted["parent"]["median"]
+    out["attempted"] = attempted
     out["end_to_end"] = {m["name"]: compare(pairs, m["name"], m["better"], m["bound"], sound)
                          for m in end_to_end}
     if traced:

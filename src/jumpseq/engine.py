@@ -31,9 +31,11 @@ which checks every quotient and remainder against ``TERM_LIMIT``.
 T_1 = v, so level 1 divides nothing: the v-adic digits of a level-2 digit
 are its own v-degree rows, and each of its terms is an output term.  A
 field element is made only for each output coefficient.  The round trip
-:meth:`TExpansion.resubstitute` stays in integer form as well: its
-powers, term products and running sum are integer forms, each checked
-against ``TERM_LIMIT``, and its result is wrapped as it is.
+:meth:`TExpansion.resubstitute` inverts that row pass in integer form: it
+gathers the terms into one u, v digit per T-suffix (a_2, ..., a_M) and
+folds the digits of each level j >= 2 back by Horner in T_j, checking
+each digit, product and sum against ``TERM_LIMIT``, and its result is
+wrapped as it is.
 Expansion needs every T_i monic in the second variable; a unit that
 breaks this (for instance an extension's delta = 1 + y) is reported as
 :class:`InvalidSpecError` at the first expansion.
@@ -52,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
 from .fields import GroundField
-from .poly import (BivarPoly, _ONE, _check_size, _element, _iadd, _idivisions_v, _imul, _ipow,
+from .poly import (BivarPoly, _ONE, _ZERO, _check_size, _element, _iadd, _idivisions_v, _imul, _ipow,
                    _iscale, _product, _ratio, _reduce, _shift, _v_rows, _wrap)
 
 
@@ -401,63 +403,67 @@ class TExpansion:
         return self.js.depth + 1
 
     def resubstitute(self) -> BivarPoly:
-        """The polynomial sum of coeff * prod_j T_j^{a_j} over the terms.
+        """The polynomial sum of coeff * prod_j T_j^{a_j} over the terms,
+        folded back the way :func:`expand` took its digits.
 
-        Runs on the integer forms of the T_j: each power T_j^e is formed
-        once per call and each term's product with
-        :func:`jumpseq.poly._imul`.  The terms are added into one running
-        dict of numerators over a common denominator (residues mod p over
-        F_p), rescaled by the lcm when a term's denominator does not divide
-        it.  The running sum drops zeros and is checked against TERM_LIMIT
-        after each term, as a sum of polynomials would be; it is normalised
-        once, at the end (:func:`jumpseq.poly._reduce`).  A term whose
-        coefficient is zero is skipped
-        before its powers are formed, so it cannot raise.
+        Runs on integer forms.  The terms are first gathered by their
+        suffix (a_2, ..., a_M) into one digit per suffix, the form of
+        sum c * u^{a_0} * v^{a_1}: T_0 = u and T_1 = v are exponents only.
+        Each digit's numerators share the lcm of all the coefficients'
+        denominators (residues mod p over F_p); a term whose coefficient
+        is zero is skipped.  Then each level j = 2 .. M folds the digits
+        that share a suffix past a_j by sparse Horner in T_j, acc * T_j^gap
+        + digit (:func:`jumpseq.poly._ipow` when gap > 1), so each present
+        (level, digit) costs at most one product.
 
-        The sum is taken in place rather than as ``poly._iadd(acc,
-        poly._iscale(mono, n, d, p), p)``, which copies and renormalises the
-        running sum for every term: that form made expand-oracle about 6 %
-        slower in ``ops_per_s`` (8 of 8 alternating 10 s pairs).
+        ``TERM_LIMIT`` is checked on each digit after each term it takes,
+        with zeros dropped, and on every product and sum of the fold by
+        :func:`jumpseq.poly._reduce`, as :meth:`BivarPoly.subs` checks its
+        Horner steps.  Each check is on a polynomial that a chain of
+        polynomial additions and products forming the sum would also
+        form.  For terms c * u^a * v^b (a_j = 0 for j >= 2) the one digit
+        is the former single running sum, so they raise at the same term
+        as before.
+
+        An exponent vector whose length is not M + 1 raises ``ValueError``.
         """
-        js = self.js
+        js, M = self.js, self.M
         fld = js.field
-        T = [t.form for t in js.T]
         p = fld.characteristic
-        powers = {}
-        out, den = {}, 1
-        get = out.get
-        for c, exps in self.terms:
-            c = fld(c)
-            if not c:
-                continue
-            mono = _ONE
-            for j, e in enumerate(exps):
-                if e:
-                    pw = powers.get((j, e))
-                    if pw is None:
-                        pw = powers[(j, e)] = _ipow(T[j], e, p)
-                    mono = pw if mono is _ONE else _imul(mono, pw, p)
-            mt, md = mono
+        for _, exps in self.terms:
+            if len(exps) != M + 1:
+                raise ValueError("exponent vector %r has %d entries, not M + 1 = %d"
+                                 % (exps, len(exps), M + 1))
+        terms = [(c, exps) for c, exps in ((fld(c), exps) for c, exps in self.terms) if c]
+        den = 1 if p else lcm(*(c.denominator for c, _ in terms))
+        digits = {}
+        for c, exps in terms:
+            out, k = digits.setdefault(exps[2:], {}), exps[:2]
+            s = out.get(k, 0) + (c.val if p else c.numerator * (den // c.denominator))
             if p:
-                n = c.val
+                s %= p
+            if s:
+                out[k] = s
             else:
-                n, md = c.numerator, c.denominator * md
-                if den % md:
-                    scale = lcm(den, md) // den
-                    for k in out:
-                        out[k] *= scale
-                    den *= scale
-                n *= den // md
-            for k, x in mt.items():
-                s = get(k, 0) + n * x
-                if p:
-                    s %= p
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                del out[k]
             _check_size(out)
-        return _wrap(fld, _reduce(out, den, p), js.T[0].vars)
+        digits = {key: _reduce(out, den, p) for key, out in digits.items()}
+        for j in range(2, M + 1):
+            t = js.T[j].form
+            rows = {}
+            for key, x in digits.items():
+                rows.setdefault(key[1:], {})[key[0]] = x
+            digits = {}
+            for key, row in rows.items():
+                a, *rest = sorted(row.keys() | {0}, reverse=True)
+                acc = row[a]
+                for b in rest:
+                    acc = _imul(acc, t if a - b == 1 else _ipow(t, a - b, p), p)
+                    if b in row:
+                        acc = _iadd(acc, row[b], p)
+                    a = b
+                digits[key] = acc
+        return _wrap(fld, digits.get((), _ZERO), js.T[0].vars)
 
     @cached_property
     def nums(self) -> Tuple[int, ...]:

@@ -473,14 +473,34 @@ def _product(forms, exps, p):
     return out
 
 
+def _binomial_row(b, n, d, top, p):
+    """The multipliers ``{k: m}`` of v^k in (v + n/d)^b over d^top, zeros
+    kept.  Over Q, m = comb(b, k) * n^(b-k) * d^(top-b+k).  Over F_p
+    (d = 1), (v + n)^b is the product of (v^(p^i) + n)^(b_i) over the
+    base-p digits b_i of b, since n^p = n: m is the product of
+    comb(b_i, k_i) * n^(b_i-k_i) mod p over the digits k_i of k (Lucas'
+    theorem), so no big binomial or power is formed; for b < p this is the
+    formula over Q."""
+    if not p:
+        return {k: comb(b, k) * n ** (b - k) * d ** (top - b + k) for k in range(b + 1)}
+    row, place = {0: 1}, 1
+    while b:
+        b, digit = divmod(b, p)
+        row = {k + i * place: m * comb(digit, i) * pow(n, digit - i, p) % p
+               for k, m in row.items() for i in range(digit + 1)}
+        place *= p
+    return row
+
+
 def _translate(x, c, p):
     """The nonzero integer form ``x`` composed with a closing step,
     x(u, u*(v + c)) for the field element c = n/d (d = 1 over F_p).
 
     u^a v^b becomes u^(a+b) (v + n/d)^b over the common denominator d^top,
-    top = deg_v(x): v^k gets comb(b, k) * n^(b-k) * d^(top-b+k), made once
-    per b and reduced by :func:`_reduce`.  Past :data:`TERM_LIMIT` the
-    running sum is reduced, and raises only if it is still over.
+    top = deg_v(x): the row of v^k multipliers (:func:`_binomial_row`) is
+    made once per b and reduced by :func:`_reduce`.  Past
+    :data:`TERM_LIMIT` the running sum is reduced, and raises only if it
+    is still over.
     """
     terms, den = x
     n, d = _ratio(c, p)
@@ -491,8 +511,7 @@ def _translate(x, c, p):
     for (a, b), v in terms.items():
         row = rows.get(b)
         if row is None:
-            row = rows[b] = _reduce({k: comb(b, k) * n ** (b - k) * d ** (top - b + k)
-                                     for k in range(b + 1)}, 1, p)[0].items()
+            row = rows[b] = _reduce(_binomial_row(b, n, d, top, p), 1, p)[0].items()
         for k, m in row:
             e = (a + b, k)
             out[e] = get(e, 0) + v * m

@@ -20,12 +20,12 @@ END_TO_END = [
 ]
 
 
-def run_output(ops, p50, rss, digest="d0", correct=True, failed=0):
+def run_output(ops, p50, rss, digest="d0", correct=True, failed=0, attempted=10):
     record = {"record": {"workload": "expand-oracle", "output_digest": digest}}
     metrics = {"ops_per_s": {"value": ops, "unit": "1/s"},
                "op_p50_ms": {"value": p50, "unit": "ms"},
                "peak_rss_mb": {"value": rss, "unit": "MB"}}
-    result = {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+    result = {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
     return "%s\n%s\n" % (json.dumps(record), json.dumps(result))
 
 
@@ -79,6 +79,21 @@ def test_aggregate_claims_gain_and_flags_regression():
     assert rss["change_wins"] == 0 and rss["ratio"] == 1.2
     assert rss["beyond_bound"] and not rss["gain_holds"]
     assert out["per_layer"] == {"poly.mul.calls": {"parent": 617, "change": 24}}
+
+
+def test_aggregate_reports_attempted_operations():
+    """Each side's spread of attempted operations and the ratio of their
+    medians stand beside the end-to-end comparisons, so a peak RSS that
+    follows the operation count can be read off."""
+    pairs = [pair(i, (900 + 10 * i, 1.0, 25.0), (1100 + 10 * i, 1.0, 27.0),
+                  attempted=1100 * 30 + 300 * i) for i in range(10)]
+    for i, row in enumerate(pairs):
+        row["parent_attempted"] = 900 * 30 + 300 * i
+    out = bench_pairs.aggregate(pairs, END_TO_END)
+    assert out["attempted"]["parent"] == {"median": 28350, "q1": 27675, "q3": 29025}
+    assert out["attempted"]["change"]["median"] == 34350
+    assert out["attempted"]["ratio"] == 34350 / 28350
+    assert out["failed_share"] == {"parent": 0, "change": 0}
 
 
 def test_aggregate_needs_nine_tenths():

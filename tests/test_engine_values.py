@@ -6,6 +6,9 @@ from beta with ``Fraction`` arithmetic, term by term, and recompute
 ``value``'s outcome (a value or InsufficientDepthError) from them.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +19,7 @@ from jumpseq.errors import InsufficientDepthError, ResourceLimitError
 from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import TERM_LIMIT, BivarPoly
 
-from conftest import make_spec
+from conftest import ROOT, make_spec
 
 F101 = prime_field(101)
 
@@ -152,3 +155,35 @@ def test_resubstitute_drops_cancelled_terms(js_a):
     terms = ((QQ(1), (3, 0, 0, 0)), (QQ(1), (0, 0, 1, 0)), (QQ(-1), (0, 2, 0, 0)))
     out = TExpansion(js_a, terms).resubstitute()
     assert out.is_zero() and out.vars == ("u", "v")
+
+
+WRONG_LENGTH = """
+from jumpseq.engine import TExpansion, build_jumping_sequence
+from jumpseq.fields import QQ
+from conftest import load_spec
+js = build_jumping_sequence(load_spec("spec-a.json"))
+for exps in ((1, 0, 0), (1, 0, 0, 0, 0), (1, 2)):
+    for c in (1, 0):
+        try:
+            TExpansion(js, ((QQ(c), exps),)).resubstitute()
+        except ValueError as e:
+            print(e)
+        else:
+            raise SystemExit("%r passed" % (exps,))
+"""
+
+
+def test_resubstitute_refuses_a_wrong_length_vector():
+    """On spec-a (M = 3) an exponent vector of length other than 4 raises
+    ``ValueError``, with a zero coefficient too, also under python -O:
+    a short vector is not read as padded with zeros, nor a long one
+    whose extra entries are zero as if they were absent."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", WRONG_LENGTH], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 6 and all(line.endswith("not M + 1 = 4") for line in lines), lines

@@ -5,8 +5,9 @@ Over Q, F_2, F_3 and F_101, on random polynomials f with integer form x:
 * ``_translate(x, c, p)``, the closing step of a blow-up chain, is the
   form of f(X, X*(Y + c)) made by ``BivarPoly.subs``, for c fractional
   over Q and for v-degrees at and past p^2 over F_2 and F_3, where
-  comb(b, k) vanishes mod p in the patterns of Lucas' theorem (past p over
-  F_101, where a v-degree of p^2 = 10201 takes tens of seconds);
+  comb(b, k) vanishes mod p in the patterns of Lucas' theorem, and past p
+  over F_101; at v-degrees p^2 and p^2 + 1 over F_101, where ``subs``
+  takes seconds, it is checked against a closed form instead;
 * ``_map`` by the matrix of a word of A and B steps is the substitution
   u -> u^xa v^ya, v -> u^xb v^yb, and the inverse matrix maps it back;
 * ``_shift`` is the product with u^a v^b and the opposite shift undoes it,
@@ -14,6 +15,7 @@ Over Q, F_2, F_3 and F_101, on random polynomials f with integer form x:
   back to x.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpseq.fields import QQ, prime_field
@@ -53,6 +55,18 @@ def test_translate_is_the_closing_substitution(fp, data):
     c = data.draw(elements(fld))
     X, Y = BivarPoly.gens(fld)
     assert _translate(f.form, c, fld.characteristic) == f.subs(X, X * (Y + c)).form
+
+
+@pytest.mark.parametrize("c", [0, 1, 7, 100])
+def test_translate_at_v_degree_p_squared(c):
+    """Over F_101, v^10201 + u*v^10202 goes to
+    u^10201*(v^10201 + c) + u^10203*(v^10201 + c)*(v + c), because
+    (v + c)^(101^2) = v^(101^2) + c^(101^2) and c^(101^2) = c."""
+    p, q = 101, 101 ** 2
+    expected = BivarPoly(prime_field(p), {(q, q): 1, (q, 0): c, (q + 2, q + 1): 1,
+                                          (q + 2, q): c, (q + 2, 1): c, (q + 2, 0): c * c})
+    x = ({(0, q): 1, (1, q + 1): 1}, 1)
+    assert _translate(x, prime_field(p)(c), p) == expected.form
 
 
 @settings(max_examples=80, deadline=None)

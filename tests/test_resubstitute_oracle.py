@@ -1,12 +1,16 @@
 """Differential test of ``TExpansion.resubstitute`` against sympy.
 
-``resubstitute`` adds the terms c * prod_j T_j^{a_j} of an expansion on
-integer forms.  Here sympy forms the same sum from the jumping
-polynomials, on random term lists over the towers of ``test_expand``:
-over Q with T_2 and T_3 of denominators 7 and 686, so that the running
-sum is rescaled to a new common denominator, and over F_2, F_3, F_5 and
-F_101, where the running sum is taken mod p.  The term lists cancel: some
-terms come back negated, and some groups are the chunk relation
+``resubstitute`` gathers the terms c * prod_j T_j^{a_j} of an expansion by
+their T-exponents past T_1 and folds them back level by level, by Horner
+in each T_j.  Here sympy's sparse polynomial ring forms the plain sum of
+products from the jumping polynomials, on random term lists over the
+towers of ``test_expand``: over Q with T_2 and T_3 of denominators 7 and
+686, so that digits of different denominators meet, and over F_2, F_3,
+F_5 and F_101, where every sum is taken mod p.  The exponent vectors
+need not be standard: an interior a_i may pass q_i, and the digits of a
+level, T_M's included, may be more than one apart, so the fold raises
+T_j to gaps over 1.  The term lists cancel: some terms come back
+negated, and some groups are the chunk relation
 
     T_{i+1} - T_i^{q_i} + lambda_i * delta_i * prod_j T_j^{n_{i,j}} = 0
 
@@ -14,14 +18,15 @@ times a random T-monomial, whose partial sums pass through other
 polynomials before they vanish.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpseq.engine import TExpansion
-from jumpseq.poly import BivarPoly
 
 from test_expand import SEQUENCES
-from test_poly_oracle import U, V, assert_typed, from_sympy, to_sympy
+from test_poly_oracle import assert_typed
 
 sympy = pytest.importorskip("sympy")
 
@@ -32,9 +37,11 @@ def coeffs(fld):
     return st.integers(1, fld.characteristic - 1).map(fld)
 
 
-def exponents(js, last=1):
-    """Standard-form exponent vectors: a_i < q_i inside, a_M <= last."""
-    inner = [st.integers(0, js.q(i) - 1) for i in range(1, js.depth + 1)]
+def exponents(js, last=3):
+    """Exponent vectors with a_i <= q_i + 1 inside and a_M <= last: standard
+    ones (a_i < q_i) and others, so that the fold meets digits past q_i
+    and gaps over 1 between the digits of a level, T_M's included."""
+    inner = [st.integers(0, js.q(i) + 1) for i in range(1, js.depth + 1)]
     return st.tuples(st.integers(0, 6), *inner, st.integers(0, last))
 
 
@@ -68,28 +75,35 @@ def term_lists(draw, js):
     return draw(st.permutations(terms))
 
 
-def lift(f):
-    """``f`` as a sympy Poly over QQ, or over ZZ from its residues mod p:
-    reducing a sum of products over ZZ mod p gives the same sum over F_p,
-    and sympy multiplies over ZZ many times faster than over GF(p)."""
-    if not f.field.characteristic:
-        return to_sympy(f)
-    return sympy.Poly.from_dict({e: c.val for e, c in f.terms.items()} or {(0, 0): 0},
-                                U, V, domain="ZZ")
-
-
 def sympy_sum(js, terms):
-    T = [lift(t) for t in js.T]
+    """The sum of the terms' products in sympy's sparse ring over QQ, or
+    over ZZ reduced mod p after each product: sympy multiplies sparse
+    polynomials over ZZ many times faster than over GF(p) or as dense
+    ``Poly`` objects, and reducing a sum of products mod p as it goes
+    gives the same sum over F_p."""
+    fld = js.field
+    p = fld.characteristic
+    R = sympy.polys.rings.ring("u,v", sympy.ZZ if p else sympy.QQ)[0]
+
+    def lift(terms):
+        if p:
+            return R.from_dict({e: c.val for e, c in terms.items()})
+        return R.from_dict({e: R.domain(c.numerator, c.denominator) for e, c in terms.items()})
+
+    mod = (lambda P: P.trunc_ground(p)) if p else (lambda P: P)
+    T = [lift(t.terms) for t in js.T]
     powers = {}
-    total = lift(BivarPoly.zero(js.field))
+    total = R.zero
     for c, exps in terms:
-        mono = lift(BivarPoly.const(js.field, c))
+        mono = lift({(0, 0): fld(c)})
         for j, e in enumerate(exps):
             if (j, e) not in powers:
-                powers[(j, e)] = T[j] ** e
-            mono *= powers[(j, e)]
+                powers[(j, e)] = mod(T[j] ** e)
+            mono = mod(mono * powers[(j, e)])
         total += mono
-    return from_sympy(total, js.field)
+    if p:
+        return {e: fld(int(c)) for e, c in mod(total).items() if int(c) % p}
+    return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in total.items()}
 
 
 @pytest.mark.parametrize("name", list(SEQUENCES))
@@ -99,7 +113,7 @@ def test_resubstitute_matches_sympy(name, data):
     js = SEQUENCES[name]
     terms = data.draw(term_lists(js))
     out = TExpansion(js, tuple(terms)).resubstitute()
-    assert out == sympy_sum(js, terms)
+    assert dict(out.terms) == sympy_sum(js, terms)
     assert out.vars == ("u", "v")
     assert_typed(out, js.field)
 

@@ -11,7 +11,8 @@ backward rational expression or asks the engine for a residue or a
 value, and a chain expands only its closing factors.
 ``verify`` expands each power of v once, not each monomial, and writes
 each polynomial's witness once, so its report stays small; ``expand``
-never divides by T_1 = v.  The
+never divides by T_1 = v, and its round trip multiplies at most once per
+digit it folds back.  The
 polynomial kernel has one loop per ring operation, on integer forms; a
 polynomial is its integer form, and no computation reads the
 ``Fraction``/``Fp`` view of its terms, which is made for output.  Reports
@@ -101,6 +102,23 @@ def test_resubstitute_runs_on_integer_forms(js_a, monkeypatch):
     out = exp.resubstitute()
     assert calls == ["_wrap"]
     assert out == f
+
+
+def test_resubstitute_multiplies_once_per_digit(js_a, monkeypatch):
+    """``TExpansion.resubstitute`` folds the digits of each level back by
+    Horner in T_j: u and v are exponents only, and each present (level,
+    digit), a distinct (a_j, ..., a_M) with j >= 2, costs at most one
+    product, however many terms share it."""
+    u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
+    f = ((u + v + 1) ** 6 + u ** 2) * (js_a.T[2] + u) * js_a.T[3] ** 2
+    exp = engine.expand(f, js_a)
+    digits = {(j, exps[j:]) for _, exps in exp.terms for j in range(2, exp.M + 1)}
+    assert len(exp.terms) > 4 * len(digits)
+    products = []
+    imul = engine._imul
+    monkeypatch.setattr(engine, "_imul", lambda *a: products.append(1) or imul(*a))
+    assert exp.resubstitute() == f
+    assert 0 < len(products) <= len(digits)
 
 
 def test_build_runs_on_integer_forms(monkeypatch):

@@ -392,11 +392,20 @@ class TExpansion:
     with a_M = 0 ("pure") have exactly known values; terms with a_M > 0
     only admit a strict lower bound since beta_M is beyond spec depth.
     Both are kept as integers over Q_N in :attr:`nums`, computed once per
-    expansion.
+    expansion.  An exponent vector whose length is not M + 1 raises
+    ``ValueError`` when the expansion is built, so neither :attr:`nums`
+    nor :meth:`resubstitute` reads one as if padded or cut.
     """
 
     js: JumpingSequence
     terms: Tuple[Tuple[object, Tuple[int, ...]], ...]   # (coefficient, exponent vector)
+
+    def __post_init__(self):
+        n = self.js.depth + 2
+        for _, exps in self.terms:
+            if len(exps) != n:
+                raise ValueError("exponent vector %r has %d entries, not M + 1 = %d"
+                                 % (exps, len(exps), n))
 
     @property
     def M(self) -> int:
@@ -424,16 +433,10 @@ class TExpansion:
         form.  For terms c * u^a * v^b (a_j = 0 for j >= 2) the one digit
         is the former single running sum, so they raise at the same term
         as before.
-
-        An exponent vector whose length is not M + 1 raises ``ValueError``.
         """
-        js, M = self.js, self.M
+        js = self.js
         fld = js.field
         p = fld.characteristic
-        for _, exps in self.terms:
-            if len(exps) != M + 1:
-                raise ValueError("exponent vector %r has %d entries, not M + 1 = %d"
-                                 % (exps, len(exps), M + 1))
         terms = [(c, exps) for c, exps in ((fld(c), exps) for c, exps in self.terms) if c]
         den = 1 if p else lcm(*(c.denominator for c, _ in terms))
         digits = {}
@@ -448,7 +451,7 @@ class TExpansion:
                 del out[k]
             _check_size(out)
         digits = {key: _reduce(out, den, p) for key, out in digits.items()}
-        for j in range(2, M + 1):
+        for j in range(2, self.M + 1):
             t = js.T[j].form
             rows = {}
             for key, x in digits.items():

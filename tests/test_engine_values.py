@@ -157,33 +157,32 @@ def test_resubstitute_drops_cancelled_terms(js_a):
     assert out.is_zero() and out.vars == ("u", "v")
 
 
-WRONG_LENGTH = """
-from jumpseq.engine import TExpansion, build_jumping_sequence
-from jumpseq.fields import QQ
-from conftest import load_spec
-js = build_jumping_sequence(load_spec("spec-a.json"))
-for exps in ((1, 0, 0), (1, 0, 0, 0, 0), (1, 2)):
-    for c in (1, 0):
-        try:
-            TExpansion(js, ((QQ(c), exps),)).resubstitute()
-        except ValueError as e:
-            print(e)
-        else:
-            raise SystemExit("%r passed" % (exps,))
-"""
+WRONG_LENGTHS = ((1, 0, 0), (1, 0, 0, 0, 0), (1, 2))
 
 
-def test_resubstitute_refuses_a_wrong_length_vector():
+@pytest.mark.parametrize("c", [1, 0])
+@pytest.mark.parametrize("exps", WRONG_LENGTHS)
+def test_expansion_refuses_a_wrong_length_vector(js_a, exps, c):
     """On spec-a (M = 3) an exponent vector of length other than 4 raises
-    ``ValueError``, with a zero coefficient too, also under python -O:
-    a short vector is not read as padded with zeros, nor a long one
-    whose extra entries are zero as if they were absent."""
+    ``ValueError`` when the expansion is built, with a zero coefficient
+    too: a short vector is not read as padded with zeros by ``nums`` or
+    ``resubstitute``, nor a long one as if its extra entries were absent."""
+    with pytest.raises(ValueError, match="has %d entries, not M \\+ 1 = 4" % len(exps)):
+        TExpansion(js_a, ((QQ(c), exps),))
+
+
+def test_expansion_refuses_a_wrong_length_vector_under_O():
+    """The check is explicit code, so python -O keeps it."""
+    code = ("from jumpseq.engine import TExpansion, build_jumping_sequence\n"
+            "from jumpseq.fields import QQ\n"
+            "from conftest import load_spec\n"
+            "js = build_jumping_sequence(load_spec('spec-a.json'))\n"
+            "TExpansion(js, ((QQ(1), (1, 0, 0, 0, 0)),))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]))
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-c", WRONG_LENGTH], capture_output=True,
-                              text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert len(lines) == 6 and all(line.endswith("not M + 1 = 4") for line in lines), lines
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("ValueError: exponent vector (1, 0, 0, 0, 0) "
+                                         "has 5 entries, not M + 1 = 4"), proc.stderr

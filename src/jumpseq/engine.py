@@ -25,17 +25,20 @@ v^{n_{i,1}} applied as one exponent shift, and wraps each form as a
 polynomial; the value relation behind each n_i is solved on integer
 numerators (:func:`exponent_solve`).  A sequence turns T_2 .. T_M into
 divisor rows at its first expansion (:attr:`JumpingSequence.T_rows`).
-:func:`expand` reads the form of f.  Each level i >= 2 takes all the T_i-adic
-digits of its input in one row pass, :func:`jumpseq.poly._idivisions_v`,
-which checks every quotient and remainder against ``TERM_LIMIT``.
-T_1 = v, so level 1 divides nothing: the v-adic digits of a level-2 digit
-are its own v-degree rows, and each of its terms is an output term.  A
-field element is made only for each output coefficient.  The round trip
-:meth:`TExpansion.resubstitute` inverts that row pass in integer form: it
-gathers the terms into one u, v digit per T-suffix (a_2, ..., a_M) and
-folds the digits of each level j >= 2 back by Horner in T_j, checking
-each digit, product and sum against ``TERM_LIMIT``, and its result is
-wrapped as it is.
+This module hands forms to the form operations of :mod:`jumpseq.poly`
+and takes none apart itself.  :func:`expand` is
+:func:`jumpseq.poly._unfold` of the form of f: each level i >= 2 takes
+all the T_i-adic digits of its input in one row pass,
+:func:`jumpseq.poly._idivisions_v`, which checks every quotient and
+remainder against ``TERM_LIMIT``.  T_1 = v, so level 1 divides nothing:
+the v-adic digits of a level-2 digit are its own v-degree rows, and each
+of its terms is an output term.  A field element is made only for each
+output coefficient.  The round trip :meth:`TExpansion.resubstitute` is
+the inverse, :func:`jumpseq.poly._fold` with bases T_2 .. T_M, the
+Horner evaluation :meth:`BivarPoly.subs` runs too: it gathers the terms
+into one u, v digit per T-suffix (a_2, ..., a_M) and folds the digits of
+each level j >= 2 back by Horner in T_j, checking each digit, product
+and sum against ``TERM_LIMIT``, and its result is wrapped as it is.
 Expansion needs every T_i monic in the second variable; a unit that
 breaks this (for instance an extension's delta = 1 + y) is reported as
 :class:`InvalidSpecError` at the first expansion.
@@ -48,14 +51,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
 from .fields import GroundField
-from .poly import (BivarPoly, _ONE, _ZERO, _check_size, _element, _iadd, _idivisions_v, _imul, _ipow,
-                   _iscale, _product, _ratio, _reduce, _shift, _v_rows, _wrap)
+from .poly import (BivarPoly, _ONE, _fold, _iadd, _imul, _ipow, _iscale, _numerators, _product,
+                   _ratio, _shift, _unfold, _v_rows, _wrap)
+
+_swap = itemgetter(1, 0)  # a term (coefficient, exponents) as (exponents, coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +249,7 @@ class JumpingSequence:
         some T_i is not monic in the second variable, which a unit
         involving that variable can cause.
         """
-        if self.T[1].form != ({(0, 1): 1}, 1):
+        if self.T[1] != BivarPoly.monomial(self.field, 0, 1, 1, self.T[1].vars):
             raise ArithmeticError("T_1 = %s is not the second variable, so expansions "
                                   "cannot read level 1 off the v-degree rows" % self.T[1])
         out = []
@@ -367,15 +372,10 @@ def extract_independent(js: JumpingSequence) -> IndependentData:
     k = [0]
     for i in range(1, d + 1):
         k.append(k[-1] + euclid_data(js.p(i), js.q(i)).epsilon)
+    # each chunk's length kbar_l - kbar_{l-1} is eps(pbar_l, qbar_l) by
+    # construction: eps(S*q + p, q) = S + eps(p, q), as the first Euclid
+    # quotient grows by exactly S
     kbar = [0] + [k[il] for il in indices]
-    # the chunk-length recursion must agree with the prefix sums
-    for l in range(1, len(indices) + 1):
-        eps = euclid_data(pbar[l - 1], qbar[l - 1]).epsilon
-        if kbar[l] != kbar[l - 1] + eps:
-            raise InvalidSpecError(
-                "chunk %d: kbar_%d - kbar_%d = %d, but epsilon(%d, %d) = %d"
-                % (l, l, l - 1, kbar[l] - kbar[l - 1], pbar[l - 1], qbar[l - 1], eps)
-            )
     return IndependentData(indices, tuple(pbar), tuple(qbar), tuple(Qbar), tuple(betabar), tuple(k), tuple(kbar))
 
 
@@ -392,9 +392,10 @@ class TExpansion:
     with a_M = 0 ("pure") have exactly known values; terms with a_M > 0
     only admit a strict lower bound since beta_M is beyond spec depth.
     Both are kept as integers over Q_N in :attr:`nums`, computed once per
-    expansion.  An exponent vector whose length is not M + 1 raises
-    ``ValueError`` when the expansion is built, so neither :attr:`nums`
-    nor :meth:`resubstitute` reads one as if padded or cut.
+    expansion.  An exponent vector whose length is not M + 1, or that has
+    a negative entry, raises ``ValueError`` when the expansion is built,
+    so neither :attr:`nums` nor :meth:`resubstitute` reads one as if
+    padded or cut, or values or folds a negative power.
     """
 
     js: JumpingSequence
@@ -406,6 +407,8 @@ class TExpansion:
             if len(exps) != n:
                 raise ValueError("exponent vector %r has %d entries, not M + 1 = %d"
                                  % (exps, len(exps), n))
+            if min(exps) < 0:
+                raise ValueError("exponent vector %r has a negative entry" % (exps,))
 
     @property
     def M(self) -> int:
@@ -415,58 +418,22 @@ class TExpansion:
         """The polynomial sum of coeff * prod_j T_j^{a_j} over the terms,
         folded back the way :func:`expand` took its digits.
 
-        Runs on integer forms.  The terms are first gathered by their
-        suffix (a_2, ..., a_M) into one digit per suffix, the form of
-        sum c * u^{a_0} * v^{a_1}: T_0 = u and T_1 = v are exponents only.
-        Each digit's numerators share the lcm of all the coefficients'
-        denominators (residues mod p over F_p); a term whose coefficient
-        is zero is skipped.  Then each level j = 2 .. M folds the digits
-        that share a suffix past a_j by sparse Horner in T_j, acc * T_j^gap
-        + digit (:func:`jumpseq.poly._ipow` when gap > 1), so each present
-        (level, digit) costs at most one product.
-
-        ``TERM_LIMIT`` is checked on each digit after each term it takes,
-        with zeros dropped, and on every product and sum of the fold by
-        :func:`jumpseq.poly._reduce`, as :meth:`BivarPoly.subs` checks its
-        Horner steps.  Each check is on a polynomial that a chain of
-        polynomial additions and products forming the sum would also
-        form.  For terms c * u^a * v^b (a_j = 0 for j >= 2) the one digit
-        is the former single running sum, so they raise at the same term
-        as before.
+        Runs on integer forms: the coefficients become numerators over one
+        denominator, zero ones skipped (:func:`jumpseq.poly._numerators`),
+        and :func:`jumpseq.poly._fold` with bases T_2 .. T_M sums them, the
+        Horner evaluation that :meth:`BivarPoly.subs` runs too.  T_0 = u
+        and T_1 = v are exponents only, and each present (level, digit), a
+        distinct (a_j, ..., a_M) with j >= 2, costs at most one product.
+        ``TERM_LIMIT`` is checked on each digit after each term it takes
+        and on every product and sum of the fold; each check is on a
+        polynomial that a chain of polynomial additions and products
+        forming the sum would also form.
         """
         js = self.js
         fld = js.field
-        p = fld.characteristic
-        terms = [(c, exps) for c, exps in ((fld(c), exps) for c, exps in self.terms) if c]
-        den = 1 if p else lcm(*(c.denominator for c, _ in terms))
-        digits = {}
-        for c, exps in terms:
-            out, k = digits.setdefault(exps[2:], {}), exps[:2]
-            s = out.get(k, 0) + (c.val if p else c.numerator * (den // c.denominator))
-            if p:
-                s %= p
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-            _check_size(out)
-        digits = {key: _reduce(out, den, p) for key, out in digits.items()}
-        for j in range(2, self.M + 1):
-            t = js.T[j].form
-            rows = {}
-            for key, x in digits.items():
-                rows.setdefault(key[1:], {})[key[0]] = x
-            digits = {}
-            for key, row in rows.items():
-                a, *rest = sorted(row.keys() | {0}, reverse=True)
-                acc = row[a]
-                for b in rest:
-                    acc = _imul(acc, t if a - b == 1 else _ipow(t, a - b, p), p)
-                    if b in row:
-                        acc = _iadd(acc, row[b], p)
-                    a = b
-                digits[key] = acc
-        return _wrap(fld, digits.get((), _ZERO), js.T[0].vars)
+        pairs, den = _numerators(fld, map(_swap, self.terms))
+        form = _fold(pairs, den, [t.form for t in js.T[2:]], fld.characteristic)
+        return _wrap(fld, form, js.T[0].vars)
 
     @cached_property
     def nums(self) -> Tuple[int, ...]:
@@ -487,8 +454,8 @@ class TExpansion:
 def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
     """The standard-form expansion of f in the T-monomials of ``js``.
 
-    Runs on the integer form of f.  Level i >= 2 takes the
-    T_i-adic digits of its input in one row pass
+    Runs on the integer form of f, by :func:`jumpseq.poly._unfold`.
+    Level i >= 2 takes the T_i-adic digits of its input in one row pass
     (:func:`jumpseq.poly._idivisions_v` by :attr:`JumpingSequence.T_rows`)
     and hands each nonzero digit to level i - 1.  T_1 = v, so the v-adic
     digits of a level-2 digit (at depth 0, of f itself) are its own
@@ -501,22 +468,7 @@ def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
     if f.is_zero():
         raise ValueError("cannot expand the zero polynomial")
     f._check_compat(js.T[0])
-    divisors = js.T_rows
-    p = js.field.characteristic
-    terms: List[Tuple[object, Tuple[int, ...]]] = []
-
-    def rec(x, level: int, suffix: Tuple[int, ...]):
-        if level == 1:
-            xt, den = x
-            for (a, b), c in xt.items():
-                terms.append((_element(c, den, p), (a, b) + suffix))
-            return
-        digits = [r for _, _, r in _idivisions_v(x, divisors[level - 2], p)]
-        for k, digit in enumerate(digits):
-            if digit[0]:
-                rec(digit, level - 1, (k,) + suffix)
-
-    rec(f.form, js.depth + 1, ())
+    terms = _unfold(f.form, js.T_rows, js.field.characteristic)
     terms.sort(key=lambda t: t[1])
     return TExpansion(js, tuple(terms))
 

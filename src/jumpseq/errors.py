@@ -32,12 +32,11 @@ class InsufficientDepthError(JumpseqError):
     """A value or residue cannot be certified at the current depth.
 
     ``extra_depth`` is the minimal number of additional (p, q) pairs the
-    defining data would need before the computation can be retried.
+    defining data would need before the computation can be retried: one
+    for every error raised, since each asks for the pair past the last.
     """
 
-    def __init__(self, message, extra_depth=1):
-        super().__init__(message)
-        self.extra_depth = extra_depth
+    extra_depth = 1
 
 
 class ResourceLimitError(JumpseqError):

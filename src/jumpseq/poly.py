@@ -12,7 +12,8 @@ return fresh polynomials and never mutate their inputs or a form.
 ``BivarPoly(field, terms, vars)`` makes a polynomial from outside data:
 it coerces every coefficient through ``field(c)`` (ints, strings and
 elements of another prime field are converted or rejected), drops zeros
-and checks :data:`TERM_LIMIT`.  The ring operations, substitution and
+and brings the rest over one denominator (:func:`_numerators`), and
+checks :data:`TERM_LIMIT`.  The ring operations, substitution and
 the divisions run on integer forms, each helper normalising its result
 and checking it against :data:`TERM_LIMIT` (:func:`_reduce`), and wrap
 the result through :func:`_wrap`, which makes no field element.
@@ -20,11 +21,17 @@ the result through :func:`_wrap`, which makes no field element.
 read-only view made at its first read, for rendering and outside callers.
 
 This module alone reads an integer form; the tower, the expansion and the
-blow-up chain use its form operations: :func:`_shift` (times u^a v^b),
-:func:`_map` (a unimodular monomial map), :func:`_strip` (remove the
-largest monomial factor), :func:`_product` (a power product),
-:func:`_translate` (a closing step, x(u, u*(v + c))), :func:`_at_origin`
-(constant term and order on u = 0) and :func:`_element` (a coefficient).
+blow-up chain hand forms to its form operations and take none apart:
+:func:`_shift` (times u^a v^b), :func:`_map` (a unimodular monomial map),
+:func:`_strip` (remove the largest monomial factor), :func:`_product` (a
+power product), :func:`_translate` (a closing step, x(u, u*(v + c))),
+:func:`_at_origin` (constant term and order on u = 0), :func:`_element`
+(a coefficient), :func:`_numerators` (coefficients over one
+denominator), :func:`_unfold` (the terms of a T-adic expansion) and
+:func:`_fold` (its inverse: a sum of coefficients times powers of given
+forms, by Horner).  :func:`_fold` is the one Horner evaluation:
+:meth:`BivarPoly.subs` and the round trip of :mod:`jumpseq.engine` both
+run it.
 
 Division by a divisor monic in the second variable has one
 implementation, :func:`_idivisions_v`: it scatters the dividend into
@@ -32,8 +39,8 @@ v-degree rows once and divides them in place again and again, each
 quotient kept as rows and divided next, so the remainders are the digits
 of the dividend in powers of the divisor.  It checks each quotient and
 then each remainder against :data:`TERM_LIMIT`; the rows it updates in
-place are not checked.  :func:`divmod_in_v` takes its first division; the
-T-adic expansion of :mod:`jumpseq.engine` takes all of them.
+place are not checked.  :func:`divmod_in_v` takes its first division;
+:func:`_unfold`, the T-adic expansion, takes all of them.
 :func:`exact_divide` performs a division that the caller claims is exact
 and raises :class:`DivisibilityError` with the remainder otherwise; no
 certificate divides (see :mod:`jumpseq.blowup`).  Ring operations and
@@ -70,20 +77,12 @@ class BivarPoly:
     __slots__ = ("field", "vars", "form", "_view")
 
     def __init__(self, field: GroundField, terms=None, vars=("u", "v")):
-        clean = {}
-        if terms:
-            for (a, b), c in terms.items():
-                c = field(c)
-                if c:
-                    clean[(int(a), int(b))] = c
+        pairs, den = _numerators(field, terms.items() if terms else ())
+        clean = {(int(a), int(b)): n for (a, b), n in pairs}
         _check_size(clean)
         self.field = field
         self.vars = tuple(vars)
-        if field.characteristic:
-            self.form = {e: c.val for e, c in clean.items()}, 1
-        else:
-            den = lcm(*[c.denominator for c in clean.values()])
-            self.form = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den
+        self.form = clean, den
         self._view = None
 
     # ---- constructors -------------------------------------------------
@@ -222,56 +221,23 @@ class BivarPoly:
     def subs(self, first: "BivarPoly", second: "BivarPoly") -> "BivarPoly":
         """Substitute polynomials for the two variables.
 
-        Exact; the result lives in the variables of the arguments.  Uses
-        Horner evaluation in the second variable with cached powers of the
-        first to keep intermediate blow-up in check.  Every power, product
-        and sum is formed in integer form (see :func:`_imul`), with the
-        numerators of this polynomial as integer scalars, and checked
-        against :data:`TERM_LIMIT`; the result is divided by this
-        polynomial's denominator once, at the end.
+        Exact; the result lives in the variables of the arguments.  It is
+        :func:`_fold` of the terms c * u^a v^b as the digits of keys
+        (0, 0, a, b) with bases (first, second): Horner in ``first`` along
+        each v-degree row, then Horner in ``second`` over the rows, so
+        each term and each v-degree costs at most one product.  Checked
+        against :data:`TERM_LIMIT`: every Horner product and sum, and each
+        power of ``first`` or ``second`` that a gap of more than one
+        degree needs, formed once per call (:func:`_ipow`); nothing else
+        is formed.
         """
         if self.field != first.field:  # the variables are mapped, not shared
             raise ValueError("mixed coefficient fields")
         first._check_compat(second)
-        field = self.field
-        out_vars = first.vars
         terms, den = self.form
-        if not terms:
-            return _wrap(field, _ZERO, out_vars)
-        p = field.characteristic
-        # group by exponent of the second variable
-        by_b = {}
-        for (a, b), c in terms.items():
-            by_b.setdefault(b, {})[a] = c
-        x, y = first.form, second.form
-        # Horner in `second`, with powers of `first` computed on demand
-        pow_cache = {0: _ONE}
-
-        def first_pow(a):
-            if a not in pow_cache:
-                half = first_pow(a // 2)
-                q = _imul(half, half, p)
-                if a % 2:
-                    q = _imul(q, x, p)
-                pow_cache[a] = q
-            return pow_cache[a]
-
-        result = None
-        prev_b = None
-        for b in sorted(by_b, reverse=True):
-            coeff = _ZERO
-            for a, c in by_b[b].items():
-                coeff = _iadd(coeff, _iscale(first_pow(a), c, 1, p), p)
-            if prev_b is None:
-                result = coeff
-            else:
-                result = _iadd(_imul(result, _ipow(y, prev_b - b, p), p), coeff, p)
-            prev_b = b
-        if prev_b:
-            result = _imul(result, _ipow(y, prev_b, p), p)
-        if den != 1:
-            result = _reduce(result[0], result[1] * den, p)
-        return _wrap(field, result, out_vars)
+        keyed = (((0, 0, a, b), n) for (a, b), n in terms.items())
+        form = _fold(keyed, den, (first.form, second.form), self.field.characteristic)
+        return _wrap(self.field, form, first.vars)
 
     # ---- serialization -------------------------------------------------
 
@@ -426,6 +392,18 @@ def _ipow(x, e: int, p):
 def _element(c, den, p):
     """The form coefficient ``c`` over ``den`` as an ``Fp`` or a ``Fraction``."""
     return Fp(c, p) if p else Fraction(c, den)
+
+
+def _numerators(field, items):
+    """The pairs ``(key, c)`` of ``items`` with each c coerced by
+    ``field(c)`` and the zeros dropped, as ``(key, n)`` pairs over one
+    denominator den: over F_p n is the residue and den is 1, over Q den is
+    the lcm of the coefficients' denominators.  Returns the list and den."""
+    if field.characteristic:
+        return [(k, x.val) for k, c in items if (x := field(c))], 1
+    items = [(k, x) for k, c in items if (x := field(c))]
+    den = lcm(*[c.denominator for _, c in items])
+    return [(k, c.numerator * (den // c.denominator)) for k, c in items], den
 
 
 def _shift(x, a, b):
@@ -610,6 +588,84 @@ def _idivisions_v(x, g, p):
         if not q:
             return
         rows = q
+
+
+def _fold(terms, den, bases, p):
+    """The integer form of the sum of n/den * u^a v^b * prod_j bases[j]^e_j
+    over the pairs ``((a, b, e_1, ..., e_m), n)`` of ``terms``, for ints n,
+    exponents e_j >= 0 and the integer forms ``bases``.
+
+    The pairs are first gathered by their suffix (e_1, ..., e_m) into one
+    digit per suffix, the numerators of sum n * u^a * v^b over den: u and
+    v are exponents only.  A digit is taken mod p over F_p, drops zeros
+    and is checked against :data:`TERM_LIMIT` after each pair it takes.
+    Then each base in turn folds the digits that share the rest of their
+    suffix by sparse Horner, acc * base^gap + digit, so each present
+    (level, digit) costs at most one product; each gap over 1 is raised
+    to once per level (:func:`_ipow`), however many rows skip it.  Every
+    power, product and sum is checked by :func:`_reduce`.  This is the
+    inverse of :func:`_unfold` and the body of :meth:`BivarPoly.subs`.
+    """
+    digits = {}
+    for key, n in terms:
+        out, k = digits.setdefault(key[2:], {}), key[:2]
+        s = out.get(k, 0) + n
+        if p:
+            s %= p
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+        _check_size(out)
+    digits = {key: _reduce(out, den, p) for key, out in digits.items()}
+    for t in bases:
+        powers = {1: t}
+        rows = {}
+        for key, x in digits.items():
+            rows.setdefault(key[1:], {})[key[0]] = x
+        digits = {}
+        for key, row in rows.items():
+            a, *rest = sorted(row.keys() | {0}, reverse=True)
+            acc = row[a]
+            for b in rest:
+                if a - b not in powers:
+                    powers[a - b] = _ipow(t, a - b, p)
+                acc = _imul(acc, powers[a - b], p)
+                if b in row:
+                    acc = _iadd(acc, row[b], p)
+                a = b
+            digits[key] = acc
+    return digits.get((), _ZERO)
+
+
+def _unfold(x, divisors, p):
+    """The terms ``(c, (a, b, k_2, ..., k_M))`` of the nonzero integer form
+    ``x`` written in powers of the divisors T_2 .. T_M, each given by its
+    rows (:func:`_v_rows`), with c a field element: x is the sum of
+    c * u^a * v^b * prod_j T_j^k_j.
+
+    Level j >= 2 takes all the T_j-adic digits of its input in one row
+    pass (:func:`_idivisions_v`) and hands each nonzero digit to level
+    j - 1; the last level's digits are read as they are, each term
+    c * u^a * v^b one output term.  A level takes all its digits before it
+    unfolds any, so :data:`TERM_LIMIT` is checked in the order of the
+    levels.  A field element is made only for each output coefficient.
+    """
+    terms = []
+
+    def rec(x, level, suffix):
+        if not level:
+            xt, den = x
+            for (a, b), c in xt.items():
+                terms.append((_element(c, den, p), (a, b) + suffix))
+            return
+        digits = [r for _, _, r in _idivisions_v(x, divisors[level - 1], p)]
+        for k, digit in enumerate(digits):
+            if digit[0]:
+                rec(digit, level - 1, (k,) + suffix)
+
+    rec(x, len(divisors), ())
+    return terms
 
 
 # ---- public division routines ------------------------------------------

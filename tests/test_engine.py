@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -270,19 +269,6 @@ def test_minimality_redundant_h0():
     out = verify_minimality(ind, 0)
     assert not out["minimal"]
     assert out["witness"] == {0: 2}  # 1 = 2 * (1/2)
-
-
-def test_independent_rejects_chunk_length_mismatch(monkeypatch):
-    real = engine.euclid_data
-
-    def off_by_one(p, q):
-        ed = real(p, q)
-        return replace(ed, epsilon=ed.epsilon + 1) if (p, q) == (17, 3) else ed
-
-    js = build_jumping_sequence(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]))
-    monkeypatch.setattr(engine, "euclid_data", off_by_one)
-    with pytest.raises(InvalidSpecError):
-        extract_independent(js)
 
 
 # ---------------------------------------------------------------------------

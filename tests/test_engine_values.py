@@ -171,12 +171,26 @@ def test_expansion_refuses_a_wrong_length_vector(js_a, exps, c):
         TExpansion(js_a, ((QQ(c), exps),))
 
 
+@pytest.mark.parametrize("exps", [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)])
+def test_expansion_refuses_a_negative_exponent(js_a, exps):
+    """A negative entry raises ``ValueError`` when the expansion is built,
+    so ``nums`` never values a u^-1 and the round trip's fold never meets
+    a negative power of T_j."""
+    with pytest.raises(ValueError, match="has a negative entry"):
+        TExpansion(js_a, ((QQ(1), exps),))
+
+
 def test_expansion_refuses_a_wrong_length_vector_under_O():
-    """The check is explicit code, so python -O keeps it."""
+    """The length and sign checks are explicit code, so python -O keeps
+    them."""
     code = ("from jumpseq.engine import TExpansion, build_jumping_sequence\n"
             "from jumpseq.fields import QQ\n"
             "from conftest import load_spec\n"
             "js = build_jumping_sequence(load_spec('spec-a.json'))\n"
+            "try:\n"
+            "    TExpansion(js, ((QQ(1), (0, 0, -1, 0)),))\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
             "TExpansion(js, ((QQ(1), (1, 0, 0, 0, 0)),))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -184,5 +198,6 @@ def test_expansion_refuses_a_wrong_length_vector_under_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 1
+    assert proc.stdout == "exponent vector (0, 0, -1, 0) has a negative entry\n"
     assert proc.stderr.rstrip().endswith("ValueError: exponent vector (1, 0, 0, 0, 0) "
                                          "has 5 entries, not M + 1 = 4"), proc.stderr

@@ -60,8 +60,11 @@ def test_bezout_identity_and_bounds(pq):
     assert 0 <= b < max(q, 1)
 
 
-@given(coprime_pairs)
-def test_epsilon_is_quotient_sum(pq):
+@given(coprime_pairs, st.integers(0, 40))
+def test_epsilon_is_quotient_sum(pq, s):
+    """Also eps(s*q + p, q) = s + eps(p, q): the first quotient grows by
+    exactly s and the chain is otherwise the same, so a chunk's length
+    kbar_l - kbar_{l-1} equals eps(pbar_l, qbar_l) by construction."""
     p, q = pq
     ed = euclid_data(p, q)
     # replay the division chain independently
@@ -72,3 +75,4 @@ def test_epsilon_is_quotient_sum(pq):
     assert ed.f == quotients
     assert ed.epsilon == sum(quotients)
     assert ed.N == len(quotients)
+    assert euclid_data(s * q + p, q).epsilon == s + ed.epsilon

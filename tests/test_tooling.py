@@ -11,9 +11,10 @@ backward rational expression or asks the engine for a residue or a
 value, and a chain expands only its closing factors.
 ``verify`` expands each power of v once, not each monomial, and writes
 each polynomial's witness once, so its report stays small; ``expand``
-never divides by T_1 = v, and its round trip multiplies at most once per
-digit it folds back.  The
-polynomial kernel has one loop per ring operation, on integer forms; a
+never divides by T_1 = v, and its round trip, like ``subs``, multiplies
+at most once per digit it folds back.  The
+polynomial kernel has one loop per ring operation, on integer forms, and
+``engine`` takes no integer form apart; a
 polynomial is its integer form, and no computation reads the
 ``Fraction``/``Fp`` view of its terms, which is made for output.  Reports
 are encoded by ``cli._dumps``, never by the stdlib's pure-Python indent
@@ -115,10 +116,53 @@ def test_resubstitute_multiplies_once_per_digit(js_a, monkeypatch):
     digits = {(j, exps[j:]) for _, exps in exp.terms for j in range(2, exp.M + 1)}
     assert len(exp.terms) > 4 * len(digits)
     products = []
-    imul = engine._imul
-    monkeypatch.setattr(engine, "_imul", lambda *a: products.append(1) or imul(*a))
+    imul = jumpseq.poly._imul
+    monkeypatch.setattr(jumpseq.poly, "_imul", lambda *a: products.append(1) or imul(*a))
     assert exp.resubstitute() == f
     assert 0 < len(products) <= len(digits)
+
+
+def test_subs_multiplies_once_per_digit(monkeypatch):
+    """``BivarPoly.subs`` is the same fold: each term c * u^a v^b is the
+    digit (a, b) of the first level, Horner in the first argument along
+    its v-degree row, and each v-degree b the digit of the second level,
+    Horner in the second argument, so each present (level, digit) costs at
+    most one product.  Over Q and F_101, pulled up through (x^3 * (1 + x), y)."""
+    for fld in (jumpseq.QQ, jumpseq.prime_field(101)):
+        u, v = jumpseq.BivarPoly.gens(fld)
+        x, y = jumpseq.BivarPoly.gens(fld, ("x", "y"))
+        f = (u + v + 1) ** 6 - u * v.scale(2)
+        digits = len(f.form[0]) + len({b for _, b in f.form[0]})
+        first = x ** 3 * (1 + x)
+        expected = sum(c * first ** a * y ** b for (a, b), c in f.terms.items())
+        products = []
+        imul = jumpseq.poly._imul
+        monkeypatch.setattr(jumpseq.poly, "_imul", lambda *a: products.append(1) or imul(*a))
+        assert f.subs(first, y) == expected
+        monkeypatch.undo()
+        assert 0 < len(products) <= digits, (len(products), digits)
+
+
+def test_engine_takes_no_form_apart():
+    """Only ``jumpseq.poly`` reads an integer form: ``engine.py`` hands a
+    polynomial's ``.form`` to a ``poly`` form operation as an argument,
+    and never indexes, unpacks, compares or iterates one, nor imports the
+    helpers that build or read one term by term."""
+    path = ROOT / "src" / "jumpseq" / "engine.py"
+    tree = ast.parse(path.read_text(), str(path))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    taken_apart = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "form":
+            parent = parents[node]
+            while isinstance(parent, (ast.List, ast.Tuple, ast.ListComp)):
+                parent = parents[parent]
+            if not (isinstance(parent, ast.Call) and node is not parent.func):
+                taken_apart.append(node.lineno)
+    assert taken_apart == []
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"_check_size", "_reduce", "_element"})
 
 
 def test_build_runs_on_integer_forms(monkeypatch):
@@ -334,8 +378,8 @@ def test_expand_never_divides_by_v(js_a, monkeypatch):
     digit: on spec-a, (u + v + 1)^8 runs the division loop only by T_2 and
     T_3 (v-degrees 2 and 6), never by T_1 = v."""
     degrees = []
-    divide = engine._idivisions_v
-    monkeypatch.setattr(engine, "_idivisions_v",
+    divide = jumpseq.poly._idivisions_v
+    monkeypatch.setattr(jumpseq.poly, "_idivisions_v",
                         lambda x, g, p: degrees.append(g[0]) or divide(x, g, p))
     u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
     engine.expand((u + v + 1) ** 8, js_a)

@@ -116,7 +116,7 @@ def spec_record(name, spec, rng, n_random_polys):
                          "uncertified": sum(r["pass"] is None for r in report),
                          "pass": all(r["pass"] is not False for r in report)}
 
-    if spec.mode == "nondiscrete" and ind.levels:
+    if ind.levels:
         try:
             levels = monoidal_sequence(js, ind, ind.levels)
             rec["monoidal"] = {"levels": len(levels),
@@ -126,8 +126,9 @@ def spec_record(name, spec, rng, n_random_polys):
                                "note": "needs more spec depth"}
         except (InvalidSpecError, ResourceLimitError) as e:
             rec["monoidal"] = {"levels": 0, "pass": None, "note": str(e)}
-        rec["minimality"] = [verify_minimality(ind, k)
-                             for k in range(ind.levels + 1)]
+        rec["minimality"] = verify_minimality(ind)
+        if all(r["minimal"] for r in rec["minimality"]) != (ind.pbar[0] != 1):
+            raise AssertionError("minimality of %s disagrees with pbar_1 != 1" % name)
 
     rec["ladders"] = []
     one = BivarPoly.const(spec.field, 1, ("x", "y"))

@@ -55,8 +55,8 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import InsufficientDepthError, InvalidSpecError
-from .euclid import epsilon, euclid_data
+from .errors import InsufficientDepthError
+from .euclid import euclid_data
 from .engine import IndependentData, JumpingSequence, graded_residue, initial_form, value
 from .fields import GroundField
 from .poly import (BivarPoly, _at_origin, _iadd, _iscale, _map, _product, _ratio, _shift, _strip,
@@ -197,8 +197,7 @@ def single_quadratic_transform(chart: Chart) -> Chart:
     from the initial forms of the chart's factors, and the new second
     value from the engine's expansion of the new factor.  Raises
     :class:`InsufficientDepthError` when the second value is unknown,
-    i.e. after the last chunk the spec certifies, and
-    :class:`InvalidSpecError` when the values meet before epsilon steps.
+    i.e. after the last chunk the spec certifies.
     """
     vU, vV = chart.values
     if vV is None:
@@ -222,11 +221,8 @@ def single_quadratic_transform(chart: Chart) -> Chart:
         return Chart(js, chart.factors, params, values, index, pos, chart.chunk_pq,
                      step, chart)
 
-    # equal values: the chunk closes with a residue translation
-    eps = epsilon(*chart.chunk_pq)
-    if pos != eps:
-        raise InvalidSpecError("chunk %s closed at step %d, expected epsilon = %d"
-                               % (chart.chunk_pq, pos, eps))
+    # equal values: the chunk closes with a residue translation, at step
+    # epsilon(chunk_pq) by construction (subtractive Euclid on the values)
     ratio = tuple(b - a for a, b in zip(eU, eV))  # V/U = P/Q
     _, coeff, exps = monomial_form(chart, ratio)
     c = graded_residue(coeff, exps, js)

@@ -231,16 +231,10 @@ def cmd_ladder(args):
 
 
 def cmd_verify(args):
-    spec = _load_spec(args.spec)
-    js = build_jumping_sequence(spec)
+    js = build_jumping_sequence(_load_spec(args.spec))
     report = verify_generating_sequence(js, args.gamma_max, args.deg_bound,
                                         samples=args.samples, seed=args.seed)
-    ind = extract_independent(js)
-    minimality = []
-    if spec.mode == "nondiscrete" and ind.levels:
-        for k in range(ind.levels + 1):
-            minimality.append(verify_minimality(ind, k))
-    _emit({"checks": report, "minimality": minimality,
+    _emit({"checks": report, "minimality": verify_minimality(extract_independent(js)),
            "pass": all(r["pass"] is not False for r in report),
            "uncertified": sum(r["pass"] is None for r in report)}, args)
     return EXIT_OK
@@ -248,20 +242,16 @@ def cmd_verify(args):
 
 def cmd_classify(args):
     ext = MonomialExtension.from_json(_load_json(args.ext))
-    spec = ext.base_spec
-    if spec.mode == "discrete":
-        form = classify_toroidal_form({"discrete": True})
-        report = {"form": form, "discrete_branch": discrete_branch_report(ext)}
+    if ext.base_spec.mode == "discrete":
+        report = {"form": classify_toroidal_form(ext), "discrete_branch": discrete_branch_report(ext)}
     else:
-        ind = extract_independent(ext.down)
-        if ind.levels == 0:
+        if extract_independent(ext.down).levels == 0:
             raise UsageError("classify needs an independent index (some q_i > 1); the spec has none")
         cert = ladder(ext)
         if cert.outcome.get("kind") == "contradiction":
             _emit({"outcome": cert.outcome}, args)
             return EXIT_CONTRADICTION
-        form = classify_toroidal_form({}, cert.outcome, ind.pbar[0] != 1)
-        report = {"form": form, "ladder": cert}
+        report = {"form": classify_toroidal_form(ext), "ladder": cert}
     _emit(report, args)
     return EXIT_OK
 

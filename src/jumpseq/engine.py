@@ -18,6 +18,11 @@ numerator per term (:attr:`TExpansion.nums`), and values, residues and
 the generating-sequence checks compare those ints; a ``Fraction`` is made
 only for a value that is returned or reported.
 
+Semigroup questions, the gamma lists of
+:func:`verify_generating_sequence` and :func:`verify_minimality`, read
+one table of reachable numerators with a back-pointer each
+(:func:`_semigroup`).
+
 Polynomials are computed on integer forms (see :mod:`jumpseq.poly`).
 :func:`build_jumping_sequence` forms each T_{i+1} from the forms of the
 T_j, with lambda_i * delta_i scaled once and the factors u^{n_{i,0}} and
@@ -46,6 +51,7 @@ breaks this (for instance an extension's delta = 1 + y) is reported as
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -565,51 +571,63 @@ def residue(f: BivarPoly, g: BivarPoly, js: JumpingSequence):
 # ---------------------------------------------------------------------------
 
 
+def _semigroup(generators: List[Fraction], bound: Fraction) -> Tuple[int, array]:
+    """The additive semigroup generated by ``generators`` up to ``bound``,
+    as one table over the numerators of a common denominator.
+
+    Returns (den, last): den is the lcm of the denominators of the
+    generators in (0, bound], and ``last`` has one unsigned short per
+    numerator x = 0 .. floor(bound * den).  last[x] is 0 when x/den is not in the
+    semigroup; otherwise it is j + 1 for the position j in ``generators``
+    of a generator g with x/den - g in the semigroup, the generator last
+    added on one way to reach x.  Following ``last`` from x down to 0 thus
+    spells out one representation of x/den; last[0] is 1 and is never
+    followed.  One pass per generator, as in an unbounded knapsack.
+    """
+    gens = [(j, Fraction(g)) for j, g in enumerate(generators) if 0 < g <= bound]
+    den = lcm(*(g.denominator for _, g in gens))
+    last = array("H", [0]) * (max(int(bound * den), 0) + 1)
+    last[0] = 1
+    for j, g in gens:
+        step = int(g * den)
+        for x in range(step, len(last)):
+            if last[x - step]:
+                last[x] = j + 1
+    return den, last
+
+
 def semigroup_below(generators: List[Fraction], bound: Fraction) -> List[Fraction]:
     """All values of the additive semigroup generated by ``generators``
-    (zero included) that are <= bound, sorted ascending."""
-    gens = [Fraction(g) for g in generators if 0 < g <= bound]
-    if not gens:
-        return [Fraction(0)]
-    den = 1
-    for g in gens:
-        den = den * g.denominator // gcd(den, g.denominator)
-    limit = int(bound * den)
-    reachable = [False] * (limit + 1)
-    reachable[0] = True
-    for g in gens:
-        step = int(g * den)
-        for x in range(step, limit + 1):
-            if reachable[x - step]:
-                reachable[x] = True
-    return [Fraction(x, den) for x in range(limit + 1) if reachable[x]]
+    (zero included) that are <= bound, sorted ascending: the reached
+    numerators of :func:`_semigroup`'s table."""
+    den, last = _semigroup(generators, Fraction(bound))
+    return [Fraction(x, den) for x, j in enumerate(last) if j]
 
 
 def semigroup_member(target: Fraction, generators: List[Fraction]) -> Optional[Dict[int, int]]:
-    """A representation target = sum c_j * generators[j] with c_j >= 0
-    integers, or None.  Exact bounded search."""
+    """A representation target = sum c_j * generators[j] with integers
+    c_j > 0, as {j: c_j} keyed by position in ``generators``, or None.
+
+    The representation follows the back-pointers of :func:`_semigroup`'s
+    table from target down to 0.  No table is built when target is
+    negative or target * den is not an integer, den the common denominator
+    of the generators <= target: every sum of those generators is a
+    multiple of 1/den, so target is then not in the semigroup.
+    """
     target = Fraction(target)
-    gens = [(j, Fraction(g)) for j, g in enumerate(generators) if 0 < g <= target]
-    if target == 0:
-        return {}
-
-    def rec(t: Fraction, idx: int):
-        if t == 0:
-            return {}
-        if idx >= len(gens):
-            return None
-        j, g = gens[idx]
-        cmax = int(t / g)
-        for c in range(cmax, -1, -1):
-            sub = rec(t - c * g, idx + 1)
-            if sub is not None:
-                if c:
-                    sub = dict(sub)
-                    sub[j] = c
-                return sub
+    if target < 0 or lcm(*(Fraction(g).denominator for g in generators
+                           if 0 < g <= target)) % target.denominator:
         return None
-
-    return rec(target, 0)
+    den, last = _semigroup(generators, target)
+    x = int(target * den)
+    if not last[x]:
+        return None
+    rep = {}
+    while x:
+        j = last[x] - 1
+        rep[j] = rep.get(j, 0) + 1
+        x -= int(generators[j] * den)
+    return rep
 
 
 def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bound: int,
@@ -714,14 +732,27 @@ def _random_poly(fld: GroundField, rng, max_deg: int = 6, max_terms: int = 5) ->
     return BivarPoly(fld, terms, ("u", "v"))
 
 
-def verify_minimality(ind: IndependentData, k: int) -> dict:
-    """Decide whether betabar_k lies in the semigroup of the other betabar_j.
+def verify_minimality(ind: IndependentData) -> List[dict]:
+    """For each k = 0 .. L, whether betabar_k lies in the semigroup of the
+    other betabar_j: one record {"index": k, "minimal": bool, "witness":
+    representation or None} per k, and [] when the sequence has no
+    independent index (L = 0).
 
-    Returns {"minimal": bool, "witness": representation-or-None}.  Sound
-    because later betabar values strictly exceed betabar_k, so only
-    generators <= betabar_k can contribute.
+    A witness {j: c_j} is keyed by betabar index: betabar_k = sum c_j *
+    betabar_j.  Sound because later betabar values strictly exceed
+    betabar_k, so only generators <= betabar_k can contribute.  Each k >= 1
+    is decided with no table: betabar_k has denominator Qbar_k, and the
+    smaller betabar_j have denominators dividing Qbar_{k-1}, so
+    :func:`semigroup_member`'s denominator guard answers None.  Only
+    betabar_0 = 1 builds one, over the numerators of 1.
     """
-    target = ind.betabar[k]
-    others = [b for j, b in enumerate(ind.betabar) if j != k]
-    witness = semigroup_member(target, others)
-    return {"index": k, "minimal": witness is None, "witness": witness}
+    if not ind.levels:
+        return []
+    records = []
+    for k in range(ind.levels + 1):
+        # betabar_k itself is left out as 0, which generates nothing, so the
+        # witness keys are betabar indices
+        others = [0 if j == k else b for j, b in enumerate(ind.betabar)]
+        witness = semigroup_member(ind.betabar[k], others)
+        records.append({"index": k, "minimal": witness is None, "witness": witness})
+    return records

@@ -40,6 +40,7 @@ from .engine import (
     build_jumping_sequence,
     extract_independent,
     graded_residue,
+    verify_minimality,
 )
 from .errors import InvalidSpecError
 from .euclid import epsilon
@@ -421,7 +422,7 @@ def discrete_branch_report(ext: MonomialExtension) -> dict:
 class ToroidalForm:
     case: int
     shape: str
-    minimal: Optional[bool]
+    minimal: bool
     notes: str = ""
 
     def to_json(self):
@@ -429,28 +430,21 @@ class ToroidalForm:
                 "minimal": self.minimal, "notes": self.notes}
 
 
-def classify_toroidal_form(flags: dict, ladder_outcome: Optional[dict] = None,
-                           minimality: Optional[bool] = None) -> ToroidalForm:
-    """Map valuation-type flags and a ladder outcome to one of the five
-    toroidal shapes.  Cases 1-3 are declarative reports from the flags;
-    cases 4 and 5 come with the computed certificates.
+def classify_toroidal_form(ext: MonomialExtension) -> ToroidalForm:
+    """The toroidal shape of the extension's stable form, GHK's case 4 or 5.
+
+    A discrete spec is case 5, whose sequences are non-minimal by
+    construction.  Any other is case 4, where ``minimal`` says whether
+    {H_l} is a minimal generating sequence: every betabar_k of the
+    downstairs sequence is outside the semigroup of the others, as
+    :func:`jumpseq.engine.verify_minimality` computes it.  That agrees
+    with the rule pbar_1 != 1 in the notes.  Cases 1-3 (divisorial,
+    rank 2, rational rank 2) have no computed certificate and are not
+    reported.
     """
-    if flags.get("divisorial"):
-        return ToroidalForm(1, "u = x^a * unit", True,
-                            "single-element minimal generating sequences")
-    if flags.get("rank") == 2:
-        return ToroidalForm(2, "u = x^a y^b * unit, v = y^d * unit", True,
-                            "shape report only")
-    if flags.get("rational_rank") == 2:
-        return ToroidalForm(3, "u = x^a y^b * unit, v = x^c y^d * unit", True,
-                            "shape report only")
-    if flags.get("discrete"):
+    if ext.base_spec.mode == "discrete":
         return ToroidalForm(5, "u = x^t * unit; sequences {u,{T_i}} and {x,{T_i}}",
                             False, "discrete non-divisorial: non-minimal by construction")
-    if ladder_outcome is not None and ladder_outcome.get("kind") == "contradiction":
-        raise InvalidSpecError(
-            "inputs inconsistent with stable form: witness %s" % (ladder_outcome,)
-        )
+    minimal = all(r["minimal"] for r in verify_minimality(extract_independent(ext.down)))
     return ToroidalForm(4, "H_0 = x^a * unit, H_1 = y; sequences {H_l} and {x,{H_l}}",
-                        minimality,
-                        "minimal iff pbar_1 != 1")
+                        minimal, "minimal iff pbar_1 != 1")

@@ -278,7 +278,7 @@ def test_criterion_7_oracles(spec_a):
 def test_criterion_8_discrete_branch(spec_b):
     one = BivarPoly.const(QQ, 1, ("x", "y"))
     ext = MonomialExtension(t=3, delta=one, base_spec=spec_b)
-    form = classify_toroidal_form({"discrete": True})
+    form = classify_toroidal_form(ext)
     assert form.case == 5 and form.minimal is False
     report = discrete_branch_report(ext)
     assert report["pass"]
@@ -294,14 +294,14 @@ def test_criterion_8_discrete_branch(spec_b):
 
 def test_criterion_9_minimality(ind_a):
     assert ind_a.pbar[0] == 3
-    out = verify_minimality(ind_a, 0)
+    out = verify_minimality(ind_a)[0]
     assert out["minimal"], "H_0 must be required when pbar_1 != 1"
     # a spec with pbar_1 = 1: the value 1 of u is reachable from beta_1 = 1/2
     js = build_jumping_sequence(make_spec(QQ, [(1, 2)]))
     ind = extract_independent(js)
     assert ind.pbar[0] == 1
-    out = verify_minimality(ind, 0)
-    assert not out["minimal"] and out["witness"] == {0: 2}
+    out = verify_minimality(ind)[0]
+    assert not out["minimal"] and out["witness"] == {1: 2}
 
 
 # ---------------------------------------------------------------------------

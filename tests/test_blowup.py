@@ -15,7 +15,7 @@ from jumpseq.blowup import (
 )
 from jumpseq.engine import (build_jumping_sequence, extract_independent, graded_residue,
                             initial_form, residue, value)
-from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLimitError
+from jumpseq.errors import InsufficientDepthError, ResourceLimitError
 from jumpseq.euclid import euclid_data
 from jumpseq.extension import MonomialExtension, build_dual_sequences
 from jumpseq.fields import Fp, QQ, prime_field
@@ -123,15 +123,6 @@ def test_chunk_closed_form_matches_steps(js_a):
     assert (closed.a, closed.b) == (2, 1)
     # value of the exceptional parameter drops by the factor q
     assert closed.values[0] == Fraction(1, 2)
-
-
-def test_closing_off_epsilon_raises(js_a):
-    """A chunk that closes before epsilon is rejected explicitly, also
-    under python -O, before any residue is computed."""
-    ch = replace(initial_chart(js_a), values=(Fraction(1), Fraction(1)))
-    assert ch.chunk_pq == (3, 2)
-    with pytest.raises(InvalidSpecError):
-        single_quadratic_transform(ch)
 
 
 def test_chunk_validates_ratio(js_a):

@@ -1,7 +1,10 @@
 import itertools
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jumpseq.engine as engine
 from jumpseq.engine import (
@@ -243,32 +246,93 @@ def test_reduced_exponent_uniqueness(js_a):
 # ---------------------------------------------------------------------------
 
 
+def _brute_semigroup(gens, bound):
+    """Every sum of the positive gens up to bound, by growing a set."""
+    reached, frontier = {Fraction(0)}, {Fraction(0)}
+    while frontier:
+        frontier = {x + g for x in frontier for g in gens if 0 < g and x + g <= bound} - reached
+        reached |= frontier
+    return reached
+
+
+SMALL_GENERATORS = [[Fraction(1), Fraction(3, 2)], [Fraction(2, 3), Fraction(5, 4)],
+                    [Fraction(3, 5), Fraction(1, 2), Fraction(7, 3)], [Fraction(4), Fraction(6)],
+                    [Fraction(0), Fraction(5, 6), Fraction(5, 6)], []]
+
+
+def _independent_from_pairs(pairs):
+    """extract_independent on the values of ``pairs`` alone, with no tower:
+    beta_1 = p_1/q_1, beta_{i+1} = q_i * beta_i + p_{i+1} / (q_{i+1} * Q_i)."""
+    beta, Q = [Fraction(1)], [1]
+    for i, (p, q) in enumerate(pairs):
+        beta.append(Fraction(p, q) if i == 0
+                    else pairs[i - 1][1] * beta[-1] + Fraction(p, q * Q[-1]))
+        Q.append(Q[-1] * q)
+    stub = SimpleNamespace(depth=len(pairs), beta=tuple(beta),
+                           p=lambda i: pairs[i - 1][0], q=lambda i: pairs[i - 1][1])
+    return extract_independent(stub)
+
+
 def test_semigroup_below():
     vals = semigroup_below([Fraction(1), Fraction(3, 2)], Fraction(3))
     assert vals == [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2),
                     Fraction(5, 2), Fraction(3)]
+    for gens in SMALL_GENERATORS:
+        for bound in (Fraction(0), Fraction(7, 4), Fraction(5), Fraction(-1)):
+            assert semigroup_below(gens, bound) == sorted(_brute_semigroup(gens, bound))
 
 
-def test_semigroup_member():
+def test_semigroup_member(monkeypatch):
     rep = semigroup_member(Fraction(7, 2), [Fraction(1), Fraction(3, 2)])
     assert rep is not None
     assert sum(c * g for g, c in zip([Fraction(1), Fraction(3, 2)],
                                      [rep.get(0, 0), rep.get(1, 0)])) == Fraction(7, 2)
     assert semigroup_member(Fraction(1, 2), [Fraction(1), Fraction(3, 2)]) is None
+    for gens in SMALL_GENERATORS:
+        reached = _brute_semigroup(gens, Fraction(6))
+        for target in {Fraction(n, d) for d in range(1, 7) for n in range(-1, 6 * d + 1)}:
+            rep = semigroup_member(target, gens)
+            assert (rep is not None) == (target in reached), (gens, target)
+            if rep is not None:
+                assert all(c > 0 for c in rep.values())
+                assert sum(c * gens[j] for j, c in rep.items()) == target
+    # a target that is not a multiple of 1/den is refused before a table of
+    # its size is built
+    monkeypatch.setattr(engine, "_semigroup", None)
+    assert semigroup_member(Fraction(10 ** 12 + 1, 3), [Fraction(1), Fraction(5, 2)]) is None
 
 
-def test_minimality_spec_a(ind_a):
-    for k in range(3):
-        assert verify_minimality(ind_a, k)["minimal"], "betabar_%d" % k
+def test_minimality_spec_a(ind_a, spec_a):
+    assert _independent_from_pairs(spec_a.pairs) == ind_a  # the stub reads the tower's values
+    out = verify_minimality(ind_a)
+    assert [r["index"] for r in out] == [0, 1, 2]
+    assert all(r["minimal"] and r["witness"] is None for r in out)
 
 
 def test_minimality_redundant_h0():
     js = build_jumping_sequence(make_spec(QQ, [(1, 2)]))
     ind = extract_independent(js)
     assert ind.pbar == (1,)
-    out = verify_minimality(ind, 0)
-    assert not out["minimal"]
-    assert out["witness"] == {0: 2}  # 1 = 2 * (1/2)
+    out = verify_minimality(ind)
+    assert not out[0]["minimal"]
+    assert out[0]["witness"] == {1: 2}  # betabar_0 = 1 = 2 * betabar_1 = 2 * (1/2)
+    assert out[1] == {"index": 1, "minimal": True, "witness": None}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda pq: gcd(*pq) == 1),
+                min_size=1, max_size=7))
+def test_minimality_is_the_rule_pbar_1(pairs):
+    """Computed minimality of {H_l} is the rule pbar_1 != 1, and its only
+    witness is betabar_0 = qbar_1 * betabar_1 at index 0."""
+    ind = _independent_from_pairs(pairs)
+    out = verify_minimality(ind)
+    if not ind.levels:
+        assert out == []
+        return
+    assert all(r["minimal"] for r in out) == (ind.pbar[0] != 1)
+    witnesses = [(r["index"], r["witness"]) for r in out if not r["minimal"]]
+    assert witnesses == ([] if ind.pbar[0] != 1 else [(0, {1: ind.qbar[0]})])
 
 
 # ---------------------------------------------------------------------------

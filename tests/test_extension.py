@@ -378,24 +378,15 @@ def test_discrete_branch_requires_upstairs_sequence(spec_a):
         discrete_branch_report(mk_ext(spec_a, 2))
 
 
-def test_classify_declarative_cases():
-    assert classify_toroidal_form({"divisorial": True}).case == 1
-    assert classify_toroidal_form({"rank": 2}).case == 2
-    assert classify_toroidal_form({"rational_rank": 2}).case == 3
-
-
-def test_classify_discrete():
-    form = classify_toroidal_form({"discrete": True})
+def test_classify_discrete(spec_b):
+    form = classify_toroidal_form(mk_ext(spec_b, 3))
     assert form.case == 5 and form.minimal is False
 
 
 def test_classify_toroidal(spec_a):
-    cert = ladder(mk_ext(spec_a, 5, one_plus_x()))
-    form = classify_toroidal_form({}, cert.outcome, minimality=True)
-    assert form.case == 4 and form.minimal
-
-
-def test_classify_rejects_contradiction(spec_a):
-    cert = ladder(mk_ext(spec_a, 2))
-    with pytest.raises(InvalidSpecError):
-        classify_toroidal_form({}, cert.outcome, minimality=True)
+    form = classify_toroidal_form(mk_ext(spec_a, 5, one_plus_x()))
+    assert form.case == 4 and form.minimal is True
+    # pbar_1 = 1: betabar_0 = 2 * betabar_1, so {H_l} is not minimal
+    form = classify_toroidal_form(mk_ext(make_spec(QQ, [(1, 2), (3, 2)]), 3))
+    assert form.case == 4 and form.minimal is False
+    assert form.notes == "minimal iff pbar_1 != 1"

@@ -27,11 +27,12 @@ value and its initial form in the graded algebra of the valuation
 sequence, and the engine expands each closing factor once, when it is
 made.  Values of monomials in the factors add up, and their initial
 forms multiply, so a closing takes its residue c from the initial forms
-(:func:`jumpseq.engine.graded_residue`) and forms P and Q only to build
-the new factor, with the form operations of :mod:`jumpseq.poly`, which
-alone reads an integer form: the powers of u and v are one exponent
-shift, and only the closing factors are raised and multiplied.  The new
-second value is value(N) - value(Q).
+(:func:`jumpseq.engine.graded_residue`) and forms the new factor
+N = P - c*Q as one two-term :func:`jumpseq.poly._fold`, keyed by the
+positive and the negative part of the exponent vector of V/U, with the
+closing factors as its bases: the powers of u and v are exponents only,
+and only the closing factors are raised and multiplied.  The new second
+value is value(N) - value(Q).
 
 A strict transform is pulled back along the chart's steps.  Each maximal
 run of A and B steps is one unimodular exponent map,
@@ -56,11 +57,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import InsufficientDepthError
-from .euclid import euclid_data
 from .engine import IndependentData, JumpingSequence, graded_residue, initial_form, value
 from .fields import GroundField
-from .poly import (BivarPoly, _at_origin, _iadd, _iscale, _map, _product, _ratio, _shift, _strip,
-                   _translate, _wrap)
+from .poly import BivarPoly, _at_origin, _fold, _map, _ratio, _strip, _translate, _wrap
 
 
 class Factor:
@@ -115,9 +114,8 @@ class Chart:
     factors are u, v and one new factor per closing, and every chart of a
     chain shares their :class:`Factor` objects.  The first current parameter is the exceptional one at every
     free ring.  ``values`` are the values of the two parameters, the
-    second None beyond the spec depth.  ``chunk_pos`` counts steps inside
-    the current Euclidean chunk and ``chunk_pq`` is the value ratio that
-    chunk traverses.
+    second None beyond the spec depth.  Whether the chart is free is read
+    off its step word (:attr:`free`), so a chart keeps no chunk counter.
     """
 
     js: JumpingSequence = dataclass_field(repr=False, compare=False)
@@ -125,8 +123,6 @@ class Chart:
     params: Tuple[Tuple[int, ...], Tuple[int, ...]]
     values: Tuple[Fraction, Optional[Fraction]]
     step_index: int
-    chunk_pos: int
-    chunk_pq: Optional[Tuple[int, int]]
     step: Optional[tuple] = None
     previous: Optional["Chart"] = dataclass_field(default=None, repr=False, compare=False)
 
@@ -136,8 +132,16 @@ class Chart:
 
     @property
     def free(self) -> bool:
-        """Free at a chunk's start and steps 1 .. f_1 (it closes at epsilon)."""
-        return self.chunk_pos == 0 or self.chunk_pos <= euclid_data(*self.chunk_pq).f[0]
+        """Free at a chunk's start and at its steps 1 .. f_1, with f_1 the
+        first Euclidean quotient of the chunk's value ratio.  Those are the
+        A steps the chunk opens with, and a chunk starts at the initial
+        chart or after a closing, so the chart is free exactly when the
+        walk back over its trailing A steps reaches a C step or the
+        initial chart."""
+        chart = self
+        while chart.step is not None and chart.step[0] == "A":
+            chart = chart.previous
+        return chart.step is None or chart.step[0] == "C"
 
     @property
     def steps(self) -> list:
@@ -185,9 +189,7 @@ def initial_chart(js: JumpingSequence) -> Chart:
     e = [tuple(int(k == j) for k in range(js.depth + 2)) for j in (0, 1)]
     forms = ((js.beta[0], one, e[0]), (js.beta[1], one, e[1]) if js.depth else None)
     factors = tuple(Factor(T, form) for T, form in zip(js.T, forms))
-    vU, vV = (f.value for f in factors)
-    pq = None if vV is None else (vV / vU).as_integer_ratio()
-    return Chart(js, factors, ((1, 0), (0, 1)), (vU, vV), 0, 0, pq)
+    return Chart(js, factors, ((1, 0), (0, 1)), tuple(f.value for f in factors), 0)
 
 
 def single_quadratic_transform(chart: Chart) -> Chart:
@@ -207,7 +209,6 @@ def single_quadratic_transform(chart: Chart) -> Chart:
     eU, eV = chart.params
     js = chart.js
     index = chart.step_index + 1
-    pos = chart.chunk_pos + 1
 
     if vU != vV:
         if vU < vV:  # new parameters (U, V/U)
@@ -218,31 +219,28 @@ def single_quadratic_transform(chart: Chart) -> Chart:
             step = ("B", None)
             params = (tuple(a - b for a, b in zip(eU, eV)), eV)
             values = (vU - vV, vV)
-        return Chart(js, chart.factors, params, values, index, pos, chart.chunk_pq,
-                     step, chart)
+        return Chart(js, chart.factors, params, values, index, step, chart)
 
     # equal values: the chunk closes with a residue translation, at step
-    # epsilon(chunk_pq) by construction (subtractive Euclid on the values)
+    # epsilon(p, q) of its value ratio p/q by construction (subtractive
+    # Euclid on the values)
     ratio = tuple(b - a for a, b in zip(eU, eV))  # V/U = P/Q
     _, coeff, exps = monomial_form(chart, ratio)
     c = graded_residue(coeff, exps, js)
     p = js.field.characteristic
-    forms = [f.poly.form for f in chart.factors]
-    P = _shift(_product(forms, ratio, p), max(ratio[0], 0), max(ratio[1], 0))
-    Q = _shift(_product(forms, [-n for n in ratio], p), max(-ratio[0], 0), max(-ratio[1], 0))
-    N = _wrap(js.field, _iadd(P, _iscale(Q, *_ratio(-c, p), p), p), js.T[0].vars)
+    n, d = _ratio(-c, p)
+    P = tuple(max(e, 0) for e in ratio)
+    Q = tuple(max(-e, 0) for e in ratio)
+    N = _wrap(js.field, _fold([(P, d), (Q, n)], d, [f.poly.form for f in chart.factors[2:]], p),
+              js.T[0].vars)
     try:
         new = Factor(N, initial_form(N, js))
     except InsufficientDepthError:  # the value needs the pair beyond the spec depth
         new = Factor(N, None)
     den = tuple(min(n, 0) for n in ratio)  # 1/Q
-    if new.value is None:
-        vY = new_pq = None
-    else:
-        vY = new.value + monomial_form(chart, den)[0]
-        new_pq = (vY / vU).as_integer_ratio()
-    return Chart(js, chart.factors + (new,), (eU + (0,), den + (1,)), (vU, vY), index, 0,
-                 new_pq, ("C", c), chart)
+    vY = None if new.value is None else new.value + monomial_form(chart, den)[0]
+    return Chart(js, chart.factors + (new,), (eU + (0,), den + (1,)), (vU, vY), index,
+                 ("C", c), chart)
 
 
 def _runs(steps):

@@ -10,6 +10,19 @@ list of plain ints as one ``join``, a library object as its
 ``to_json()``, anything else a ``TypeError``.
 Exit codes: 0 success, 2 ladder contradiction, 3 insufficient depth, 64
 usage errors.
+
+Each subcommand is declared once, as one entry of the command table
+:data:`_COMMANDS`: its name, its handler, its input kind, its help and
+its own arguments.  :func:`_build_parser` makes the parser from the
+table, adding ``--format``, ``--out`` and ``--seed`` to every
+subcommand after its own arguments.  An input kind has one loader
+(:data:`_LOADERS`): a spec file becomes its built
+:class:`~jumpseq.engine.JumpingSequence`, an extension file a
+:class:`~jumpseq.extension.MonomialExtension`, and ``euclid`` reads no
+file.  A handler takes ``(loaded input, args)`` and returns
+``(report, exit code)``; it writes nothing.  :func:`main` loads the
+input, calls the handler and emits its report (:func:`_emit`), the one
+place a report is written, and maps the library's errors to exit codes.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ from fractions import Fraction
 
 from .blowup import initial_chart, monoidal_sequence, single_quadratic_transform
 from .engine import (
+    JumpingSequence,
     ValuationSpec,
     build_jumping_sequence,
     expand,
@@ -137,70 +151,62 @@ def _load_json(path):
             raise _InputError(e) from None
 
 
-def _load_spec(path) -> ValuationSpec:
-    return ValuationSpec.from_json(_load_json(path))
+def _load_sequence(path) -> JumpingSequence:
+    return build_jumping_sequence(ValuationSpec.from_json(_load_json(path)))
+
+
+def _load_extension(path) -> MonomialExtension:
+    return MonomialExtension.from_json(_load_json(path))
+
+
+#: The loader of each input kind, keyed by the name of its positional file.
+_LOADERS = {"spec": _load_sequence, "ext": _load_extension}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes its loaded input and the parsed arguments and
+# returns (report, exit code)
 # ---------------------------------------------------------------------------
 
 
-def cmd_genseq(args):
-    spec = _load_spec(args.spec)
-    js = build_jumping_sequence(spec)
-    ind = extract_independent(js)
-    _emit({"sequence": js.to_json(), "independent": ind.to_json()}, args)
-    return EXIT_OK
+def cmd_genseq(js, args):
+    return {"sequence": js.to_json(), "independent": extract_independent(js).to_json()}, EXIT_OK
 
 
-def _load_nonzero_poly(args, spec) -> BivarPoly:
-    f = BivarPoly.from_json(spec.field, _load_json(args.poly))
+def _load_nonzero_poly(args, js) -> BivarPoly:
+    f = BivarPoly.from_json(js.field, _load_json(args.poly))
     if f.is_zero():
         raise UsageError("%s: the zero polynomial has no value or expansion" % args.command)
     return f
 
 
-def cmd_eval(args):
-    spec = _load_spec(args.spec)
-    js = build_jumping_sequence(spec)
-    v = value(_load_nonzero_poly(args, spec), js)
-    _emit({"value": v}, args)
-    return EXIT_OK
+def cmd_eval(js, args):
+    return {"value": value(_load_nonzero_poly(args, js), js)}, EXIT_OK
 
 
-def cmd_expand(args):
-    spec = _load_spec(args.spec)
-    js = build_jumping_sequence(spec)
-    _emit(expand(_load_nonzero_poly(args, spec), js), args)
-    return EXIT_OK
+def cmd_expand(js, args):
+    return expand(_load_nonzero_poly(args, js), js), EXIT_OK
 
 
-def cmd_euclid(args):
+def cmd_euclid(_, args):
     try:
         ed = euclid_data(args.p, args.q)
         a, b = bezout(args.p, args.q)
     except ValueError as e:  # p, q not positive or not coprime
         raise UsageError(str(e)) from None
-    _emit({"N": ed.N, "f": ed.f, "epsilon": ed.epsilon, "bezout": [a, b]}, args)
-    return EXIT_OK
+    return {"N": ed.N, "f": ed.f, "epsilon": ed.epsilon, "bezout": [a, b]}, EXIT_OK
 
 
-def cmd_blowup(args):
-    spec = _load_spec(args.spec)
-    js = build_jumping_sequence(spec)
+def cmd_blowup(js, args):
     chart = initial_chart(js)
     charts = [chart]
     for _ in range(args.steps):
         chart = single_quadratic_transform(chart)
         charts.append(chart)
-    _emit({"charts": charts, "factors": [f.poly for f in chart.factors]}, args)
-    return EXIT_OK
+    return {"charts": charts, "factors": [f.poly for f in chart.factors]}, EXIT_OK
 
 
-def cmd_monoidal(args):
-    spec = _load_spec(args.spec)
-    js = build_jumping_sequence(spec)
+def cmd_monoidal(js, args):
     ind = extract_independent(js)
     if ind.levels == 0:
         raise UsageError("monoidal needs an independent index (some q_i > 1); the spec has none")
@@ -209,55 +215,41 @@ def cmd_monoidal(args):
         raise UsageError("--depth %d: the spec provides independent levels 1 to %d"
                          % (depth, ind.levels))
     report = monoidal_sequence(js, ind, depth)
-    _emit({"levels": report, "factors": [f.poly for f in report[-1]["chart"].factors],
-           "pass": all(r["pass"] for r in report)}, args)
-    return EXIT_OK
+    return {"levels": report, "factors": [f.poly for f in report[-1]["chart"].factors],
+            "pass": all(r["pass"] for r in report)}, EXIT_OK
 
 
-def cmd_dual(args):
-    ext = MonomialExtension.from_json(_load_json(args.ext))
-    duals = build_dual_sequences(ext, k=args.depth)
-    _emit(duals, args)
-    return EXIT_OK
+def cmd_dual(ext, args):
+    return build_dual_sequences(ext, k=args.depth), EXIT_OK
 
 
-def cmd_ladder(args):
-    ext = MonomialExtension.from_json(_load_json(args.ext))
+def cmd_ladder(ext, args):
     cert = ladder(ext, depth=args.depth)
-    _emit(cert, args)
-    if cert.outcome.get("kind") == "contradiction":
-        return EXIT_CONTRADICTION
-    return EXIT_OK
+    return cert, EXIT_CONTRADICTION if cert.outcome.get("kind") == "contradiction" else EXIT_OK
 
 
-def cmd_verify(args):
-    js = build_jumping_sequence(_load_spec(args.spec))
+def cmd_verify(js, args):
     report = verify_generating_sequence(js, args.gamma_max, args.deg_bound,
                                         samples=args.samples, seed=args.seed)
-    _emit({"checks": report, "minimality": verify_minimality(extract_independent(js)),
-           "pass": all(r["pass"] is not False for r in report),
-           "uncertified": sum(r["pass"] is None for r in report)}, args)
-    return EXIT_OK
+    return {"checks": report, "minimality": verify_minimality(extract_independent(js)),
+            "pass": all(r["pass"] is not False for r in report),
+            "uncertified": sum(r["pass"] is None for r in report)}, EXIT_OK
 
 
-def cmd_classify(args):
-    ext = MonomialExtension.from_json(_load_json(args.ext))
+def cmd_classify(ext, args):
     if ext.base_spec.mode == "discrete":
-        report = {"form": classify_toroidal_form(ext), "discrete_branch": discrete_branch_report(ext)}
-    else:
-        if extract_independent(ext.down).levels == 0:
-            raise UsageError("classify needs an independent index (some q_i > 1); the spec has none")
-        cert = ladder(ext)
-        if cert.outcome.get("kind") == "contradiction":
-            _emit({"outcome": cert.outcome}, args)
-            return EXIT_CONTRADICTION
-        report = {"form": classify_toroidal_form(ext), "ladder": cert}
-    _emit(report, args)
-    return EXIT_OK
+        return {"form": classify_toroidal_form(ext),
+                "discrete_branch": discrete_branch_report(ext)}, EXIT_OK
+    if extract_independent(ext.down).levels == 0:
+        raise UsageError("classify needs an independent index (some q_i > 1); the spec has none")
+    cert = ladder(ext)
+    if cert.outcome.get("kind") == "contradiction":
+        return {"outcome": cert.outcome}, EXIT_CONTRADICTION
+    return {"form": classify_toroidal_form(ext), "ladder": cert}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the command table, argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -275,6 +267,36 @@ def _fraction(s: str) -> Fraction:
         raise argparse.ArgumentTypeError("%r is not a rational number" % s) from None
 
 
+_DEPTH = ("--depth", {"type": int, "default": None})
+
+#: One entry per subcommand, in the order of ``--help``: its name, its
+#: handler, its input kind (a key of :data:`_LOADERS`, which is also the
+#: name of its positional file, or None), its help and its own arguments
+#: as (name, keyword arguments of ``add_argument``).
+_COMMANDS = (
+    ("genseq", cmd_genseq, "spec", "build a jumping-polynomial sequence", ()),
+    ("eval", cmd_eval, "spec", "value of a polynomial", (("poly", {}),)),
+    ("expand", cmd_expand, "spec", "standard-form expansion of a polynomial", (("poly", {}),)),
+    ("euclid", cmd_euclid, None, "Euclidean chain data and Bezout pair",
+     (("p", {"type": int}), ("q", {"type": int}))),
+    ("blowup", cmd_blowup, "spec", "iterate single quadratic transforms",
+     (("--steps", {"type": _nonnegative_int, "default": 1}),)),
+    ("monoidal", cmd_monoidal, "spec", "chunk-boundary monomial certificates", (_DEPTH,)),
+    ("dual", cmd_dual, "ext", "dual jumping sequences of an extension", (_DEPTH,)),
+    ("ladder", cmd_ladder, "ext", "stable-form ladder certificate", (_DEPTH,)),
+    ("verify", cmd_verify, "spec", "generating-sequence verification battery",
+     (("--gamma-max", {"type": _fraction, "default": "5"}),
+      ("--deg-bound", {"type": _nonnegative_int, "default": 8}),
+      ("--samples", {"type": _nonnegative_int, "default": 0}))),
+    ("classify", cmd_classify, "ext", "toroidal-form classification", ()),
+)
+
+#: The options every subcommand takes after its own.
+_COMMON = (("--format", {"choices": ["json", "text"], "default": "json"}),
+           ("--out", {"default": None, "help": "write the report to a file"}),
+           ("--seed", {"type": int, "default": 0}))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -283,72 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "construction, blow-up simulation, certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("genseq", help="build a jumping-polynomial sequence")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_genseq)
-
-    p = sub.add_parser("eval", help="value of a polynomial")
-    p.add_argument("spec")
-    p.add_argument("poly")
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("expand", help="standard-form expansion of a polynomial")
-    p.add_argument("spec")
-    p.add_argument("poly")
-    common(p)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("euclid", help="Euclidean chain data and Bezout pair")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    common(p)
-    p.set_defaults(func=cmd_euclid)
-
-    p = sub.add_parser("blowup", help="iterate single quadratic transforms")
-    p.add_argument("spec")
-    p.add_argument("--steps", type=_nonnegative_int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_blowup)
-
-    p = sub.add_parser("monoidal", help="chunk-boundary monomial certificates")
-    p.add_argument("spec")
-    p.add_argument("--depth", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_monoidal)
-
-    p = sub.add_parser("dual", help="dual jumping sequences of an extension")
-    p.add_argument("ext")
-    p.add_argument("--depth", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("ladder", help="stable-form ladder certificate")
-    p.add_argument("ext")
-    p.add_argument("--depth", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_ladder)
-
-    p = sub.add_parser("verify", help="generating-sequence verification battery")
-    p.add_argument("spec")
-    p.add_argument("--gamma-max", type=_fraction, default="5")
-    p.add_argument("--deg-bound", type=_nonnegative_int, default=8)
-    p.add_argument("--samples", type=_nonnegative_int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify", help="toroidal-form classification")
-    p.add_argument("ext")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
+    for name, handler, kind, summary, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for arg, kwargs in (((kind, {}),) if kind else ()) + arguments + _COMMON:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(handler=handler, input=kind)
     return parser
 
 
@@ -358,7 +319,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
-        return args.func(args)
+        data = _LOADERS[args.input](getattr(args, args.input)) if args.input else None
+        report, code = args.handler(data, args)
+        _emit(report, args)
+        return code
     except InsufficientDepthError as e:
         sys.stdout.write(_dumps({"error": "insufficient-depth", "message": str(e),
                                  "extra_depth": e.extra_depth}) + "\n")

@@ -25,10 +25,10 @@ one table of reachable numerators with a back-pointer each
 
 Polynomials are computed on integer forms (see :mod:`jumpseq.poly`).
 :func:`build_jumping_sequence` forms each T_{i+1} from the forms of the
-T_j, with lambda_i * delta_i scaled once and the factors u^{n_{i,0}} and
-v^{n_{i,1}} applied as one exponent shift, and wraps each form as a
-polynomial; the value relation behind each n_i is solved on integer
-numerators (:func:`exponent_solve`).  A sequence turns T_2 .. T_M into
+T_j, as T_i^{q_i} plus a tail that is one :func:`jumpseq.poly._fold`
+(the power-product evaluation the round trip below also runs), and
+wraps each form as a polynomial; the value relation behind each n_i is
+solved on integer numerators (:func:`exponent_solve`).  A sequence turns T_2 .. T_M into
 divisor rows at its first expansion (:attr:`JumpingSequence.T_rows`).
 This module hands forms to the form operations of :mod:`jumpseq.poly`
 and takes none apart itself.  :func:`expand` is
@@ -63,8 +63,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
 from .fields import GroundField
-from .poly import (BivarPoly, _ONE, _fold, _iadd, _imul, _ipow, _iscale, _numerators, _product,
-                   _ratio, _shift, _unfold, _v_rows, _wrap)
+from .poly import BivarPoly, _fold, _iadd, _ipow, _numerators, _ratio, _unfold, _v_rows, _wrap
 
 _swap = itemgetter(1, 0)  # a term (coefficient, exponents) as (exponents, coefficient)
 
@@ -284,14 +283,14 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
     """The jumping sequence of ``spec`` in the variables ``vars``.
 
     The tower is computed on integer forms (see :mod:`jumpseq.poly`).  At
-    level i, with n_i = exponent_solve(i, ...), the product
-    prod_{j >= 2} T_j^{n_{i,j}} is formed by :func:`jumpseq.poly._product`,
-    then T_i^{q_i}; -lambda_i * delta_i is scaled once and shifted by
-    u^{n_{i,0}} * v^{n_{i,1}} (:func:`jumpseq.poly._shift`), multiplied by
-    the product only when some n_{i,j} with j >= 2 is positive, and
-    T_{i+1} is one :func:`jumpseq.poly._iadd`.  Every product,
-    power and sum is checked against ``TERM_LIMIT`` in the order the
-    polynomial arithmetic checks it, and a monomial factor cannot raise.
+    level i, with n_i = exponent_solve(i, ...), T_i^{q_i} is formed first.
+    The tail -lambda_i * delta_i * u^{n_{i,0}} v^{n_{i,1}} *
+    prod_{2 <= j < i} T_j^{n_{i,j}} is one :func:`jumpseq.poly._fold` of
+    the single term -lambda_i * u^{n_{i,0}} v^{n_{i,1}} with the bases
+    delta_i (exponent 1) and T_2 .. T_{i-1}, and T_{i+1} is one
+    :func:`jumpseq.poly._iadd`.  Every power, product and sum is checked
+    against ``TERM_LIMIT`` in the order the polynomial arithmetic
+    T_i**q_i - lambda_i*delta_i*u**n_0*v**n_1*T_2**n_2*... checks it.
     Each T_i is its integer form, wrapped as a polynomial without a
     conversion (:func:`jumpseq.poly._wrap`).  The T_i need not be monic
     in the second variable here; the first expansion checks that
@@ -319,12 +318,10 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
     for i in range(1, d + 1):
         row = exponent_solve(i, beta, q, Q)
         n_rows.append(row)
-        prod = _product(forms, row, char)
         power = _ipow(forms[i], q[i], char)
-        tail = _iscale(spec.units[i - 1].form, *_ratio(-fld(spec.lambdas[i - 1]), char), char)
-        tail = _shift(tail, row[0], row[1] if i > 1 else 0)
-        if prod is not _ONE:
-            tail = _imul(prod, tail, char)
+        n, den = _ratio(-fld(spec.lambdas[i - 1]), char)
+        key = (row[0], row[1] if i > 1 else 0, 1) + row[2:]  # u, v, delta_i, T_2 .. T_{i-1}
+        tail = _fold([(key, n)], den, [spec.units[i - 1].form, *forms[2:i]], char)
         forms.append(_iadd(power, tail, char))
 
     T = tuple(_wrap(fld, x, tuple(vars)) for x in forms)

@@ -36,11 +36,6 @@ def euclid_data(p: int, q: int) -> EuclidData:
     return EuclidData(p=p, q=q, N=len(f), f=f, epsilon=sum(f))
 
 
-def epsilon(p: int, q: int) -> int:
-    """Shorthand for euclid_data(p, q).epsilon."""
-    return euclid_data(p, q).epsilon
-
-
 def bezout(p: int, q: int):
     """The unique (a, b) with a*q - b*p = 1, a <= p and b < q."""
     if gcd(p, q) != 1:

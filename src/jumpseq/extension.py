@@ -43,7 +43,7 @@ from .engine import (
     verify_minimality,
 )
 from .errors import InvalidSpecError
-from .euclid import epsilon
+from .euclid import euclid_data
 from .fields import GroundField
 from .poly import BivarPoly
 
@@ -345,10 +345,10 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
             # advance both chains through chunk i; the upstairs chain may
             # traverse it in several short permissible sub-chunks, but the
             # ring sequence (one blow-up per step) is intrinsic
-            target_R = chart_R.step_index + epsilon(down.p(i), down.q(i))
+            target_R = chart_R.step_index + euclid_data(down.p(i), down.q(i)).epsilon
             while chart_R.step_index < target_R:
                 chart_R = single_quadratic_transform(chart_R)
-            target_S = chart_S.step_index + epsilon(up.p(i), up.q(i))
+            target_S = chart_S.step_index + euclid_data(up.p(i), up.q(i)).epsilon
             while chart_S.step_index < target_S:
                 chart_S = single_quadratic_transform(chart_S)
         rec = {"i": i, "t": t,

@@ -23,15 +23,15 @@ read-only view made at its first read, for rendering and outside callers.
 This module alone reads an integer form; the tower, the expansion and the
 blow-up chain hand forms to its form operations and take none apart:
 :func:`_shift` (times u^a v^b), :func:`_map` (a unimodular monomial map),
-:func:`_strip` (remove the largest monomial factor), :func:`_product` (a
-power product), :func:`_translate` (a closing step, x(u, u*(v + c))),
-:func:`_at_origin` (constant term and order on u = 0), :func:`_element`
-(a coefficient), :func:`_numerators` (coefficients over one
-denominator), :func:`_unfold` (the terms of a T-adic expansion) and
-:func:`_fold` (its inverse: a sum of coefficients times powers of given
-forms, by Horner).  :func:`_fold` is the one Horner evaluation:
-:meth:`BivarPoly.subs` and the round trip of :mod:`jumpseq.engine` both
-run it.
+:func:`_strip` (remove the largest monomial factor), :func:`_translate`
+(a closing step, x(u, u*(v + c))), :func:`_at_origin` (constant term and
+order on u = 0), :func:`_element` (a coefficient), :func:`_numerators`
+(coefficients over one denominator), :func:`_unfold` (the terms of a
+T-adic expansion) and :func:`_fold` (its inverse: a sum of coefficients
+times u^a v^b and powers of given forms, by Horner).  :func:`_fold` is
+the one power-product evaluation: :meth:`BivarPoly.subs`, the round trip
+of :mod:`jumpseq.engine`, the tail of each tower element T_{i+1} and the
+closing factors N = P - c*Q of :mod:`jumpseq.blowup` all run it.
 
 Division by a divisor monic in the second variable has one
 implementation, :func:`_idivisions_v`: it scatters the dividend into
@@ -439,18 +439,6 @@ def _at_origin(x, p):
     return _element(terms.get((0, 0), 0), den, p), min(j for i, j in terms if i == 0)
 
 
-def _product(forms, exps, p):
-    """prod_k forms[k]^exps[k] over k >= 2 with exps[k] > 0, in order, or
-    :data:`_ONE` when there is none; ``forms[0]`` and ``forms[1]`` are u and
-    v, whose powers the caller applies as one :func:`_shift`."""
-    out = _ONE
-    for x, n in zip(forms[2:], exps[2:]):
-        if n > 0:
-            pw = _ipow(x, n, p)
-            out = pw if out is _ONE else _imul(out, pw, p)
-    return out
-
-
 def _binomial_row(b, n, d, top, p):
     """The multipliers ``{k: m}`` of v^k in (v + n/d)^b over d^top, zeros
     kept.  Over Q, m = comb(b, k) * n^(b-k) * d^(top-b+k).  Over F_p
@@ -604,7 +592,10 @@ def _fold(terms, den, bases, p):
     (level, digit) costs at most one product; each gap over 1 is raised
     to once per level (:func:`_ipow`), however many rows skip it.  Every
     power, product and sum is checked by :func:`_reduce`.  This is the
-    inverse of :func:`_unfold` and the body of :meth:`BivarPoly.subs`.
+    inverse of :func:`_unfold` and the body of :meth:`BivarPoly.subs`,
+    and it builds each tower tail of :mod:`jumpseq.engine` and each
+    closing factor of :mod:`jumpseq.blowup` from the powers of their
+    bases.
     """
     digits = {}
     for key, n in terms:

@@ -20,7 +20,7 @@ import pytest
 
 from jumpseq.engine import ValuationSpec, build_jumping_sequence, extract_independent, value
 from jumpseq.errors import InsufficientDepthError
-from jumpseq.euclid import bezout, epsilon
+from jumpseq.euclid import bezout, euclid_data
 from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import BivarPoly, RatExpr
 
@@ -204,8 +204,9 @@ def chunk_transform(p: int, q: int, c, chart) -> ChunkResult:
     """
     if gcd(p, q) != 1:
         raise ValueError("chunk_transform requires coprime (p, q)")
-    if chart.chunk_pq != (p, q):
-        raise ValueError("chart value ratio is %s, expected (%d, %d)" % (chart.chunk_pq, p, q))
+    vU, vV = chart.values
+    if vV is None or (vV / vU).as_integer_ratio() != (p, q):
+        raise ValueError("chart values are %s, expected the ratio %d/%d" % (chart.values, p, q))
     fld = chart.field
     a, b = bezout(p, q)
     fu, fv = chart_forward(chart)
@@ -222,4 +223,4 @@ def chunk_transform(p: int, q: int, c, chart) -> ChunkResult:
     except InsufficientDepthError:
         vY = None
     return ChunkResult(new_forward, (new_u, new_v), (chart.values[0] / q, vY),
-                       chart.step_index + epsilon(p, q), a, b, fld(c))
+                       chart.step_index + euclid_data(p, q).epsilon, a, b, fld(c))

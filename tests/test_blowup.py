@@ -39,7 +39,7 @@ def test_initial_chart(js_a):
     ch = initial_chart(js_a)
     assert ch.step_index == 0 and ch.free
     assert ch.values == (Fraction(1), Fraction(3, 2))
-    assert ch.chunk_pq == (3, 2)
+    assert ch.steps == []  # the first chunk traverses the ratio 3/2
 
 
 def with_units(spec, lambdas):
@@ -97,9 +97,9 @@ def test_single_steps_spec_a(js_a):
     assert not ch.free  # interior of the chunk
     ch = single_quadratic_transform(ch)
     # the chunk closes: residue 1, new ratio 5/3
-    assert ch.free and ch.chunk_pos == 0
+    assert ch.free  # a closing starts the next chunk
     assert ch.values == (Fraction(1, 2), Fraction(5, 6))
-    assert ch.chunk_pq == (5, 3)
+    assert ch.values[1] / ch.values[0] == Fraction(5, 3)
     assert ch.step == ("C", QQ(1))
     assert ch.steps == [("A", None), ("B", None), ("C", QQ(1))]
 
@@ -150,7 +150,7 @@ def test_last_chunk_value_unknown(js_a):
     for _ in range(7):  # epsilon(3,2) + epsilon(5,3)
         ch = single_quadratic_transform(ch)
     assert ch.values[0] == Fraction(1, 6)
-    assert ch.values[1] is None and ch.chunk_pq is None
+    assert ch.values[1] is None and ch.free and ch.steps[-1][0] == "C"
     with pytest.raises(InsufficientDepthError):
         single_quadratic_transform(ch)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from jumpseq.cli import main
+from jumpseq.cli import _build_parser, main
 from jumpseq.fields import GroundField
 from jumpseq.poly import BivarPoly, RatExpr
 
@@ -650,3 +651,52 @@ def test_classify_builds_the_downstairs_sequence_once(capsys, tmp_path, monkeypa
     code, out, _ = run(capsys, "classify", write_ext(tmp_path, 5, SPEC_A))
     assert code == 0 and json.loads(out)["form"]["minimal"] is True
     assert len(calls) == 2
+
+
+#: The command-line surface: per subcommand, in order, its help string and
+#: each action's (option strings, dest, type, default, choices, help); every
+#: subcommand ends in the three common options.
+_HELP_ACTION = ((("-h", "--help"), "help", None, "==SUPPRESS==", None,
+                 "show this help message and exit"),)
+_COMMON_OPTIONS = ((("--format",), "format", None, "json", ("json", "text"), None),
+                   (("--out",), "out", None, None, None, "write the report to a file"),
+                   (("--seed",), "seed", "int", 0, None, None))
+_SPEC = (((), "spec", None, None, None, None),)
+_EXT = (((), "ext", None, None, None, None),)
+_POLY = (((), "poly", None, None, None, None),)
+_DEPTH = ((("--depth",), "depth", "int", None, None, None),)
+CLI_SURFACE = [
+    ("genseq", "build a jumping-polynomial sequence", _SPEC),
+    ("eval", "value of a polynomial", _SPEC + _POLY),
+    ("expand", "standard-form expansion of a polynomial", _SPEC + _POLY),
+    ("euclid", "Euclidean chain data and Bezout pair",
+     (((), "p", "int", None, None, None), ((), "q", "int", None, None, None))),
+    ("blowup", "iterate single quadratic transforms",
+     _SPEC + ((("--steps",), "steps", "_nonnegative_int", 1, None, None),)),
+    ("monoidal", "chunk-boundary monomial certificates", _SPEC + _DEPTH),
+    ("dual", "dual jumping sequences of an extension", _EXT + _DEPTH),
+    ("ladder", "stable-form ladder certificate", _EXT + _DEPTH),
+    ("verify", "generating-sequence verification battery",
+     _SPEC + ((("--gamma-max",), "gamma_max", "_fraction", "5", None, None),
+              (("--deg-bound",), "deg_bound", "_nonnegative_int", 8, None, None),
+              (("--samples",), "samples", "_nonnegative_int", 0, None, None))),
+    ("classify", "toroidal-form classification", _EXT),
+]
+
+
+def test_cli_surface_is_pinned():
+    """The parser offers the same subcommands, in the same order, each with
+    the same help and the same arguments, read off ``_build_parser()``
+    rather than off ``--help`` text, which varies with the terminal width
+    and the Python version."""
+    parser = _build_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.dest == "command" and sub.required
+    found = []
+    for choice in sub._choices_actions:
+        actions = tuple((tuple(a.option_strings), a.dest, getattr(a.type, "__name__", a.type),
+                         a.default, tuple(a.choices) if a.choices else None, a.help)
+                        for a in sub.choices[choice.dest]._actions)
+        found.append((choice.dest, choice.help, actions))
+    assert found == [(name, help, _HELP_ACTION + args + _COMMON_OPTIONS)
+                     for name, help, args in CLI_SURFACE]

@@ -18,7 +18,7 @@ from jumpseq.extension import (
     ladder,
 )
 from jumpseq.fields import QQ, prime_field
-from jumpseq.euclid import epsilon
+from jumpseq.euclid import euclid_data
 from jumpseq.engine import residue
 from jumpseq.poly import BivarPoly, RatExpr, exact_divide
 
@@ -342,7 +342,7 @@ def test_ladder_rungs_match_expanded_forward(seed, fld, t):
     spec = random_spec(random.Random(seed), fld)
     assume(first_gcd_failure(t, spec.pairs) is None)
     ratios = [Fraction(t * p, q) for p, q in spec.pairs]
-    assume(sum(epsilon(r.numerator, r.denominator) for r in ratios) <= 20)
+    assume(sum(euclid_data(r.numerator, r.denominator).epsilon for r in ratios) <= 20)
     try:
         cert, rungs = rungs_with_charts(mk_ext(spec, t, one_plus_x(fld)))
     except ResourceLimitError:

@@ -18,7 +18,8 @@ polynomial kernel has one loop per ring operation, on integer forms, and
 polynomial is its integer form, and no computation reads the
 ``Fraction``/``Fp`` view of its terms, which is made for output.  Reports
 are encoded by ``cli._dumps``, never by the stdlib's pure-Python indent
-encoder.
+encoder, and ``scripts/code_lines.py`` counts no blank, comment or
+docstring line.
 """
 
 import ast
@@ -35,7 +36,8 @@ from jumpseq import blowup, cli, engine, extension
 from jumpseq.engine import build_jumping_sequence, extract_independent
 
 from conftest import make_spec
-import run_battery  # conftest puts scripts/ on the path
+import code_lines  # conftest puts scripts/ on the path
+import run_battery
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -421,3 +423,40 @@ def test_reports_skip_the_stdlib_indent_encoder(monkeypatch, tmp_path):
         for node in ast.walk(ast.parse(source, str(path))):
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dump", "dumps"):
                 assert "indent" not in {k.arg for k in node.keywords}, (path, node.lineno)
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment counts as code
+
+# a comment line
+
+
+class Box:
+    """A class docstring."""
+
+    size = (1,
+            2)
+
+    def area(self):
+        """A one-line function docstring."""
+        text = """a string that is
+        not a docstring"""
+        return os.sep + text  # counted
+'''
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    """``scripts/code_lines.py`` counts the non-blank lines outside
+    comments and docstrings: on the fixture the import, the class line,
+    both lines of the tuple, the def, both lines of the plain string and
+    the return."""
+    assert code_lines.code_lines(CODE_LINES_FIXTURE) == 8
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert code_lines.main([str(tmp_path)]) == 0
+    assert out.getvalue().split("\n") == ["    1 b.py", "    8 pkg/a.py", "    9 total", ""]

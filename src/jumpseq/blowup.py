@@ -43,8 +43,10 @@ commutes with monomial maps, so f(forward) = X^e_X Y^e_Y U g with g
 divisible by neither coordinate and U a product of pulled-back factors
 (Y + c)^e, a unit.  A run maps (e_X, e_Y) as it maps exponents, and C(c)
 maps it to (e_X + e_Y, 0) while U(0, 0) gains the factor c^e_Y (a
-residue is never zero).  The strict transform f(forward) / X^e_X is a
-local unit exactly when e_Y = 0 and g(0, 0) is nonzero.  Its value is
+residue is never zero).  Once g(0, 0) is nonzero no later step changes
+it, so the walk stops transforming g there (:func:`pull_back`).  The
+strict transform f(forward) / X^e_X is a local unit exactly when
+e_Y = 0 and g(0, 0) is nonzero.  Its value is
 value(f) - e_X * value(X), with value(X) the chart's first value; the
 certificates transform only sequence elements T_j, whose value is
 beta_j.
@@ -268,6 +270,17 @@ def pull_back(f: BivarPoly, chart: Chart):
     substitution (:func:`jumpseq.poly._translate`), and the coordinate
     monomial is stripped after each (:func:`jumpseq.poly._strip`).
 
+    Once g(0, 0) != 0, g is a unit and stays one, and the walk stops
+    transforming it.  An exponent map is unimodular with entries >= 0, so
+    it sends the constant term to itself and every other monomial to one
+    that is not constant; a closing x(u, u*(v + c)) keeps the constant
+    term and sends every other u^a v^b to u^(a+b) (v + c)^b with a + b >=
+    1.  Either way the strip then removes nothing, g(0, 0) is unchanged
+    and the order of g(0, Y) stays 0, so the remaining steps only update
+    e_X, e_Y and the unit's constant.  This also spares those steps the
+    growth of g, and the :class:`jumpseq.errors.ResourceLimitError` it
+    could raise.
+
     Returns (e_X, e_Y, c, k) with f(forward) = X^e_X * Y^e_Y * U * g,
     where U is a polynomial unit, g is divisible by neither X nor Y,
     c = U(0, 0) * g(0, 0), nonzero exactly when g is a local unit, and k
@@ -283,13 +296,13 @@ def pull_back(f: BivarPoly, chart: Chart):
         if kind == "C":
             unit = unit * x ** e_y
             e_x, e_y = e_x + e_y, 0
-            g, a, b = _strip(_translate(g, x, p))
         else:
             (xa, xb), (ya, yb) = x
             e_x, e_y = xa * e_x + xb * e_y, ya * e_x + yb * e_y
-            g, a, b = _strip(_map(g, *x))
-        e_x += a
-        e_y += b
+        if (0, 0) not in g[0]:  # once g(0, 0) != 0 no step changes g(0, 0), a or b
+            g, a, b = _strip(_translate(g, x, p) if kind == "C" else _map(g, *x))
+            e_x += a
+            e_y += b
     g0, k = _at_origin(g, p)
     return e_x, e_y, unit * g0, k
 

@@ -32,13 +32,16 @@ solved on integer numerators (:func:`exponent_solve`).  A sequence turns T_2 .. 
 divisor rows at its first expansion (:attr:`JumpingSequence.T_rows`).
 This module hands forms to the form operations of :mod:`jumpseq.poly`
 and takes none apart itself.  :func:`expand` is
-:func:`jumpseq.poly._unfold` of the form of f: each level i >= 2 takes
-all the T_i-adic digits of its input in one row pass,
-:func:`jumpseq.poly._idivisions_v`, which checks every quotient and
-remainder against ``TERM_LIMIT``.  T_1 = v, so level 1 divides nothing:
-the v-adic digits of a level-2 digit are its own v-degree rows, and each
-of its terms is an output term.  A field element is made only for each
-output coefficient.  The round trip :meth:`TExpansion.resubstitute` is
+:func:`jumpseq.poly._unfold` of the form of f, scattered into v-degree
+rows once: each level i >= 2 takes all the T_i-adic digits of its rows
+in one pass, :func:`jumpseq.poly._idivisions_v`, which checks every
+quotient and remainder against ``TERM_LIMIT`` and hands each remainder
+back as rows, so each digit's rows go straight to the next level, and a
+digit below deg_v(T_i) skips level i with no division.  T_1 = v, so
+level 1 divides nothing: the v-adic digits of a level-2 digit are its
+own v-degree rows, and each of its entries is an output term.  A field
+element is made only for each output coefficient, and the expansion is
+made without re-checking its vectors.  The round trip :meth:`TExpansion.resubstitute` is
 the inverse, :func:`jumpseq.poly._fold` with bases T_2 .. T_M, the
 Horner evaluation :meth:`BivarPoly.subs` runs too: it gathers the terms
 into one u, v digit per T-suffix (a_2, ..., a_M) and folds the digits of
@@ -396,9 +399,12 @@ class TExpansion:
     only admit a strict lower bound since beta_M is beyond spec depth.
     Both are kept as integers over Q_N in :attr:`nums`, computed once per
     expansion.  An exponent vector whose length is not M + 1, or that has
-    a negative entry, raises ``ValueError`` when the expansion is built,
-    so neither :attr:`nums` nor :meth:`resubstitute` reads one as if
-    padded or cut, or values or folds a negative power.
+    a negative entry, raises ``ValueError`` when an expansion is built by
+    hand, so neither :attr:`nums` nor :meth:`resubstitute` reads one as
+    if padded or cut, or values or folds a negative power.
+    :func:`expand` builds its expansions from the v-degree rows of its
+    digits, whose vectors cannot fail these checks, through
+    :func:`_expansion`, which skips them.
     """
 
     js: JumpingSequence
@@ -457,23 +463,35 @@ class TExpansion:
 def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
     """The standard-form expansion of f in the T-monomials of ``js``.
 
-    Runs on the integer form of f, by :func:`jumpseq.poly._unfold`.
-    Level i >= 2 takes the T_i-adic digits of its input in one row pass
-    (:func:`jumpseq.poly._idivisions_v` by :attr:`JumpingSequence.T_rows`)
-    and hands each nonzero digit to level i - 1.  T_1 = v, so the v-adic
-    digits of a level-2 digit (at depth 0, of f itself) are its own
-    v-degree rows: each of its terms c * u^a * v^b is the output term
+    Runs on the integer form of f, by :func:`jumpseq.poly._unfold`, which
+    scatters it into v-degree rows once.  Level i >= 2 takes the T_i-adic
+    digits of its rows in one pass (:func:`jumpseq.poly._idivisions_v` by
+    :attr:`JumpingSequence.T_rows`) and hands each nonzero digit's rows to
+    level i - 1; rows below deg_v(T_i) skip level i undivided.  T_1 = v,
+    so the v-adic digits of a level-2 digit (at depth 0, of f itself) are
+    its own v-degree rows: each entry c * u^a * v^b is the output term
     (c, (a, b, a_2, ..., a_M)), and no level divides by v.  A level takes
     all its digits before it expands any, so ``TERM_LIMIT`` is checked in
     the order of the levels.  A field element is made only for each
-    output coefficient.
+    output coefficient, and the expansion is built without the vector
+    checks of the public constructor (:func:`_expansion`).
     """
     if f.is_zero():
         raise ValueError("cannot expand the zero polynomial")
     f._check_compat(js.T[0])
     terms = _unfold(f.form, js.T_rows, js.field.characteristic)
-    terms.sort(key=lambda t: t[1])
-    return TExpansion(js, tuple(terms))
+    terms.sort(key=itemgetter(1))
+    return _expansion(js, tuple(terms))
+
+
+def _expansion(js: JumpingSequence, terms) -> TExpansion:
+    """The expansion with ``terms`` as they are: the one constructor of
+    computed expansions, which, like :func:`jumpseq.poly._wrap`, checks
+    nothing, since every vector of :func:`jumpseq.poly._unfold` has M + 1
+    non-negative entries."""
+    exp = object.__new__(TExpansion)
+    exp.__dict__.update(js=js, terms=terms)
+    return exp
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,18 @@ of :mod:`jumpseq.engine`, the tail of each tower element T_{i+1} and the
 closing factors N = P - c*Q of :mod:`jumpseq.blowup` all run it.
 
 Division by a divisor monic in the second variable has one
-implementation, :func:`_idivisions_v`: it scatters the dividend into
-v-degree rows once and divides them in place again and again, each
-quotient kept as rows and divided next, so the remainders are the digits
-of the dividend in powers of the divisor.  It checks each quotient and
-then each remainder against :data:`TERM_LIMIT`; the rows it updates in
-place are not checked.  :func:`divmod_in_v` takes its first division;
-:func:`_unfold`, the T-adic expansion, takes all of them.
+implementation, :func:`_idivisions_v`: it takes the dividend as v-degree
+rows ``{b: {a: c}}`` of numerators over one denominator and divides them
+in place again and again, each quotient kept as rows and divided next,
+so the remainders are the digits of the dividend in powers of the
+divisor.  Each remainder is rows too, reduced mod p with its zeros
+dropped but never gathered into terms or brought to lowest terms.  It
+checks each quotient and then each remainder against
+:data:`TERM_LIMIT`; the rows it updates in place are not checked.
+:func:`divmod_in_v` takes its first division and normalises both
+results; :func:`_unfold`, the T-adic expansion, scatters its input into
+rows once (:func:`_scatter`) and hands each digit's rows straight to the
+next level, so an expansion stays in rows until its output terms.
 :func:`exact_divide` performs a division that the caller claims is exact
 and raises :class:`DivisibilityError` with the remainder otherwise; no
 certificate divides (see :mod:`jumpseq.blowup`).  Ring operations and
@@ -53,7 +58,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import DivisibilityError, InvalidSpecError, ResourceLimitError
@@ -304,7 +308,6 @@ class BivarPoly:
 
 _ONE = ({(0, 0): 1}, 1)
 _ZERO = ({}, 1)
-_second = itemgetter(1)
 
 
 def _wrap(field: GroundField, form, vars) -> BivarPoly:
@@ -491,8 +494,9 @@ def _v_rows(x):
     """The integer form ``x`` prepared as a divisor for :func:`_idivisions_v`.
 
     Returns ``(m, tail, den)``: ``m = deg_v(x)``, the rows of the
-    numerators of ``v^m - x`` as ``{b: [(a, c)]}``, and the denominator of
-    ``x``.  Returns None when ``x`` is not monic in the second variable.
+    numerators of ``v^m - x`` as pairs ``(b, [(a, c)])``, and the
+    denominator of ``x``.  Returns None when ``x`` is not monic in the
+    second variable.
     """
     terms, den = x
     m = max(b for _, b in terms)
@@ -502,18 +506,27 @@ def _v_rows(x):
             lead.append((a, c))
         else:
             tail.setdefault(b, []).append((a, -c))
-    return (m, tail, den) if lead == [(0, den)] else None
+    return (m, list(tail.items()), den) if lead == [(0, den)] else None
 
 
-def _idivisions_v(x, g, p):
-    """Repeated division of the integer form ``x`` by a divisor monic in
-    the second variable, given by its rows ``g`` (see :func:`_v_rows`):
-    ``x = q_0*g + r_0``, ``q_0 = q_1*g + r_1``, ... until a quotient is
-    zero, so the remainders are the g-adic digits of ``x``.  Yields
-    ``(q_k, den_k, r_k)`` per division: the quotient as v-degree rows
-    ``{b: {a: c}}`` of numerators over ``den_k``, valid only until the next
-    division, which divides those rows in place, and the remainder as a
-    normalised integer form.  ``x`` is scattered into rows once.
+def _scatter(terms):
+    """The integer-form terms ``{(a, b): c}`` as v-degree rows ``{b: {a: c}}``."""
+    rows = {}
+    for (a, b), c in terms.items():
+        rows.setdefault(b, {})[a] = c
+    return rows
+
+
+def _idivisions_v(rows, den, g, p):
+    """Repeated division of x, given by its v-degree rows ``{b: {a: c}}``
+    of numerators over ``den``, by a divisor monic in the second variable,
+    given by its rows ``g`` (see :func:`_v_rows`): ``x = q_0*g + r_0``,
+    ``q_0 = q_1*g + r_1``, ... until a quotient is zero, so the remainders
+    are the g-adic digits of x.  Yields ``(q_k, den_k, r_k)`` per
+    division, quotient and remainder both as rows of numerators over
+    ``den_k``.  The rows passed in are divided in place, and so is each
+    quotient by the next division, so a quotient is valid only until then;
+    each remainder is fresh rows that the caller owns.
 
     A division moves each row at or above ``m = deg_v(g)`` into the
     quotient, top row first, and subtracts it times ``g - v^m`` from the
@@ -522,25 +535,18 @@ def _idivisions_v(x, g, p):
     numerators over a common denominator.  When ``g`` has a denominator
     D > 1, its leading numerator is D, so the rows are first scaled by D^k
     (k the number of quotient rows) and each taken row then divides
-    exactly by D.  The quotient is checked against :data:`TERM_LIMIT`, and
-    then the remainder is normalised and checked (:func:`_reduce`); a
-    quotient is never normalised, since only its digits are kept.  When
-    deg_v(x) < m, ``x`` is not scattered: the one division yields a zero
-    quotient and ``x`` itself, checked again, as the remainder.
+    exactly by D.  The quotient is checked against :data:`TERM_LIMIT`;
+    then the rows left below m, each reduced mod p with its zeros
+    dropped, are the remainder, which is checked too.  Neither is
+    gathered into terms or brought to lowest terms over ``den_k``: the
+    quotient is divided next and the remainder is a digit, which the
+    caller divides or reads as it is.  When deg_v(x) < m, the one division
+    yields a zero quotient and the rows of x, reduced, as the remainder.
     """
     m, tail, gd = g
-    xt, den = x
-    if not xt or max(map(_second, xt)) < m:
-        _check_size(xt)
-        yield {}, den, x
-        return
-    rows = {}
-    for (a, b), c in xt.items():
-        rows.setdefault(b, {})[a] = c
-    tail = list(tail.items())
     while True:
         q = {}
-        top = max(rows)
+        top = max(rows, default=-1)
         if top >= m:
             if gd != 1:
                 scale = gd ** (top - m + 1)
@@ -571,8 +577,15 @@ def _idivisions_v(x, g, p):
                             target[e] = get(e, 0) + c * gc
             if size > TERM_LIMIT:
                 raise _size_error(size)
-        yield q, den, _reduce({(a, b): c for b, row in rows.items() for a, c in row.items()},
-                              den, p)
+        if p:
+            r = {b: y for b, x in rows.items()
+                 if (y := {a: z for a, c in x.items() if (z := c % p)})}
+        else:
+            r = {b: y for b, x in rows.items() if (y := {a: c for a, c in x.items() if c})}
+        size = sum(map(len, r.values()))
+        if size > TERM_LIMIT:
+            raise _size_error(size)
+        yield q, den, r
         if not q:
             return
         rows = q
@@ -635,27 +648,33 @@ def _unfold(x, divisors, p):
     rows (:func:`_v_rows`), with c a field element: x is the sum of
     c * u^a * v^b * prod_j T_j^k_j.
 
-    Level j >= 2 takes all the T_j-adic digits of its input in one row
-    pass (:func:`_idivisions_v`) and hands each nonzero digit to level
-    j - 1; the last level's digits are read as they are, each term
-    c * u^a * v^b one output term.  A level takes all its digits before it
-    unfolds any, so :data:`TERM_LIMIT` is checked in the order of the
-    levels.  A field element is made only for each output coefficient.
+    ``x`` is scattered into v-degree rows once (:func:`_scatter`), and the
+    expansion stays in rows from there on.  Level j >= 2 takes all the
+    T_j-adic digits of its rows in one pass (:func:`_idivisions_v`) and
+    hands each nonzero digit's rows, over their own denominator, to level
+    j - 1; rows whose top lies below deg_v(T_j) are their own only digit
+    and skip level j with no division.  The last level's digits are read
+    as they are: the entry c at a in row b is the output term
+    c * u^a * v^b.  A level takes all its digits before it unfolds any, so
+    :data:`TERM_LIMIT` is checked in the order of the levels.  A field
+    element is made only for each output coefficient.
     """
     terms = []
 
-    def rec(x, level, suffix):
+    def rec(rows, den, level, suffix):
+        while level and max(rows) < divisors[level - 1][0]:
+            level, suffix = level - 1, (0,) + suffix
         if not level:
-            xt, den = x
-            for (a, b), c in xt.items():
-                terms.append((_element(c, den, p), (a, b) + suffix))
+            for b, row in rows.items():
+                for a, c in row.items():
+                    terms.append((_element(c, den, p), (a, b) + suffix))
             return
-        digits = [r for _, _, r in _idivisions_v(x, divisors[level - 1], p)]
-        for k, digit in enumerate(digits):
-            if digit[0]:
-                rec(digit, level - 1, (k,) + suffix)
+        digits = [(d, r) for _, d, r in _idivisions_v(rows, den, divisors[level - 1], p)]
+        for k, (d, digit) in enumerate(digits):
+            if digit:
+                rec(digit, d, level - 1, (k,) + suffix)
 
-    rec(x, len(divisors), ())
+    rec(_scatter(x[0]), x[1], len(divisors), ())
     return terms
 
 
@@ -667,8 +686,10 @@ def divmod_in_v(f: BivarPoly, g: BivarPoly):
 
     Returns ``(quotient, remainder)`` with ``deg_v(remainder) < deg_v(g)``
     and ``f == quotient*g + remainder`` exactly.  The division itself is
-    the first one of :func:`_idivisions_v`, on integer forms; its quotient
-    rows are normalised here.
+    the first one of :func:`_idivisions_v`, on the v-degree rows of the
+    integer form of f; it hands back quotient and remainder as rows over
+    one denominator, which are gathered and normalised here
+    (:func:`_reduce`).
     """
     f._check_compat(g)
     if g.is_zero():
@@ -677,9 +698,9 @@ def divmod_in_v(f: BivarPoly, g: BivarPoly):
     if rows is None:
         raise ValueError("divisor is not monic in %s" % g.vars[1])
     p = f.field.characteristic
-    q, den, r = next(_idivisions_v(f.form, rows, p))
-    q = _reduce({(a, b): c for b, row in q.items() for a, c in row.items()}, den, p)
-    return _wrap(f.field, q, f.vars), _wrap(f.field, r, f.vars)
+    q, den, r = next(_idivisions_v(_scatter(f.form[0]), f.form[1], rows, p))
+    return tuple(_wrap(f.field, _reduce({(a, b): c for b, y in x.items() for a, c in y.items()},
+                                        den, p), f.vars) for x in (q, r))
 
 
 def exact_divide(f: BivarPoly, g: BivarPoly) -> BivarPoly:

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from jumpseq.blowup import (
     Factor,
+    _runs,
     initial_chart,
     monoidal_sequence,
+    pull_back,
     single_quadratic_transform,
     strict_transform,
     value_in_original,
@@ -19,7 +21,7 @@ from jumpseq.errors import InsufficientDepthError, ResourceLimitError
 from jumpseq.euclid import euclid_data
 from jumpseq.extension import MonomialExtension, build_dual_sequences
 from jumpseq.fields import Fp, QQ, prime_field
-from jumpseq.poly import BivarPoly, _translate, eval_rat
+from jumpseq.poly import BivarPoly, _at_origin, _map, _strip, _translate, eval_rat
 
 from conftest import (FIELDS, backward, chart_forward, charts_inverse, chunk_transform,
                       closing_factor, compose_step, expanded_strict_transform, load_spec,
@@ -431,3 +433,60 @@ def _check_stepwise_strict_transforms(spec, rng):
             g, m = expanded_strict_transform(h, forward)
             assert strict_transform(h, chart) == (m, g.constant_term()), \
                 "%s step %d: %s" % (spec.pairs, chart.step_index, h)
+
+
+def _full_pull_back(f, chart):
+    """:func:`pull_back` with every step transforming g, also once g is a
+    unit: the oracle for its stop at g(0, 0) != 0."""
+    p = chart.field.characteristic
+    g, e_x, e_y = _strip(f.form)
+    unit = chart.field.one
+    for kind, x in _runs(chart.steps):
+        if kind == "C":
+            unit = unit * x ** e_y
+            e_x, e_y = e_x + e_y, 0
+            g, a, b = _strip(_translate(g, x, p))
+        else:
+            (xa, xb), (ya, yb) = x
+            e_x, e_y = xa * e_x + xb * e_y, ya * e_x + yb * e_y
+            g, a, b = _strip(_map(g, *x))
+        e_x += a
+        e_y += b
+    g0, k = _at_origin(g, p)
+    return e_x, e_y, unit * g0, k
+
+
+#: (field, pairs) of the pull-back test: four short chains over each
+#: field, and over F_2 and F_3 a chain that runs past 35 steps (over Q
+#: and F_101 its closings take minutes before they pass TERM_LIMIT)
+PULL_BACK_CHAINS = [(fld, pairs) for fld in (QQ, prime_field(2), prime_field(3), prime_field(101))
+                    for pairs in (((3, 2), (5, 3), (5, 2)), ((2, 1), (1, 2), (3, 2)),
+                                  ((1, 7), (7, 2)), ((3, 2), (4, 1), (5, 3)))]
+PULL_BACK_CHAINS += [(prime_field(p), ((1, 19), (19, 2), (3, 19))) for p in (2, 3)]
+
+
+@pytest.mark.parametrize("fld, pairs", PULL_BACK_CHAINS,
+                         ids=["F%d-%s" % (f.characteristic, pq) if f.characteristic
+                              else "QQ-%s" % (pq,) for f, pq in PULL_BACK_CHAINS])
+def test_pull_back_stops_at_a_unit_like_the_full_walk(fld, pairs):
+    """At every chart of the first 40 steps, every T_j and every closing
+    factor pulls back to the same (e_X, e_Y, c, k) as the walk that keeps
+    transforming g after g(0, 0) != 0, with lambda = 2, 3, 5 and every
+    unit 1 + u; a pull-back the full walk cannot finish within TERM_LIMIT
+    is not compared."""
+    js = build_jumping_sequence(with_units(make_spec(fld, pairs), (2, 3, 5)))
+    chart = initial_chart(js)
+    compared = 0
+    while chart.step_index < 40:
+        try:
+            chart = single_quadratic_transform(chart)
+        except (InsufficientDepthError, ResourceLimitError):
+            break
+        for f in js.T + tuple(factor.poly for factor in chart.factors[2:]):
+            try:
+                want = _full_pull_back(f, chart)
+            except ResourceLimitError:
+                continue
+            assert pull_back(f, chart) == want, "%s step %d: %s" % (pairs, chart.step_index, f)
+            compared += 1
+    assert compared > 40

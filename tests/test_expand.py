@@ -145,17 +145,44 @@ def test_expand_matches_sympy_div(js, data):
     assert got == sympy_expand(f, js)
 
 
-@pytest.mark.parametrize("fld, terms", [(QQ, 59), (prime_field(3), 40)], ids=["QQ", "F3"])
-def test_expand_checks_term_limit(spec_a, monkeypatch, fld, terms):
+F101 = prime_field(101)
+
+
+def _limit_tower(name, fld):
+    """The towers of the TERM_LIMIT test: spec-a's pairs with lambda = 1
+    and every unit 1, and the Q-frac pairs and a 3-level tower with
+    fractional lambdas and delta_1 = 1 + (2/3)u, read over ``fld``."""
+    if name == "spec-a":
+        return _sequence(fld, ((3, 2), (5, 3)), ("1", "1"))
+    if name == "Q-frac":
+        return _sequence(fld, ((3, 2), (5, 3)), ("3/7", "-5/2"), _delta("2/3"))
+    return _sequence(fld, ((3, 2), (4, 1), (5, 3)), ("3/7", "-5/2", "2/5"), _delta("2/3"))
+
+
+@pytest.mark.parametrize("tower, fld, tops, limit, level, terms", [
+    ("spec-a", QQ, False, 20, 3, 59), ("spec-a", prime_field(3), False, 20, 3, 40),
+    ("Q-frac", QQ, False, 20, 3, 70), ("Q-frac", F101, False, 20, 3, 70),
+    ("3-level", QQ, False, 20, 4, 91), ("3-level", F101, False, 20, 4, 90),
+    ("3-level", QQ, True, 21, 3, 23), ("3-level", F101, True, 21, 3, 22),
+], ids=["QQ", "F3", "Q-frac-QQ", "Q-frac-F101", "3-level-QQ", "3-level-F101",
+        "3-level-QQ-inner", "3-level-F101-inner"])
+def test_expand_checks_term_limit(monkeypatch, tower, fld, tops, limit, level, terms):
     """Every quotient and remainder of the expansion is checked against
     TERM_LIMIT: lowering the limit makes expand raise the usual message,
-    naming the first division result that passes it."""
-    js = build_jumping_sequence(ValuationSpec(fld, spec_a.pairs, tuple(map(fld, (1, 1))),
-                                              tuple(BivarPoly.const(fld, 1) for _ in range(2))))
+    naming the first division result that passes it, during the division
+    by T_level.  f is (u + v + 1)^8, or with ``tops`` T_M * (u + v + 1)^3
+    + (u + v + 1)^5, whose first oversized result comes one level down;
+    the sizes and levels are those of the expansion that regathered and
+    normalised every remainder, so the rows change no check."""
+    js = _limit_tower(tower, fld)
     u, v = BivarPoly.gens(fld)
-    f = (u + v + 1) ** 8
+    f = js.T[-1] * (u + v + 1) ** 3 + (u + v + 1) ** 5 if tops else (u + v + 1) ** 8
     expand(f, js)
-    monkeypatch.setattr(poly, "TERM_LIMIT", 20)
+    divisors = []
+    divide = poly._idivisions_v
+    monkeypatch.setattr(poly, "_idivisions_v", lambda *a: divisors.append(a[-2]) or divide(*a))
+    monkeypatch.setattr(poly, "TERM_LIMIT", limit)
     with pytest.raises(ResourceLimitError,
-                       match=r"^polynomial with %d terms exceeds TERM_LIMIT=20$" % terms):
+                       match=r"^polynomial with %d terms exceeds TERM_LIMIT=%d$" % (terms, limit)):
         expand(f, js)
+    assert [g is divisors[-1] for g in js.T_rows].index(True) + 2 == level

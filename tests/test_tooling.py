@@ -11,8 +11,9 @@ backward rational expression or asks the engine for a residue or a
 value, and a chain expands only its closing factors.
 ``verify`` expands each power of v once, not each monomial, and writes
 each polynomial's witness once, so its report stays small; ``expand``
-never divides by T_1 = v, and its round trip, like ``subs``, multiplies
-at most once per digit it folds back.  The
+never divides by T_1 = v, scatters f into v-degree rows once and
+divides no digit by a T_j above its v-degree, and its round trip, like
+``subs``, multiplies at most once per digit it folds back.  The
 polynomial kernel has one loop per ring operation, on integer forms, and
 ``engine`` takes no integer form apart; a
 polynomial is its integer form, and no computation reads the
@@ -382,10 +383,37 @@ def test_expand_never_divides_by_v(js_a, monkeypatch):
     degrees = []
     divide = jumpseq.poly._idivisions_v
     monkeypatch.setattr(jumpseq.poly, "_idivisions_v",
-                        lambda x, g, p: degrees.append(g[0]) or divide(x, g, p))
+                        lambda rows, den, g, p: degrees.append(g[0]) or divide(rows, den, g, p))
     u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
     engine.expand((u + v + 1) ** 8, js_a)
     assert degrees and set(degrees) == {2, 6}
+
+
+def test_expand_scatters_its_dividend_once(js_a, monkeypatch):
+    """An expansion stays in v-degree rows: one ``expand`` call scatters
+    the terms of f into rows once, however many levels and digits it
+    divides, and hands every digit on as rows."""
+    scattered = []
+    scatter = jumpseq.poly._scatter
+    monkeypatch.setattr(jumpseq.poly, "_scatter", lambda terms: scattered.append(1) or scatter(terms))
+    u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
+    assert len(engine.expand((u + v + 1) ** 8, js_a).terms) > 9
+    assert len(scattered) == 1
+
+
+def test_expand_skips_a_level_above_a_digit(js_a, monkeypatch):
+    """A digit whose top row lies below deg_v(T_j) is its own only T_j-adic
+    digit, so it skips level j with no division: on spec-a, T_3 + u*v
+    divides once, by T_3 (v-degree 6), and its digits u*v and 1, of
+    v-degree below 2, never meet T_2."""
+    degrees = []
+    divide = jumpseq.poly._idivisions_v
+    monkeypatch.setattr(jumpseq.poly, "_idivisions_v",
+                        lambda rows, den, g, p: degrees.append(g[0]) or divide(rows, den, g, p))
+    u, v = jumpseq.BivarPoly.gens(jumpseq.QQ)
+    exp = engine.expand(js_a.T[3] + u * v, js_a)
+    assert [e for _, e in exp.terms] == [(0, 0, 0, 1), (1, 1, 0, 0)]
+    assert degrees == [6]
 
 
 def test_reports_skip_the_stdlib_indent_encoder(monkeypatch, tmp_path):

@@ -18,6 +18,15 @@ numerator per term (:attr:`TExpansion.nums`), and values, residues and
 the generating-sequence checks compare those ints; a ``Fraction`` is made
 only for a value that is returned or reported.
 
+An expansion is integers from the scatter to the report: its form is one
+(exponent vector, numerator) pair per term over one denominator, as
+:func:`jumpseq.poly._unfold` hands it over.  Values read the vectors,
+the round trip folds the numerators as they are, and reports render each
+coefficient from its numerator (:func:`jumpseq.poly._render`).  The only
+field elements made from an expansion are the coefficient of its initial
+form, for :func:`initial_form` and :func:`residue` (:func:`value` makes
+none), and :attr:`TExpansion.terms`, a view made only for outside callers.
+
 Semigroup questions, the gamma lists of
 :func:`verify_generating_sequence` and :func:`verify_minimality`, read
 one table of reachable numerators with a back-pointer each
@@ -39,14 +48,16 @@ quotient and remainder against ``TERM_LIMIT`` and hands each remainder
 back as rows, so each digit's rows go straight to the next level, and a
 digit below deg_v(T_i) skips level i with no division.  T_1 = v, so
 level 1 divides nothing: the v-adic digits of a level-2 digit are its
-own v-degree rows, and each of its entries is an output term.  A field
-element is made only for each output coefficient, and the expansion is
-made without re-checking its vectors.  The round trip :meth:`TExpansion.resubstitute` is
-the inverse, :func:`jumpseq.poly._fold` with bases T_2 .. T_M, the
-Horner evaluation :meth:`BivarPoly.subs` runs too: it gathers the terms
-into one u, v digit per T-suffix (a_2, ..., a_M) and folds the digits of
-each level j >= 2 back by Horner in T_j, checking each digit, product
-and sum against ``TERM_LIMIT``, and its result is wrapped as it is.
+own v-degree rows, and each of its entries is an output term.  No field
+element is made, and the expansion is made from the pairs as they are,
+without re-checking its vectors.  The round trip
+:meth:`TExpansion.resubstitute` is the inverse,
+:func:`jumpseq.poly._fold` of the expansion's numerators with bases
+T_2 .. T_M, the Horner evaluation :meth:`BivarPoly.subs` runs too: it
+gathers the terms into one u, v digit per T-suffix (a_2, ..., a_M) and
+folds the digits of each level j >= 2 back by Horner in T_j, checking
+each digit, product and sum against ``TERM_LIMIT``, and its result is
+wrapped as it is.
 Expansion needs every T_i monic in the second variable; a unit that
 breaks this (for instance an extension's delta = 1 + y) is reported as
 :class:`InvalidSpecError` at the first expansion.
@@ -60,15 +71,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
 from .fields import GroundField
-from .poly import BivarPoly, _fold, _iadd, _ipow, _numerators, _ratio, _unfold, _v_rows, _wrap
-
-_swap = itemgetter(1, 0)  # a term (coefficient, exponents) as (exponents, coefficient)
+from .poly import (BivarPoly, _fold, _iadd, _ipow, _numerators, _ratio, _render, _terms, _unfold,
+                   _v_rows, _wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +282,6 @@ class JumpingSequence:
         return tuple(out)
 
     def to_json(self):
-        f = self.field
         return {
             "T": [t.to_json() for t in self.T],
             "beta": ["%d/%d" % (b.numerator, b.denominator) if b.denominator != 1 else str(b.numerator) for b in self.beta],
@@ -390,7 +399,7 @@ def extract_independent(js: JumpingSequence) -> IndependentData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TExpansion:
     """Standard-form expansion: sum of coeff * u^{a_0} T_1^{a_1} ... T_M^{a_M}.
 
@@ -398,66 +407,84 @@ class TExpansion:
     with a_M = 0 ("pure") have exactly known values; terms with a_M > 0
     only admit a strict lower bound since beta_M is beyond spec depth.
     Both are kept as integers over Q_N in :attr:`nums`, computed once per
-    expansion.  An exponent vector whose length is not M + 1, or that has
-    a negative entry, raises ``ValueError`` when an expansion is built by
-    hand, so neither :attr:`nums` nor :meth:`resubstitute` reads one as
-    if padded or cut, or values or folds a negative power.
-    :func:`expand` builds its expansions from the v-degree rows of its
-    digits, whose vectors cannot fail these checks, through
-    :func:`_expansion`, which skips them.
+    expansion.
+
+    An expansion is its integer form, as a polynomial is: ``pairs``, one
+    (exponent vector, numerator) per term, over the positive int ``den``
+    (see :func:`jumpseq.poly._unfold`).  Equality and hashing read the
+    sequence and the form, which is one per list of terms, so they mean
+    the same sequence and the same terms in the same order.  :attr:`terms`,
+    the (coefficient, exponent vector) pairs with ``Fraction``/``Fp``
+    coefficients, is a read-only view made at its first read, for outside
+    callers; the library reads the form.
+
+    ``TExpansion(js, terms)`` makes an expansion from outside data: an
+    exponent vector whose length is not M + 1, or that has a negative
+    entry, raises ``ValueError``, so neither :attr:`nums` nor
+    :meth:`resubstitute` reads one as if padded or cut, or values or
+    folds a negative power.  Then each coefficient is coerced by the
+    field into a numerator over one denominator, once, and a zero one is
+    dropped (:func:`jumpseq.poly._numerators`).  :func:`expand` builds its
+    expansions from the form of :func:`jumpseq.poly._unfold`, whose
+    vectors cannot fail these checks, through :func:`_expansion`, which
+    skips them.
     """
 
     js: JumpingSequence
-    terms: Tuple[Tuple[object, Tuple[int, ...]], ...]   # (coefficient, exponent vector)
+    pairs: Tuple[Tuple[Tuple[int, ...], int], ...]   # (exponent vector, numerator)
+    den: int
 
-    def __post_init__(self):
-        n = self.js.depth + 2
-        for _, exps in self.terms:
+    def __init__(self, js: JumpingSequence, terms):
+        n = js.depth + 2
+        for _, exps in terms:
             if len(exps) != n:
                 raise ValueError("exponent vector %r has %d entries, not M + 1 = %d"
                                  % (exps, len(exps), n))
             if min(exps) < 0:
                 raise ValueError("exponent vector %r has a negative entry" % (exps,))
+        pairs, den = _numerators(js.field, ((exps, c) for c, exps in terms))
+        self.__dict__.update(js=js, pairs=tuple(pairs), den=den)
 
     @property
     def M(self) -> int:
         return self.js.depth + 1
 
+    @cached_property
+    def terms(self) -> Tuple[Tuple[object, Tuple[int, ...]], ...]:
+        """The (coefficient, exponent vector) pairs, coefficients as
+        ``Fraction`` or ``Fp``: made from the form at the first read and
+        kept."""
+        return _terms(self.pairs, self.den, self.js.field.characteristic)
+
     def resubstitute(self) -> BivarPoly:
         """The polynomial sum of coeff * prod_j T_j^{a_j} over the terms,
         folded back the way :func:`expand` took its digits.
 
-        Runs on integer forms: the coefficients become numerators over one
-        denominator, zero ones skipped (:func:`jumpseq.poly._numerators`),
-        and :func:`jumpseq.poly._fold` with bases T_2 .. T_M sums them, the
-        Horner evaluation that :meth:`BivarPoly.subs` runs too.  T_0 = u
-        and T_1 = v are exponents only, and each present (level, digit), a
-        distinct (a_j, ..., a_M) with j >= 2, costs at most one product.
-        ``TERM_LIMIT`` is checked on each digit after each term it takes
-        and on every product and sum of the fold; each check is on a
-        polynomial that a chain of polynomial additions and products
-        forming the sum would also form.
+        The numerators of the form are handed as they are to
+        :func:`jumpseq.poly._fold` with bases T_2 .. T_M, the Horner
+        evaluation that :meth:`BivarPoly.subs` runs too; no coefficient is
+        coerced.  T_0 = u and T_1 = v are exponents only, and each present
+        (level, digit), a distinct (a_j, ..., a_M) with j >= 2, costs at
+        most one product.  ``TERM_LIMIT`` is checked on each digit after
+        each term it takes and on every product and sum of the fold; each
+        check is on a polynomial that a chain of polynomial additions and
+        products forming the sum would also form.
         """
         js = self.js
-        fld = js.field
-        pairs, den = _numerators(fld, map(_swap, self.terms))
-        form = _fold(pairs, den, [t.form for t in js.T[2:]], fld.characteristic)
-        return _wrap(fld, form, js.T[0].vars)
+        form = _fold(self.pairs, self.den, [t.form for t in js.T[2:]], js.field.characteristic)
+        return _wrap(js.field, form, js.T[0].vars)
 
     @cached_property
     def nums(self) -> Tuple[int, ...]:
         """Per term, Q_N times its exact value (pure term) or its strict
-        lower bound (term involving T_M); see :attr:`JumpingSequence.weights`."""
+        lower bound (term involving T_M), read off the exponent vectors;
+        see :attr:`JumpingSequence.weights`."""
         weights = self.js.weights
-        return tuple(sum(map(mul, exps, weights)) for _, exps in self.terms)
+        return tuple(sum(map(mul, exps, weights)) for exps, _ in self.pairs)
 
     def to_json(self):
-        fld = self.js.field
-        return {
-            "terms": [
-                {"c": fld.render(c), "e": list(exps)} for c, exps in self.terms
-            ]
-        }
+        p, den = self.js.field.characteristic, self.den
+        return {"terms": [{"c": _render(n, den, p), "e": list(exps)} for exps, n in self.pairs]}
 
 
 def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
@@ -469,28 +496,30 @@ def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
     :attr:`JumpingSequence.T_rows`) and hands each nonzero digit's rows to
     level i - 1; rows below deg_v(T_i) skip level i undivided.  T_1 = v,
     so the v-adic digits of a level-2 digit (at depth 0, of f itself) are
-    its own v-degree rows: each entry c * u^a * v^b is the output term
-    (c, (a, b, a_2, ..., a_M)), and no level divides by v.  A level takes
-    all its digits before it expands any, so ``TERM_LIMIT`` is checked in
-    the order of the levels.  A field element is made only for each
-    output coefficient, and the expansion is built without the vector
-    checks of the public constructor (:func:`_expansion`).
+    its own v-degree rows: each entry n * u^a * v^b is the output pair
+    ((a, b, a_2, ..., a_M), n).  A level takes all its digits before it
+    expands any, so ``TERM_LIMIT`` is checked in the order of the levels.
+    The pairs, sorted by exponent vector, and their denominator are the
+    expansion's form as they are: no field element is made, and the
+    expansion is built without the vector checks of the public
+    constructor (:func:`_expansion`).
     """
     if f.is_zero():
         raise ValueError("cannot expand the zero polynomial")
     f._check_compat(js.T[0])
-    terms = _unfold(f.form, js.T_rows, js.field.characteristic)
-    terms.sort(key=itemgetter(1))
-    return _expansion(js, tuple(terms))
+    pairs, den = _unfold(f.form, js.T_rows, js.field.characteristic)
+    pairs.sort()
+    return _expansion(js, tuple(pairs), den)
 
 
-def _expansion(js: JumpingSequence, terms) -> TExpansion:
-    """The expansion with ``terms`` as they are: the one constructor of
-    computed expansions, which, like :func:`jumpseq.poly._wrap`, checks
-    nothing, since every vector of :func:`jumpseq.poly._unfold` has M + 1
-    non-negative entries."""
+def _expansion(js: JumpingSequence, pairs, den) -> TExpansion:
+    """The expansion whose form is ``pairs`` over ``den``, as they are: the
+    one constructor of computed expansions, which, like
+    :func:`jumpseq.poly._wrap`, converts and checks nothing, since every
+    vector of :func:`jumpseq.poly._unfold` has M + 1 non-negative entries
+    and its form is in lowest terms."""
     exp = object.__new__(TExpansion)
-    exp.__dict__.update(js=js, terms=terms)
+    exp.__dict__.update(js=js, pairs=pairs, den=den)
     return exp
 
 
@@ -502,32 +531,41 @@ def _expansion(js: JumpingSequence, terms) -> TExpansion:
 def _min_pure_term(exp: TExpansion):
     """The unique minimal-value pure term, certified against mixed terms.
 
-    Returns (sigma, coefficient, exponent vector).  Raises
+    Returns (sigma, term), the term as its pair (exponent vector,
+    numerator) of the expansion's form: values are read off
+    :attr:`TExpansion.nums` and no field element is made.  Raises
     InsufficientDepthError when some term involving T_M cannot be bounded
     below by the candidate minimum.
     """
     M, nums = exp.M, exp.nums
-    pure = [(n, c, e) for (c, e), n in zip(exp.terms, nums) if not e[M]]
+    pure = [(n, t) for t, n in zip(exp.pairs, nums) if not t[0][M]]
     if not pure:
         raise InsufficientDepthError(
             "every expansion term involves T_%d, whose value is beyond spec depth" % M
         )
-    if len({n for n, _, _ in pure}) != len(pure):
+    if len({n for n, _ in pure}) != len(pure):
         raise ArithmeticError("pure expansion terms must have distinct values")
-    low, coeff, exps = min(pure, key=lambda t: t[0])
+    low, term = min(pure)
     sigma = Fraction(low, exp.js.Q[-1])
     # pure terms are >= low by choice, so only a mixed term can be below it
     if min(nums) < low:
         raise InsufficientDepthError(
             "a term involving T_%d may fall below the candidate minimum %s" % (M, sigma)
         )
-    return sigma, coeff, exps
+    return sigma, term
+
+
+def _initial(exp: TExpansion):
+    """(sigma, coefficient, exponent vector) of the minimal pure term of
+    ``exp`` (:func:`_min_pure_term`); its coefficient is the one field
+    element made."""
+    sigma, term = _min_pure_term(exp)
+    return (sigma, *_terms((term,), exp.den, exp.js.field.characteristic)[0])
 
 
 def value(f: BivarPoly, js: JumpingSequence) -> Fraction:
     """The valuation of f, normalized so value(u) = 1."""
-    sigma, _, _ = _min_pure_term(expand(f, js))
-    return sigma
+    return _min_pure_term(expand(f, js))[0]
 
 
 def initial_form(f: BivarPoly, js: JumpingSequence):
@@ -535,7 +573,7 @@ def initial_form(f: BivarPoly, js: JumpingSequence):
     valuation: (sigma, coefficient, exponent vector over T_0 .. T_M) of
     the minimal pure term of its expansion.  Raises
     InsufficientDepthError as :func:`value` does."""
-    return _min_pure_term(expand(f, js))
+    return _initial(expand(f, js))
 
 
 def graded_residue(coeff, exps, js: JumpingSequence):
@@ -570,8 +608,7 @@ def graded_residue(coeff, exps, js: JumpingSequence):
 def residue(f: BivarPoly, g: BivarPoly, js: JumpingSequence):
     """The residue of f/g in the residue field, for value(f) = value(g)."""
     ef, eg = expand(f, js), expand(g, js)
-    sf, cf, mf = _min_pure_term(ef)
-    sg, cg, mg = _min_pure_term(eg)
+    (sf, cf, mf), (sg, cg, mg) = _initial(ef), _initial(eg)
     if sf != sg:
         raise ValueError("residue requires equal values, got %s and %s" % (sf, sg))
     # equal values force equal standard monomials (no nontrivial bounded
@@ -685,18 +722,18 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     import random
 
     fld = js.field
-    QN = js.Q[-1]
+    p, QN = fld.characteristic, js.Q[-1]
 
     def certify(f):
         """(sigma, smallest term value, rendered terms) of f's expansion,
         or None when its value is not certified at the spec's depth."""
         try:
             exp = expand(f, js)
-            sigma, _, _ = _min_pure_term(exp)
+            sigma = _min_pure_term(exp)[0]
         except InsufficientDepthError:
             return None
         return (sigma, Fraction(min(exp.nums), QN),
-                [(fld.render(c), exps) for c, exps in exp.terms])
+                [(_render(n, exp.den, p), exps) for exps, n in exp.pairs])
 
     # (label, certified data or None, a): the data is v^b's for u^a v^b
     expanded = []

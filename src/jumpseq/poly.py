@@ -26,12 +26,21 @@ blow-up chain hand forms to its form operations and take none apart:
 :func:`_strip` (remove the largest monomial factor), :func:`_translate`
 (a closing step, x(u, u*(v + c))), :func:`_at_origin` (constant term and
 order on u = 0), :func:`_element` (a coefficient), :func:`_numerators`
-(coefficients over one denominator), :func:`_unfold` (the terms of a
-T-adic expansion) and :func:`_fold` (its inverse: a sum of coefficients
-times u^a v^b and powers of given forms, by Horner).  :func:`_fold` is
-the one power-product evaluation: :meth:`BivarPoly.subs`, the round trip
-of :mod:`jumpseq.engine`, the tail of each tower element T_{i+1} and the
+(coefficients over one denominator), :func:`_unfold` (a T-adic
+expansion) and :func:`_fold` (its inverse: a sum of coefficients times
+u^a v^b and powers of given forms, by Horner).  :func:`_fold` is the one
+power-product evaluation: :meth:`BivarPoly.subs`, the round trip of
+:mod:`jumpseq.engine`, the tail of each tower element T_{i+1} and the
 closing factors N = P - c*Q of :mod:`jumpseq.blowup` all run it.
+
+An expansion has an integer form too, ``(pairs, den)``: one pair
+``((a, b, k_2, ..., k_M), n)`` per term, n != 0, over one positive
+denominator, residues over 1 over F_p and in lowest terms over Q, so a
+list of terms has one form.  :func:`_unfold` makes it and :func:`_fold`
+takes it as it is; :func:`_render` writes a coefficient from its
+numerator exactly as :meth:`GroundField.render` writes its element, and
+:func:`_terms` makes the field elements, for an expansion's view and
+for the coefficient of an initial form.
 
 Division by a divisor monic in the second variable has one
 implementation, :func:`_idivisions_v`: it takes the dividend as v-degree
@@ -45,7 +54,7 @@ checks each quotient and then each remainder against
 :func:`divmod_in_v` takes its first division and normalises both
 results; :func:`_unfold`, the T-adic expansion, scatters its input into
 rows once (:func:`_scatter`) and hands each digit's rows straight to the
-next level, so an expansion stays in rows until its output terms.
+next level, so an expansion stays in rows until its output pairs.
 :func:`exact_divide` performs a division that the caller claims is exact
 and raises :class:`DivisibilityError` with the remainder otherwise; no
 certificate divides (see :mod:`jumpseq.blowup`).  Ring operations and
@@ -61,7 +70,7 @@ from math import comb, gcd, lcm
 from types import MappingProxyType
 
 from .errors import DivisibilityError, InvalidSpecError, ResourceLimitError
-from .fields import Fp, GroundField
+from .fields import Fp, GroundField, _digits
 
 #: Hard ceiling on the number of stored terms in any single polynomial.
 #: Substitution can blow degrees up; we fail loudly rather than thrash.
@@ -643,10 +652,14 @@ def _fold(terms, den, bases, p):
 
 
 def _unfold(x, divisors, p):
-    """The terms ``(c, (a, b, k_2, ..., k_M))`` of the nonzero integer form
-    ``x`` written in powers of the divisors T_2 .. T_M, each given by its
-    rows (:func:`_v_rows`), with c a field element: x is the sum of
-    c * u^a * v^b * prod_j T_j^k_j.
+    """The T-adic expansion of the nonzero integer form ``x`` in powers of
+    the divisors T_2 .. T_M, each given by its rows (:func:`_v_rows`), as
+    an expansion form ``(pairs, den)``: x is the sum of
+    n/den * u^a * v^b * prod_j T_j^k_j over the pairs
+    ``((a, b, k_2, ..., k_M), n)``, with n != 0.  Over F_p, den is 1 and
+    each n a residue in [0, p); over Q, the numerators are brought over
+    the lcm of the digits' denominators and den is then cut to lowest
+    terms, so one list of coefficients has one form.
 
     ``x`` is scattered into v-degree rows once (:func:`_scatter`), and the
     expansion stays in rows from there on.  Level j >= 2 takes all the
@@ -654,20 +667,19 @@ def _unfold(x, divisors, p):
     hands each nonzero digit's rows, over their own denominator, to level
     j - 1; rows whose top lies below deg_v(T_j) are their own only digit
     and skip level j with no division.  The last level's digits are read
-    as they are: the entry c at a in row b is the output term
-    c * u^a * v^b.  A level takes all its digits before it unfolds any, so
-    :data:`TERM_LIMIT` is checked in the order of the levels.  A field
-    element is made only for each output coefficient.
+    as they are: the entry n at a in row b is the pair
+    ``((a, b) + suffix, n)``.  A level takes all its digits before it
+    unfolds any, so :data:`TERM_LIMIT` is checked in the order of the
+    levels.  No field element is made.
     """
-    terms = []
+    groups = {}  # the output pairs by the denominator of their digit
 
     def rec(rows, den, level, suffix):
         while level and max(rows) < divisors[level - 1][0]:
             level, suffix = level - 1, (0,) + suffix
         if not level:
-            for b, row in rows.items():
-                for a, c in row.items():
-                    terms.append((_element(c, den, p), (a, b) + suffix))
+            out = groups.setdefault(den, [])
+            out += [((a, b) + suffix, c) for b, row in rows.items() for a, c in row.items()]
             return
         digits = [(d, r) for _, d, r in _idivisions_v(rows, den, divisors[level - 1], p)]
         for k, (d, digit) in enumerate(digits):
@@ -675,7 +687,35 @@ def _unfold(x, divisors, p):
                 rec(digit, d, level - 1, (k,) + suffix)
 
     rec(_scatter(x[0]), x[1], len(divisors), ())
-    return terms
+    den = lcm(*groups)
+    pairs = groups[den] if len(groups) == 1 else [  # digits over different denominators
+        (e, c * (den // d)) for d, out in groups.items() for e, c in out]
+    if den != 1 and (g := gcd(den, *[c for _, c in pairs])) != 1:
+        den //= g
+        pairs = [(e, c // g) for e, c in pairs]
+    return pairs, den
+
+
+def _terms(pairs, den, p):
+    """The pairs ``(key, n)`` of an expansion form (:func:`_unfold`) as
+    terms ``(c, key)``, c the field element n/den: an expansion's view,
+    made at its first read, and the coefficient of an initial form."""
+    return tuple([(_element(n, den, p), key) for key, n in pairs])
+
+
+def _render(n, den, p):
+    """The coefficient n/den (den = 1 over F_p) as
+    :meth:`GroundField.render` writes its field element, with no element
+    made: the residue in [0, p) over F_p; over Q lowest terms with the
+    sign on the numerator, ``"n"`` when the denominator is 1, and
+    :func:`jumpseq.fields._digits` past the digits ``str()`` may make."""
+    if p:
+        return str(n % p)
+    g = gcd(n, den)
+    try:
+        return str(n // g) if den == g else "%d/%d" % (n // g, den // g)
+    except ValueError:  # more digits than str() may make
+        return _digits(n // g) + ("/" + _digits(den // g) if den != g else "")
 
 
 # ---- public division routines ------------------------------------------

@@ -16,15 +16,25 @@ negated, and some groups are the chunk relation
 
 times a random T-monomial, whose partial sums pass through other
 polynomials before they vanish.
+
+The term lists stay inside ``TERM_LIMIT`` by construction: every term's
+weight a + b + sum_j a_j * deg T_j (deg the total degree, a and b the
+exponents of u and v) is at most :data:`WEIGHT`.  Each digit, power,
+Horner product and sum of the fold is then a polynomial of total degree
+at most that weight, and so has at most 140 * 141 / 2 = 9 870 terms.  A
+term list past that bound may raise ``ResourceLimitError``, which is the
+documented behaviour; one that does is pinned on its own.
 """
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpseq.engine import TExpansion
-from jumpseq.poly import BivarPoly
+from jumpseq.errors import ResourceLimitError
+from jumpseq.poly import TERM_LIMIT, BivarPoly
 
 from test_expand import SEQUENCES
 from test_poly_oracle import assert_typed
@@ -38,12 +48,29 @@ def coeffs(fld):
     return st.integers(1, fld.characteristic - 1).map(fld)
 
 
-def exponents(js, last=3):
-    """Exponent vectors with a_i <= q_i + 1 inside and a_M <= last: standard
-    ones (a_i < q_i) and others, so that the fold meets digits past q_i
-    and gaps over 1 between the digits of a level, T_M's included."""
-    inner = [st.integers(0, js.q(i) + 1) for i in range(1, js.depth + 1)]
-    return st.tuples(st.integers(0, 6), *inner, st.integers(0, last))
+#: the largest weight of a drawn term: a polynomial of total degree
+#: <= 139 has at most 9 870 < TERM_LIMIT terms
+WEIGHT = 139
+assert (WEIGHT + 1) * (WEIGHT + 2) // 2 < TERM_LIMIT
+
+
+def weights(js):
+    """The weight of each exponent: the total degree of T_0 .. T_M."""
+    return [max(a + b for a, b in t.terms) for t in js.T]
+
+
+@st.composite
+def exponents(draw, js, last=3, budget=WEIGHT):
+    """Exponent vectors with a_i <= q_i + 1 inside, a_M <= last and weight
+    at most ``budget``, drawn from T_M down: standard ones (a_i < q_i) and
+    others, so that the fold meets digits past q_i and gaps over 1 between
+    the digits of a level, T_M's included."""
+    caps = [6, *(js.q(i) + 1 for i in range(1, js.depth + 1)), last]
+    out = [0] * len(caps)
+    for j, w in reversed(list(enumerate(weights(js)))):
+        out[j] = draw(st.integers(0, min(caps[j], budget // w)))
+        budget -= out[j] * w
+    return tuple(out)
 
 
 def relation(js, i, c, shift):
@@ -70,9 +97,12 @@ def term_lists(draw, js):
     terms = draw(st.lists(st.tuples(coeffs(fld), exponents(js)), max_size=6))
     negated = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
     terms += [(-c, e) for c, e in negated]
+    w = weights(js)
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(1, js.depth))
-        terms += relation(js, i, draw(coeffs(fld)), draw(exponents(js, last=0)))
+        # the relation's heaviest term leaves the rest of the budget to the shift
+        own = max(sum(map(mul, e, w)) for _, e in relation(js, i, fld.one, (0,) * len(w)))
+        terms += relation(js, i, draw(coeffs(fld)), draw(exponents(js, 0, WEIGHT - own)))
     return draw(st.permutations(terms))
 
 
@@ -117,6 +147,18 @@ def test_resubstitute_matches_sympy(name, data):
     assert out == BivarPoly(js.field, sympy_sum(js, terms))
     assert out.vars == ("u", "v")
     assert_typed(out, js.field)
+
+
+def test_resubstitute_past_term_limit_raises():
+    """Six terms over F_101 whose weights run from 210 to 335, past
+    :data:`WEIGHT`: their fold passes ``TERM_LIMIT`` and raises
+    ``ResourceLimitError``, as the documented limit says."""
+    js = SEQUENCES["F101"]
+    terms = [(69, (0, 0, 0, 0, 0, 3)), (21, (0, 0, 0, 1, 3, 2)), (78, (2, 3, 3, 1, 1, 3)),
+             (15, (0, 0, 0, 0, 3, 3)), (1, (0, 0, 0, 0, 4, 3)), (1, (0, 0, 0, 3, 4, 3))]
+    exp = TExpansion(js, tuple((js.field(c), e) for c, e in terms))
+    with pytest.raises(ResourceLimitError, match="polynomial with 10234 terms"):
+        exp.resubstitute()
 
 
 @pytest.mark.parametrize("name", list(SEQUENCES))

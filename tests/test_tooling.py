@@ -17,7 +17,8 @@ divides no digit by a T_j above its v-degree, and its round trip, like
 polynomial kernel has one loop per ring operation, on integer forms, and
 ``engine`` takes no integer form apart; a
 polynomial is its integer form, and no computation reads the
-``Fraction``/``Fp`` view of its terms, which is made for output.  Reports
+``Fraction``/``Fp`` view of its terms, which is made for output; nor of
+an expansion's terms, since an expansion is its integer form too.  Reports
 are encoded by ``cli._dumps``, never by the stdlib's pure-Python indent
 encoder, and ``scripts/code_lines.py`` counts no blank, comment or
 docstring line.
@@ -30,6 +31,7 @@ import json
 import pathlib
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import jumpseq
 import jumpseq.poly
@@ -223,6 +225,37 @@ def test_computations_make_no_terms_view(spec_a, monkeypatch):
     assert extension.ladder(jumpseq.MonomialExtension(5, x + 1, spec_a)).ok
     assert reads == []
     assert len(f.terms) == 7 and reads == [f]
+
+
+def test_computations_make_no_expansion_view(spec_a, monkeypatch):
+    """An expansion is its integer form, and ``TExpansion.terms`` is a view
+    made for outside callers: over Q and F_101, on spec-a's pairs, no
+    ``expand``, ``value``, ``initial_form``, ``residue``,
+    ``resubstitute``, ``to_json`` or ``verify_generating_sequence``
+    reads it, nor a ``monoidal_sequence`` or a ``ladder`` (t = 5,
+    delta = 1 + x)."""
+    reads = []
+    view = vars(engine.TExpansion).get("terms")
+    made = view.func if view else (lambda e: vars(e)["terms"])  # a view, or stored terms
+    monkeypatch.setattr(engine.TExpansion, "terms",
+                        property(lambda e: reads.append(e) or made(e)), raising=False)
+    for fld in (jumpseq.QQ, jumpseq.prime_field(101)):
+        js = build_jumping_sequence(make_spec(fld, spec_a.pairs))
+        u, v = jumpseq.BivarPoly.gens(fld)
+        f = (u + v + 1) ** 4 * js.T[2] + u * v
+        exp = engine.expand(f, js)
+        assert exp.resubstitute() == f
+        assert exp.to_json()["terms"]
+        assert engine.value(js.T[2], js) == js.beta[2]
+        assert engine.initial_form(f, js)[0] == engine.value(f, js)
+        assert engine.residue(v ** 2, u ** 3, js) == fld(1)
+        assert engine.verify_generating_sequence(js, Fraction(4), 3, samples=2)
+        ind = extract_independent(js)
+        assert all(r["pass"] for r in blowup.monoidal_sequence(js, ind, ind.levels))
+        x, _ = jumpseq.BivarPoly.gens(fld, ("x", "y"))
+        assert extension.ladder(jumpseq.MonomialExtension(5, x + 1, js.spec)).ok
+    assert reads == []
+    assert exp.terms and reads == [exp]
 
 
 def test_chain_walk_never_substitutes(js_a, monkeypatch):

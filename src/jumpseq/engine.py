@@ -435,6 +435,7 @@ class TExpansion:
     den: int
 
     def __init__(self, js: JumpingSequence, terms):
+        terms = tuple(terms)  # read twice: checked, then converted
         n = js.depth + 2
         for _, exps in terms:
             if len(exps) != n:

@@ -1,6 +1,10 @@
 """The extension side: dual jumping sequences under u = x^t * delta, v = y,
 the stable-form ladder and the toroidal classifier.
 
+The downstairs spec may carry any units delta_i; the upstairs spec takes
+delta^{n_{i,0}} * delta_i(x^t * delta, y), so that its tower is the
+downstairs one under the substitution (see :func:`build_dual_sequences`).
+
 The ladder is the certificate of the stable form: rung by rung it checks
 u_i = x_i^t * delta_i along the R- and S-chains.  The R-side parameters
 are monomials in the R-chain's factors (see :mod:`jumpseq.blowup`), so a
@@ -133,52 +137,56 @@ def first_gcd_failure(t: int, pairs, upto: Optional[int] = None) -> Optional[int
 
 
 def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> DualSequences:
-    """Build the upstairs jumping sequence and verify it against the
-    downstairs one term by term, up to depth ``k`` (0 to the spec depth;
-    default the spec depth).
+    """Build the upstairs jumping sequence and check its data against the
+    downstairs one level by level, up to depth ``k`` (0 to the spec
+    depth; default the spec depth).
 
-    Requires trivial downstairs units.  When gcd(t, Q_k) != 1 the result
-    carries the first failing index instead of an upstairs sequence.  The
-    downstairs sequence is the extension's own (:attr:`MonomialExtension.down`).
+    The upstairs spec has pairs (t * p_i, q_i), the downstairs lambdas
+    and units delta'_i = delta^{n_{i,0}} * delta_i(x^t * delta, y).  A
+    table row i <= k reports p'_i, q'_i and the checks ``pq_ok``
+    (p'_i = t * p_i, q'_i = q_i), ``beta_ok`` (beta'_i = t * beta_i) and
+    ``n_ok`` (n'_{i,0} = t * n_{i,0}, n'_{i,j} = n_{i,j} for j >= 1); the
+    result is ok when every row passes.
+
+    No T_i is substituted, since these checks imply T'_i = T_i(x^t * delta, y)
+    for every i >= 1.  Under u = x^t * delta, v = y the downstairs relation
+    T_{i+1} = T_i^{q_i} - lambda_i * delta_i * u^{n_{i,0}} * prod_{j>=1} T_j^{n_{i,j}}
+    goes to T_i(x^t * delta, y)^{q_i} - lambda_i * delta'_i * x^{t * n_{i,0}}
+    * prod_{j>=1} T_j(x^t * delta, y)^{n_{i,j}}: the power delta^{n_{i,0}}
+    of u^{n_{i,0}}'s image is in delta'_i.  That is the upstairs relation
+    of level i exactly when ``pq_ok`` and ``n_ok`` hold there, and
+    T'_1 = y = T_1(x^t * delta, y), so the identity follows by induction
+    on i.
+
+    When gcd(t, Q_k) != 1 the result carries the first failing index
+    instead of an upstairs sequence.  The downstairs sequence is the
+    extension's own (:attr:`MonomialExtension.down`).
     """
     spec = ext.base_spec
-    fld = ext.field
     if k is None:
         k = spec.depth
     if not 0 <= k <= spec.depth:
         raise InvalidSpecError("requested depth %d: the spec provides depths 0 to %d"
                                % (k, spec.depth))
-    one = BivarPoly.const(fld, 1, ("u", "v"))
-    if any(u != one for u in spec.units):
-        raise InvalidSpecError("dual sequences require trivial downstairs units")
-
     down = ext.down
     M = first_gcd_failure(ext.t, spec.pairs, upto=k)
     if M is not None:
         return DualSequences(None, False, M)
 
+    sub = ext.substitution()
     up_pairs = tuple((ext.t * p, q) for p, q in spec.pairs[:k])
-    up_units = tuple(ext.delta ** down.n[i][0] for i in range(1, k + 1))
-    up_spec = ValuationSpec(fld, up_pairs, spec.lambdas[:k], up_units, spec.mode)
+    up_units = tuple(ext.delta ** down.n[i][0] * spec.units[i - 1].subs(*sub)
+                     for i in range(1, k + 1))
+    up_spec = ValuationSpec(ext.field, up_pairs, spec.lambdas[:k], up_units, spec.mode)
     up = build_jumping_sequence(up_spec, vars=("x", "y"))
 
-    sub = ext.substitution()
-    table = []
-    ok = True
-    for i in range(1, k + 2):
-        identical = down.T[i].subs(*sub) == up.T[i]
-        row = {"i": i, "T_equal": identical}
-        if i <= k:
-            row["p_prime"] = up.p(i)
-            row["q_prime"] = up.q(i)
-            row["pq_ok"] = up.p(i) == ext.t * down.p(i) and up.q(i) == down.q(i)
-            row["beta_ok"] = up.beta[i] == ext.t * down.beta[i]
-            row["n_ok"] = (up.n[i][0] == ext.t * down.n[i][0]
-                           and up.n[i][1:] == down.n[i][1:])
-            ok = ok and row["pq_ok"] and row["beta_ok"] and row["n_ok"]
-        ok = ok and identical
-        table.append(row)
-    return DualSequences(up, ok, None, tuple(table))
+    table = tuple({"i": i, "p_prime": up.p(i), "q_prime": up.q(i),
+                   "pq_ok": up.p(i) == ext.t * down.p(i) and up.q(i) == down.q(i),
+                   "beta_ok": up.beta[i] == ext.t * down.beta[i],
+                   "n_ok": up.n[i][0] == ext.t * down.n[i][0] and up.n[i][1:] == down.n[i][1:]}
+                  for i in range(1, k + 1))
+    ok = all(r["pq_ok"] and r["beta_ok"] and r["n_ok"] for r in table)
+    return DualSequences(up, ok, None, table)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +306,25 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
 
     Rung i (0-based) certifies the stable relation u_i = x_i^t * delta_i,
     the regular-parameter property of v_i = y_i on the S side, the
-    residue compatibility c_i = c'_i, and the value ratio
-    p'_{i+1}/q'_{i+1}.  The certificate is ok when every rung passes and
-    the dual sequences check out.  On the first index M with
-    gcd(t, q_M) != 1 the walk stops with the contradiction witness (M, l, g).
+    residue law c'_i = c_i * Delta_{i-1}(0)^{p_i}, and the value ratio
+    p'_{i+1}/q'_{i+1}.
+
+    The residue law: c_i is the residue of v^{q_i} / u^{p_i} on the
+    R-chart of rung i - 1 and c'_i that of v'^{q_i} / x^{t * p_i} on its
+    S-chart, with u and x the charts' first parameters and
+    v = T_i / prod_j T_j^{n_{i-1,j}}, v' = T'_i / prod_j T'_j^{n'_{i-1,j}}
+    the second parameters entering chunk i.  There u pulls back to
+    x^t * Delta_{i-1}, where Delta_{i-1}(0) is rung i - 1's
+    ``delta_constant`` (Delta_0(0) = delta(0) = 1), and v to
+    v' * delta^{-n_{i-1,0}}, since T'_j = T_j(x^t * delta, y)
+    (:func:`build_dual_sequences`) and delta is 1 at the origin.  So
+    c_i = c'_i / Delta_{i-1}(0)^{p_i}.
+    A rung whose previous unit is not certified has no constant to
+    compare with, and reports ``residue_match`` false.
+
+    The certificate is ok when every rung passes and the dual sequences
+    check out.  On the first index M with gcd(t, q_M) != 1 the walk stops
+    with the contradiction witness (M, l, g).
     ``depth`` (1 to the spec depth; default the spec depth) is the number
     of rungs, so a spec with no pairs is refused.  The downstairs sequence
     is the extension's own (:attr:`MonomialExtension.down`), built once
@@ -365,14 +388,12 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
             rec["residue_match"] = True
         else:
             rec["second_param"] = _second_param_certificate(chart_R.params[1], pulled, fld)
-            # goodchunk residue compatibility c_i = c'_i, both taken on the
-            # admissible parameters entering the chunk; it leaves out a power
-            # of the stable unit's constant, so lambda_1 != 1 fails a rung
-            # (ROADMAP: ladder residues that carry the unit constants)
             c = _rung_residue(i, prev_R)
             c_prime = _rung_residue(i, prev_S)
-            rec["residue_match"] = c == c_prime
+            rec["residue_match"] = (prev_const is not None
+                                    and c_prime == c * prev_const ** down.p(i))
             rec["c"] = fld.render(c)
+        prev_const = const
         # the rung value ratio belongs to the admissible pair
         # (x_i, y_i = v_i): the exceptional chain parameter and the strict
         # transform of T'_{i+1}, whose value is beta'_{i+1} - m * value(x_i)

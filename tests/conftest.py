@@ -74,6 +74,16 @@ def make_spec(field, pairs, mode="nondiscrete", lambdas=None) -> ValuationSpec:
     return ValuationSpec(field, tuple(pairs), tuple(lambdas), units, mode)
 
 
+def random_unit(rng, fld, vars=("u", "v")):
+    """1, or 1 plus one or two terms in the first variable, in the second
+    or in both."""
+    terms = {(0, 0): 1}
+    for _ in range(rng.randint(0, 2)):
+        e = rng.choice([(1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
+        terms[e] = rng.randint(1, 4)
+    return BivarPoly(fld, terms, vars)
+
+
 @pytest.fixture(scope="session")
 def battery(spec_a, spec_b):
     """At least 10 specs: the references, a three-pair tower, and random

@@ -71,9 +71,7 @@ def requests(draw):
             "pairs": [list(draw(st.sampled_from(COPRIME) | st.sampled_from(PAIRS)))
                       for _ in range(n)],
             "lambdas": [draw(st.sampled_from(LAMBDAS)) for _ in range(n)],
-            # an extension needs trivial downstairs units
-            "units": [draw(st.sampled_from(UNITS[:1] if extension else UNITS))
-                      for _ in range(n)],
+            "units": [draw(st.sampled_from(UNITS)) for _ in range(n)],
             "mode": draw(st.sampled_from(MODES))}
     if extension:
         return {"command": command, "ext": {"t": draw(st.integers(1, 9)),

@@ -19,7 +19,14 @@ ladders in ``EXTRA_LADDERS``) runs on spec-a's pairs over F_3 (lambdas 2
 and 1) and F_5, and on Qfrac-a: spec-a's pairs over Q with lambdas 3/7
 and -5/2 and delta_1 = 1 + (2/3)u, whose T_2 and T_3 have the common
 denominators 7 and 686.  These rows were recorded before the T-adic
-expansion moved to integer rows.
+expansion moved to integer rows; the two Qfrac-a ladders (t = 5, 7,
+downstairs units that the dual sequences once refused) were added when
+the upstairs units became delta^{n_{i,0}} * delta_i(x^t * delta, y).
+
+The eight ``dual`` rows with an upstairs sequence (a and F101-a at
+t = 5, 7, b at every t) were recorded again when the dual table dropped
+its ``T_equal`` column and its row k + 1, which re-checked T'_i against
+the substituted T_i; every other key of each report is unchanged.
 
 The ``delta=`` rows run ladder and classify with the upstairs units in
 ``DELTAS`` (t = 5, 7, on spec-a and F101-a), and the ``--format text``
@@ -66,7 +73,7 @@ POLY = {"vars": ["u", "v"], "terms": [
     {"e": [1, 1], "c": "2"}, {"e": [2, 3], "c": "5"}]}
 
 #: specs that get the shorter set of requests, and their ladder exponents
-EXTRA_LADDERS = {"F3-a": (5,), "F5-a": (7,), "Qfrac-a": ()}
+EXTRA_LADDERS = {"F3-a": (5,), "F5-a": (7,), "Qfrac-a": (5, 7)}
 
 #: non-trivial upstairs units delta for ladder/classify on spec-a and F101-a
 DELTAS = {
@@ -99,10 +106,10 @@ GOLDEN = {
     'dual a t=3': '1087d2a7b933ecc25199bc4b5803461b8fefd6a3b10632ec0aef67f2d3bc4c54',
     'ladder a t=5': '7ef337af3f44c23533bd3941cd4192cb54ce522f64224d96fd64a7d042d333f7',
     'classify a t=5': '606ec62ce8b3bafc02d10995cf0bf7ca678f4e5184280aa2149707030d873ba3',
-    'dual a t=5': '1f20dd034b8f5dda10398c3e0a8e6ffe1a313b8505be151830ac40c57a140a42',
+    'dual a t=5': 'ffa799277b97dc34baf0e1514cb5ba5ccb23778fd0c375f8488dbc6c5ed8b395',
     'ladder a t=7': 'c61f885e02e03e479724471ad2f13aa6aa7ae3fedb120b98b7d53a7e92558900',
     'classify a t=7': '25ee36c07eb4379d6a54589bab3bb71d788cf6b3395ef4ce1d6571e2626d5d67',
-    'dual a t=7': '45f764664482d868cdf25e655985f4b8762aeac961aeff8b6a3cd7ace5832d6c',
+    'dual a t=7': '13e5b80a0bfb660f24f4a401b9751bc82bc20f2eb5ce62815d3cab3154b4d929',
     'ladder a t=5 delta=1+x': '7ef337af3f44c23533bd3941cd4192cb54ce522f64224d96fd64a7d042d333f7',
     'classify a t=5 delta=1+x': '606ec62ce8b3bafc02d10995cf0bf7ca678f4e5184280aa2149707030d873ba3',
     'ladder a t=7 delta=1+x': 'c61f885e02e03e479724471ad2f13aa6aa7ae3fedb120b98b7d53a7e92558900',
@@ -118,16 +125,16 @@ GOLDEN = {
     'verify b': '87fb3a172afe2f28ac9eb788e68935c0f9534a9927849a115aaecc2e1a7af738',
     'ladder b t=2': '721d6a26819de8c96b3dfaff7574f68f63b5a45fc3777928f58f532eaa623b7e',
     'classify b t=2': '3e83029e48e233760b738a6b3f93e5fbda07e528e80e7e9ac00a10d205e4de1c',
-    'dual b t=2': 'ea954645acaf183856089a91ff02e05f1aabe32c92eea41f94194a0fb2732592',
+    'dual b t=2': '1b93a003cd3df4dc067fbbe8f7b6fc1a1e45f16b9348e632b75f02b61411af07',
     'ladder b t=3': '5e1726df65f100fce47a64779c200c25f057ddc0e5afb1ed757617ba4ddb3a6e',
     'classify b t=3': '38406212d7be613fd8e1b098c64a5cae8ed4e1c685ebb61d6e9f897add4bd8b5',
-    'dual b t=3': 'ea4a561b1585334f997609b5190875aaeb2f589c4df9f082dd63cbf65bd58b76',
+    'dual b t=3': 'd8335c060da005fb86090bce54a4d6d14cc69923dbf60b3a4832f85f39cf2ec3',
     'ladder b t=5': 'eca05d81ae60e8c3c3e982c98fc986d02ffa338db12d2ccb82fc90740ee5616d',
     'classify b t=5': 'c1a3ae429f9e377cbe4cb51cfc1e8b066a0a9a4f3ed2dca568cb4d9e83ec1e34',
-    'dual b t=5': '71662fcd31b19a4b267a15e0dae06249e24fe097aeb7cdfd5c91cd26dbb2c5ed',
+    'dual b t=5': '1f65747b702e496a6f47d1f9393124a58966bc10b6eb36bc3a324f11c3d02fe2',
     'ladder b t=7': 'dc0d0c6fd71c3c2725290baa39f6cb049606a77119e05f7038e4e826d267c878',
     'classify b t=7': '7a05d1112495095d1c69d6a4e415545b87330d1fd4cef9d761e9789693018c31',
-    'dual b t=7': '724a51fc6cea2703953e6f17834e1eaee4fa238332acdbb885fefced72fe7ae2',
+    'dual b t=7': '930aa138c79d417e979a0c97bb66c397451c88b165b6a4b69b160886581ac46b',
     'genseq F101-a': 'e396de12aedcd50b1ca975b2bbedd8f6284b8c1c4e400b0c6e98da8d606ae7ab',
     'blowup F101-a --steps 3': 'be70e6aad6bfbaaa6fbbf25e7b3064903f74e98c3f09ab574f466a5bb0d95088',
     'eval F101-a poly': 'dea52163a170b8b6c355bab8bda5d80812af9488befbb719be689090965b7917',
@@ -143,10 +150,10 @@ GOLDEN = {
     'dual F101-a t=3': '1087d2a7b933ecc25199bc4b5803461b8fefd6a3b10632ec0aef67f2d3bc4c54',
     'ladder F101-a t=5': '770adf314a83b4451e7122717d66f6fda8e453ea8bf1b31d7feb0eae9b87ddd3',
     'classify F101-a t=5': 'a98811a0904b88bdf3032361096c777ca9eb216e464d2ae33baf89bab52c19bd',
-    'dual F101-a t=5': '1f20dd034b8f5dda10398c3e0a8e6ffe1a313b8505be151830ac40c57a140a42',
+    'dual F101-a t=5': 'ffa799277b97dc34baf0e1514cb5ba5ccb23778fd0c375f8488dbc6c5ed8b395',
     'ladder F101-a t=7': '223c7544564d231ccf34c72b02ce4e7e3c6fbce8ad6a85de2077493c45763727',
     'classify F101-a t=7': '19307fa52f924e4c763e1322e32a649510a9d8f23a729a77f0698b2ef388eded',
-    'dual F101-a t=7': '45f764664482d868cdf25e655985f4b8762aeac961aeff8b6a3cd7ace5832d6c',
+    'dual F101-a t=7': '13e5b80a0bfb660f24f4a401b9751bc82bc20f2eb5ce62815d3cab3154b4d929',
     'ladder F101-a t=5 delta=1+x': '770adf314a83b4451e7122717d66f6fda8e453ea8bf1b31d7feb0eae9b87ddd3',
     'classify F101-a t=5 delta=1+x': 'a98811a0904b88bdf3032361096c777ca9eb216e464d2ae33baf89bab52c19bd',
     'ladder F101-a t=7 delta=1+x': '223c7544564d231ccf34c72b02ce4e7e3c6fbce8ad6a85de2077493c45763727',
@@ -172,6 +179,8 @@ GOLDEN = {
     'expand Qfrac-a poly': '1b16c29a8aef7c2addd723a78c54bebd8c06f211b73afa76aaf449260a450209',
     'monoidal Qfrac-a': '5ee40bcf2bc6787102d8d6036bda2f2034f70a71a0d9ef1bf63143ba71c9e8da',
     'verify Qfrac-a --samples 5': '8346c69372985d215a03e086e3b47a7a6e48f5d75dc197423f8a5b33e50ae0c5',
+    'ladder Qfrac-a t=5': 'f87a985477570f4540ddb13e0af068cf235115975a9e23064d7a90f2a78f3ef7',
+    'ladder Qfrac-a t=7': '6e41de0b81c1562515e48d6dbdafac208f1e691c8743b7e9ff0baebde2172a3d',
     'monoidal q1': '69205a72b69db6636f9b1b67ed4938bca92c0f52b8cdcc6562ad5811b3074d28',
     'blowup q1 --steps 7': '9a7ddf6b66a95cd90d7cb7f270578fadf73640100d9cf7b84bd03cb9b37463bb',
     'monoidal F101-q1': 'ac625e3e8b5dfa0ac7fccca7c7b575206ef2e0e5ae28e8e5cd8fb282b4318751',

@@ -180,6 +180,15 @@ def test_expansion_refuses_a_negative_exponent(js_a, exps):
         TExpansion(js_a, ((QQ(1), exps),))
 
 
+def test_expansion_takes_a_one_shot_iterable(js_a):
+    """The constructor reads its terms twice, to check the vectors and to
+    convert the coefficients, so an iterator of terms gives the expansion
+    a tuple of the same terms gives, not an empty one."""
+    terms = ((QQ(1), (3, 0, 0, 0)), (QQ(2), (0, 1, 0, 0)))
+    exp = TExpansion(js_a, iter(terms))
+    assert exp == TExpansion(js_a, terms) and len(exp.pairs) == 2
+
+
 def test_expansion_refuses_a_wrong_length_vector_under_O():
     """The length and sign checks are explicit code, so python -O keeps
     them."""

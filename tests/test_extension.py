@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -19,10 +20,10 @@ from jumpseq.extension import (
 )
 from jumpseq.fields import QQ, prime_field
 from jumpseq.euclid import euclid_data
-from jumpseq.engine import residue
+from jumpseq.engine import ValuationSpec, residue
 from jumpseq.poly import BivarPoly, RatExpr, exact_divide
 
-from conftest import FIELDS, backward, chart_forward, make_spec, random_spec
+from conftest import FIELDS, backward, chart_forward, make_spec, random_spec, random_unit
 
 
 def XY(fld=QQ):
@@ -85,11 +86,28 @@ def test_duals_spec_a_t5(spec_a):
 
 
 def test_duals_substitution_identity(spec_a):
-    ext = mk_ext(spec_a, 5, one_plus_x())
-    duals = build_dual_sequences(ext)
-    sub = ext.substitution()
-    for i in range(1, spec_a.depth + 2):
-        assert ext.down.T[i].subs(*sub) == duals.up.T[i]
+    """T'_i = T_i(x^t * delta, y) at every level, the identity that the
+    checks of the dual table imply: on spec-a with t = 5 and
+    delta = 1 + x, and on random specs over every field of ``FIELDS``
+    with random downstairs units in u and v and random upstairs units."""
+    exts = [mk_ext(spec_a, 5, one_plus_x())]
+    for fld in FIELDS:
+        rng = random.Random("duals-%d" % fld.characteristic)
+        top = fld.characteristic - 1 if fld.characteristic else 4
+        for _ in range(6):
+            pairs = [rng.choice([(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 3)])
+                     for _ in range(rng.randint(1, 3))]
+            t = rng.choice([t for t in range(1, 8) if all(gcd(t, q) == 1 for _, q in pairs)])
+            spec = ValuationSpec(fld, tuple(pairs),
+                                 tuple(fld(rng.randint(1, top)) for _ in pairs),
+                                 tuple(random_unit(rng, fld) for _ in pairs))
+            exts.append(mk_ext(spec, t, random_unit(rng, fld, ("x", "y"))))
+    for ext in exts:
+        duals = build_dual_sequences(ext)
+        assert duals.ok
+        sub = ext.substitution()
+        for i in range(1, ext.base_spec.depth + 2):
+            assert ext.down.T[i].subs(*sub) == duals.up.T[i], (ext.base_spec.pairs, i)
 
 
 def test_duals_gcd_failure(spec_a):
@@ -98,13 +116,21 @@ def test_duals_gcd_failure(spec_a):
     assert not duals.ok and duals.up is None and duals.failing_index == 1
 
 
-def test_duals_require_trivial_downstairs_units():
+def test_duals_take_downstairs_units():
+    """delta_1 = 1 + u on (3,2) with t = 5 and delta = 1 + x: the dual
+    table is ok and the upstairs unit is delta^{n_{1,0}} * (1 + x^5 * delta),
+    with n_{1,0} = 3; the ladder is ok as well."""
     u, _ = BivarPoly.gens(QQ, ("u", "v"))
-    unit = BivarPoly.const(QQ, 1) + u
+    x, _ = XY()
+    one = BivarPoly.const(QQ, 1, ("x", "y"))
     spec = make_spec(QQ, [(3, 2)])
-    spec = type(spec)(QQ, spec.pairs, spec.lambdas, (unit,), spec.mode)
-    with pytest.raises(InvalidSpecError):
-        build_dual_sequences(mk_ext(spec, 5))
+    spec = replace(spec, units=(BivarPoly.const(QQ, 1) + u,))
+    delta = one_plus_x()
+    ext = mk_ext(spec, 5, delta)
+    duals = build_dual_sequences(ext)
+    assert duals.ok and ext.down.n[1] == (3,)
+    assert duals.up.spec.units == (delta ** 3 * (one + x ** 5 * delta),)
+    assert ladder(ext).ok
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +188,48 @@ def test_ladders_share_the_downstairs_sequence(spec_a, monkeypatch):
     ext = mk_ext(spec_a, 5, one_plus_x())
     assert ladder(ext).ok and ladder(ext).ok
     assert len(calls) == 3
+
+
+#: ladders whose residue law needs the unit constant: (field, pairs, lambdas,
+#: t), with delta = 1; the tower fails rung 2 without it, where
+#: c = Delta_1(0) = 4, and the two F_101 ladders fail rung 3, where
+#: Delta_2(0) is 32 and 24
+UNIT_CONSTANT_LADDERS = [
+    (QQ, [(3, 2), (4, 1), (5, 3)], (2, 1, 1), 5),
+    (prime_field(101), [(3, 2), (4, 1), (5, 3)], (2, 1, 1), 5),
+    (prime_field(101), [(2, 1), (3, 4), (3, 1), (5, 4)], (3, 2, 2, 2), 7),
+    (prime_field(101), [(3, 1), (7, 2), (5, 3), (1, 3)], (2, 5, 1, 2), 7),
+]
+
+
+@pytest.mark.parametrize("fld, pairs, lambdas, t", UNIT_CONSTANT_LADDERS,
+                         ids=["tower-QQ", "tower-F101", "rung3-a-F101", "rung3-b-F101"])
+def test_ladder_residue_law_carries_the_unit_constant(fld, pairs, lambdas, t):
+    """c' = c * Delta_{i-1}(0)^{p_i}: each of these ladders is toroidal and
+    ok, and some rung's previous unit constant is not 1, so the plain
+    c = c' would fail it."""
+    spec = make_spec(fld, pairs, lambdas=[fld(l) for l in lambdas])
+    cert = ladder(mk_ext(spec, t))
+    assert cert.outcome == {"kind": "toroidal"} and cert.ok
+    assert any(r["delta_constant"] != "1" for r in cert.rungs[:-1])
+
+
+def test_ladder_residue_without_previous_unit(monkeypatch):
+    """When rung i - 1 certifies no unit, rung i has no constant for the
+    residue law and reports ``residue_match`` false, with no TypeError.
+    Here rung 1's unit is withheld on the tower (3,2),(4,1),(5,3)."""
+    ext = mk_ext(make_spec(QQ, [(3, 2), (4, 1), (5, 3)]), 5)
+    stable = extension._stable_unit
+    calls = []
+
+    def stable_unit(*a):
+        calls.append(a)
+        return None if len(calls) == 1 else stable(*a)
+
+    monkeypatch.setattr(extension, "_stable_unit", stable_unit)
+    cert = ladder(ext)
+    assert cert.rungs[1]["delta_unit"] is False
+    assert cert.rungs[2]["residue_match"] is False and not cert.ok
 
 
 def test_ladder_rung_without_unit(spec_a, monkeypatch):
@@ -282,14 +350,18 @@ def chart_at(chart, step):
 
 def rung_residues(ext, cert, rungs):
     """Per rung after rung 0, its ``c`` and ``residue_match`` as the
-    engine gives them on the charts entering the chunk."""
+    engine gives them on the charts entering the chunk, the match by the
+    law c' = c * Delta(0)^{p_i} with Delta(0) the previous rung's
+    ``delta_constant``."""
     duals = build_dual_sequences(ext)
     out = []
     for prev, (rung, (_, chart_R, chart_S)) in zip(cert.rungs, rungs):
         i = rung["i"]
         c = expanded_rung_residue(ext.down, i, chart_at(chart_R, prev["step_R"]))
         c_prime = expanded_rung_residue(duals.up, i, chart_at(chart_S, prev["step_S"]))
-        out.append((ext.field.render(c), c == c_prime))
+        const = prev["delta_constant"]
+        match = const is not None and c_prime == c * ext.field.parse(const) ** ext.down.p(i)
+        out.append((ext.field.render(c), match))
     return out
 
 

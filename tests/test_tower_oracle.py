@@ -8,8 +8,9 @@ T_{i+1} = T_i^{q_i} - lambda_i * delta_i * prod_j T_j^{n_{i,j}}.  The
 search must find exactly one row, equal to ``exponent_solve``'s, and every
 T_i must equal ``build_jumping_sequence``'s term for term.  The specs are
 drawn over Q, F_2, F_3, F_5 and F_101 with random lambdas and units in u
-and in v, and the upstairs specs of ``build_dual_sequences`` (units
-delta^{n_{i,0}} in x and y) are checked the same way.
+and in v, and the upstairs specs of ``build_dual_sequences`` on such
+downstairs units (units delta^{n_{i,0}} * delta_i(x^t * delta, y) in x
+and y) are checked the same way.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from jumpseq.engine import ValuationSpec, build_jumping_sequence, exponent_solve
 from jumpseq.extension import MonomialExtension, build_dual_sequences
 from jumpseq.poly import BivarPoly
 
-from conftest import FIELDS, make_spec
+from conftest import FIELDS, make_spec, random_unit
 
 sympy = pytest.importorskip("sympy")
 
@@ -90,15 +91,6 @@ def check_tower(spec: ValuationSpec, js):
         assert got == terms_of(ref, p), (spec.pairs, i)
 
 
-def random_unit(rng, fld, vars=("u", "v")):
-    """1, or 1 plus one or two terms in u, in v or in both."""
-    terms = {(0, 0): 1}
-    for _ in range(rng.randint(0, 2)):
-        e = rng.choice([(1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
-        terms[e] = rng.randint(1, 4)
-    return BivarPoly(fld, terms, vars)
-
-
 def random_lambda(rng, fld):
     if fld.characteristic:
         return fld(rng.randint(1, fld.characteristic - 1))
@@ -119,17 +111,39 @@ def test_tower_matches_sympy_rebuild(fld):
         check_tower(spec, build_jumping_sequence(spec))
 
 
+def sympy_subs(f: BivarPoly, first, second, gens):
+    """f(first, second) for sympy Polys ``first`` and ``second`` in ``gens``,
+    summed term by term with sympy's arithmetic."""
+    p = f.field.characteristic
+    out = sympy_poly(BivarPoly.const(f.field, 0, ("x", "y")), gens)
+    for (a, b), c in f.terms.items():
+        c = c.val if p else sympy.Rational(c.numerator, c.denominator)
+        out = out + first ** a * second ** b * c
+    return out
+
+
 @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
 def test_upstairs_tower_matches_sympy_rebuild(fld):
-    """The upstairs sequence of ``build_dual_sequences``, whose spec has
-    pairs (t*p_i, q_i) and units delta^{n_{i,0}} in (x, y)."""
+    """The upstairs sequence of ``build_dual_sequences`` on random
+    downstairs units in u and v: its spec has pairs (t*p_i, q_i) and units
+    delta^{n_{i,0}} * delta_i(x^t * delta, y) in (x, y), here recomputed
+    with sympy."""
     rng = random.Random("upstairs-%d" % fld.characteristic)
+    gens = sympy.symbols("x y")
     for _ in range(12):
         pairs = [rng.choice(PAIRS) for _ in range(rng.randint(1, 3))]
         t = rng.choice([t for t in range(1, 8) if all(gcd(t, q) == 1 for _, q in pairs)])
-        base = make_spec(fld, pairs, lambdas=[random_lambda(rng, fld) for _ in pairs])
+        base = ValuationSpec(fld, tuple(pairs),
+                             tuple(random_lambda(rng, fld) for _ in pairs),
+                             tuple(random_unit(rng, fld) for _ in pairs))
         delta = random_unit(rng, fld, ("x", "y"))
         ext = MonomialExtension(t, delta, base)
         up = build_dual_sequences(ext).up
-        assert up.spec.units == tuple(delta ** n[0] for n in ext.down.n[1:])
+        D = sympy_poly(delta, gens)
+        first = sympy_poly(BivarPoly.monomial(fld, t, 0, 1, ("x", "y")), gens) * D
+        y = sympy_poly(BivarPoly.gens(fld, ("x", "y"))[1], gens)
+        for unit, mine, n in zip(base.units, up.spec.units, ext.down.n[1:]):
+            ref = D ** n[0] * sympy_subs(unit, first, y, gens)
+            got = {e: (c.val if fld.characteristic else c) for e, c in mine.terms.items()}
+            assert got == terms_of(ref, fld.characteristic), (pairs, t)
         check_tower(up.spec, up)

@@ -35,7 +35,6 @@ from jumpseq.engine import (
 from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLimitError
 from jumpseq.extension import (
     MonomialExtension,
-    discrete_branch_report,
     first_gcd_failure,
     ladder,
 )
@@ -152,8 +151,6 @@ def spec_record(name, spec, rng, n_random_polys):
                                      % (name, t, cert.outcome["M"], M))
             entry["witness"] = {k: cert.outcome[k] for k in ("M", "l", "g")}
         rec["ladders"].append(entry)
-        if spec.mode == "discrete" and M is None:
-            entry["discrete_branch"] = discrete_branch_report(ext)
     return rec
 
 

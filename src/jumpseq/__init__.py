@@ -39,7 +39,6 @@ from .extension import (
     ToroidalForm,
     build_dual_sequences,
     classify_toroidal_form,
-    discrete_branch_report,
     ladder,
 )
 

@@ -282,9 +282,9 @@ def pull_back(f: BivarPoly, chart: Chart):
     could raise.
 
     Returns (e_X, e_Y, c, k) with f(forward) = X^e_X * Y^e_Y * U * g,
-    where U is a polynomial unit, g is divisible by neither X nor Y,
-    c = U(0, 0) * g(0, 0), nonzero exactly when g is a local unit, and k
-    is the order of g(0, Y).
+    where U is a polynomial unit, g is divisible by neither X nor Y, k is
+    the order of g(0, Y) and c = U(0, 0) * [Y^k] g(0, Y), never zero.  g
+    is a local unit exactly when k = 0, and then c = U(0, 0) * g(0, 0).
     """
     if f.is_zero():
         raise ValueError("strict transform of the zero polynomial")
@@ -315,8 +315,8 @@ def strict_transform(f: BivarPoly, chart: Chart):
     exceptional coordinate X (the first current parameter), and
     c = g(0, 0), which is nonzero exactly when g is a local unit.
     """
-    e_x, e_y, c, _ = pull_back(f, chart)
-    return e_x, (c if e_y == 0 else chart.field.zero)
+    e_x, e_y, c, k = pull_back(f, chart)
+    return e_x, (c if e_y == k == 0 else chart.field.zero)
 
 
 def value_in_original(f: BivarPoly, m: int, chart: Chart) -> Fraction:
@@ -340,13 +340,32 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
     H_j = u_l^{Qbar_l betabar_j} * unit for j <= l (unit certified by a
     nonzero constant term after exact exponent stripping), the strict
     transform of H_{l+1} with its value betabar_{l+1} - m * value(u_l),
-    and the residue cross-check lambda_{i_l} = c_l * t_l, where t_l comes
-    from the unit constants of the factorizations at level l-1.
+    and the residue law lambda_{i_l} = c_l * t_l.
+
+    The residue law: at level l - 1, with chart coordinates (x, y), each
+    H_j with j < l is x^{e_j} times a unit with constant kappa_j, and H_l
+    pulls back to x^m Y^e_Y U g (:func:`pull_back`), k the order of
+    g(0, Y).  When e_Y + k = 1, H_l / x^m = a_l * y modulo (x, y^2), with
+    a_l = U(0, 0) * [Y^k] g(0, Y); its value is that of y (the level's
+    ``v_strict``), so no power of x alone enters its initial form, which
+    is a_l times that of y.  The defining relation of T_{i_l + 1} gives
+    lambda_{i_l} as the residue of H_l^{qbar_l} / prod_{j<l} H_j^{nbar(l,j)}
+    (n_{i,j} = 0 wherever q_j = 1, and delta_{i_l}(0) = 1), which is
+    c_l * t_l with t_l = a_l^{qbar_l} / prod_{j<l} kappa_j^{nbar(l,j)} and
+    c_l the residue of y^{qbar_l} / x^{pbar_l}, that of the closing at
+    kbar_l.  At level 0 the chart is (u, v), kappa_0 = 1 and
+    H_1 = v - h(u), so a_1 = 1.  When e_Y + k != 1 at level l - 1 there is
+    no a_l, and level l reports the law false with t null.
 
     The chain starts at (u, v); the ring sequence is intrinsic, so the
     chunks of the pairs with q = 1 before i_1 reach (u, H_1 / u^k), the
     second coordinate shifted by h(X) with h(0) = 0 where some
     delta_j(u) != 1, which moves no exponent, order or constant term.
+
+    The exceptional exponent of H_{l+1} is not compared with the
+    denominator monomial of v_l, sum_j nbar(l,j) * Qbar_l * betabar_j:
+    that sum is Qbar_l * qbar_l * betabar_l by the value relation the
+    exponents n solve, so it equals ``expected_exponent`` by construction.
     """
     if L > ind.levels:
         raise ValueError("spec depth provides only %d independent levels" % ind.levels)
@@ -361,9 +380,10 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         return row[pos] if pos < len(row) else 0
 
     reports = []
-    # unit constants of H_0, ..., H_{l-1} at level l-1; at level 0 the
-    # only one is H_0 = u, which pulls back to x
+    # the unit constants kappa_j of H_0, ..., H_{l-1} and the coefficient
+    # a_l of H_l at level l-1; at level 0, H_0 = u pulls back to x
     consts = [fld.one]
+    a_l = fld.one
     for l in range(1, L + 1):
         while chart.step_index < ind.kbar[l]:
             chart = single_quadratic_transform(chart)
@@ -386,44 +406,38 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         rec["H_factorizations"] = factorizations
         rec["H_factorizations_ok"] = factor_ok
 
+        # the residue law; c_l is the residue of the closing at step
+        # kbar_l, the last step taken
+        c_l = chart.step[1]
+        t_l = None
+        if a_l is not None:
+            t_l = a_l ** ind.qbar[l - 1]
+            for j in range(l):
+                t_l = t_l / consts[j] ** nbar(l, j)
+        lam = fld(js.spec.lambdas[ind.indices[l - 1] - 1])
+        rec["residue_check"] = {
+            "c": fld.render(c_l),
+            "t": None if t_l is None else fld.render(t_l),
+            "lambda": fld.render(lam),
+            "pass": t_l is not None and c_l * t_l == lam,
+        }
+
         # conclusion 2): the strict transform of H_{l+1} carries the value
-        # (1/Qbar_l)(pbar_{l+1}/qbar_{l+1}) and the exceptional exponent
-        # matches the denominator monomial of v_l
+        # (1/Qbar_l)(pbar_{l+1}/qbar_{l+1}) and is not a unit; its
+        # coefficient a_{l+1} serves the next level's residue law
         if l < ind.levels:
-            m, const = strict_transform(H[l + 1], chart)
+            m, e_y, a, k = pull_back(H[l + 1], chart)
             expected_m = ind.Qbar[l] * ind.qbar[l - 1] * ind.betabar[l]
-            mono_exp = sum(nbar(l, j) * ind.Qbar[l] * ind.betabar[j] for j in range(l))
             vg = ind.betabar[l + 1] - m * chart.values[0]  # betabar_{l+1} = value(H_{l+1})
             expected_v = Fraction(ind.pbar[l], ind.qbar[l]) / ind.Qbar[l]
             rec["v_strict"] = {
                 "exceptional_exponent": m,
                 "expected_exponent": expected_m,
-                "denominator_exponent": mono_exp,
                 "value": vg,
                 "expected_value": expected_v,
-                "pass": Fraction(m) == expected_m == mono_exp and vg == expected_v
-                and not const,
+                "pass": m == expected_m and vg == expected_v and e_y + k > 0,
             }
-
-        # residue cross-check lambda_{i_l} = c_l * t_l, with t_l computed
-        # from the unit constant terms at level l-1; c_l is the residue of
-        # the closing at step kbar_l, the last step taken
-        c_l = chart.step[1]
-        tau = fld.one
-        for j in range(0, l - 1):
-            tau = tau * consts[j] ** nbar(l - 1, j)
-        tau = tau ** js.q(ind.indices[l - 1])
-        tau_den = fld.one
-        for j in range(0, l):
-            tau_den = tau_den * consts[j] ** nbar(l, j)
-        t_l = tau / tau_den
-        lam = fld(js.spec.lambdas[ind.indices[l - 1] - 1])
-        rec["residue_check"] = {
-            "c": fld.render(c_l),
-            "t": fld.render(t_l),
-            "lambda": fld.render(lam),
-            "pass": c_l * t_l == lam,
-        }
+            a_l = a if e_y + k == 1 else None
         rec["chart"] = chart
         rec["pass"] = (rec["u_value_ok"] and factor_ok
                        and rec.get("v_strict", {"pass": True})["pass"]

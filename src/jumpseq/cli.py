@@ -50,7 +50,6 @@ from .extension import (
     MonomialExtension,
     build_dual_sequences,
     classify_toroidal_form,
-    discrete_branch_report,
     ladder,
 )
 from .fields import Fp
@@ -238,13 +237,15 @@ def cmd_verify(js, args):
 
 def cmd_classify(ext, args):
     if ext.base_spec.mode == "discrete":
-        return {"form": classify_toroidal_form(ext),
-                "discrete_branch": discrete_branch_report(ext)}, EXIT_OK
+        return {"form": classify_toroidal_form(ext)}, EXIT_OK
     if extract_independent(ext.down).levels == 0:
         raise UsageError("classify needs an independent index (some q_i > 1); the spec has none")
     cert = ladder(ext)
     if cert.outcome.get("kind") == "contradiction":
         return {"outcome": cert.outcome}, EXIT_CONTRADICTION
+    if not cert.ok:  # no form without a certificate; exit 0, as an uncertified verify record
+        return {"ladder": cert,
+                "failing_rung": next(r["i"] for r in cert.rungs if not r["pass"])}, EXIT_OK
     return {"form": classify_toroidal_form(ext), "ladder": cert}, EXIT_OK
 
 

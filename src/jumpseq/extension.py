@@ -82,13 +82,11 @@ class MonomialExtension:
         extension: the dual sequences and every ladder read it."""
         return build_jumping_sequence(self.base_spec)
 
-    def substitution(self) -> Tuple[BivarPoly, BivarPoly]:
-        """(x^t * delta, y): the images of u and v in the upstairs ring."""
-        return self._substitution
-
     @cached_property
-    def _substitution(self) -> Tuple[BivarPoly, BivarPoly]:
-        # formed once per extension: every ladder rung pulls factors through it
+    def substitution(self) -> Tuple[BivarPoly, BivarPoly]:
+        """(x^t * delta, y): the images of u and v in the upstairs ring,
+        formed once per extension, since every ladder rung pulls factors
+        through it."""
         x, y = BivarPoly.gens(self.field, ("x", "y"))
         return (x ** self.t * self.delta, y)
 
@@ -114,9 +112,12 @@ class MonomialExtension:
 @dataclass(frozen=True)
 class DualSequences:
     up: Optional[JumpingSequence]
-    ok: bool
     failing_index: Optional[int]
     table: Tuple[dict, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.failing_index is None
 
     def to_json(self):
         return {
@@ -137,30 +138,30 @@ def first_gcd_failure(t: int, pairs, upto: Optional[int] = None) -> Optional[int
 
 
 def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> DualSequences:
-    """Build the upstairs jumping sequence and check its data against the
-    downstairs one level by level, up to depth ``k`` (0 to the spec
-    depth; default the spec depth).
+    """Build the upstairs jumping sequence up to depth ``k`` (0 to the
+    spec depth; default the spec depth): a table row i <= k reports p'_i
+    and q'_i.
 
     The upstairs spec has pairs (t * p_i, q_i), the downstairs lambdas
-    and units delta'_i = delta^{n_{i,0}} * delta_i(x^t * delta, y).  A
-    table row i <= k reports p'_i, q'_i and the checks ``pq_ok``
-    (p'_i = t * p_i, q'_i = q_i), ``beta_ok`` (beta'_i = t * beta_i) and
-    ``n_ok`` (n'_{i,0} = t * n_{i,0}, n'_{i,j} = n_{i,j} for j >= 1); the
-    result is ok when every row passes.
+    and units delta'_i = delta^{n_{i,0}} * delta_i(x^t * delta, y).  Its
+    data agree with the downstairs data by construction, so nothing is
+    compared: the pairs are built as (t * p_i, q_i), beta'_i = t * beta_i
+    comes from the same recurrence on them, and once gcd(t, Q_k) = 1 the
+    exponents n'_i solve the same congruences, so n'_{i,0} = t * n_{i,0}
+    and n'_{i,j} = n_{i,j} for j >= 1.
 
-    No T_i is substituted, since these checks imply T'_i = T_i(x^t * delta, y)
-    for every i >= 1.  Under u = x^t * delta, v = y the downstairs relation
+    Hence T'_i = T_i(x^t * delta, y) for every i >= 1, with no T_i
+    substituted.  Under u = x^t * delta, v = y the downstairs relation
     T_{i+1} = T_i^{q_i} - lambda_i * delta_i * u^{n_{i,0}} * prod_{j>=1} T_j^{n_{i,j}}
     goes to T_i(x^t * delta, y)^{q_i} - lambda_i * delta'_i * x^{t * n_{i,0}}
     * prod_{j>=1} T_j(x^t * delta, y)^{n_{i,j}}: the power delta^{n_{i,0}}
     of u^{n_{i,0}}'s image is in delta'_i.  That is the upstairs relation
-    of level i exactly when ``pq_ok`` and ``n_ok`` hold there, and
-    T'_1 = y = T_1(x^t * delta, y), so the identity follows by induction
-    on i.
+    of level i, and T'_1 = y = T_1(x^t * delta, y), so the identity
+    follows by induction on i.
 
     When gcd(t, Q_k) != 1 the result carries the first failing index
-    instead of an upstairs sequence.  The downstairs sequence is the
-    extension's own (:attr:`MonomialExtension.down`).
+    instead of an upstairs sequence, and is not ok.  The downstairs
+    sequence is the extension's own (:attr:`MonomialExtension.down`).
     """
     spec = ext.base_spec
     if k is None:
@@ -171,22 +172,17 @@ def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> Dua
     down = ext.down
     M = first_gcd_failure(ext.t, spec.pairs, upto=k)
     if M is not None:
-        return DualSequences(None, False, M)
+        return DualSequences(None, M)
 
-    sub = ext.substitution()
+    sub = ext.substitution
     up_pairs = tuple((ext.t * p, q) for p, q in spec.pairs[:k])
     up_units = tuple(ext.delta ** down.n[i][0] * spec.units[i - 1].subs(*sub)
                      for i in range(1, k + 1))
     up_spec = ValuationSpec(ext.field, up_pairs, spec.lambdas[:k], up_units, spec.mode)
     up = build_jumping_sequence(up_spec, vars=("x", "y"))
 
-    table = tuple({"i": i, "p_prime": up.p(i), "q_prime": up.q(i),
-                   "pq_ok": up.p(i) == ext.t * down.p(i) and up.q(i) == down.q(i),
-                   "beta_ok": up.beta[i] == ext.t * down.beta[i],
-                   "n_ok": up.n[i][0] == ext.t * down.n[i][0] and up.n[i][1:] == down.n[i][1:]}
-                  for i in range(1, k + 1))
-    ok = all(r["pq_ok"] and r["beta_ok"] and r["n_ok"] for r in table)
-    return DualSequences(up, ok, None, table)
+    table = tuple({"i": i, "p_prime": up.p(i), "q_prime": up.q(i)} for i in range(1, k + 1))
+    return DualSequences(up, None, table)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +195,7 @@ def _pulled_factors(ext: MonomialExtension, chart_R: Chart, chart_S: Chart) -> d
     parameter, pulled upstairs through u = x^t * delta, v = y and then
     into the S-chart step by step: {k: (a, b, c, order)} as
     :func:`~jumpseq.blowup.pull_back` gives it for factor k."""
-    sub = ext.substitution()
+    sub = ext.substitution
     eU, eV = chart_R.params
     return {k: pull_back(f.poly.subs(*sub), chart_S)
             for k, f in enumerate(chart_R.factors) if eU[k] or eV[k]}
@@ -209,10 +205,10 @@ def _split(exps, pulled, fld):
     """A parameter prod_k F_k^{e_k} pulled back factor by factor, as
     num / den with num the factors of positive exponent and den those of
     negative exponent.  Returns (a, b, c, order) for num and for den: with
-    num = X^a Y^b U g, c = U(0, 0) * g(0, 0), nonzero exactly when g is a
-    local unit, and order that of g(0, Y).  The exponents and orders add
-    up and the constants multiply, since pull_back of a product is the
-    product of the pull-backs."""
+    num = X^a Y^b U g, order is that of g(0, Y), zero exactly when g is a
+    local unit, and c = U(0, 0) * [Y^order] g(0, Y).  The exponents and
+    orders add up and the constants multiply, since pull_back of a product
+    is the product of the pull-backs."""
     out = []
     for sign in (1, -1):
         a = b = order = 0
@@ -237,10 +233,10 @@ def _stable_unit(ext: MonomialExtension, exps, pulled: dict):
     their pull-backs (:func:`_pulled_factors`).  x_i pulls back to the
     S-chart coordinate X, and u_i to X^a Y^b U g / (X^a' Y^b' U' g').
     Delta = u_i / X^t is certified as a ratio of local units: a - a' = t,
-    b = b', and g and g' have nonzero constant terms.  Its constant is
-    then the ratio of theirs."""
-    (a, b, c, _), (a2, b2, c2, _) = _split(exps, pulled, ext.field)
-    if a - a2 != ext.t or b != b2 or not c or not c2:
+    b = b', and g and g' have nonzero constant terms (order 0).  Its
+    constant is then the ratio of theirs."""
+    (a, b, c, order), (a2, b2, c2, order2) = _split(exps, pulled, ext.field)
+    if a - a2 != ext.t or b != b2 or order or order2:
         return None
     return c / c2
 
@@ -259,10 +255,10 @@ def _second_param_certificate(exps, pulled: dict, fld: GroundField) -> dict:
     X^min(a, a') Y^min(b, b'); on X = 0 the unit U has order 0, so num
     has order b + order(g(0, Y)) there.
     """
-    (a, b, c, order), (a2, b2, c2, _) = _split(exps, pulled, fld)
+    (a, b, _, order), (a2, b2, _, order2) = _split(exps, pulled, fld)
     da, db = a - min(a, a2), b - min(b, b2)  # num's monomial after cancelling
-    den_unit = a2 <= a and b2 <= b and bool(c2)
-    vanishes = da > 0 or db > 0 or not c
+    den_unit = a2 <= a and b2 <= b and not order2
+    vanishes = da > 0 or db > 0 or order > 0
     order_one = da == 0 and db + order == 1
     return {
         "den_unit": den_unit,
@@ -322,8 +318,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
     A rung whose previous unit is not certified has no constant to
     compare with, and reports ``residue_match`` false.
 
-    The certificate is ok when every rung passes and the dual sequences
-    check out.  On the first index M with gcd(t, q_M) != 1 the walk stops
+    The certificate is ok when every rung passes.  On the first index M with gcd(t, q_M) != 1 the walk stops
     with the contradiction witness (M, l, g).
     ``depth`` (1 to the spec depth; default the spec depth) is the number
     of rungs, so a spec with no pairs is refused.  The downstairs sequence
@@ -354,8 +349,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                    "pbar_prime": pbar_prime}
         return LadderCertificate((), outcome, False)
 
-    duals = build_dual_sequences(ext, depth)
-    up = duals.up
+    up = build_dual_sequences(ext, depth).up
 
     fld = ext.field
     chart_R = initial_chart(down)
@@ -409,34 +403,12 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                        and rec["residue_match"] and rec["ratio_ok"]
                        and rec["x_value_ok"])
         rungs.append(rec)
-    ok = duals.ok and all(r["pass"] for r in rungs)
-    return LadderCertificate(tuple(rungs), {"kind": "toroidal"}, ok)
+    return LadderCertificate(tuple(rungs), {"kind": "toroidal"}, all(r["pass"] for r in rungs))
 
 
 # ---------------------------------------------------------------------------
-# discrete branch and classification
+# classification
 # ---------------------------------------------------------------------------
-
-
-def discrete_branch_report(ext: MonomialExtension) -> dict:
-    """Verify that 1/t generates the upstairs value group in discrete mode.
-
-    Upstairs values of x and of every T'_i must be integer multiples of
-    1/t, with 1/t itself attained.
-    """
-    duals = build_dual_sequences(ext)
-    if duals.up is None:
-        raise InvalidSpecError("no upstairs sequence: gcd(%d, q_%d) != 1"
-                               % (ext.t, duals.failing_index))
-    t = ext.t
-    values = [Fraction(1, t)] + [b / t for b in duals.up.beta[1:]]
-    multiples = all((v * t).denominator == 1 for v in values)
-    return {
-        "values": [str(v) for v in values],
-        "all_multiples_of_1_over_t": multiples,
-        "one_over_t_attained": Fraction(1, t) in values,
-        "pass": multiples and Fraction(1, t) in values,
-    }
 
 
 @dataclass(frozen=True)
@@ -455,7 +427,9 @@ def classify_toroidal_form(ext: MonomialExtension) -> ToroidalForm:
     """The toroidal shape of the extension's stable form, GHK's case 4 or 5.
 
     A discrete spec is case 5, whose sequences are non-minimal by
-    construction.  Any other is case 4, where ``minimal`` says whether
+    construction.  Its upstairs value group is generated by 1/t with no
+    report to compute: x has value 1/t, and every q_i = 1, so each
+    beta'_i / t = beta_i is an integer.  Any other is case 4, where ``minimal`` says whether
     {H_l} is a minimal generating sequence: every betabar_k of the
     downstairs sequence is outside the semigroup of the others, as
     :func:`jumpseq.engine.verify_minimality` computes it.  That agrees

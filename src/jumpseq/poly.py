@@ -24,8 +24,8 @@ This module alone reads an integer form; the tower, the expansion and the
 blow-up chain hand forms to its form operations and take none apart:
 :func:`_shift` (times u^a v^b), :func:`_map` (a unimodular monomial map),
 :func:`_strip` (remove the largest monomial factor), :func:`_translate`
-(a closing step, x(u, u*(v + c))), :func:`_at_origin` (constant term and
-order on u = 0), :func:`_element` (a coefficient), :func:`_numerators`
+(a closing step, x(u, u*(v + c))), :func:`_at_origin` (lowest coefficient
+and order on u = 0), :func:`_element` (a coefficient), :func:`_numerators`
 (coefficients over one denominator), :func:`_unfold` (a T-adic
 expansion) and :func:`_fold` (its inverse: a sum of coefficients times
 u^a v^b and powers of given forms, by Horner).  :func:`_fold` is the one
@@ -445,10 +445,12 @@ def _strip(x):
 
 
 def _at_origin(x, p):
-    """The constant term of the integer form ``x`` as a field element and
-    the order of x(0, v), which u must not divide."""
+    """The lowest coefficient of x(0, v) as a field element and its order
+    k, for an integer form ``x`` that u does not divide: the coefficient of
+    v^k, which is the constant term when k = 0."""
     terms, den = x
-    return _element(terms.get((0, 0), 0), den, p), min(j for i, j in terms if i == 0)
+    k = min(j for i, j in terms if i == 0)
+    return _element(terms[0, k], den, p), k
 
 
 def _binomial_row(b, n, d, top, p):

@@ -19,7 +19,7 @@ from jumpseq.engine import build_jumping_sequence, expand, extract_independent, 
 from jumpseq.errors import InsufficientDepthError
 from jumpseq.euclid import euclid_data
 from jumpseq.extension import MonomialExtension, build_dual_sequences, \
-    classify_toroidal_form, discrete_branch_report, first_gcd_failure, ladder
+    classify_toroidal_form, first_gcd_failure, ladder
 from jumpseq.fields import QQ
 from jumpseq.poly import BivarPoly
 
@@ -217,7 +217,7 @@ def test_criterion_6_relationship(spec_a, t):
         ext = MonomialExtension(t=t, delta=delta, base_spec=spec_a)
         duals = build_dual_sequences(ext)
         assert duals.ok, "t=%d delta=%s" % (t, delta)
-        sub = ext.substitution()
+        sub = ext.substitution
         up, down = duals.up, ext.down
         for i in range(1, spec_a.depth + 2):
             assert down.T[i].subs(*sub) == up.T[i]
@@ -280,11 +280,11 @@ def test_criterion_8_discrete_branch(spec_b):
     ext = MonomialExtension(t=3, delta=one, base_spec=spec_b)
     form = classify_toroidal_form(ext)
     assert form.case == 5 and form.minimal is False
-    report = discrete_branch_report(ext)
-    assert report["pass"]
-    values = [Fraction(v) for v in report["values"]]
-    assert all((3 * v).denominator == 1 for v in values)
-    assert Fraction(1, 3) in values
+    # 1/t generates the upstairs value group: x has value 1/t, and every
+    # beta'_i / t is an integer
+    beta = build_dual_sequences(ext).up.beta
+    assert beta[0] / 3 == Fraction(1, 3)
+    assert all((b / 3).denominator == 1 for b in beta[1:])
 
 
 # ---------------------------------------------------------------------------

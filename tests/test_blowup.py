@@ -213,6 +213,54 @@ def test_monoidal_residue_check_with_lambda(fld, pairs):
     assert all(r["pass"] for r in reports)
 
 
+#: monoidal specs whose residue law needs a_l past level 2: (field, pairs,
+#: lambdas, whether delta_3 = 1 + u, {level: t_l}); without a_l, t_l is
+#: 1/8 and 1/256 at levels 3 and 4 of the first, 1/6561 at level 4 of the
+#: second and 95 at level 3 of the third, and each of those levels fails
+MONOIDAL_PAST_LEVEL_2 = [
+    (QQ, [(2, 3), (1, 3), (5, 2), (3, 2)], (2, 1, 1, 1), False, {3: "1/32", 4: "1/262144"}),
+    (QQ, [(2, 3), (1, 3), (5, 2), (3, 2)], (1, 3, 3, 2), False, {4: "1/43046721"}),
+    (prime_field(101), [(1, 2), (1, 3), (5, 2)], (2, 3, 1), True, {3: "49"}),
+]
+
+
+@pytest.mark.parametrize("fld, pairs, lambdas, unit, expected", MONOIDAL_PAST_LEVEL_2,
+                         ids=["QQ-2111", "QQ-1332", "F101-231"])
+def test_monoidal_residue_law_past_level_2(fld, pairs, lambdas, unit, expected):
+    """lambda_{i_l} = c_l * t_l with t_l = a_l^{qbar_l} / prod_j kappa_j^{nbar(l,j)}
+    holds at every level, a_l the coefficient of H_l's pull-back at level
+    l - 1."""
+    spec = make_spec(fld, pairs, lambdas=tuple(fld(c) for c in lambdas))
+    if unit:
+        u, _ = BivarPoly.gens(fld)
+        spec = replace(spec, units=spec.units[:2] + (u + 1,))
+    js = build_jumping_sequence(spec)
+    ind = extract_independent(js)
+    reports = monoidal_sequence(js, ind, ind.levels)
+    assert {l: reports[l - 1]["residue_check"]["t"] for l in expected} == expected
+    assert all(r["pass"] for r in reports)
+
+
+def test_monoidal_residue_law_without_a_coefficient(monkeypatch):
+    """When H_l's pull-back at level l - 1 is not transversal to the
+    exceptional locus (e_Y + k != 1) there is no a_l: level l reports the
+    law false with t null, and the other levels are unchanged.  Here
+    H_2's pull-back at level 1 of spec-a is given order 2."""
+    from jumpseq import blowup
+    js = build_jumping_sequence(load_spec("spec-a.json"))
+    ind = extract_independent(js)
+    real = blowup.pull_back
+
+    def pull_back_order_2(f, chart):
+        e_x, e_y, c, k = real(f, chart)
+        return e_x, e_y, c, k + (f is js.T[2] and chart.step_index == ind.kbar[1])
+
+    monkeypatch.setattr(blowup, "pull_back", pull_back_order_2)
+    level1, level2 = monoidal_sequence(js, ind, 2)
+    assert level1["pass"] and level2["residue_check"]["t"] is None
+    assert level2["residue_check"]["pass"] is False and not level2["pass"]
+
+
 def _chain(name):
     """A jumping sequence and the start of one of the chains the
     certifiers walk: spec-a downstairs (the ladder's R chain), the tower

@@ -109,7 +109,7 @@ def test_classify_discrete(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["form"]["case"] == 5 and data["form"]["minimal"] is False
-    assert data["discrete_branch"]["pass"] is True
+    assert list(data) == ["form"]  # the discrete branch needs no report
 
 
 def test_classify_nondiscrete(capsys, tmp_path):
@@ -118,6 +118,27 @@ def test_classify_nondiscrete(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["form"]["case"] == 4 and data["form"]["minimal"] is True
+
+
+def test_classify_without_an_ok_ladder_gives_no_form(capsys, tmp_path, monkeypatch):
+    """A ladder that is not ok gives no toroidal form: the report carries
+    the ladder and its first failing rung, and exits 0.  Here rung 1 of
+    spec-a's t = 5 certificate is made to fail."""
+    from dataclasses import replace
+    from jumpseq import cli
+    real = cli.ladder
+
+    def failing_ladder(ext, depth=None):
+        cert = real(ext, depth)
+        rungs = (cert.rungs[0], {**cert.rungs[1], "pass": False})
+        return replace(cert, rungs=rungs, ok=False)
+
+    monkeypatch.setattr(cli, "ladder", failing_ladder)
+    code, out, _ = run(capsys, "classify", write_ext(tmp_path, 5, SPEC_A))
+    assert code == 0
+    data = json.loads(out)
+    assert "form" not in data and data["failing_rung"] == 1
+    assert data["ladder"]["ok"] is False and data["ladder"]["rungs"][1]["pass"] is False
 
 
 def test_monoidal(capsys):

@@ -14,7 +14,6 @@ from jumpseq.extension import (
     MonomialExtension,
     build_dual_sequences,
     classify_toroidal_form,
-    discrete_branch_report,
     first_gcd_failure,
     ladder,
 )
@@ -86,10 +85,13 @@ def test_duals_spec_a_t5(spec_a):
 
 
 def test_duals_substitution_identity(spec_a):
-    """T'_i = T_i(x^t * delta, y) at every level, the identity that the
-    checks of the dual table imply: on spec-a with t = 5 and
-    delta = 1 + x, and on random specs over every field of ``FIELDS``
-    with random downstairs units in u and v and random upstairs units."""
+    """T'_i = T_i(x^t * delta, y) at every level, and the identities of
+    the upstairs data that imply it (p'_i = t * p_i, q'_i = q_i,
+    beta'_i = t * beta_i, n'_{i,0} = t * n_{i,0} and n'_{i,j} = n_{i,j}
+    for j >= 1), which the dual table holds by construction: on spec-a
+    with t = 5 and delta = 1 + x, and on random specs over every field of
+    ``FIELDS`` with random downstairs units in u and v and random upstairs
+    units."""
     exts = [mk_ext(spec_a, 5, one_plus_x())]
     for fld in FIELDS:
         rng = random.Random("duals-%d" % fld.characteristic)
@@ -105,9 +107,13 @@ def test_duals_substitution_identity(spec_a):
     for ext in exts:
         duals = build_dual_sequences(ext)
         assert duals.ok
-        sub = ext.substitution()
+        up, down, t = duals.up, ext.down, ext.t
         for i in range(1, ext.base_spec.depth + 2):
-            assert ext.down.T[i].subs(*sub) == duals.up.T[i], (ext.base_spec.pairs, i)
+            assert down.T[i].subs(*ext.substitution) == up.T[i], (ext.base_spec.pairs, i)
+        for i in range(1, ext.base_spec.depth + 1):
+            assert (up.p(i), up.q(i)) == (t * down.p(i), down.q(i))
+            assert up.beta[i] == t * down.beta[i]
+            assert up.n[i] == (t * down.n[i][0],) + down.n[i][1:]
 
 
 def test_duals_gcd_failure(spec_a):
@@ -165,17 +171,6 @@ def test_ladder_t1_trivial(spec_a):
 def test_ladder_depth_check(spec_a):
     with pytest.raises(InvalidSpecError):
         ladder(mk_ext(spec_a, 5), depth=3)
-
-
-def test_ladder_fails_with_dual_sequences(spec_a, monkeypatch):
-    """A dual-sequence table that does not check out fails the ladder even
-    when every rung passes."""
-    build = extension.build_dual_sequences
-    monkeypatch.setattr(extension, "build_dual_sequences",
-                        lambda ext, k=None: replace(build(ext, k), ok=False))
-    cert = ladder(mk_ext(spec_a, 5), depth=1)
-    assert all(r["pass"] for r in cert.rungs)
-    assert cert.outcome == {"kind": "toroidal"} and not cert.ok
 
 
 def test_ladders_share_the_downstairs_sequence(spec_a, monkeypatch):
@@ -287,7 +282,7 @@ def expanded_rung(ext, chart_R, forward_S):
     Delta is a unit when, after cancelling the common monomial,
     num = X^t * A and den = B with A and B local units."""
     fld = ext.field
-    sub = ext.substitution()
+    sub = ext.substitution
 
     def in_chart(r):
         up = RatExpr(r.num.subs(*sub), r.den.subs(*sub))
@@ -394,7 +389,7 @@ def test_stable_unit_beyond_exact_division():
     forward_S = chart_forward(chart_S)
     assert rung["delta_unit"] and rung_fields(rung) == expanded_rung(ext, chart_R, forward_S)
     u_i = backward(chart_R)[0]
-    num, den = (f.subs(*ext.substitution()).subs(*forward_S) for f in (u_i.num, u_i.den))
+    num, den = (f.subs(*ext.substitution).subs(*forward_S) for f in (u_i.num, u_i.den))
     with pytest.raises(DivisibilityError):
         exact_divide(num, den * BivarPoly.monomial(fld, 3, 0, 1, den.vars))
 
@@ -434,20 +429,8 @@ def test_ladder_rungs_match_expanded_forward(seed, fld, t):
 
 
 # ---------------------------------------------------------------------------
-# discrete branch and classification
+# classification
 # ---------------------------------------------------------------------------
-
-
-def test_discrete_branch(spec_b):
-    out = discrete_branch_report(mk_ext(spec_b, 3, one_plus_x()))
-    assert out["pass"]
-    assert out["values"] == ["1/3", "2", "5"]
-
-
-def test_discrete_branch_requires_upstairs_sequence(spec_a):
-    # gcd(2, q_1) = 2 leaves no upstairs sequence to read values from
-    with pytest.raises(InvalidSpecError):
-        discrete_branch_report(mk_ext(spec_a, 2))
 
 
 def test_classify_discrete(spec_b):

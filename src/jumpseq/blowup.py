@@ -58,7 +58,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import InsufficientDepthError
+from .errors import InsufficientDepthError, InvalidSpecError
 from .engine import IndependentData, JumpingSequence, graded_residue, initial_form, value
 from .fields import GroundField
 from .poly import BivarPoly, _at_origin, _fold, _map, _ratio, _strip, _translate, _wrap
@@ -335,6 +335,11 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
     """Advance to the chunk boundaries kbar_1, ..., kbar_L and certify
     the monomial structure of the independent polynomials there.
 
+    ``L`` is the number of levels, 1 to ``ind.levels``.  A spec with no
+    independent index (every q_i = 1) has no level to certify, and it and
+    an ``L`` outside that range raise :class:`InvalidSpecError`, before
+    any chart is made.
+
     At each level l the report records: the chart, the value of the
     exceptional parameter (expected 1/Qbar_l), the factorizations
     H_j = u_l^{Qbar_l betabar_j} * unit for j <= l (unit certified by a
@@ -367,8 +372,12 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
     that sum is Qbar_l * qbar_l * betabar_l by the value relation the
     exponents n solve, so it equals ``expected_exponent`` by construction.
     """
-    if L > ind.levels:
-        raise ValueError("spec depth provides only %d independent levels" % ind.levels)
+    if not ind.levels:
+        raise InvalidSpecError("monoidal needs an independent index (some q_i > 1); "
+                               "the spec has none")
+    if not 1 <= L <= ind.levels:
+        raise InvalidSpecError("monoidal depth %d: the spec provides independent levels 1 to %d"
+                               % (L, ind.levels))
     fld = js.field
     H = [js.T[0]] + [js.T[il] for il in ind.indices]
     chart = initial_chart(js)

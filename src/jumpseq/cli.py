@@ -23,6 +23,11 @@ file.  A handler takes ``(loaded input, args)`` and returns
 ``(report, exit code)``; it writes nothing.  :func:`main` loads the
 input, calls the handler and emits its report (:func:`_emit`), the one
 place a report is written, and maps the library's errors to exit codes.
+A handler validates nothing the library validates: a spec with no
+independent index, a depth out of range and a ladder with no pairs are
+refused by the library function, whose
+:class:`~jumpseq.errors.InvalidSpecError` exits 64 as a handler's own
+:class:`UsageError` does.
 """
 
 from __future__ import annotations
@@ -207,13 +212,7 @@ def cmd_blowup(js, args):
 
 def cmd_monoidal(js, args):
     ind = extract_independent(js)
-    if ind.levels == 0:
-        raise UsageError("monoidal needs an independent index (some q_i > 1); the spec has none")
-    depth = args.depth if args.depth is not None else ind.levels
-    if not 1 <= depth <= ind.levels:
-        raise UsageError("--depth %d: the spec provides independent levels 1 to %d"
-                         % (depth, ind.levels))
-    report = monoidal_sequence(js, ind, depth)
+    report = monoidal_sequence(js, ind, ind.levels if args.depth is None else args.depth)
     return {"levels": report, "factors": [f.poly for f in report[-1]["chart"].factors],
             "pass": all(r["pass"] for r in report)}, EXIT_OK
 
@@ -236,17 +235,16 @@ def cmd_verify(js, args):
 
 
 def cmd_classify(ext, args):
+    form = classify_toroidal_form(ext)  # refuses a spec it cannot classify before any ladder
     if ext.base_spec.mode == "discrete":
-        return {"form": classify_toroidal_form(ext)}, EXIT_OK
-    if extract_independent(ext.down).levels == 0:
-        raise UsageError("classify needs an independent index (some q_i > 1); the spec has none")
+        return {"form": form}, EXIT_OK
     cert = ladder(ext)
     if cert.outcome.get("kind") == "contradiction":
         return {"outcome": cert.outcome}, EXIT_CONTRADICTION
     if not cert.ok:  # no form without a certificate; exit 0, as an uncertified verify record
         return {"ladder": cert,
                 "failing_rung": next(r["i"] for r in cert.rungs if not r["pass"])}, EXIT_OK
-    return {"form": classify_toroidal_form(ext), "ladder": cert}, EXIT_OK
+    return {"form": form, "ladder": cert}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------

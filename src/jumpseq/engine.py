@@ -22,7 +22,7 @@ An expansion is integers from the scatter to the report: its form is one
 (exponent vector, numerator) pair per term over one denominator, as
 :func:`jumpseq.poly._unfold` hands it over.  Values read the vectors,
 the round trip folds the numerators as they are, and reports render each
-coefficient from its numerator (:func:`jumpseq.poly._render`).  The only
+coefficient from its numerator (:func:`jumpseq.fields.render`).  The only
 field elements made from an expansion are the coefficient of its initial
 form, for :func:`initial_form` and :func:`residue` (:func:`value` makes
 none), and :attr:`TExpansion.terms`, a view made only for outside callers.
@@ -76,8 +76,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InsufficientDepthError, InvalidSpecError
 from .euclid import euclid_data
-from .fields import GroundField
-from .poly import (BivarPoly, _fold, _iadd, _ipow, _numerators, _ratio, _render, _terms, _unfold,
+from .fields import GroundField, render
+from .poly import (BivarPoly, _fold, _iadd, _ipow, _numerators, _ratio, _terms, _unfold,
                    _v_rows, _wrap)
 
 
@@ -284,7 +284,7 @@ class JumpingSequence:
     def to_json(self):
         return {
             "T": [t.to_json() for t in self.T],
-            "beta": ["%d/%d" % (b.numerator, b.denominator) if b.denominator != 1 else str(b.numerator) for b in self.beta],
+            "beta": [render(b.numerator, b.denominator, 0) for b in self.beta],
             "Q": list(self.Q),
             "n": [list(row) for row in self.n[1:]],
             "vdeg": self.vdeg(),
@@ -485,7 +485,7 @@ class TExpansion:
 
     def to_json(self):
         p, den = self.js.field.characteristic, self.den
-        return {"terms": [{"c": _render(n, den, p), "e": list(exps)} for exps, n in self.pairs]}
+        return {"terms": [{"c": render(n, den, p), "e": list(exps)} for exps, n in self.pairs]}
 
 
 def expand(f: BivarPoly, js: JumpingSequence) -> TExpansion:
@@ -732,7 +732,7 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
             sigma = _min_pure_term(exp)[0]
         except InsufficientDepthError:
             return None
-        return sigma, [(_render(n, exp.den, p), exps) for exps, n in exp.pairs]
+        return sigma, [(render(n, exp.den, p), exps) for exps, n in exp.pairs]
 
     # (label, certified data or None, a): the data is v^b's for u^a v^b
     expanded = []

@@ -47,7 +47,6 @@ from .engine import (
     verify_minimality,
 )
 from .errors import InvalidSpecError
-from .euclid import euclid_data
 from .fields import GroundField
 from .poly import BivarPoly
 
@@ -111,13 +110,23 @@ class MonomialExtension:
 
 @dataclass(frozen=True)
 class DualSequences:
+    """The upstairs jumping sequence of an extension, or, when some
+    gcd(t, q_M) != 1, the first such index M instead (exactly one of the
+    two is None).  The table is read off ``up``."""
+
     up: Optional[JumpingSequence]
     failing_index: Optional[int]
-    table: Tuple[dict, ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.failing_index is None
+
+    @property
+    def table(self) -> Tuple[dict, ...]:
+        """One row (i, p'_i, q'_i) per upstairs pair, none when not ok."""
+        up = self.up
+        return () if up is None else tuple(
+            {"i": i, "p_prime": up.p(i), "q_prime": up.q(i)} for i in range(1, up.depth + 1))
 
     def to_json(self):
         return {
@@ -127,11 +136,11 @@ class DualSequences:
         }
 
 
-def first_gcd_failure(t: int, pairs, upto: Optional[int] = None) -> Optional[int]:
-    """The minimal index M with gcd(t, q_M) != 1, or None."""
+def first_gcd_failure(t: int, pairs) -> Optional[int]:
+    """The minimal index M with gcd(t, q_M) != 1, or None.  A caller that
+    asks about the first k pairs passes ``pairs[:k]``; the library decides
+    it in :func:`build_dual_sequences` alone."""
     for i, (_, q) in enumerate(pairs, start=1):
-        if upto is not None and i > upto:
-            break
         if gcd(t, q) != 1:
             return i
     return None
@@ -140,7 +149,8 @@ def first_gcd_failure(t: int, pairs, upto: Optional[int] = None) -> Optional[int
 def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> DualSequences:
     """Build the upstairs jumping sequence up to depth ``k`` (0 to the
     spec depth; default the spec depth): a table row i <= k reports p'_i
-    and q'_i.
+    and q'_i.  This is where the gcd condition of the first k pairs is
+    decided: :func:`ladder` reads its ``failing_index``.
 
     The upstairs spec has pairs (t * p_i, q_i), the downstairs lambdas
     and units delta'_i = delta^{n_{i,0}} * delta_i(x^t * delta, y).  Its
@@ -170,7 +180,7 @@ def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> Dua
         raise InvalidSpecError("requested depth %d: the spec provides depths 0 to %d"
                                % (k, spec.depth))
     down = ext.down
-    M = first_gcd_failure(ext.t, spec.pairs, upto=k)
+    M = first_gcd_failure(ext.t, spec.pairs[:k])
     if M is not None:
         return DualSequences(None, M)
 
@@ -179,10 +189,7 @@ def build_dual_sequences(ext: MonomialExtension, k: Optional[int] = None) -> Dua
     up_units = tuple(ext.delta ** down.n[i][0] * spec.units[i - 1].subs(*sub)
                      for i in range(1, k + 1))
     up_spec = ValuationSpec(ext.field, up_pairs, spec.lambdas[:k], up_units, spec.mode)
-    up = build_jumping_sequence(up_spec, vars=("x", "y"))
-
-    table = tuple({"i": i, "p_prime": up.p(i), "q_prime": up.q(i)} for i in range(1, k + 1))
-    return DualSequences(up, None, table)
+    return DualSequences(build_jumping_sequence(up_spec, vars=("x", "y")), None)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +325,12 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
     A rung whose previous unit is not certified has no constant to
     compare with, and reports ``residue_match`` false.
 
-    The certificate is ok when every rung passes.  On the first index M with gcd(t, q_M) != 1 the walk stops
-    with the contradiction witness (M, l, g).
+    The certificate is ok when every rung passes.  On the first index M
+    with gcd(t, q_M) != 1 the walk stops with the contradiction witness
+    (M, l, g); M is the ``failing_index`` of the one
+    :func:`build_dual_sequences` call, which otherwise gives the upstairs
+    sequence.  Rung i advances each chain to the end of chunk i, step k_i
+    of its sequence's :class:`~jumpseq.engine.IndependentData`.
     ``depth`` (1 to the spec depth; default the spec depth) is the number
     of rungs, so a spec with no pairs is refused.  The downstairs sequence
     is the extension's own (:attr:`MonomialExtension.down`), built once
@@ -337,7 +348,8 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
     down = ext.down
     ind = extract_independent(down)
 
-    M = first_gcd_failure(t, spec.pairs, upto=depth)
+    duals = build_dual_sequences(ext, depth)
+    M = duals.failing_index
     if M is not None:
         # the contradiction witness of the stable-form argument
         l = list(ind.indices).index(M) + 1
@@ -349,7 +361,8 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
                    "pbar_prime": pbar_prime}
         return LadderCertificate((), outcome, False)
 
-    up = build_dual_sequences(ext, depth).up
+    up = duals.up
+    k_R, k_S = ind.k, extract_independent(up).k
 
     fld = ext.field
     chart_R = initial_chart(down)
@@ -358,16 +371,13 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
     rungs = []
     for i in range(depth):
         prev_R, prev_S = chart_R, chart_S
-        if i > 0:
-            # advance both chains through chunk i; the upstairs chain may
-            # traverse it in several short permissible sub-chunks, but the
-            # ring sequence (one blow-up per step) is intrinsic
-            target_R = chart_R.step_index + euclid_data(down.p(i), down.q(i)).epsilon
-            while chart_R.step_index < target_R:
-                chart_R = single_quadratic_transform(chart_R)
-            target_S = chart_S.step_index + euclid_data(up.p(i), up.q(i)).epsilon
-            while chart_S.step_index < target_S:
-                chart_S = single_quadratic_transform(chart_S)
+        # advance both chains to the end k_i of chunk i; the upstairs chain
+        # may traverse it in several short permissible sub-chunks, but the
+        # ring sequence (one blow-up per step) is intrinsic
+        while chart_R.step_index < k_R[i]:
+            chart_R = single_quadratic_transform(chart_R)
+        while chart_S.step_index < k_S[i]:
+            chart_S = single_quadratic_transform(chart_S)
         rec = {"i": i, "t": t,
                "step_R": chart_R.step_index, "step_S": chart_S.step_index}
         if i == 0:
@@ -433,13 +443,18 @@ def classify_toroidal_form(ext: MonomialExtension) -> ToroidalForm:
     {H_l} is a minimal generating sequence: every betabar_k of the
     downstairs sequence is outside the semigroup of the others, as
     :func:`jumpseq.engine.verify_minimality` computes it.  That agrees
-    with the rule pbar_1 != 1 in the notes.  Cases 1-3 (divisorial,
-    rank 2, rational rank 2) have no computed certificate and are not
-    reported.
+    with the rule pbar_1 != 1 in the notes.  A nondiscrete spec with no
+    independent index (every q_i = 1) has no pbar_1 to decide by and raises
+    :class:`InvalidSpecError`.  Cases 1-3 (divisorial, rank 2, rational
+    rank 2) have no computed certificate and are not reported.
     """
     if ext.base_spec.mode == "discrete":
         return ToroidalForm(5, "u = x^t * unit; sequences {u,{T_i}} and {x,{T_i}}",
                             False, "discrete non-divisorial: non-minimal by construction")
-    minimal = all(r["minimal"] for r in verify_minimality(extract_independent(ext.down)))
+    ind = extract_independent(ext.down)
+    if not ind.levels:
+        raise InvalidSpecError("classify needs an independent index (some q_i > 1); "
+                               "the spec has none")
+    minimal = all(r["minimal"] for r in verify_minimality(ind))
     return ToroidalForm(4, "H_0 = x^a * unit, H_1 = y; sequences {H_l} and {x,{H_l}}",
                         minimal, "minimal iff pbar_1 != 1")

@@ -4,6 +4,10 @@ A :class:`GroundField` is a small factory/descriptor object.  Elements of
 the rationals are plain :class:`fractions.Fraction`; elements of a prime
 field are :class:`Fp` instances.  Both have decidable equality and exact
 inverses, which is all the rest of the library needs.
+
+A coefficient is written out by one function, :func:`render`, from its
+numerator and denominator, whether it comes from a field element, a
+polynomial's integer form or an expansion's.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import InvalidSpecError
 
@@ -63,6 +68,23 @@ def _digits(n: int) -> str:
         m, r = divmod(m, 10 ** 600)
         chunks.append("%0600d" % r)
     return "-" * (n < 0) + ("".join(reversed(chunks)).lstrip("0") or "0")
+
+
+def render(n: int, den: int, p: int) -> str:
+    """The coefficient n/den (den = 1 over F_p) as a report writes it, with
+    no field element made: the residue in [0, p) over F_p; over Q lowest
+    terms with the sign on the numerator, ``"n"`` when the denominator is
+    1, and :func:`_digits` past the digits ``str()`` may make.
+    :meth:`GroundField.render` passes its element's integers, and
+    polynomials and expansions their integer forms."""
+    if p:
+        return str(n % p)
+    g = gcd(n, den)
+    n, den = n // g, den // g
+    try:
+        return str(n) if den == 1 else "%d/%d" % (n, den)
+    except ValueError:  # more digits than str() may make
+        return _digits(n) + ("/" + _digits(den) if den != 1 else "")
 
 
 class Fp:
@@ -224,15 +246,10 @@ class GroundField:
         return Fp if self.characteristic else Fraction
 
     def render(self, e) -> str:
-        """Canonical decimal string: ``num/den`` over Q, ``0 <= c < p`` over F_p."""
-        if not self.characteristic:
-            f = self(e)
-            try:
-                return str(f)
-            except ValueError:  # more digits than str() may make
-                den = "/" + _digits(f.denominator) if f.denominator != 1 else ""
-                return _digits(f.numerator) + den
-        return str(self(e).val)
+        """Canonical decimal string: ``num/den`` over Q, ``0 <= c < p`` over
+        F_p, as :func:`render` writes the element's integers."""
+        x, p = self(e), self.characteristic
+        return render(x.val, 1, p) if p else render(x.numerator, x.denominator, 0)
 
     def parse(self, s: str):
         """A field element from input data; a literal that is not an

@@ -18,7 +18,7 @@ the divisions run on integer forms, each helper normalising its result
 and checking it against :data:`TERM_LIMIT` (:func:`_reduce`), and wrap
 the result through :func:`_wrap`, which makes no field element.
 :attr:`BivarPoly.terms`, the ``Fraction``/``Fp`` coefficients, is a
-read-only view made at its first read, for rendering and outside callers.
+read-only view made at its first read, for outside callers.
 
 This module alone reads an integer form; the tower, the expansion and the
 blow-up chain hand forms to its form operations and take none apart:
@@ -37,10 +37,10 @@ An expansion has an integer form too, ``(pairs, den)``: one pair
 ``((a, b, k_2, ..., k_M), n)`` per term, n != 0, over one positive
 denominator, residues over 1 over F_p and in lowest terms over Q, so a
 list of terms has one form.  :func:`_unfold` makes it and :func:`_fold`
-takes it as it is; :func:`_render` writes a coefficient from its
-numerator exactly as :meth:`GroundField.render` writes its element, and
-:func:`_terms` makes the field elements, for an expansion's view and
-for the coefficient of an initial form.
+takes it as it is.  A report writes each coefficient of a form from its
+numerator (:func:`jumpseq.fields.render`), as :meth:`BivarPoly.to_json`
+and ``str`` do, and :func:`_terms` makes the field elements, for an
+expansion's view and for the coefficient of an initial form.
 
 Division by a divisor monic in the second variable has one
 implementation, :func:`_idivisions_v`: it takes the dividend as v-degree
@@ -70,7 +70,7 @@ from math import comb, gcd, lcm
 from types import MappingProxyType
 
 from .errors import DivisibilityError, InvalidSpecError, ResourceLimitError
-from .fields import Fp, GroundField, _digits
+from .fields import Fp, GroundField, render
 
 #: Hard ceiling on the number of stored terms in any single polynomial.
 #: Substitution can blow degrees up; we fail loudly rather than thrash.
@@ -122,8 +122,8 @@ class BivarPoly:
     @property
     def terms(self):
         """The coefficients as a read-only ``{(a, b): Fraction | Fp}`` map,
-        made from :attr:`form` at the first read and kept; for rendering
-        and for outside callers, since the library computes on the form."""
+        made from :attr:`form` at the first read and kept, for outside
+        callers: the library computes on the form and renders from it."""
         if self._view is None:
             terms, den = self.form
             p = self.field.characteristic
@@ -255,11 +255,11 @@ class BivarPoly:
     # ---- serialization -------------------------------------------------
 
     def to_json(self):
-        f = self.field
-        terms = sorted(self.terms.items())
+        terms, den = self.form
+        p = self.field.characteristic
         return {
             "vars": list(self.vars),
-            "terms": [{"e": [a, b], "c": f.render(c)} for (a, b), c in terms],
+            "terms": [{"e": [a, b], "c": render(c, den, p)} for (a, b), c in sorted(terms.items())],
         }
 
     @classmethod
@@ -289,13 +289,15 @@ class BivarPoly:
         return cls(field, terms, vars)
 
     def __str__(self):
-        if not self.terms:
+        terms, den = self.form
+        if not terms:
             return "0"
         u, v = self.vars
+        p = self.field.characteristic
         parts = []
-        for (a, b), c in sorted(self.terms.items(), reverse=True):
+        for (a, b), c in sorted(terms.items(), reverse=True):
             factors = []
-            cs = self.field.render(c)
+            cs = render(c, den, p)
             if cs != "1" or (a == 0 and b == 0):
                 factors.append(cs)
             if a:
@@ -703,21 +705,6 @@ def _terms(pairs, den, p):
     terms ``(c, key)``, c the field element n/den: an expansion's view,
     made at its first read, and the coefficient of an initial form."""
     return tuple([(_element(n, den, p), key) for key, n in pairs])
-
-
-def _render(n, den, p):
-    """The coefficient n/den (den = 1 over F_p) as
-    :meth:`GroundField.render` writes its field element, with no element
-    made: the residue in [0, p) over F_p; over Q lowest terms with the
-    sign on the numerator, ``"n"`` when the denominator is 1, and
-    :func:`jumpseq.fields._digits` past the digits ``str()`` may make."""
-    if p:
-        return str(n % p)
-    g = gcd(n, den)
-    try:
-        return str(n // g) if den == g else "%d/%d" % (n // g, den // g)
-    except ValueError:  # more digits than str() may make
-        return _digits(n // g) + ("/" + _digits(den // g) if den != g else "")
 
 
 # ---- public division routines ------------------------------------------

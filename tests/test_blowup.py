@@ -17,7 +17,7 @@ from jumpseq.blowup import (
 )
 from jumpseq.engine import (build_jumping_sequence, extract_independent, graded_residue,
                             initial_form, residue, value)
-from jumpseq.errors import InsufficientDepthError, ResourceLimitError
+from jumpseq.errors import InsufficientDepthError, InvalidSpecError, ResourceLimitError
 from jumpseq.euclid import euclid_data
 from jumpseq.extension import MonomialExtension, build_dual_sequences
 from jumpseq.fields import Fp, QQ, prime_field
@@ -189,8 +189,24 @@ def test_monoidal_level_one_v_strict(js_a, ind_a):
 
 
 def test_monoidal_depth_limited(js_a, ind_a):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError):
         monoidal_sequence(js_a, ind_a, 3)
+
+
+def test_monoidal_refuses_what_it_cannot_certify(js_a, ind_a):
+    """Zero levels and levels past the independent ones are refused with
+    the range the spec provides, and so is a spec whose q_i are all 1: it
+    has no level to certify, which used to come back as an empty report."""
+    for L in (0, ind_a.levels + 1):
+        with pytest.raises(InvalidSpecError, match="monoidal depth %d: the spec provides "
+                                                   "independent levels 1 to 2" % L):
+            monoidal_sequence(js_a, ind_a, L)
+    js = build_jumping_sequence(make_spec(QQ, [(2, 1), (3, 1)]))
+    ind = extract_independent(js)
+    assert ind.levels == 0
+    for L in (0, 1):
+        with pytest.raises(InvalidSpecError, match="independent index"):
+            monoidal_sequence(js, ind, L)
 
 
 def test_monoidal_tower():

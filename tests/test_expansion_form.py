@@ -2,16 +2,20 @@
 
 A ``TExpansion`` holds one (exponent vector, numerator) pair per term over
 one denominator, and its reports render each coefficient straight from
-its numerator (``poly._render``).  Here that rendering is compared with
-``GroundField.render`` of the ``Fraction`` or ``Fp`` the numerator stands
-for: on negative numerators, on numerators that share a factor with the
-denominator (the Q-frac tower of ``test_expand``, whose digits have
-denominators 7 to 686), on coefficients longer than ``str()`` may print
-and over F_2, F_3, F_5 and F_101.  An expansion rebuilt by the public
+its numerator (``fields.render``, which ``GroundField.render`` calls as
+well).  Here that rendering is compared with ``str`` of the ``Fraction``
+n/den and of the residue n mod p, on negative numerators and numerators
+that share a factor with the denominator, and past the digits ``str()``
+may print with ``str()`` allowed more.  Reports are compared with
+``GroundField.render`` of the ``Fraction`` or ``Fp`` each numerator
+stands for: on the Q-frac tower of ``test_expand``, whose digits have
+denominators 7 to 686, and over F_2, F_3, F_5 and F_101.  An expansion rebuilt by the public
 constructor from the field elements of ``expand``'s must equal it in
 every way the library reads one.
 """
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -19,40 +23,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpseq.engine import TExpansion, expand, verify_generating_sequence
-from jumpseq.fields import QQ, prime_field
-from jumpseq.poly import BivarPoly, _element, _render
+from jumpseq.fields import QQ, render
+from jumpseq.poly import BivarPoly
 
 from conftest import FIELDS
 from test_expand import SEQUENCES, polys_for
 
 
-def element_path(n, den, p):
-    """``GroundField.render`` of the ``Fraction`` or ``Fp`` n/den."""
-    fld = prime_field(p) if p else QQ
-    return fld.render(_element(n, den, p))
+@contextmanager
+def unlimited_str_digits():
+    """``str()`` of an int of any length, for the oracle only."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: "F%d" % f.characteristic if f.characteristic else "QQ")
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_render_matches_the_element_path(fld, data):
+    """Over F_p the residue in [0, p), over Q the ``Fraction`` n/den in
+    lowest terms with the sign on the numerator."""
     p = fld.characteristic
     n = data.draw(st.integers(-10 ** 40, 10 ** 40) | st.integers(-3 * (p or 9), 3 * (p or 9)))
     den = 1 if p else data.draw(st.integers(1, 10 ** 12) | st.sampled_from([1, 2, 7, 686]))
-    assert _render(n, den, p) == element_path(n, den, p)
+    assert render(n, den, p) == (str(n % p) if p else str(Fraction(n, den)))
 
 
 def test_render_past_the_digit_limit():
     """Over Q, a numerator or a denominator longer than 4 300 digits, which
-    ``str()`` refuses, is rendered in lowest terms as the field renders it."""
+    ``str()`` refuses, is rendered in lowest terms as ``str()`` writes it
+    when it may make any number of digits."""
     big = 10 ** 4400 + 3
     with pytest.raises(ValueError):
         str(big)
     for n, den in ((-6 * big, 4), (3, 2 * big), (2 * big, 2)):
-        out = _render(n, den, 0)
+        out = render(n, den, 0)
+        with unlimited_str_digits():
+            assert out == str(Fraction(n, den))
         assert out == QQ.render(Fraction(n, den))
         assert len(out) > 4300
-    assert _render(-35 * big, 14 * big, 0) == QQ.render(Fraction(-35 * big, 14 * big)) == "-5/2"
+    assert render(-35 * big, 14 * big, 0) == QQ.render(Fraction(-35 * big, 14 * big)) == "-5/2"
 
 
 def test_fractional_tower_has_unreduced_numerators():

@@ -67,6 +67,19 @@ def test_first_gcd_failure():
     assert first_gcd_failure(6, pairs) == 1
 
 
+@pytest.mark.parametrize("t,kind", [(5, "toroidal"), (3, "contradiction")])
+def test_ladder_decides_the_gcd_condition_once(spec_a, t, kind):
+    """One ladder runs ``first_gcd_failure`` once, inside its one
+    ``build_dual_sequences`` call, on the pairs of its depth."""
+    calls = []
+    real = extension.first_gcd_failure
+    with mock.patch.object(extension, "first_gcd_failure",
+                           lambda t, pairs: calls.append(tuple(pairs)) or real(t, pairs)):
+        cert = ladder(mk_ext(spec_a, t))
+    assert cert.outcome["kind"] == kind
+    assert calls == [spec_a.pairs]
+
+
 # ---------------------------------------------------------------------------
 # dual sequences
 # ---------------------------------------------------------------------------
@@ -120,6 +133,22 @@ def test_duals_gcd_failure(spec_a):
     ext = mk_ext(spec_a, 2)
     duals = build_dual_sequences(ext)
     assert not duals.ok and duals.up is None and duals.failing_index == 1
+
+
+def test_dual_table_is_read_off_up(spec_a):
+    """A row (i, p'_i, q'_i) per upstairs pair at the requested depth, and
+    none when the gcd condition fails within it: with t = 3 it fails at
+    index 2, so depth 1 still has an upstairs sequence."""
+    ext = mk_ext(spec_a, 5, one_plus_x())
+    duals = build_dual_sequences(ext)
+    assert duals.table == ({"i": 1, "p_prime": 15, "q_prime": 2},
+                           {"i": 2, "p_prime": 25, "q_prime": 3})
+    assert build_dual_sequences(ext, 1).table == duals.table[:1]
+    assert build_dual_sequences(ext, 0).table == ()
+    short = build_dual_sequences(mk_ext(spec_a, 3), 1)
+    assert short.ok and short.table == ({"i": 1, "p_prime": 9, "q_prime": 2},)
+    failed = build_dual_sequences(mk_ext(spec_a, 3))
+    assert failed.failing_index == 2 and failed.table == () and failed.to_json()["table"] == []
 
 
 def test_duals_take_downstairs_units():
@@ -436,6 +465,15 @@ def test_ladder_rungs_match_expanded_forward(seed, fld, t):
 def test_classify_discrete(spec_b):
     form = classify_toroidal_form(mk_ext(spec_b, 3))
     assert form.case == 5 and form.minimal is False
+
+
+def test_classify_without_independent_index():
+    """A nondiscrete spec whose q_i are all 1 has no pbar_1 to decide
+    minimality by, so there is no case-4 form to give."""
+    ext = mk_ext(make_spec(QQ, [(2, 1), (3, 1)]), 5)
+    with pytest.raises(InvalidSpecError, match="classify needs an independent index"):
+        classify_toroidal_form(ext)
+    assert classify_toroidal_form(mk_ext(make_spec(QQ, [(2, 1), (3, 1)], "discrete"), 5)).case == 5
 
 
 def test_classify_toroidal(spec_a):

@@ -201,7 +201,8 @@ def test_computations_make_no_terms_view(spec_a, monkeypatch):
     operands with denominators, no tower build, ring operation, ``subs``,
     ``divmod_in_v``, ``exact_divide``, ``expand`` or ``resubstitute``
     reads it, nor a ``monoidal_sequence`` or a ``ladder`` (t = 5,
-    delta = 1 + x) on spec-a."""
+    delta = 1 + x) on spec-a, nor ``to_json`` or ``str``, which render from
+    the form."""
     reads = []
     view = jumpseq.BivarPoly.terms
     monkeypatch.setattr(jumpseq.BivarPoly, "terms",
@@ -223,6 +224,8 @@ def test_computations_make_no_terms_view(spec_a, monkeypatch):
     assert all(r["pass"] for r in blowup.monoidal_sequence(js, ind, ind.levels))
     x, _ = jumpseq.BivarPoly.gens(jumpseq.QQ, ("x", "y"))
     assert extension.ladder(jumpseq.MonomialExtension(5, x + 1, spec_a)).ok
+    assert [t["c"] for t in f.to_json()["terms"]] == ["1", "98", "51", "100", "52", "52", "51"]
+    assert str(f) == "51*u^3 + 52*u^2*v + 52*u*v^2 + 100*u*v + 51*v^3 + 98*v + 1"
     assert reads == []
     assert len(f.terms) == 7 and reads == [f]
 

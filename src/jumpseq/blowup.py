@@ -25,8 +25,13 @@ vector from the other and form no polynomial.  Each factor carries its
 value and its initial form in the graded algebra of the valuation
 (:class:`Factor`): those of u = T_0 and v = T_1 are read off the
 sequence, and the engine expands each closing factor once, when it is
-made.  Values of monomials in the factors add up, and their initial
-forms multiply, so a closing takes its residue c from the initial forms
+made.  Values are kept as the engine keeps them, as integer numerators
+over Q_N = q_1...q_N (:attr:`jumpseq.engine.JumpingSequence.weights`),
+so a chart's two values are ints that A and B compare and subtract, and
+:attr:`Chart.values` is a ``Fraction`` view for reports.  Values of
+monomials in the factors add up (:func:`monomial_value`), and their
+initial forms multiply (:func:`monomial_form`), so a closing takes its
+residue c from the initial forms
 (:func:`jumpseq.engine.graded_residue`) and forms the new factor
 N = P - c*Q as one two-term :func:`jumpseq.poly._fold`, keyed by the
 positive and the negative part of the exponent vector of V/U, with the
@@ -37,7 +42,9 @@ value is value(N) - value(Q).
 A strict transform is pulled back along the chart's steps.  Each maximal
 run of A and B steps is one unimodular exponent map,
 (a, b) -> (a + b, b) for A and (a, b) -> (a, a + b) for B composed, and
-C is the only real substitution (:func:`jumpseq.poly._translate`).
+C is the only real substitution (:func:`jumpseq.poly._translate`).  A
+chart computes this run decomposition once, at its first pull-back
+(:attr:`Chart.runs`).
 After each run and each C the monomial X^a Y^b is stripped, which
 commutes with monomial maps, so f(forward) = X^e_X Y^e_Y U g with g
 divisible by neither coordinate and U a product of pulled-back factors
@@ -67,12 +74,14 @@ from .poly import BivarPoly, _at_origin, _fold, _map, _ratio, _strip, _translate
 class Factor:
     """A polynomial factor of the chart parameters of one chain.
 
-    ``form`` is its value and initial form, (sigma, coefficient, exponent
-    vector over T_0 .. T_M) in the graded algebra of the sequence the
-    chain is walked along, or None when the value lies beyond the spec
-    depth.  The maker supplies it: :func:`initial_chart` reads those of
-    T_0 and T_1 off the sequence, and a closing takes its new factor's
-    from :func:`jumpseq.engine.initial_form`.
+    ``form`` is its value and initial form, (value numerator, coefficient,
+    exponent vector over T_0 .. T_M) in the graded algebra of the sequence
+    the chain is walked along, or None when the value lies beyond the spec
+    depth.  The value is an integer numerator over Q_N, the denominator of
+    the sequence's :attr:`~jumpseq.engine.JumpingSequence.weights`.  The
+    maker supplies the form: :func:`initial_chart` reads those of T_0 and
+    T_1 off the sequence, and a closing takes its new factor's from
+    :func:`jumpseq.engine.initial_form`.
     """
 
     __slots__ = ("poly", "form")
@@ -82,30 +91,36 @@ class Factor:
         self.form = form
 
     @property
-    def value(self) -> Optional[Fraction]:
+    def num(self) -> Optional[int]:
+        """The value as an integer numerator over Q_N, None beyond the
+        spec depth."""
         return None if self.form is None else self.form[0]
 
 
+def monomial_value(chart: Chart, exps) -> int:
+    """The value of prod_k F_k^exps[k] over the factors F_k of ``chart``,
+    as an integer numerator over Q_N: values add up."""
+    return sum(n * f.form[0] for f, n in zip(chart.factors, exps) if n)
+
+
 def monomial_form(chart: Chart, exps):
-    """The value and the initial form (coefficient, exponent vector over
-    T_0 .. T_M) of prod_k F_k^exps[k] over the factors F_k of ``chart``,
-    in the sequence its chain is walked along: values add up, and initial
-    forms multiply."""
+    """The initial form (coefficient, exponent vector over T_0 .. T_M) of
+    prod_k F_k^exps[k] over the factors F_k of ``chart``, in the sequence
+    its chain is walked along: initial forms multiply.  Its value is
+    :func:`monomial_value`."""
     js = chart.js
-    val = Fraction(0)
     coeff = js.field.one
     out = [0] * (js.depth + 2)
     for f, n in zip(chart.factors, exps):
         if n:
-            v, c, a = f.form
-            val += n * v
+            _, c, a = f.form
             coeff = coeff * c ** n
             for j, x in enumerate(a):
                 out[j] += n * x
-    return val, coeff, out
+    return coeff, out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Chart:
     """A local chart after ``step_index`` quadratic transforms along ``js``.
 
@@ -115,22 +130,44 @@ class Chart:
     prod_k factors[k]^e_k for the two exponent vectors ``params``; the
     factors are u, v and one new factor per closing, and every chart of a
     chain shares their :class:`Factor` objects.  The first current parameter is the exceptional one at every
-    free ring.  ``values`` are the values of the two parameters, the
-    second None beyond the spec depth.  Whether the chart is free is read
-    off its step word (:attr:`free`), so a chart keeps no chunk counter.
+    free ring.  ``nums`` are the values of the two parameters as integer
+    numerators over Q_N, the second None beyond the spec depth;
+    :attr:`values` is their ``Fraction`` view.  Whether the chart is free
+    is read off its step word (:attr:`free`), so a chart keeps no chunk
+    counter.  The walk makes a new chart per step and changes none once
+    made; a chart's run decomposition (:attr:`runs`) is computed at its
+    first read.
     """
 
     js: JumpingSequence = dataclass_field(repr=False, compare=False)
     factors: Tuple[Factor, ...]
     params: Tuple[Tuple[int, ...], Tuple[int, ...]]
-    values: Tuple[Fraction, Optional[Fraction]]
+    nums: Tuple[int, Optional[int]]
     step_index: int
     step: Optional[tuple] = None
     previous: Optional["Chart"] = dataclass_field(default=None, repr=False, compare=False)
+    _run_list: Optional[list] = dataclass_field(default=None, init=False, repr=False,
+                                                compare=False)
 
     @property
     def field(self) -> GroundField:
         return self.js.field
+
+    @property
+    def values(self) -> Tuple[Fraction, Optional[Fraction]]:
+        """The values of the two parameters, the second None beyond the
+        spec depth: a view of :attr:`nums` for reports and certificates."""
+        QN = self.js.Q[-1]
+        return tuple(None if n is None else Fraction(n, QN) for n in self.nums)
+
+    @property
+    def runs(self) -> list:
+        """The steps since the start with each maximal run of A and B steps
+        composed into one exponent map (:func:`_runs`), computed at the
+        first read; every :func:`pull_back` to the chart reads it."""
+        if self._run_list is None:
+            self._run_list = _runs(self.steps)
+        return self._run_list
 
     @property
     def free(self) -> bool:
@@ -176,7 +213,9 @@ def initial_chart(js: JumpingSequence) -> Chart:
     the chain's first two factors, which give the chart its values.
 
     Their initial forms are read off the sequence, not expanded:
-    (1, 1, e_0) for u and (beta_1, 1, e_1) for v, None at depth 0, where
+    (w_0, 1, e_0) for u and (w_1, 1, e_1) for v, with w_j = Q_N * beta_j
+    the sequence's :attr:`~jumpseq.engine.JumpingSequence.weights`, None
+    for v at depth 0, where
     T_1 = T_M has no certified value.  When q_1 = 1, e_1 is not a standard
     exponent vector (the engine's initial form of v is then
     lambda_1 * delta_1(0) * in(u)^p_1), but
@@ -189,9 +228,10 @@ def initial_chart(js: JumpingSequence) -> Chart:
     js.T_rows  # raises for a sequence the closings could not expand in
     one = js.field.one
     e = [tuple(int(k == j) for k in range(js.depth + 2)) for j in (0, 1)]
-    forms = ((js.beta[0], one, e[0]), (js.beta[1], one, e[1]) if js.depth else None)
+    w = js.weights
+    forms = ((w[0], one, e[0]), (w[1], one, e[1]) if js.depth else None)
     factors = tuple(Factor(T, form) for T, form in zip(js.T, forms))
-    return Chart(js, factors, ((1, 0), (0, 1)), tuple(f.value for f in factors), 0)
+    return Chart(js, factors, ((1, 0), (0, 1)), tuple(f.num for f in factors), 0)
 
 
 def single_quadratic_transform(chart: Chart) -> Chart:
@@ -203,7 +243,7 @@ def single_quadratic_transform(chart: Chart) -> Chart:
     :class:`InsufficientDepthError` when the second value is unknown,
     i.e. after the last chunk the spec certifies.
     """
-    vU, vV = chart.values
+    vU, vV = chart.nums
     if vV is None:
         raise InsufficientDepthError(
             "step %d: the value of the second parameter lies beyond the spec depth"
@@ -227,7 +267,7 @@ def single_quadratic_transform(chart: Chart) -> Chart:
     # epsilon(p, q) of its value ratio p/q by construction (subtractive
     # Euclid on the values)
     ratio = tuple(b - a for a, b in zip(eU, eV))  # V/U = P/Q
-    _, coeff, exps = monomial_form(chart, ratio)
+    coeff, exps = monomial_form(chart, ratio)
     c = graded_residue(coeff, exps, js)
     p = js.field.characteristic
     n, d = _ratio(-c, p)
@@ -240,7 +280,7 @@ def single_quadratic_transform(chart: Chart) -> Chart:
     except InsufficientDepthError:  # the value needs the pair beyond the spec depth
         new = Factor(N, None)
     den = tuple(min(n, 0) for n in ratio)  # 1/Q
-    vY = None if new.value is None else new.value + monomial_form(chart, den)[0]
+    vY = None if new.num is None else new.num + monomial_value(chart, den)
     return Chart(js, chart.factors + (new,), (eU + (0,), den + (1,)), (vU, vY), index,
                  ("C", c), chart)
 
@@ -281,6 +321,9 @@ def pull_back(f: BivarPoly, chart: Chart):
     growth of g, and the :class:`jumpseq.errors.ResourceLimitError` it
     could raise.
 
+    The runs are the chart's own (:attr:`Chart.runs`), computed once per
+    chart however many polynomials are pulled back to it.
+
     Returns (e_X, e_Y, c, k) with f(forward) = X^e_X * Y^e_Y * U * g,
     where U is a polynomial unit, g is divisible by neither X nor Y, k is
     the order of g(0, Y) and c = U(0, 0) * [Y^k] g(0, Y), never zero.  g
@@ -292,10 +335,11 @@ def pull_back(f: BivarPoly, chart: Chart):
     p = fld.characteristic
     g, e_x, e_y = _strip(f.form)
     unit = fld.one
-    for kind, x in _runs(chart.steps):
+    for kind, x in chart.runs:
         if kind == "C":
-            unit = unit * x ** e_y
-            e_x, e_y = e_x + e_y, 0
+            if e_y:
+                unit = unit * x ** e_y
+                e_x, e_y = e_x + e_y, 0
         else:
             (xa, xb), (ya, yb) = x
             e_x, e_y = xa * e_x + xb * e_y, ya * e_x + yb * e_y
@@ -379,6 +423,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         raise InvalidSpecError("monoidal depth %d: the spec provides independent levels 1 to %d"
                                % (L, ind.levels))
     fld = js.field
+    QN = js.Q[-1]
     H = [js.T[0]] + [js.T[il] for il in ind.indices]
     chart = initial_chart(js)
 
@@ -397,8 +442,9 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         while chart.step_index < ind.kbar[l]:
             chart = single_quadratic_transform(chart)
         rec = {"level": l, "step": chart.step_index}
-        rec["u_value"] = chart.values[0]
-        rec["u_value_ok"] = chart.values[0] == Fraction(1, ind.Qbar[l])
+        nU = chart.nums[0]
+        rec["u_value"] = Fraction(nU, QN)
+        rec["u_value_ok"] = nU * ind.Qbar[l] == QN
 
         # conclusion 3): H_j = u_l^{Qbar_l betabar_j} * unit
         factorizations = []
@@ -407,7 +453,7 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         for j in range(0, l + 1):
             m, const = strict_transform(H[j], chart)
             expected = ind.Qbar[l] * ind.betabar[j]
-            ok = (Fraction(m) == expected) and bool(const)
+            ok = m == expected and bool(const)
             factor_ok = factor_ok and ok
             factorizations.append({"j": j, "exponent": m, "expected": expected,
                                    "unit_constant": fld.render(const), "pass": ok})
@@ -437,8 +483,9 @@ def monoidal_sequence(js: JumpingSequence, ind: IndependentData, L: int) -> List
         if l < ind.levels:
             m, e_y, a, k = pull_back(H[l + 1], chart)
             expected_m = ind.Qbar[l] * ind.qbar[l - 1] * ind.betabar[l]
-            vg = ind.betabar[l + 1] - m * chart.values[0]  # betabar_{l+1} = value(H_{l+1})
-            expected_v = Fraction(ind.pbar[l], ind.qbar[l]) / ind.Qbar[l]
+            # betabar_{l+1} = value(H_{l+1}), weight w_{i_{l+1}} over Q_N
+            vg = Fraction(js.weights[ind.indices[l]] - m * nU, QN)
+            expected_v = Fraction(ind.pbar[l], ind.qbar[l] * ind.Qbar[l])
             rec["v_strict"] = {
                 "exceptional_exponent": m,
                 "expected_exponent": expected_m,

@@ -235,12 +235,14 @@ def cmd_verify(js, args):
 
 
 def cmd_classify(ext, args):
-    form = classify_toroidal_form(ext)  # refuses a spec it cannot classify before any ladder
     if ext.base_spec.mode == "discrete":
-        return {"form": form}, EXIT_OK
+        return {"form": classify_toroidal_form(ext)}, EXIT_OK
     cert = ladder(ext)
     if cert.outcome.get("kind") == "contradiction":
         return {"outcome": cert.outcome}, EXIT_CONTRADICTION
+    # a spec with no independent index has every q_i = 1, so its ladder
+    # meets no contradiction, and the refusal comes here
+    form = classify_toroidal_form(ext)
     if not cert.ok:  # no form without a certificate; exit 0, as an uncertified verify record
         return {"ladder": cert,
                 "failing_rung": next(r["i"] for r in cert.rungs if not r["pass"])}, EXIT_OK

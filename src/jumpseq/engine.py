@@ -532,11 +532,12 @@ def _expansion(js: JumpingSequence, pairs, den) -> TExpansion:
 def _min_pure_term(exp: TExpansion):
     """The unique minimal-value pure term, certified against mixed terms.
 
-    Returns (sigma, term), the term as its pair (exponent vector,
-    numerator) of the expansion's form: values are read off
-    :attr:`TExpansion.nums` and no field element is made.  Raises
-    InsufficientDepthError when some term involving T_M cannot be bounded
-    below by the candidate minimum.
+    Returns (low, term): low is Q_N * sigma, the integer numerator of the
+    minimal value over Q_N, and the term is its pair (exponent vector,
+    numerator) of the expansion's form.  Values are read off
+    :attr:`TExpansion.nums` and no ``Fraction`` or field element is made.
+    Raises InsufficientDepthError when some term involving T_M cannot be
+    bounded below by the candidate minimum.
     """
     M, nums = exp.M, exp.nums
     pure = [(n, t) for t, n in zip(exp.pairs, nums) if not t[0][M]]
@@ -547,33 +548,34 @@ def _min_pure_term(exp: TExpansion):
     if len({n for n, _ in pure}) != len(pure):
         raise ArithmeticError("pure expansion terms must have distinct values")
     low, term = min(pure)
-    sigma = Fraction(low, exp.js.Q[-1])
     # pure terms are >= low by choice, so only a mixed term can be below it
     if min(nums) < low:
         raise InsufficientDepthError(
-            "a term involving T_%d may fall below the candidate minimum %s" % (M, sigma)
-        )
-    return sigma, term
+            "a term involving T_%d may fall below the candidate minimum %s"
+            % (M, Fraction(low, exp.js.Q[-1])))
+    return low, term
 
 
 def _initial(exp: TExpansion):
-    """(sigma, coefficient, exponent vector) of the minimal pure term of
-    ``exp`` (:func:`_min_pure_term`); its coefficient is the one field
+    """(Q_N * sigma, coefficient, exponent vector) of the minimal pure term
+    of ``exp`` (:func:`_min_pure_term`); its coefficient is the one field
     element made."""
-    sigma, term = _min_pure_term(exp)
-    return (sigma, *_terms((term,), exp.den, exp.js.field.characteristic)[0])
+    low, term = _min_pure_term(exp)
+    return (low, *_terms((term,), exp.den, exp.js.field.characteristic)[0])
 
 
 def value(f: BivarPoly, js: JumpingSequence) -> Fraction:
     """The valuation of f, normalized so value(u) = 1."""
-    return _min_pure_term(expand(f, js))[0]
+    return Fraction(_min_pure_term(expand(f, js))[0], js.Q[-1])
 
 
 def initial_form(f: BivarPoly, js: JumpingSequence):
     """The value of f and its initial form in the graded algebra of the
-    valuation: (sigma, coefficient, exponent vector over T_0 .. T_M) of
-    the minimal pure term of its expansion.  Raises
-    InsufficientDepthError as :func:`value` does."""
+    valuation: (Q_N * sigma, coefficient, exponent vector over
+    T_0 .. T_M) of the minimal pure term of its expansion, the value as
+    its integer numerator over Q_N (:attr:`JumpingSequence.weights`), as
+    the chain's factors hold it.  Raises InsufficientDepthError as
+    :func:`value` does."""
     return _initial(expand(f, js))
 
 
@@ -611,7 +613,9 @@ def residue(f: BivarPoly, g: BivarPoly, js: JumpingSequence):
     ef, eg = expand(f, js), expand(g, js)
     (sf, cf, mf), (sg, cg, mg) = _initial(ef), _initial(eg)
     if sf != sg:
-        raise ValueError("residue requires equal values, got %s and %s" % (sf, sg))
+        QN = js.Q[-1]
+        raise ValueError("residue requires equal values, got %s and %s"
+                         % (Fraction(sf, QN), Fraction(sg, QN)))
     # equal values force equal standard monomials (no nontrivial bounded
     # relation among the beta_j exists)
     if mf != mg:
@@ -729,7 +733,7 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
         value is not certified at the spec's depth."""
         try:
             exp = expand(f, js)
-            sigma = _min_pure_term(exp)[0]
+            sigma = Fraction(_min_pure_term(exp)[0], js.Q[-1])
         except InsufficientDepthError:
             return None
         return sigma, [(render(n, exp.den, p), exps) for exps, n in exp.pairs]

@@ -282,7 +282,7 @@ def _rung_residue(i: int, chart: Chart):
     (:func:`~jumpseq.engine.graded_residue`)."""
     js = chart.js
     q, p = js.q(i), js.p(i)
-    _, coeff, exps = monomial_form(chart, [-p * e for e in chart.params[0]])
+    coeff, exps = monomial_form(chart, [-p * e for e in chart.params[0]])
     exps[i] += q
     for j, n in enumerate(js.n[i - 1]):
         exps[j] -= q * n
@@ -365,6 +365,7 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
     k_R, k_S = ind.k, extract_independent(up).k
 
     fld = ext.field
+    QN = up.Q[-1]
     chart_R = initial_chart(down)
     chart_S = initial_chart(up)
 
@@ -402,10 +403,9 @@ def ladder(ext: MonomialExtension, depth: Optional[int] = None) -> LadderCertifi
         # (x_i, y_i = v_i): the exceptional chain parameter and the strict
         # transform of T'_{i+1}, whose value is beta'_{i+1} - m * value(x_i)
         m, _ = strict_transform(up.T[i + 1], chart_S)
-        vx = chart_S.values[0]
-        vg = up.beta[i + 1] - m * vx
-        ratio = Fraction(vg) / vx
-        rec["x_value_ok"] = vx == Fraction(1, up.Q[i])
+        nx = chart_S.nums[0]  # value numerators over Q'_N, as up.weights
+        ratio = Fraction(up.weights[i + 1] - m * nx, nx)
+        rec["x_value_ok"] = nx * up.Q[i] == QN
         rec["exceptional_exponent"] = m
         rec["value_ratio"] = [ratio.numerator, ratio.denominator]
         rec["ratio_ok"] = (ratio.numerator, ratio.denominator) == (up.p(i + 1), up.q(i + 1))

@@ -70,19 +70,21 @@ def test_sequence_elements_have_known_initial_forms(fld, pairs):
     engine's initial form agrees with (beta_j, 1, e_j) in the graded
     algebra, the graded residue of their quotient being 1 (the forms
     differ where q_j = 1).  ``initial_chart`` gives T_0 and T_1 exactly
-    those forms, and T_1 none at depth 0, where the engine cannot value
-    it either."""
+    those forms, with the value as its numerator w_j = Q_N * beta_j over
+    Q_N, and T_1 none at depth 0, where the engine cannot value it
+    either."""
     mode = "discrete" if pairs and all(q == 1 for _, q in pairs) else "nondiscrete"
     js = build_jumping_sequence(with_units(make_spec(fld, pairs, mode), (2, 3, 5)))
     chart = initial_chart(js)
     N = js.depth
     for j in range(N + 1):
         e = tuple(int(k == j) for k in range(N + 2))
-        sigma, coeff, exps = initial_form(js.T[j], js)
-        assert sigma == value(js.T[j], js) == js.beta[j]
+        num, coeff, exps = initial_form(js.T[j], js)
+        assert Fraction(num, js.Q[-1]) == value(js.T[j], js) == js.beta[j]
         assert graded_residue(fld.one / coeff, [a - b for a, b in zip(e, exps)], js) == fld.one
         if j < 2:
-            assert chart.factors[j].form == (js.beta[j], fld.one, e)
+            assert chart.factors[j].form == (js.weights[j], fld.one, e)
+            assert js.weights[j] == js.beta[j] * js.Q[-1]
     if N == 0:
         assert chart.factors[1].form is None and chart.values[1] is None
         with pytest.raises(InsufficientDepthError):
@@ -227,6 +229,29 @@ def test_monoidal_residue_check_with_lambda(fld, pairs):
     reports = monoidal_sequence(js, ind, ind.levels)
     assert [r["residue_check"]["pass"] for r in reports] == [True] * ind.levels
     assert all(r["pass"] for r in reports)
+
+
+#: the specs of the p | t ladders (ROADMAP item 7) over their fields: (p, pairs)
+P_DIVIDES_T_SPECS = [(3, [(5, 4), (3, 2)]), (5, [(3, 2), (5, 3)]), (5, [(3, 2), (4, 1), (5, 3)]),
+                     (7, [(3, 2), (5, 3)]), (7, [(3, 2), (4, 1), (5, 3)])]
+
+
+@pytest.mark.parametrize("p, pairs", P_DIVIDES_T_SPECS,
+                         ids=["F%d-%s" % (p, "".join("%d%d" % pq for pq in pairs))
+                              for p, pairs in P_DIVIDES_T_SPECS])
+def test_monoidal_over_the_p_dividing_t_specs(p, pairs):
+    """Every level passes over F_p on the specs whose ladders take t = p:
+    level l ends at step kbar_l with u_l of value 1/Qbar_l, and H_j
+    factors as u_l^{Qbar_l betabar_j} times a unit."""
+    js = build_jumping_sequence(make_spec(prime_field(p), pairs))
+    ind = extract_independent(js)
+    reports = monoidal_sequence(js, ind, ind.levels)
+    assert all(r["pass"] for r in reports)
+    assert [r["step"] for r in reports] == list(ind.kbar[1:])
+    assert [r["u_value"] for r in reports] == [Fraction(1, Q) for Q in ind.Qbar[1:]]
+    for l, r in enumerate(reports, start=1):
+        assert [h["exponent"] for h in r["H_factorizations"]] == \
+            [ind.Qbar[l] * b for b in ind.betabar[:l + 1]]
 
 
 #: monoidal specs whose residue law needs a_l past level 2: (field, pairs,

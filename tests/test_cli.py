@@ -141,6 +141,23 @@ def test_classify_without_an_ok_ladder_gives_no_form(capsys, tmp_path, monkeypat
     assert data["ladder"]["ok"] is False and data["ladder"]["rungs"][1]["pass"] is False
 
 
+def test_classify_contradiction_computes_no_minimality(capsys, tmp_path, monkeypatch):
+    """A ladder that ends in a contradiction (exit 2) is the whole
+    ``classify`` report, so no toroidal form, and no minimality, is
+    computed for it: with ``verify_minimality`` made to raise, spec-a with
+    t = 3 gives the same bytes."""
+    from jumpseq import extension
+    ext = write_ext(tmp_path, 3, SPEC_A)
+    expected = run(capsys, "classify", ext)
+    assert expected[0] == 2 and list(json.loads(expected[1])) == ["outcome"]
+
+    def refuse(ind):
+        raise AssertionError("minimality computed for a contradiction")
+
+    monkeypatch.setattr(extension, "verify_minimality", refuse)
+    assert run(capsys, "classify", ext) == expected
+
+
 def test_monoidal(capsys):
     code, out, _ = run(capsys, "monoidal", SPEC_A)
     assert code == 0

@@ -405,6 +405,49 @@ def test_rungs_match_expanded_forward(spec_a, fld, t):
         rung_residues(rungs[0][1][0], cert, rungs)
 
 
+#: ladders with p | t over F_p (ROADMAP item 7): (p, pairs, t, whether
+#: delta = 1 + x); the result is characteristic-free, and each is toroidal
+#: and ok
+P_DIVIDES_T = [
+    (3, [(5, 4), (3, 2)], 3, False),
+    (5, [(3, 2), (5, 3)], 5, False),
+    (5, [(3, 2), (5, 3)], 5, True),
+    (5, [(3, 2), (4, 1), (5, 3)], 5, False),
+    (5, [(3, 2), (4, 1), (5, 3)], 5, True),
+    (7, [(3, 2), (5, 3)], 7, False),
+    (7, [(3, 2), (4, 1), (5, 3)], 7, False),
+]
+
+
+@pytest.mark.parametrize("p, pairs, t, unit", P_DIVIDES_T,
+                         ids=["F%d-%s-t%d%s" % (p, "".join("%d%d" % pq for pq in pairs), t,
+                                                "-delta" if unit else "")
+                              for p, pairs, t, unit in P_DIVIDES_T])
+def test_ladder_with_p_dividing_t(p, pairs, t, unit):
+    """A ladder whose t is a multiple of the characteristic is toroidal and
+    ok, rung i has the value ratio t * p_i / q_i, and every rung's stable
+    unit, second parameter and residue equal the ones read from the
+    expanded forward map."""
+    fld = prime_field(p)
+    ext = mk_ext(make_spec(fld, pairs), t, one_plus_x(fld) if unit else None)
+    cert, rungs = rungs_with_charts(ext)
+    assert cert.outcome == {"kind": "toroidal"} and cert.ok
+    assert [r["value_ratio"] for r in cert.rungs] == [[t * a, b] for a, b in pairs]
+    for rung, (_, chart_R, chart_S) in rungs:
+        assert rung_fields(rung) == expanded_rung(ext, chart_R, chart_forward(chart_S))
+    assert [(r["c"], r["residue_match"]) for r, _ in rungs] == rung_residues(ext, cert, rungs)
+
+
+@pytest.mark.parametrize("unit", [False, True], ids=["delta=1", "delta=1+x"])
+def test_ladder_contradiction_with_p_dividing_t(unit):
+    """(3,2),(5,3) over F_5 with t = 10: gcd(t, q_1) = 2, so the ladder
+    ends at M = 1 with pbar'_1 = 15 and g = gcd(15, 10) = 5."""
+    fld = prime_field(5)
+    cert = ladder(mk_ext(make_spec(fld, [(3, 2), (5, 3)]), 10, one_plus_x(fld) if unit else None))
+    assert cert.outcome == {"kind": "contradiction", "M": 1, "l": 1, "g": 5, "pbar_prime": 15}
+    assert not cert.ok and cert.rungs == ()
+
+
 def test_stable_unit_beyond_exact_division():
     """(2,7),(5,2),(3,4) over F_2 with t = 3 and delta = 1 + x: at rung 2
     u_i(forward) / X^t is not a polynomial, but it is a ratio of local

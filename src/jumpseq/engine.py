@@ -695,12 +695,20 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     ``samples`` random polynomials, gets its expansion and its value
     sigma.  Its record lists in ``gammas`` the semigroup values
     0 < gamma <= min(gamma_max, sigma), ascending, carries the expansion
-    once as ``witness``, and passes: every term of the expansion has value
-    >= sigma >= gammas[-1].  A polynomial with no such gamma gets no
-    record.  One whose value is not certified at the spec's depth gets
-    ``"pass": None`` and the witness "value not certified at this depth".
-    The semigroup is enumerated only up to the largest sigma compared,
-    however large gamma_max is.
+    itself, a :class:`TExpansion`, as ``witness`` (its ``to_json()`` is
+    the report's ``{"terms": ...}``, and :meth:`TExpansion.resubstitute`
+    gives the polynomial back), and passes: every term of the expansion
+    has value >= sigma >= gammas[-1].  A polynomial with no such gamma
+    gets no record.  One whose value is not certified at the spec's depth
+    gets ``"pass": None`` and the witness "value not certified at this
+    depth".  The semigroup is enumerated only up to the largest sigma
+    compared, however large gamma_max is.
+
+    Values are compared as integer numerators over Q_N: sigma is the
+    numerator :func:`_min_pure_term` returns, and each gamma is compared
+    as gamma * Q_N, an integer because the semigroup is generated by the
+    beta_j, whose denominators divide Q_N.  The gammas listed stay
+    ``Fraction``s.
 
     Only the powers v^b are expanded, each once per call, when the first
     monomial in the (a, b) order of the records needs it; every u^a v^b
@@ -715,7 +723,9 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     every u^a v^b, and the first monomial that raises raises as it would
     if expanded itself.  Expansion divides by T_i monic in v over k[u], so
     its intermediate forms are u^a times those of v^b and hit
-    ``TERM_LIMIT`` alike.  Samples are expanded one by one.
+    ``TERM_LIMIT`` alike.  A record's witness is v^b's expansion when
+    a = 0, and otherwise the same pairs with a_0 raised by a, built once
+    per record (:func:`_expansion`).  Samples are expanded one by one.
 
     A certified record's ``pass`` comes from its certified value, with
     no comparison: :func:`_min_pure_term` has already refused any
@@ -726,17 +736,16 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     import random
 
     fld = js.field
-    p = fld.characteristic
+    QN = js.Q[-1]
 
     def certify(f):
-        """(sigma, rendered terms) of f's expansion, or None when its
-        value is not certified at the spec's depth."""
+        """(Q_N * sigma, expansion) of f, or None when its value is not
+        certified at the spec's depth."""
         try:
             exp = expand(f, js)
-            sigma = Fraction(_min_pure_term(exp)[0], js.Q[-1])
+            return _min_pure_term(exp)[0], exp
         except InsufficientDepthError:
             return None
-        return sigma, [(render(n, exp.den, p), exps) for exps, n in exp.pairs]
 
     # (label, certified data or None, a): the data is v^b's for u^a v^b
     expanded = []
@@ -752,9 +761,13 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
         f = _random_poly(fld, rng, max_deg=6, max_terms=5)
         if not f.is_zero():
             expanded.append(("sample %d" % s, certify(f), 0))
-    largest = max((data[0] + a for _, data, a in expanded if data is not None), default=0)
-    bound = min(Fraction(gamma_max), largest)
-    gammas = [g for g in semigroup_below(list(js.beta), bound) if g > 0]
+    largest = max((data[0] + a * QN for _, data, a in expanded if data is not None), default=0)
+    # every gamma is a multiple of 1/Q_N, so gamma <= gamma_max exactly when
+    # gamma * Q_N <= floor(gamma_max * Q_N)
+    cap = Fraction(gamma_max)
+    bound = min(cap.numerator * QN // cap.denominator, largest)
+    gammas = [g for g in semigroup_below(list(js.beta), Fraction(bound, QN)) if g > 0]
+    nums = [g.numerator * (QN // g.denominator) for g in gammas]
 
     report = []
     for label, data, a in expanded:
@@ -762,12 +775,14 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
             report.append({"check": "membership", "inputs": label,
                            "witness": "value not certified at this depth", "pass": None})
             continue
-        sigma, terms = data
-        below = gammas[:bisect_right(gammas, sigma + a)]
+        low, exp = data
+        below = gammas[:bisect_right(nums, low + a * QN)]
         if below:
-            witness = {"terms": [{"c": c, "e": [exps[0] + a, *exps[1:]]} for c, exps in terms]}
+            if a:
+                exp = _expansion(js, tuple([((e[0] + a, *e[1:]), n) for e, n in exp.pairs]),
+                                 exp.den)
             report.append({"check": "membership", "inputs": label, "gammas": below,
-                           "witness": witness, "pass": True})
+                           "witness": exp, "pass": True})
     return report
 
 

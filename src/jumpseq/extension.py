@@ -433,6 +433,18 @@ class ToroidalForm:
                 "minimal": self.minimal, "notes": self.notes}
 
 
+def check_classifiable(ext: MonomialExtension) -> None:
+    """Refuse an extension whose toroidal form cannot be decided: a
+    nondiscrete spec with no independent index (every q_i = 1) has no
+    pbar_1 to decide minimality by, and raises :class:`InvalidSpecError`.
+    Reads only the spec's pairs, so it builds no sequence, walks no chain
+    and computes no minimality; ``classify`` calls it before its ladder."""
+    spec = ext.base_spec
+    if spec.mode != "discrete" and all(q == 1 for _, q in spec.pairs):
+        raise InvalidSpecError("classify needs an independent index (some q_i > 1); "
+                               "the spec has none")
+
+
 def classify_toroidal_form(ext: MonomialExtension) -> ToroidalForm:
     """The toroidal shape of the extension's stable form, GHK's case 4 or 5.
 
@@ -444,17 +456,14 @@ def classify_toroidal_form(ext: MonomialExtension) -> ToroidalForm:
     downstairs sequence is outside the semigroup of the others, as
     :func:`jumpseq.engine.verify_minimality` computes it.  That agrees
     with the rule pbar_1 != 1 in the notes.  A nondiscrete spec with no
-    independent index (every q_i = 1) has no pbar_1 to decide by and raises
-    :class:`InvalidSpecError`.  Cases 1-3 (divisorial, rank 2, rational
-    rank 2) have no computed certificate and are not reported.
+    independent index (every q_i = 1) has no pbar_1 to decide by and is
+    refused by :func:`check_classifiable`.  Cases 1-3 (divisorial, rank 2,
+    rational rank 2) have no computed certificate and are not reported.
     """
+    check_classifiable(ext)
     if ext.base_spec.mode == "discrete":
         return ToroidalForm(5, "u = x^t * unit; sequences {u,{T_i}} and {x,{T_i}}",
                             False, "discrete non-divisorial: non-minimal by construction")
-    ind = extract_independent(ext.down)
-    if not ind.levels:
-        raise InvalidSpecError("classify needs an independent index (some q_i > 1); "
-                               "the spec has none")
-    minimal = all(r["minimal"] for r in verify_minimality(ind))
+    minimal = all(r["minimal"] for r in verify_minimality(extract_independent(ext.down)))
     return ToroidalForm(4, "H_0 = x^a * unit, H_1 = y; sequences {H_l} and {x,{H_l}}",
                         minimal, "minimal iff pbar_1 != 1")

@@ -306,6 +306,31 @@ def test_classify_without_independent_index_exit_64(capsys, tmp_path):
     assert err.startswith("error:") and "independent index" in err
 
 
+@pytest.mark.parametrize("field, pairs, t", [
+    ({"kind": "prime", "p": 101}, [[4, 1], [3, 1]], 6),
+    ({"kind": "prime", "p": 5}, [], 3),
+])
+def test_classify_refuses_no_independent_index_before_the_ladder(capsys, tmp_path, monkeypatch,
+                                                                 field, pairs, t):
+    """A nondiscrete spec with no independent index, with pairs all of
+    q_i = 1 or with no pair at all, is refused with the classify message
+    before any ladder is walked or minimality computed."""
+    from jumpseq import cli, extension
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked a ladder or computed minimality for a refused spec")
+
+    for module in (cli, extension):
+        monkeypatch.setattr(module, "ladder", refuse)
+    monkeypatch.setattr(extension, "verify_minimality", refuse)
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"t": t, "spec": {
+        "field": field, "pairs": pairs, "lambdas": ["2"] * len(pairs),
+        "units": ["1"] * len(pairs)}}))
+    assert run(capsys, "classify", str(ext)) == (64, "", (
+        "error: classify needs an independent index (some q_i > 1); the spec has none\n"))
+
+
 def test_monoidal_constant_past_digit_limit_renders(capsys, tmp_path):
     """Over Q this walk meets unit constants with more digits than str()
     makes (4 300 by default); they render, and all three levels are

@@ -21,7 +21,13 @@ from hypothesis import given, settings, strategies as st
 import test_cli_golden
 from jumpseq import cli
 from jumpseq.blowup import initial_chart, single_quadratic_transform
-from jumpseq.engine import build_jumping_sequence, extract_independent
+from jumpseq.engine import (
+    TExpansion,
+    build_jumping_sequence,
+    expand,
+    extract_independent,
+    verify_generating_sequence,
+)
 from jumpseq.extension import MonomialExtension, ladder
 from jumpseq.fields import QQ, Fp, prime_field
 from jumpseq.poly import BivarPoly
@@ -51,7 +57,30 @@ def _library_objects():
     x, _ = BivarPoly.gens(QQ, ("x", "y"))
     ext = MonomialExtension(5, 1 + x, spec)
     return [QQ, prime_field(101), spec, js.T[2], u * v - 3, extract_independent(js),
-            chart, single_quadratic_transform(chart), ext, ladder(ext)]
+            chart, single_quadratic_transform(chart), ext, ladder(ext),
+            *_expansions(js), BivarPoly.zero(QQ),
+            # a coefficient with more digits than str() makes (fields._digits)
+            BivarPoly.monomial(QQ, 1, 2, Fraction(-10 ** 4400 - 1, 3))]
+
+
+def _expansions(js):
+    """Expansions the term writer writes from their forms: over Q with a
+    denominator above 1, over F_2 and F_101, one with no terms and a
+    shifted ``verify`` witness (u^1 v^2, v^2's pairs with a_0 raised by
+    1); and one made from outside data whose exponents are not exact
+    ints, which goes through its ``to_json()``."""
+    u, v = BivarPoly.gens(QQ)
+    over_q = expand(Fraction(1, 3) * u * v + Fraction(-2, 5) * v ** 3, js)
+    assert over_q.den == 15
+    out = [over_q, TExpansion(js, [])]
+    for p, pairs in ((2, [(1, 2), (3, 2)]), (101, [(2, 3), (3, 2)])):
+        fld = prime_field(p)
+        up, vp = BivarPoly.gens(fld)
+        out.append(expand(vp ** 5 + up * vp + 3 * up ** 2, build_jumping_sequence(
+            make_spec(fld, pairs))))
+    shifted, = (r["witness"] for r in verify_generating_sequence(js, Fraction(5), 3)
+                if r["inputs"] == "u^1 v^2")
+    return out + [shifted, TExpansion(js, [(Fraction(1, 2), (True, 0, 0, 0))])]
 
 
 LIBRARY = _library_objects()
@@ -87,6 +116,34 @@ def test_encoder_matches_stdlib_on_random_trees(tree):
     assert cli._dumps(tree) == stdlib(tree)
 
 
+def test_encoder_matches_stdlib_on_library_objects():
+    """Each library object, at the top of a report and nested in one."""
+    for obj in LIBRARY:
+        assert cli._dumps(obj) == stdlib(obj), type(obj).__name__
+        assert cli._dumps([{"w": obj}]) == stdlib([{"w": obj}]), type(obj).__name__
+
+
+#: lists of one exact leaf type, which the encoder writes as one join, of
+#: a leaf type it writes one by one, and of mixed types
+flat_lists = st.one_of(
+    st.lists(st.text(st.sampled_from(SPECIAL) | st.characters(), max_size=6), max_size=6),
+    st.lists(st.fractions(max_denominator=10 ** 12), max_size=6),
+    st.lists(st.builds(Fp, st.integers(-10 ** 6, 10 ** 6), st.sampled_from([2, 5, 101])),
+             max_size=6),
+    st.lists(st.booleans(), max_size=6),
+    st.lists(st.none(), max_size=6),
+    st.lists(leaves, max_size=6),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(flat_lists, st.booleans())
+def test_encoder_matches_stdlib_on_flat_lists(items, as_tuple):
+    obj = tuple(items) if as_tuple else items
+    assert cli._dumps(obj) == stdlib(obj)
+    assert cli._dumps({"k": obj}) == stdlib({"k": obj})
+
+
 class Small(enum.IntEnum):
     TWO = 2
 
@@ -107,7 +164,11 @@ def test_encoder_matches_stdlib_on_edge_values():
                 type("S", (str,), {})("sub\n"), [Fraction(-3, 7), Fp(8, 5)], 10 ** 200,
                 # lists of ints are one join only when every entry is exactly an int
                 [0], (4, -1, 10 ** 30), [1, True, 2], [True, 1], [3, Small.TWO],
-                [Count(4), 5], [5, Count(4)], [1, "a", None], [Ratio(1, 3), 2]):
+                [Count(4), 5], [5, Count(4)], [1, "a", None], [Ratio(1, 3), 2],
+                # so are lists of str, Fraction or Fp, and bool and None are literals
+                ["a", type("S", (str,), {})("b")], [Fraction(1, 2), Ratio(1, 3)],
+                (Ratio(1, 3), Fraction(1, 2)), [Fp(1, 5), Fraction(1, 2)], [Fp(3, 7)],
+                [True, False, None], (None,)):
         assert cli._dumps(obj) == stdlib(obj), obj
 
 

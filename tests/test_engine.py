@@ -359,7 +359,7 @@ def _monomial(label, fld=QQ):
     return BivarPoly.monomial(fld, a, b, 1, ("u", "v"))
 
 
-@pytest.mark.parametrize("fld, pairs, gamma_max, deg_bound", [
+VERIFY_CASES = [
     (QQ, [(3, 2), (5, 3)], "5", 8),
     (QQ, [(3, 2), (4, 1), (5, 3)], "100", 6),
     (prime_field(2), [(1, 2), (3, 2)], "5", 7),
@@ -368,7 +368,10 @@ def _monomial(label, fld=QQ):
     (prime_field(101), [(2, 3), (3, 2)], "5", 8),
     # no pairs: every v^b with b > 0 involves T_M = T_1, so only u^a is certified
     (prime_field(2), [], "5", 4),
-])
+]
+
+
+@pytest.mark.parametrize("fld, pairs, gamma_max, deg_bound", VERIFY_CASES)
 def test_verify_derived_records_match_expansions(fld, pairs, gamma_max, deg_bound):
     """Every monomial record, derived from its v-power's expansion, holds
     the witness, gammas and pass that expanding and valuing the monomial
@@ -394,12 +397,32 @@ def test_verify_derived_records_match_expansions(fld, pairs, gamma_max, deg_boun
                 exp = expand(f, js)
                 low = Fraction(min(exp.nums), js.Q[-1])
                 expected.append({"check": "membership", "inputs": label, "gammas": gammas,
-                                 "witness": exp.to_json(), "pass": low >= gammas[-1]})
+                                 "witness": exp, "pass": low >= gammas[-1]})
     assert report == expected
     assert report
     if not pairs:
         assert any(r["pass"] is None for r in report)
         assert any(r["pass"] is True for r in report)
+
+
+@pytest.mark.parametrize("fld, pairs, gamma_max, deg_bound", VERIFY_CASES)
+def test_verify_witnesses_resubstitute_to_their_polynomials(fld, pairs, gamma_max, deg_bound):
+    """Every certified record's witness is an expansion that folds back to
+    its own polynomial: u^a v^b for a monomial record (v^b's expansion
+    with a_0 raised by a), the drawn polynomial for a sample."""
+    import random
+
+    js = build_jumping_sequence(make_spec(fld, pairs))
+    report = verify_generating_sequence(js, Fraction(gamma_max), deg_bound, samples=4, seed=7)
+    rng = random.Random(7)
+    drawn = {"sample %d" % s: engine._random_poly(fld, rng) for s in range(4)}
+    certified = [r for r in report if r["pass"] is not None]
+    assert certified
+    for record in certified:
+        label = record["inputs"]
+        f = drawn[label] if label in drawn else _monomial(label, fld)
+        assert type(record["witness"]) is TExpansion and record["witness"].js is js
+        assert record["witness"].resubstitute() == f, label
 
 
 def test_verify_uncertified_is_not_pass():

@@ -125,7 +125,7 @@ def test_verify_witnesses_render_as_elements(name):
     for record in records:
         a, b = (int(s[2:]) for s in record["inputs"].split())
         witness = expand(BivarPoly.monomial(fld, 0, b), js)
-        assert record["witness"]["terms"] == [
+        assert record["witness"].to_json()["terms"] == [
             {"c": fld.render(c), "e": [e[0] + a, *e[1:]]} for c, e in witness.terms]
 
 

@@ -514,8 +514,10 @@ def test_classify_without_independent_index():
     """A nondiscrete spec whose q_i are all 1 has no pbar_1 to decide
     minimality by, so there is no case-4 form to give."""
     ext = mk_ext(make_spec(QQ, [(2, 1), (3, 1)]), 5)
-    with pytest.raises(InvalidSpecError, match="classify needs an independent index"):
-        classify_toroidal_form(ext)
+    for decide in (extension.check_classifiable, classify_toroidal_form):
+        with pytest.raises(InvalidSpecError, match="classify needs an independent index"):
+            decide(ext)
+    assert "down" not in vars(ext)  # refused from the spec, with no sequence built
     assert classify_toroidal_form(mk_ext(make_spec(QQ, [(2, 1), (3, 1)], "discrete"), 5)).case == 5
 
 

@@ -3,15 +3,20 @@
 Every command reads JSON inputs, runs the corresponding library
 operation and writes a JSON report with sorted keys, deterministic for
 its seed.  :func:`_dumps` gives the bytes of ``json.dumps(report,
-sort_keys=True, indent=2)`` with a library object as its ``to_json()``,
-in one recursive pass: ``Fraction`` and ``Fp`` as strings, ``True``,
-``False`` and ``None`` as literals, a list or tuple all of exact ``int``,
-``str``, ``Fraction`` or ``Fp`` as one ``join``, an exact polynomial or
+sort_keys=True, indent=2)`` with a field element as its string and a
+library object as its ``to_json()``.  It writes what reports hold
+itself, in one recursive pass: exact ``str`` and ``int``, ``True``,
+``False`` and ``None`` as literals, ``Fraction`` and ``Fp`` as strings,
+a dict with string keys, a list or tuple (one ``join`` when all of
+exact ``int``, ``str``, ``Fraction`` or ``Fp``), an exact polynomial or
 expansion as its term list written from its integer form, one template
-per term, any other library object as its ``to_json()``, anything else
-a ``TypeError``.  On spec-b's ``verify`` report, whose 494 witness
-terms are most of its bytes, it takes 1.1 ms against the stdlib's
-5.2 ms (CPython 3.11, 2-CPU x86-64).
+per term, and any other library object as its ``to_json()``.  Anything
+else, a float, a subclass of a builtin type, a dict with a key that is
+not a string or a value no report holds, goes to the stdlib
+(``json.dumps`` with the same hook), indented to its place, so its
+bytes and its ``TypeError`` are the stdlib's.  On spec-b's ``verify``
+report, whose 494 witness terms are most of its bytes, it takes 1.1 ms
+against the stdlib's 5.2 ms (CPython 3.11, 2-CPU x86-64).
 Exit codes: 0 success, 2 ladder contradiction, 3 insufficient depth, 64
 usage errors.
 
@@ -41,7 +46,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
 
 from .blowup import initial_chart, monoidal_sequence, single_quadratic_transform
 from .engine import (
@@ -85,6 +89,16 @@ _JOINED = {int: int.__repr__, str: _encode_str,
            Fraction: lambda x: _encode_str(str(x)), Fp: lambda x: _encode_str(str(x))}
 
 
+def _default(obj):
+    """The stdlib's ``default`` hook: a field element as its string, a
+    library object as its ``to_json()``; anything else raises TypeError."""
+    if isinstance(obj, (Fraction, Fp)):
+        return str(obj)
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def _dumps(obj, pad="\n") -> str:
     """The report encoder described above; ``pad`` is the newline and
     indent that precede ``obj``'s closing bracket."""
@@ -102,54 +116,37 @@ def _dumps(obj, pad="\n") -> str:
     if t is Fraction or t is Fp:
         return _encode_str(str(obj))
     inner = pad + "  "
-    if t is dict and obj:
+    if t is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
         return "{" + inner + ("," + inner).join([
-            _encode_str(k if isinstance(k, str) else _key(k)) + ": " + _dumps(obj[k], inner)
-            for k in sorted(obj)]) + pad + "}"
-    if (t is list or t is tuple) and obj:
+            _encode_str(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]) + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
         t0 = type(obj[0])
         leaf = _JOINED.get(t0)
         if leaf and all(type(v) is t0 for v in obj):  # no bool, no subclass
             return "[" + inner + ("," + inner).join(map(leaf, obj)) + pad + "]"
         return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + pad + "]"
-    if t is dict or t is list or t is tuple:
-        return "{}" if t is dict else "[]"
     # An exact polynomial or expansion: its terms written from its integer
-    # form, one template per term, as its to_json() writes them.  An
-    # expansion made from outside data may hold exponents that are not
-    # exact ints, which to_json() writes as they are, so it goes there.
+    # form, one template per term, as its to_json() writes them.
     if t is BivarPoly:
         (terms, den), p = obj.form, obj.field.characteristic
         pairs, rest = sorted(terms.items()), "," + inner + '"vars": ' + _dumps(obj.vars, inner)
-    elif t is TExpansion and {*map(type, chain.from_iterable(e for e, _ in obj.pairs))} <= {int}:
+    elif t is TExpansion:
         pairs, den, p, rest = obj.pairs, obj.den, obj.js.field.characteristic, ""
-    else:
-        pairs = None
-    if pairs is not None:
-        i2 = inner + "  "
-        i3, i4 = i2 + "  ", i2 + "    "
-        term = "{" + i3 + '"c": "%s",' + i3 + '"e": [' + i4 + "%s" + i3 + "]" + i2 + "}"
-        body = ("[" + i2 + ("," + i2).join([
-            term % (render(n, den, p), ("," + i4).join(map(int.__repr__, e)))
-            for e, n in pairs]) + inner + "]") if pairs else "[]"
-        return "{" + inner + '"terms": ' + body + rest + pad + "}"
-    if isinstance(obj, float):
-        return json.dumps(obj)  # the C encoder: float.__repr__, NaN, Infinity
-    for kind, exact in ((str, str), (int, int), (dict, dict), (list, list), (tuple, list)):
-        if isinstance(obj, kind):  # a subclass, encoded as its base type
-            return _dumps(exact(obj), pad)
-    if isinstance(obj, (Fraction, Fp)):
-        return _encode_str(str(obj))
-    if hasattr(obj, "to_json"):
+    elif hasattr(obj, "to_json"):
         return _dumps(obj.to_json(), pad)
-    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
-
-
-def _key(k) -> str:
-    """A dict key that is not a string, spelled as the stdlib spells it."""
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError("keys must be str, int, float, bool or None, not %s" % type(k).__name__)
+    else:
+        return json.dumps(obj, sort_keys=True, indent=2, default=_default).replace("\n", pad)
+    i2 = inner + "  "
+    i3, i4 = i2 + "  ", i2 + "    "
+    term = "{" + i3 + '"c": "%s",' + i3 + '"e": [' + i4 + "%s" + i3 + "]" + i2 + "}"
+    body = ("[" + i2 + ("," + i2).join([
+        term % (render(n, den, p), ("," + i4).join(map(int.__repr__, e)))
+        for e, n in pairs]) + inner + "]") if pairs else "[]"
+    return "{" + inner + '"terms": ' + body + rest + pad + "}"
 
 
 def _emit(report, args) -> None:

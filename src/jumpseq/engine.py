@@ -12,10 +12,12 @@ data does not pin the answer down.
 
 Value bookkeeping runs on integers.  The denominator of beta_j divides
 Q_j = q_1...q_j, so every beta_j with j <= N (N the spec depth) is an
-integer over the common denominator Q_N.  A sequence holds these
-numerators once (:attr:`JumpingSequence.weights`), an expansion holds one
-numerator per term (:attr:`TExpansion.nums`), and values, residues and
-the generating-sequence checks compare those ints; a ``Fraction`` is made
+integer over the common denominator Q_N.  The build computes these
+numerators, and only these, by the integer recurrence of the values and
+a sequence stores them (:attr:`JumpingSequence.weights`); its ``beta``
+is a ``Fraction`` view of them.  An expansion holds one numerator per
+term (:attr:`TExpansion.nums`), and values, residues and the
+generating-sequence checks compare those ints; a ``Fraction`` is made
 only for a value that is returned or reported.
 
 An expansion is integers from the scatter to the report: its form is one
@@ -171,22 +173,18 @@ class ValuationSpec:
 # ---------------------------------------------------------------------------
 
 
-def exponent_solve(i: int, beta: List[Fraction], q: List[int], Q: List[int]) -> Tuple[int, ...]:
+def exponent_solve(i: int, w: List[int], q: List[int], Q: List[int]) -> Tuple[int, ...]:
     """Solve q_i*beta_i = sum_j n_{i,j}*beta_j with 0 <= n_{i,j} < q_j for j >= 1.
 
     Greedy from j = i-1 down: n_{i,j} is the unique residue mod q_j making
     the partial remainder land in (1/Q_{j-1})Z; what is left over must be
-    the nonnegative integer n_{i,0}.  ``beta``/``q``/``Q`` are indexed so
-    that beta[j], q[j], Q[j] carry the subscript-j data (q[0]/Q[0] unused
-    except Q[0] = 1).
-
-    The relation is solved on integer numerators over D, the lcm of Q_i
-    and the denominators of beta_1 .. beta_i, which is Q_i itself for the
-    values of a spec: a remainder r/D lies in (1/Q_{j-1})Z exactly when D
-    divides r * Q_{j-1}.
+    the nonnegative integer n_{i,0}.  ``w``/``q``/``Q`` are indexed so
+    that w[j], q[j], Q[j] carry the subscript-j data (q[0] unused, Q[0] =
+    1), and w[j] = Q[-1] * beta_j is the integer value weight over D =
+    Q[-1] (:attr:`JumpingSequence.weights`): a remainder r/D lies in
+    (1/Q_{j-1})Z exactly when D divides r * Q_{j-1}.
     """
-    D = lcm(Q[i], *(b.denominator for b in beta[1:i + 1]))
-    w = [b.numerator * (D // b.denominator) for b in beta[:i + 1]]
+    D = Q[-1]
     rem = q[i] * w[i]
     n = [0] * i
     for j in range(i - 1, 0, -1):
@@ -212,9 +210,20 @@ def exponent_solve(i: int, beta: List[Fraction], q: List[int], Q: List[int]) -> 
 
 @dataclass(frozen=True)
 class JumpingSequence:
+    """The tower T_0 .. T_{N+1} of a spec of depth N and its value data.
+
+    ``weights`` are the integer value weights w_0 .. w_{N+1} over the
+    denominator Q_N, as :func:`build_jumping_sequence` makes them:
+    w_j = Q_N * beta_j for j <= N, and w_{N+1} = q_N * w_N (0 when
+    N = 0).  Since T_{N+1} has value greater than q_N * beta_N,
+    sum_j e_j * w_j / Q_N is the exact value of a T-monomial with
+    e_{N+1} = 0 and a strict lower bound of one with e_{N+1} > 0.
+    :attr:`beta` is their ``Fraction`` view.
+    """
+
     spec: ValuationSpec
     T: Tuple[BivarPoly, ...]          # T_0 .. T_{depth+1}
-    beta: Tuple[Fraction, ...]        # beta_0 .. beta_depth
+    weights: Tuple[int, ...]          # w_0 .. w_{depth+1} over Q_N
     Q: Tuple[int, ...]                # Q_0 = 1, Q_i = q_1 ... q_i
     n: Tuple[Tuple[int, ...], ...]    # n[i] = (n_{i,0}, ..., n_{i,i-1}), i >= 1
 
@@ -236,40 +245,20 @@ class JumpingSequence:
         return [t.deg_v() for t in self.T]
 
     @cached_property
-    def weights(self) -> Tuple[int, ...]:
-        """Integer value weights w_0 .. w_{N+1} over the denominator Q_N.
-
-        N is the depth.  For j <= N, w_j = Q_N * beta_j, an integer because
-        the denominator of beta_j divides Q_j; the last weight is
-        w_{N+1} = q_N * w_N (0 when N = 0).  Since T_{N+1} has value
-        greater than q_N * beta_N, sum_j e_j * w_j / Q_N is the exact value
-        of a T-monomial with e_{N+1} = 0 and a strict lower bound of one
-        with e_{N+1} > 0.  Computed once per sequence.
-        """
-        N, QN = self.depth, self.Q[-1]
-        w = []
-        for j, b in enumerate(self.beta):
-            x = b * QN
-            if x.denominator != 1:
-                raise ArithmeticError("Q_%d * beta_%d = %s is not an integer" % (N, j, x))
-            w.append(x.numerator)
-        w.append(self.q(N) * w[N] if N else 0)
-        return tuple(w)
+    def beta(self) -> Tuple[Fraction, ...]:
+        """The values beta_0 .. beta_N as ``Fraction``s, w_j / Q_N: a view of
+        :attr:`weights` made at its first read."""
+        QN = self.Q[-1]
+        return tuple(Fraction(w, QN) for w in self.weights[:-1])
 
     @cached_property
     def T_rows(self) -> tuple:
         """T_2 .. T_M as integer-row divisors (:func:`jumpseq.poly._v_rows`)
         for :func:`expand`, made from their integer forms at the first
-        expansion.
-        :func:`expand` reads level 1 off the v-degree rows, so T_1 must be
-        the second variable itself, which an explicit check confirms
-        (ArithmeticError otherwise).  Raises :class:`InvalidSpecError` when
-        some T_i is not monic in the second variable, which a unit
-        involving that variable can cause.
+        expansion.  Raises :class:`InvalidSpecError` when some T_i is not
+        monic in the second variable, which a unit involving that variable
+        can cause.
         """
-        if self.T[1] != BivarPoly.monomial(self.field, 0, 1, 1, self.T[1].vars):
-            raise ArithmeticError("T_1 = %s is not the second variable, so expansions "
-                                  "cannot read level 1 off the v-degree rows" % self.T[1])
         out = []
         for i, t in enumerate(self.T[2:], start=2):
             rows = _v_rows(t.form)
@@ -284,7 +273,7 @@ class JumpingSequence:
     def to_json(self):
         return {
             "T": [t.to_json() for t in self.T],
-            "beta": [render(b.numerator, b.denominator, 0) for b in self.beta],
+            "beta": [render(w, self.Q[-1], 0) for w in self.weights[:-1]],
             "Q": list(self.Q),
             "n": [list(row) for row in self.n[1:]],
             "vdeg": self.vdeg(),
@@ -294,7 +283,10 @@ class JumpingSequence:
 def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v")) -> JumpingSequence:
     """The jumping sequence of ``spec`` in the variables ``vars``.
 
-    The tower is computed on integer forms (see :mod:`jumpseq.poly`).  At
+    The values come first, as the integer weights over Q_N
+    (:attr:`JumpingSequence.weights`): w_0 = Q_N, w_i = q_{i-1} * w_{i-1}
+    + p_i * (Q_N // Q_i) with q_0 = 0, and w_{N+1} = q_N * w_N.  The
+    tower is computed on integer forms (see :mod:`jumpseq.poly`).  At
     level i, with n_i = exponent_solve(i, ...), T_i^{q_i} is formed first.
     The tail -lambda_i * delta_i * u^{n_{i,0}} v^{n_{i,1}} *
     prod_{2 <= j < i} T_j^{n_{i,j}} is one :func:`jumpseq.poly._fold` of
@@ -318,17 +310,16 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
     for i in range(1, d + 1):
         Q.append(Q[-1] * q[i])
 
-    beta: List[Fraction] = [Fraction(1)]
+    # beta_i = q_{i-1} * beta_{i-1} + p_i / Q_i over Q_N, with q_0 = 0
+    w = [Q[d]]
     for i in range(1, d + 1):
-        if i == 1:
-            beta.append(Fraction(p[1], q[1]))
-        else:
-            beta.append(q[i - 1] * beta[i - 1] + Fraction(p[i], q[i]) / Q[i - 1])
+        w.append(q[i - 1] * w[i - 1] + p[i] * (Q[d] // Q[i]))
+    w.append(q[d] * w[d])
 
     forms = [({(1, 0): 1}, 1), ({(0, 1): 1}, 1)]
     n_rows: List[Tuple[int, ...]] = [()]  # leading pad so n_rows[i] carries subscript i
     for i in range(1, d + 1):
-        row = exponent_solve(i, beta, q, Q)
+        row = exponent_solve(i, w, q, Q)
         n_rows.append(row)
         power = _ipow(forms[i], q[i], char)
         n, den = _ratio(-fld(spec.lambdas[i - 1]), char)
@@ -337,7 +328,7 @@ def build_jumping_sequence(spec: ValuationSpec, vars: Tuple[str, str] = ("u", "v
         forms.append(_iadd(power, tail, char))
 
     T = tuple(_wrap(fld, x, tuple(vars)) for x in forms)
-    return JumpingSequence(spec, T, tuple(beta), tuple(Q), tuple(n_rows))
+    return JumpingSequence(spec, T, tuple(w), tuple(Q), tuple(n_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +410,12 @@ class TExpansion:
     callers; the library reads the form.
 
     ``TExpansion(js, terms)`` makes an expansion from outside data: an
-    exponent vector whose length is not M + 1, or that has a negative
-    entry, raises ``ValueError``, so neither :attr:`nums` nor
+    exponent vector whose length is not M + 1, that has an entry that is
+    not an exact ``int`` (a float, a bool or an int subclass), or that has
+    a negative entry, raises ``ValueError``, so neither :attr:`nums` nor
     :meth:`resubstitute` reads one as if padded or cut, or values or
-    folds a negative power.  Then each coefficient is coerced by the
+    folds a negative or fractional power, and a report writes every
+    exponent as an int.  Then each coefficient is coerced by the
     field into a numerator over one denominator, once, and a zero one is
     dropped (:func:`jumpseq.poly._numerators`).  :func:`expand` builds its
     expansions from the form of :func:`jumpseq.poly._unfold`, whose
@@ -441,6 +434,8 @@ class TExpansion:
             if len(exps) != n:
                 raise ValueError("exponent vector %r has %d entries, not M + 1 = %d"
                                  % (exps, len(exps), n))
+            if not all(type(e) is int for e in exps):
+                raise ValueError("exponent vector %r has an entry that is not an int" % (exps,))
             if min(exps) < 0:
                 raise ValueError("exponent vector %r has a negative entry" % (exps,))
         pairs, den = _numerators(js.field, ((exps, c) for c, exps in terms))
@@ -758,7 +753,7 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
                 expanded.append(("u^%d v^%d" % (a, b), v_powers[b], a))
     rng = random.Random(seed)
     for s in range(samples):
-        f = _random_poly(fld, rng, max_deg=6, max_terms=5)
+        f = _random_poly(fld, rng)
         if not f.is_zero():
             expanded.append(("sample %d" % s, certify(f), 0))
     largest = max((data[0] + a * QN for _, data, a in expanded if data is not None), default=0)
@@ -786,14 +781,18 @@ def verify_generating_sequence(js: JumpingSequence, gamma_max: Fraction, deg_bou
     return report
 
 
-def _random_poly(fld: GroundField, rng, max_deg: int = 6, max_terms: int = 5) -> BivarPoly:
+#: The total degree and number of draws of a ``verify --samples`` polynomial.
+_SAMPLE_DEG, _SAMPLE_TERMS = 6, 5
+
+
+def _random_poly(fld: GroundField, rng) -> BivarPoly:
     # Not shared with scripts/run_battery.py's random_poly: this one draws
-    # no second exponent when a = max_deg, so its stream differs, and the
-    # recorded ``verify --samples`` outputs depend on this stream.
+    # no second exponent when a = _SAMPLE_DEG, so its stream differs, and
+    # the recorded ``verify --samples`` outputs depend on this stream.
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        a = rng.randint(0, max_deg)
-        b = rng.randint(0, max_deg - a) if max_deg > a else 0
+    for _ in range(rng.randint(1, _SAMPLE_TERMS)):
+        a = rng.randint(0, _SAMPLE_DEG)
+        b = rng.randint(0, _SAMPLE_DEG - a) if _SAMPLE_DEG > a else 0
         if fld.kind == "rationals":
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         else:

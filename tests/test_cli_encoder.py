@@ -67,8 +67,7 @@ def _expansions(js):
     """Expansions the term writer writes from their forms: over Q with a
     denominator above 1, over F_2 and F_101, one with no terms and a
     shifted ``verify`` witness (u^1 v^2, v^2's pairs with a_0 raised by
-    1); and one made from outside data whose exponents are not exact
-    ints, which goes through its ``to_json()``."""
+    1)."""
     u, v = BivarPoly.gens(QQ)
     over_q = expand(Fraction(1, 3) * u * v + Fraction(-2, 5) * v ** 3, js)
     assert over_q.den == 15
@@ -80,7 +79,7 @@ def _expansions(js):
             make_spec(fld, pairs))))
     shifted, = (r["witness"] for r in verify_generating_sequence(js, Fraction(5), 3)
                 if r["inputs"] == "u^1 v^2")
-    return out + [shifted, TExpansion(js, [(Fraction(1, 2), (True, 0, 0, 0))])]
+    return out + [shifted]
 
 
 LIBRARY = _library_objects()

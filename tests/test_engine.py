@@ -83,26 +83,30 @@ def test_spec_b_sequence(js_b):
 
 
 def test_exponent_solve_oracles(js_a):
-    beta = [Fraction(1), Fraction(3, 2), Fraction(23, 6)]
+    w = [6, 9, 23]  # 1, 3/2 and 23/6 over Q_2 = 6
     q = [0, 2, 3]
     Q = [1, 2, 6]
-    assert exponent_solve(1, beta, q, Q) == (3,)
-    assert exponent_solve(2, beta, q, Q) == (10, 1)
+    assert exponent_solve(1, w, q, Q) == (3,)
+    assert exponent_solve(2, w, q, Q) == (10, 1)
+    assert exponent_solve(2, list(js_a.weights), q, list(js_a.Q)) == js_a.n[2]
 
 
 @pytest.mark.parametrize("i, beta, q, Q, message", [
-    (2, ["1", "3/2", "23/5"], [0, 2, 3], [1, 2, 6],
+    (2, ["1", "3/2", "23/5"], [0, 2, 3, 5], [1, 2, 6, 30],
      "no exponent n_{2,1} in [0, 2) satisfies the value relation"),
     (2, ["1", "3/2", "1/6"], [0, 2, 3], [1, 2, 6],
      "value relation at level 2 leaves n_{2,0} = -1, not a nonnegative integer"),
-    (1, ["1", "1/2"], [0, 3], [1, 3],
+    (1, ["1", "1/2"], [0, 3, 2], [1, 3, 6],
      "value relation at level 1 leaves n_{1,0} = 3/2, not a nonnegative integer"),
 ])
 def test_exponent_solve_refuses_unsolvable_relations(i, beta, q, Q, message):
-    """Values no spec gives: a denominator outside Q_i, a remainder below
-    zero and one that is not an integer each raise with their message."""
+    """Values no spec gives, as integer weights over Q[-1]: a denominator
+    outside Q_i, a remainder below zero and one that is not an integer
+    each raise with their message."""
+    w = [Fraction(b) * Q[-1] for b in beta]
+    assert all(x.denominator == 1 for x in w)
     with pytest.raises(InvalidSpecError) as err:
-        exponent_solve(i, [Fraction(b) for b in beta], q, Q)
+        exponent_solve(i, [int(x) for x in w], q, Q)
     assert str(err.value) == message
 
 
@@ -202,16 +206,6 @@ def test_residue_requires_equal_values(js_a):
 # The checks below guard invariants that valid input always meets; each
 # test breaks one by hand.  They are explicit code, so they also hold
 # under python -O.
-
-
-def test_expand_rejects_t1_other_than_v(js_a):
-    """Expansion reads level 1 off the v-degree rows, which is the
-    v-adic expansion only when T_1 = v: a hand-built sequence whose T_1 is
-    v + u, still monic in v, is refused before any division."""
-    u, v = U_V()
-    bad = type(js_a)(js_a.spec, (u, v + u) + js_a.T[2:], js_a.beta, js_a.Q, js_a.n)
-    with pytest.raises(ArithmeticError, match="T_1 = u \\+ v is not the second variable"):
-        expand(v, bad)
 
 
 def test_min_pure_term_rejects_equal_pure_values(js_a):

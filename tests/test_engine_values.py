@@ -7,6 +7,7 @@ from beta with ``Fraction`` arithmetic, term by term, and recompute
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from jumpseq.errors import InsufficientDepthError, ResourceLimitError
 from jumpseq.fields import QQ, prime_field
 from jumpseq.poly import TERM_LIMIT, BivarPoly
 
-from conftest import ROOT, make_spec
+from conftest import ROOT, make_spec, random_spec
 
 F101 = prime_field(101)
 
@@ -108,19 +109,31 @@ def test_integer_bounds_match_fraction_formula(case):
     assert got == fraction_value(exp)
 
 
-@pytest.mark.parametrize("js", SEQUENCES, ids=["%s-%s" % (fld.kind, pairs) for fld, pairs in TOWERS])
+def fraction_beta(pairs):
+    """beta_0 .. beta_N by the Fraction formula: beta_0 = 1, beta_1 =
+    p_1/q_1 and beta_{i+1} = q_i * beta_i + p_{i+1} / (q_{i+1} * Q_i)."""
+    beta, Q = [Fraction(1)], 1
+    for i, (p, q) in enumerate(pairs):
+        beta.append(Fraction(p, q * Q) + (pairs[i - 1][1] * beta[-1] if i else 0))
+        Q *= q
+    return tuple(beta)
+
+
+#: seeded random specs of depth 1 to 5 over Q and F_101
+RANDOM_SPECS = [random_spec(random.Random(seed), F101 if seed % 2 else QQ) for seed in range(12)]
+
+
+@pytest.mark.parametrize("js", SEQUENCES + [build_jumping_sequence(s) for s in RANDOM_SPECS],
+                         ids=["%s-%s" % (fld.kind, pairs) for fld, pairs in TOWERS]
+                         + ["random-%d" % seed for seed in range(len(RANDOM_SPECS))])
 def test_weights_are_beta_over_Q_N(js):
+    """The integer recurrence of the build gives Q_N * beta_j for every
+    j <= N, and beta is their view."""
     N, QN = js.depth, js.Q[-1]
-    assert js.weights[:N + 1] == tuple(int(b * QN) for b in js.beta)
+    beta = fraction_beta(js.spec.pairs)
+    assert all(type(w) is int for w in js.weights) and len(js.weights) == N + 2
+    assert [Fraction(w, QN) for w in js.weights[:N + 1]] == list(beta) == list(js.beta)
     assert js.weights[N + 1] == js.q(N) * js.weights[N]
-
-
-def test_non_integral_weight_raises(js_a):
-    """A beta whose denominator does not divide Q_N is rejected by an
-    explicit check, also under python -O."""
-    bad = type(js_a)(js_a.spec, js_a.T, js_a.beta[:-1] + (Fraction(1, 7),), js_a.Q, js_a.n)
-    with pytest.raises(ArithmeticError, match="not an integer"):
-        bad.weights
 
 
 def test_resubstitute_checks_the_running_sum(js_a):
@@ -180,6 +193,20 @@ def test_expansion_refuses_a_negative_exponent(js_a, exps):
         TExpansion(js_a, ((QQ(1), exps),))
 
 
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("exps", [(0.5, 0, 0, 0), (1.0, 0, 0, 0), (0, 0, -1.0, 0),
+                                  (True, 0, 0, 0), (0, False, 0, 0), (0, 0, 0, Count(1))])
+def test_expansion_refuses_an_exponent_that_is_not_an_int(js_a, exps):
+    """A float, a bool or an int subclass raises ``ValueError`` when the
+    expansion is built, so ``nums`` holds ints and a report writes every
+    exponent as an int."""
+    with pytest.raises(ValueError, match="has an entry that is not an int"):
+        TExpansion(js_a, ((QQ(1), exps),))
+
+
 def test_expansion_takes_a_one_shot_iterable(js_a):
     """The constructor reads its terms twice, to check the vectors and to
     convert the coefficients, so an iterator of terms gives the expansion
@@ -190,16 +217,17 @@ def test_expansion_takes_a_one_shot_iterable(js_a):
 
 
 def test_expansion_refuses_a_wrong_length_vector_under_O():
-    """The length and sign checks are explicit code, so python -O keeps
-    them."""
+    """The length, type and sign checks are explicit code, so python -O
+    keeps them."""
     code = ("from jumpseq.engine import TExpansion, build_jumping_sequence\n"
             "from jumpseq.fields import QQ\n"
             "from conftest import load_spec\n"
             "js = build_jumping_sequence(load_spec('spec-a.json'))\n"
-            "try:\n"
-            "    TExpansion(js, ((QQ(1), (0, 0, -1, 0)),))\n"
-            "except ValueError as e:\n"
-            "    print(e)\n"
+            "for exps in ((0, 0, -1, 0), (0.5, 0, 0, 0), (0, True, 0, 0)):\n"
+            "    try:\n"
+            "        TExpansion(js, ((QQ(1), exps),))\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n"
             "TExpansion(js, ((QQ(1), (1, 0, 0, 0, 0)),))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -207,6 +235,8 @@ def test_expansion_refuses_a_wrong_length_vector_under_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 1
-    assert proc.stdout == "exponent vector (0, 0, -1, 0) has a negative entry\n"
+    assert proc.stdout == ("exponent vector (0, 0, -1, 0) has a negative entry\n"
+                           "exponent vector (0.5, 0, 0, 0) has an entry that is not an int\n"
+                           "exponent vector (0, True, 0, 0) has an entry that is not an int\n")
     assert proc.stderr.rstrip().endswith("ValueError: exponent vector (1, 0, 0, 0, 0) "
                                          "has 5 entries, not M + 1 = 4"), proc.stderr

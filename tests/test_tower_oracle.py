@@ -78,7 +78,7 @@ def check_tower(spec: ValuationSpec, js):
     for i, found in enumerate(rows, start=1):
         assert len(found) == 1, (spec.pairs, i, found)
         q = [0] + [q for _, q in spec.pairs]
-        assert js.n[i] == found[0] == exponent_solve(i, list(js.beta), q, list(js.Q))
+        assert js.n[i] == found[0] == exponent_solve(i, list(js.weights), q, list(js.Q))
         lam = fld(spec.lambdas[i - 1])
         lam = lam.val if p else sympy.Rational(lam.numerator, lam.denominator)
         rel = sympy_poly(spec.units[i - 1], gens) * lam
